@@ -43,8 +43,7 @@ from .bohr import (
 from .exact import as_rational, rational_pair
 from .functions import BoundedFunction
 from .gowers import check_inverse_theorem, u2_report
-from .increment import ConstantTable, EngineLimits, run
-from .increment import _chain_dilations as plan_inner_dilations
+from .increment import ConstantTable, EngineLimits, plan_inner_dilations, run
 from .patterns import (
     PreconditionError,
     behrend_set,

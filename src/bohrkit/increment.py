@@ -542,7 +542,7 @@ class RunResult:
         }
 
 
-def _chain_dilations(
+def plan_inner_dilations(
     spec: BohrSpec,
     s: int,
     table: ConstantTable,
@@ -640,7 +640,7 @@ def run(
             if Fraction(spec.dim) > table.d_max(s, delta):
                 return finish("limit", 3, "printed dimension cap exceeded")
 
-        chain = _chain_dilations(spec, s, table, delta, limits)
+        chain = plan_inner_dilations(spec, s, table, delta, limits)
         if chain is None:
             return finish("limit", 3, "no regular dilation found for the chain")
         cs, inner_sets, chain_notes = chain
@@ -796,8 +796,12 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     """Independently re-verify every accepted step of a run from its records.
 
     Replays the state transforms and re-measures each step's claim on freshly
-    enumerated sets. Returns the list of discrepancies (empty means the whole
-    trace rechecks).
+    enumerated sets. A ``small-bohr`` record is re-derived rather than
+    re-read: the inner chain is rebuilt from the recorded dilation factors,
+    every inner set is recounted, the smallness threshold is recomputed from
+    ``(s, delta)``, and the restricted freeness search is run again with the
+    recorded finder budget. Returns the list of discrepancies (empty means
+    the whole trace rechecks).
     """
     problems: list[str] = []
     original = np.unique(np.asarray(subset, dtype=np.int64))
@@ -828,14 +832,31 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
                 problems.append(f"step {rec.step}: configuration not in the input set")
             break
         if rec.case == "small-bohr":
-            info = pay["dichotomy"]["data"]["small"]
+            data = pay["dichotomy"]["data"]
             s_arity = pay["dichotomy"]["s"]
-            sizes = pay["dichotomy"]["data"]["inner_sizes"]
-            thr = Fraction(*info["threshold"])
-            if not Fraction(sizes[-1]) <= thr:
-                problems.append(f"step {rec.step}: smallness compare fails recheck")
-            if info["size"] != sizes[-1]:
-                problems.append(f"step {rec.step}: inconsistent recorded sizes")
+            if len(pay["chain"]) != s_arity:
+                problems.append(f"step {rec.step}: chain length differs from s = {s_arity}")
+                break
+            inner_sets = []
+            inner_spec = spec
+            for note in pay["chain"]:
+                inner_spec = inner_spec.dilate(Fraction(*note["c"]))
+                inner_sets.append(BohrSet.from_spec(inner_spec))
+            sizes = [b.size for b in inner_sets]
+            if data["inner_sizes"] != sizes or data["small"]["size"] != sizes[-1]:
+                problems.append(f"step {rec.step}: inner sizes recount as {sizes}")
+            thr = ConstantTable.smallness(s_arity, delta)
+            if data["small"]["threshold"] != rational_pair(thr):
+                problems.append(f"step {rec.step}: smallness threshold recomputes as {thr}")
+            if Fraction(sizes[-1]) > thr:
+                problems.append(f"step {rec.step}: innermost set is not small")
+            freeness = find_configuration_restricted(
+                work, ambient, inner_sets, budget=data["freeness"]["budget"]
+            )
+            if freeness.status != "none":
+                problems.append(
+                    f"step {rec.step}: freeness search reruns as {freeness.status}"
+                )
             break
         if rec.case == "local-increment":
             info = pay["dichotomy"]["data"]["increment"]

@@ -8,9 +8,17 @@ Two search modes are provided. The *extent* mode uses the midpoint
 representation: writing ``x_i = 2 n_i + a``, a configuration in ``A`` is the
 same thing as ``s`` distinct same-parity elements of ``A`` whose pairwise
 midpoints all lie in ``A``; the search is a lexicographic clique search over
-each parity class. The *restricted* mode searches ``a`` ascending over a base
-set and ``n_i`` over per-index inner sets, which is what the counting
-operator's domain looks like.
+each parity class. The *restricted* mode takes ``a`` from a base set and
+``n_i`` from per-index inner sets, which is what the counting operator's
+domain looks like.
+
+The restricted mode is bit-parallel. For a fixed offset tuple the valid base
+points are ``base ∩ ⋂_{i<=j} (A - n_i - n_j)``: an AND of shifted copies of
+the indicator of ``A``. Both ``A`` and the base are packed into Python-int
+bitsets over one window of base points, clipped to the ``a`` that can work
+at all; walking the offset prefixes depth first, each prefix carries the
+running AND as its mask, and an empty mask cuts the whole subtree. One unit
+of restricted work is one 64-bit word read by a shifted AND.
 
 The counting operator for a family of bounded functions ``f_ij`` is
 
@@ -18,8 +26,8 @@ The counting operator for a family of bounded functions ``f_ij`` is
               prod_{i <= j} f_ij(n_i + n_j + a)
 
 evaluated by a dense ``einsum(..., optimize=False)`` contraction with
-explicit work budgets. Counting a 0/1 indicator this way is exact: every
-partial sum stays below 2^53.
+explicit work budgets. For the indicator of a set the same bitset walk gives
+the tuple count as an exact integer, a sum of mask popcounts.
 
 Finders never report a false "none": exceeding a work budget yields
 status "inconclusive" with the work spent.
@@ -210,6 +218,130 @@ def count_configurations(subset: ElementsLike, s: int, *, budget: int = 10**8) -
     return sum(rec([], by_parity[parity], 0) for parity in (0, 1))
 
 
+def _sorted_distinct(x: ElementsLike) -> np.ndarray:
+    # sort plus neighbour compare: np.unique hashes first, which costs far more
+    arr = np.sort(np.asarray(_elements(x), dtype=np.int64))
+    return arr[np.concatenate(([True], arr[1:] != arr[:-1]))] if arr.size else arr
+
+
+def _words(bits: int) -> int:
+    return max(1, (bits + 63) >> 6)
+
+
+def _pack(positions: np.ndarray) -> int:
+    """Python-int bitset with bit ``p`` set for each (distinct) position."""
+    if positions.size == 0:
+        return 0
+    buf = np.zeros(int(positions.max()) // 8 + 1, dtype=np.uint8)
+    np.bitwise_or.at(buf, positions >> 3, np.left_shift(1, positions & 7).astype(np.uint8))
+    return int.from_bytes(buf.tobytes(), "little")
+
+
+class _ShiftedAndKernel:
+    """Restricted configurations as ANDs of shifted copies of ``1_A``.
+
+    Bit ``k`` of a mask stands for the base point ``lo + k``. The window
+    ``[lo, hi]`` keeps only base points ``a`` with every ``a + 2 n_i`` inside
+    the range of ``A``; no other ``a`` can carry a tuple. ``A`` is packed from
+    ``lo + tmin`` on, ``tmin`` the least offset sum, so ``A`` shifted by an
+    offset sum ``t`` is one right shift by ``t - tmin``.
+
+    Work is metered in 64-bit words: packing costs the words it writes, and
+    each shifted AND costs ``ceil(W / 64)``, ``W`` the bit width of the
+    shifted copy of ``A`` it reads (the window plus the spread of the offset
+    sums, cut below the best witness once one is known).
+    :class:`BudgetExceeded` is raised as soon as the budget is passed.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.work = 0
+        self.base_mask = 0
+
+    def _charge(self, words: int) -> None:
+        self.work += words
+        if self.work > self.budget:
+            raise BudgetExceeded(
+                f"bitset kernel spent {self.work} words, budget {self.budget}"
+            )
+
+    def pack(self, xs: np.ndarray, bs: np.ndarray, inners: list[list[int]]) -> None:
+        """Load ``A`` and the base (sorted, distinct) and the inner sets."""
+        self.inners = inners
+        if xs.size == 0 or bs.size == 0 or not all(inners):
+            return
+        lows = [min(x) for x in inners]
+        highs = [max(x) for x in inners]
+        self.tmin = 2 * min(lows)
+        self.span = 2 * max(highs) - self.tmin
+        self.lo = max(int(bs[0]), int(xs[0]) - 2 * min(highs))
+        hi = min(int(bs[-1]), int(xs[-1]) - 2 * max(lows))
+        if self.lo > hi:
+            return
+        origin = self.lo + self.tmin
+        self._charge(_words(hi - self.lo + 1) + _words(hi - self.lo + 1 + self.span))
+        self.base_mask = _pack(bs[(bs >= self.lo) & (bs <= hi)] - self.lo)
+        self.abits = _pack(xs[(xs >= origin) & (xs <= hi + self.tmin + self.span)] - origin)
+
+    def and_shifted(self, mask: int, t: int) -> int:
+        """``mask`` restricted to the base points ``a`` with ``a + t`` in ``A``."""
+        sh = t - self.tmin
+        self._charge(_words(self.abits.bit_length() - sh))
+        return mask & (self.abits >> sh)
+
+    def _extend(self, prefix: list[int], n: int, mask: int) -> int:
+        """AND in every offset sum the new offset ``n`` adds to the prefix."""
+        for p in prefix:
+            mask = self.and_shifted(mask, p + n)
+            if not mask:
+                return 0
+        return self.and_shifted(mask, 2 * n)
+
+    def first_witness(self) -> Optional[Configuration]:
+        """Smallest ``a``, then the first offsets in inner order; distinct offsets."""
+        s = len(self.inners)
+        best: Optional[Configuration] = None
+
+        def walk(prefix: list[int], mask: int) -> None:
+            nonlocal best
+            for n in self.inners[len(prefix)]:
+                if n in prefix:
+                    continue
+                if best is not None:
+                    # only base points below the best witness can still win
+                    mask &= (1 << (best.a - self.lo)) - 1
+                    if not mask:
+                        return
+                m = self._extend(prefix, n, mask)
+                if not m:
+                    continue
+                if len(prefix) + 1 < s:
+                    walk(prefix + [n], m)
+                    continue
+                k = (m & -m).bit_length() - 1
+                best = Configuration(self.lo + k, tuple(prefix + [n]))
+                self.abits &= (1 << (k + self.span)) - 1
+
+        if self.base_mask:
+            walk([], self.base_mask)
+        return best
+
+    def count(self) -> int:
+        """Sum of ``popcount(mask)`` over all offset tuples, repeats included."""
+        s = len(self.inners)
+
+        def walk(prefix: list[int], mask: int) -> int:
+            total = 0
+            for n in self.inners[len(prefix)]:
+                m = self._extend(prefix, n, mask)
+                if not m:
+                    continue
+                total += m.bit_count() if len(prefix) + 1 == s else walk(prefix + [n], m)
+            return total
+
+        return walk([], self.base_mask) if self.base_mask else 0
+
+
 def find_configuration_restricted(
     subset: ElementsLike,
     base: ElementsLike,
@@ -219,52 +351,34 @@ def find_configuration_restricted(
 ) -> FinderResult:
     """First s-configuration with ``a`` in the base and ``n_i`` in ``inners[i]``.
 
-    ``a`` ascends over the base; offsets are chosen depth first, each level
-    ascending over its own inner set, skipping repeats of earlier choices.
-    Each membership test of a sum costs one unit of work.
+    The witness is the lexicographically first one: the smallest ``a``, then
+    the first offset tuple in inner order, each inner set taken ascending and
+    offsets already chosen skipped. The search runs on bitsets: offset
+    prefixes are walked depth first, each carrying the set of base points
+    that satisfy all its sums as an AND of shifted copies of ``1_A``. A
+    subtree is cut when its mask is empty or holds no point below the best
+    witness so far, and later masks are truncated below that witness.
+
+    One unit of work is one 64-bit word read by a shifted AND (packing the
+    window costs its words too), so a budget in words bounds wall time.
+    "none" is reported only after the walk has finished.
     """
     s = len(inners)
     if s < 2:
         raise ValueError("configurations need s >= 2")
-    members = set(np.asarray(_elements(subset), dtype=np.int64).tolist())
-    base_arr = np.asarray(_elements(base), dtype=np.int64)
-    inner_lists = [np.asarray(_elements(x), dtype=np.int64).tolist() for x in inners]
-    work = 0
-
-    def rec(a: int, prefix: list[int]) -> Optional[list[int]]:
-        nonlocal work
-        level = len(prefix)
-        if level == s:
-            return prefix
-        for n in inner_lists[level]:
-            if n in prefix:
-                continue
-            ok = True
-            for m in prefix + [n]:
-                work += 1
-                if work > budget:
-                    raise BudgetExceeded("finder budget exhausted")
-                if m + n + a not in members:
-                    ok = False
-                    break
-            if ok:
-                got = rec(a, prefix + [n])
-                if got is not None:
-                    return got
-        return None
-
+    xs = _sorted_distinct(subset)
+    bs = _sorted_distinct(base)
+    inner_lists = [_sorted_distinct(x).tolist() for x in inners]
+    kernel = _ShiftedAndKernel(budget)
     try:
-        for a in base_arr.tolist():
-            got = rec(int(a), [])
-            if got is not None:
-                cfg = Configuration(int(a), tuple(got))
-                assert verify_configuration(
-                    np.asarray(sorted(members), dtype=np.int64), cfg, s
-                )
-                return FinderResult("found", cfg, work, budget, "restricted")
-        return FinderResult("none", None, work, budget, "restricted")
+        kernel.pack(xs, bs, inner_lists)
+        cfg = kernel.first_witness()
     except BudgetExceeded:
-        return FinderResult("inconclusive", None, work, budget, "restricted")
+        return FinderResult("inconclusive", None, kernel.work, budget, "restricted")
+    if cfg is None:
+        return FinderResult("none", None, kernel.work, budget, "restricted")
+    assert verify_configuration(xs, cfg, s)
+    return FinderResult("found", cfg, kernel.work, budget, "restricted")
 
 
 # ---------------------------------------------------------------------------
@@ -376,22 +490,31 @@ def count_patterns_exact(
 ) -> tuple[int, Fraction]:
     """Exact tuple count and density for the indicator of ``subset``.
 
-    Returns ``(count, count / (|base| * prod |N_i|))``. The contraction runs
-    on 0/1 floats, so every partial sum is an integer below 2^53 and the
-    count is exact.
+    Returns ``(count, count / (|base| * prod |N_i|))``. The count is an
+    integer by construction: the sum over every offset tuple, repeated
+    offsets included as in the dense contraction, of the popcount of
+    ``base ∩ ⋂_{i<=j} (A - n_i - n_j)``, walked as in
+    :func:`find_configuration_restricted`. The tuple space is checked against
+    the budget up front; the walk's 64-bit words are metered against it too.
     """
-    f = BoundedFunction.indicator(_elements(subset))
-    a = _elements(base)
-    ns = [_elements(x) for x in inners]
+    s = len(inners)
+    if s < 2:
+        raise ValueError("need at least two inner sets")
+    a = np.asarray(_elements(base), dtype=np.int64)
+    ns = [np.asarray(_elements(x), dtype=np.int64) for x in inners]
     sizes = [x.size for x in ns]
-    t = count_T_s(f, base, inners, budget=budget)
-    denom = a.size
-    for l in sizes:
-        denom *= l
-    count = int(round(t.real * denom))
-    if abs(t.real * denom - count) > 1e-6 or abs(t.imag) > 1e-12:
-        raise ValueError("indicator count failed to round exactly")
-    return count, Fraction(count, denom)
+    if a.size == 0 or min(sizes) == 0:
+        raise ValueError("base and inner sets must be nonempty")
+    cost = _tuple_space_cost(a.size, sizes)
+    if cost > budget:
+        raise BudgetExceeded(f"counting needs {cost} operations, budget {budget}")
+    bs = _sorted_distinct(a)
+    if bs.size != a.size:
+        raise ValueError("base points must be distinct")
+    kernel = _ShiftedAndKernel(budget)
+    kernel.pack(_sorted_distinct(subset), bs, [x.tolist() for x in ns])
+    count = kernel.count()
+    return count, Fraction(count, cost)
 
 
 # ---------------------------------------------------------------------------

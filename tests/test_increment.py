@@ -7,6 +7,7 @@ fully hand-derived parity example; engine runs against exact replays.
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -191,6 +192,15 @@ def test_run_practical_behrend_exhausts():
     assert recheck_run(subset, 3000, result) == []
 
 
+def test_run_behrend_1e5_takes_certified_step():
+    # the exhaustive freeness walk fits the default finder budget of 10^8 words
+    subset = behrend_set(10**5)
+    result = run(subset, 10**5, 2, mode="practical")
+    assert result.status == "exhausted"
+    assert [r.case for r in result.steps] == ["small-bohr"]
+    assert recheck_run(subset, 10**5, result) == []
+
+
 def test_run_faithful_terminates_step_one():
     base = np.arange(-1000, 1001)
     evens = base[base % 2 == 0]
@@ -218,6 +228,44 @@ def test_recheck_detects_tampering():
     # replay against a different input set: the replay must complain
     other = random_set(2000, 0.3, 8)
     assert recheck_run(other, 2000, result) != []
+
+
+def _behrend_small_bohr_run():
+    subset = behrend_set(3000)
+    result = run(subset, 3000, 2, mode="practical")
+    assert result.steps[-1].case == "small-bohr"
+    return subset, result
+
+
+@pytest.mark.parametrize(
+    "field, value, complaint",
+    [("inner_sizes", [7, 1], "inner sizes recount"),
+     ("threshold", [10**9, 1], "smallness threshold recomputes")],
+)
+def test_recheck_rederives_forged_small_bohr(field, value, complaint):
+    subset, result = _behrend_small_bohr_run()
+    forged = copy.deepcopy(result)
+    data = forged.steps[-1].payload["dichotomy"]["data"]
+    # the forged record stays self-consistent: size <= threshold still reads true
+    if field == "inner_sizes":
+        data["inner_sizes"] = value
+    else:
+        data["small"]["threshold"] = value
+    problems = recheck_run(subset, 3000, forged)
+    assert len(problems) == 1 and complaint in problems[0]
+
+
+def test_recheck_reruns_freeness_for_small_bohr():
+    subset, result = _behrend_small_bohr_run()
+    members = set(subset.tolist())
+    x = next(v for v in range(100, 3000) if not {v, v + 1, v + 2} & members)
+    # same density on the ambient window, but a + {0, 1, 2} is a configuration
+    # with n_1 = 1 in the first inner set and n_2 = 0 in the second
+    other = np.sort(np.concatenate([subset[3:], [x, x + 1, x + 2]]))
+    assert other.size == subset.size
+    assert recheck_run(other, 3000, result) == [
+        f"step {result.steps[-1].step}: freeness search reruns as found"
+    ]
 
 
 def test_run_rejects_bad_mode():

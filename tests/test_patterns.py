@@ -1,21 +1,29 @@
 """Configuration search, tuple counting, and the structure dichotomy.
 
 Counting oracles are literal nested loops over the tuple space; progression
-counters are cross-checked against each other and against hand counts.
+counters are cross-checked against each other and against hand counts. The
+bit-parallel restricted finder is checked against the recursive
+membership-test finder it replaced, kept here unchanged as the oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bohrkit.bohr import BohrSet, BohrSpec
+from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded
 from bohrkit.functions import BoundedFunction
+from bohrkit.gowers import ElementsLike, _elements
 from bohrkit.patterns import (
     Configuration,
+    FinderResult,
     FunctionFamily,
     PreconditionError,
     behrend_set,
@@ -74,6 +82,76 @@ def aps_oracle(xs: list[int]) -> int:
             if (x + z) % 2 == 0 and (x + z) // 2 in mset and (x + z) // 2 != x:
                 count += 1
     return count
+
+
+def restricted_finder_oracle(
+    subset: ElementsLike,
+    base: ElementsLike,
+    inners: Sequence[ElementsLike],
+    *,
+    budget: int = 10**8,
+) -> FinderResult:
+    """First s-configuration with ``a`` in the base and ``n_i`` in ``inners[i]``.
+
+    ``a`` ascends over the base; offsets are chosen depth first, each level
+    ascending over its own inner set, skipping repeats of earlier choices.
+    Each membership test of a sum costs one unit of work.
+    """
+    s = len(inners)
+    if s < 2:
+        raise ValueError("configurations need s >= 2")
+    members = set(np.asarray(_elements(subset), dtype=np.int64).tolist())
+    base_arr = np.asarray(_elements(base), dtype=np.int64)
+    inner_lists = [np.asarray(_elements(x), dtype=np.int64).tolist() for x in inners]
+    work = 0
+
+    def rec(a: int, prefix: list[int]) -> Optional[list[int]]:
+        nonlocal work
+        level = len(prefix)
+        if level == s:
+            return prefix
+        for n in inner_lists[level]:
+            if n in prefix:
+                continue
+            ok = True
+            for m in prefix + [n]:
+                work += 1
+                if work > budget:
+                    raise BudgetExceeded("finder budget exhausted")
+                if m + n + a not in members:
+                    ok = False
+                    break
+            if ok:
+                got = rec(a, prefix + [n])
+                if got is not None:
+                    return got
+        return None
+
+    try:
+        for a in base_arr.tolist():
+            got = rec(int(a), [])
+            if got is not None:
+                cfg = Configuration(int(a), tuple(got))
+                assert verify_configuration(
+                    np.asarray(sorted(members), dtype=np.int64), cfg, s
+                )
+                return FinderResult("found", cfg, work, budget, "restricted")
+        return FinderResult("none", None, work, budget, "restricted")
+    except BudgetExceeded:
+        return FinderResult("inconclusive", None, work, budget, "restricted")
+
+
+def pattern_count_oracle(subset, base, inners) -> int:
+    """Literal loop over every ``(a, n_1, ..., n_s)``, repeated offsets included."""
+    members = set(subset)
+    s = len(inners)
+    total = 0
+    for a in base:
+        for ns in itertools.product(*inners):
+            total += all(
+                a + ns[i] + ns[j] in members for i in range(s) for j in range(i, s)
+            )
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +218,66 @@ def test_restricted_finder_vacuous_on_singletons():
     subset = np.arange(-10, 11)
     res = find_configuration_restricted(subset, subset, [np.array([0]), np.array([0])])
     assert res.status == "none"  # distinct offsets are impossible
+
+
+sorted_sets = st.lists(st.integers(-25, 25), max_size=40, unique=True).map(sorted)
+offset_sets = st.lists(st.integers(-8, 8), min_size=1, max_size=5, unique=True).map(sorted)
+
+
+@st.composite
+def restricted_domains(draw):
+    """A base window that may overhang the set's range or miss it, and
+    s in {2, 3} inner sets with negative and singleton members."""
+    lo = draw(st.integers(-70, 50))
+    base = draw(st.lists(st.integers(lo, lo + 40), max_size=20, unique=True).map(sorted))
+    inners = draw(st.lists(offset_sets, min_size=2, max_size=3))
+    return base, inners
+
+
+@settings(max_examples=300, deadline=None)
+@given(subset=sorted_sets, domain=restricted_domains())
+@example(subset=list(range(-10, 11)), domain=(list(range(-10, 11)), [[0], [0]]))
+@example(subset=list(range(0, 20)), domain=(list(range(100, 120)), [[-1, 1], [2]]))
+@example(subset=[], domain=(list(range(-5, 6)), [[0, 1], [0, 1]]))
+# many tuples share the smallest a; the first in inner order must win
+@example(subset=list(range(-10, 11)), domain=(list(range(-10, 11)), [[-2, -1, 0, 1, 2]] * 2))
+# a later tuple wins with a smaller a through the largest offset sum
+@example(subset=[10, 11, 13, 15, 16], domain=([9, 10], [[0, 1], [3]]))
+def test_restricted_finder_matches_oracle(subset, domain):
+    base, inners = domain
+    args = (np.array(subset, dtype=np.int64), np.array(base, dtype=np.int64),
+            [np.array(x, dtype=np.int64) for x in inners])
+    got = find_configuration_restricted(*args)
+    want = restricted_finder_oracle(*args)
+    assert (got.status, got.config) == (want.status, want.config)
+
+
+def test_restricted_finder_budget_inconclusive_not_none():
+    subset = behrend_set(2000)
+    base = np.arange(-2000, 2001)
+    inners = [np.arange(-12, 13), np.arange(-3, 4)]
+    assert restricted_finder_oracle(subset, base, inners).status == "none"
+    full = find_configuration_restricted(subset, base, inners)
+    assert full.status == "none"
+    assert find_configuration_restricted(subset, base, inners, budget=10).status == "inconclusive"
+    short = find_configuration_restricted(subset, base, inners, budget=full.work - 1)
+    assert short.status == "inconclusive"
+    assert find_configuration_restricted(
+        subset, base, inners, budget=full.work
+    ).status == "none"
+
+
+@settings(max_examples=150, deadline=None)
+@given(subset=sorted_sets, domain=restricted_domains())
+def test_count_patterns_exact_matches_literal_loop(subset, domain):
+    base, inners = domain
+    if not base:
+        base = [0]
+    count, t = count_patterns_exact(np.array(subset, dtype=np.int64),
+                                    np.array(base, dtype=np.int64),
+                                    [np.array(x, dtype=np.int64) for x in inners])
+    assert count == pattern_count_oracle(subset, base, inners)
+    assert t == Fraction(count, len(base) * int(np.prod([len(x) for x in inners])))
 
 
 # ---------------------------------------------------------------------------
