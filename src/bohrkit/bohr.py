@@ -27,13 +27,13 @@ Design principles:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .exact import Rational, RationalLike, as_rational, floor_frac, rational_pair
+from .exact import RationalLike, as_rational, floor_frac, rational_pair
 
 _INT64_SAFE = 2**62
 
@@ -214,6 +214,14 @@ def _count_leq(keys, threshold: int) -> int:
     return bisect.bisect_right(keys, threshold)
 
 
+def _distinct_keys(keys, lo: int, hi: int) -> list[int]:
+    """Ascending distinct sorted keys ``k`` with ``lo < k <= hi``, as Python ints."""
+    window = keys[_count_leq(keys, lo) : _count_leq(keys, hi)]
+    if isinstance(keys, np.ndarray):
+        return sorted_distinct(window).tolist()
+    return sorted(set(window))
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -291,12 +299,34 @@ class BohrSet:
         return {"spec": self.spec.as_dict(), "size": self.size}
 
 
+ElementsLike = Union[np.ndarray, BohrSet, Sequence[int]]
+
+
+def as_elements(x: ElementsLike) -> np.ndarray:
+    """The integers of a Bohr set, array or sequence, as they come."""
+    if isinstance(x, BohrSet):
+        return x.elements
+    return np.asarray(x, dtype=np.int64)
+
+
+def sorted_distinct(x: ElementsLike) -> np.ndarray:
+    """Ascending distinct int64 values of ``x``, flattened.
+
+    A sort plus a neighbour compare: ``np.unique`` gives the same array but
+    hashes first, which costs far more on large sorted inputs.
+    """
+    arr = np.sort(as_elements(x).ravel())
+    return arr[np.concatenate(([True], arr[1:] != arr[:-1]))] if arr.size else arr
+
+
 def exact_density(subset: np.ndarray, ambient: np.ndarray) -> Fraction:
-    """``|subset ∩ ambient| / |ambient|`` as an exact rational."""
+    """``|subset ∩ ambient| / |ambient|`` exactly; the intersection counts distinct values."""
     if ambient.size == 0:
         raise ValueError("ambient set is empty")
-    inter = np.intersect1d(subset, ambient, assume_unique=False)
-    return Fraction(int(inter.size), int(ambient.size))
+    sub, amb = sorted_distinct(subset), sorted_distinct(ambient)
+    # each distinct ambient value occurs in sub at most once
+    inter = np.searchsorted(sub, amb, side="right") - np.searchsorted(sub, amb)
+    return Fraction(int(inter.sum()), int(ambient.size))
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +409,10 @@ def regularity_certificate(
     hi_key_frac = B * (1 + w)
     hi_key = floor_frac(hi_key_frac)
     cs: set[Fraction] = {-w, Fraction(0), w}
-    if isinstance(keys, np.ndarray):
-        lo_i = _count_leq(keys, lo_key - 1)
-        hi_i = _count_leq(keys, hi_key)
-        distinct = np.unique(np.asarray(keys)[lo_i:hi_i])
-        for k in distinct.tolist():
-            c = Fraction(int(k), B) - 1
-            if -w <= c <= w:
-                cs.add(c)
-    else:
-        seen = set()
-        for k in keys:
-            if k in seen:
-                continue
-            seen.add(k)
-            c = Fraction(k, B) - 1
-            if -w <= c <= w:
-                cs.add(c)
+    for k in _distinct_keys(keys, lo_key - 1, hi_key):
+        c = Fraction(k, B) - 1
+        if -w <= c <= w:
+            cs.add(c)
 
     checked = sorted(cs)
     witness_c = witness_size = witness_side = None
@@ -486,14 +503,8 @@ def find_regular_dilation(
     lo_key = floor_frac(lo * B)
     hi_key = floor_frac(hi * B)
     alphas: list[Fraction] = []
-    if isinstance(keys, np.ndarray):
-        lo_i = _count_leq(keys, lo_key)
-        hi_i = _count_leq(keys, hi_key)
-        pool = np.unique(np.asarray(keys)[lo_i:hi_i]).tolist()
-    else:
-        pool = sorted({k for k in keys if lo_key < k <= hi_key})
-    for k in pool:
-        a = Fraction(int(k), B)
+    for k in _distinct_keys(keys, lo_key, hi_key):
+        a = Fraction(k, B)
         if lo < a < hi:
             alphas.append(a)
 

@@ -38,6 +38,7 @@ from .bohr import (
     exact_density,
     find_regular_alpha,
     regularity_certificate,
+    sorted_distinct,
     spec_from_dict,
 )
 from .exact import as_rational, rational_pair
@@ -449,7 +450,7 @@ def _cmd_sumfree(args) -> int:
         arr = read_set_file(args.set)
         if arr.size == 0:
             raise CLIError(f"{args.set}: empty set")
-        diffs = np.unique((arr[:, None] - arr[None, :]).reshape(-1))
+        diffs = sorted_distinct(arr[:, None] - arr[None, :])
         k = Fraction(int(diffs.size), int(arr.size))
         res = ruzsa_embed(arr, k, retries=args.budget, seed=args.seed)
         _emit(res.as_dict(), args)

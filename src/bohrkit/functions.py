@@ -10,12 +10,12 @@ nothing.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .bohr import sorted_distinct
 from .exact import RationalLike, as_rational
 
 _BOUND_TOL = 1e-12
@@ -42,7 +42,7 @@ class BoundedFunction:
 
     @classmethod
     def indicator(cls, elements: np.ndarray) -> "BoundedFunction":
-        elements = np.unique(np.asarray(elements, dtype=np.int64))
+        elements = sorted_distinct(elements)
         return cls(elements, np.ones(elements.size, dtype=np.complex128))
 
     @classmethod
@@ -71,8 +71,8 @@ class BoundedFunction:
         ambient| / |ambient|``. Values use the float image of ``delta`` but
         the returned density is exact.
         """
-        ambient = np.unique(np.asarray(ambient, dtype=np.int64))
-        subset = np.unique(np.asarray(subset, dtype=np.int64))
+        ambient = sorted_distinct(ambient)
+        subset = sorted_distinct(subset)
         if ambient.size == 0:
             raise ValueError("ambient set is empty")
         inside = np.isin(ambient, subset)

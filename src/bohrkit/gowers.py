@@ -24,27 +24,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from .bohr import (
     BohrSet,
     BudgetExceeded,
-    RegularityCertificate,
+    ElementsLike,
+    as_elements,
     infer_dilation,
     regularity_certificate,
 )
 from .exact import RationalLike, as_rational, rational_pair
 from .functions import BoundedFunction
-
-ElementsLike = Union[np.ndarray, BohrSet, Sequence[int]]
-
-
-def _elements(x: ElementsLike) -> np.ndarray:
-    if isinstance(x, BohrSet):
-        return x.elements
-    return np.asarray(x, dtype=np.int64)
 
 
 def _chunk_rows(l1: int, l2: int, target: int = 2**22) -> int:
@@ -74,9 +67,9 @@ def u2_fourth_direct(
     budget: int = 5 * 10**8,
 ) -> float:
     """Fourth power of the local U2 norm via the literal 4-fold contraction."""
-    a = _elements(base)
-    n1 = _elements(inner1)
-    n2 = _elements(inner2)
+    a = as_elements(base)
+    n1 = as_elements(inner1)
+    n2 = as_elements(inner2)
     if min(a.size, n1.size, n2.size) == 0:
         raise ValueError("base and inner sets must be nonempty")
     cost = a.size * n1.size**2 * n2.size**2
@@ -102,9 +95,9 @@ def u2_fourth_correlation(
     budget: int = 5 * 10**8,
 ) -> float:
     """Fourth power via pair correlations: square of the inner average."""
-    a = _elements(base)
-    n1 = _elements(inner1)
-    n2 = _elements(inner2)
+    a = as_elements(base)
+    n1 = as_elements(inner1)
+    n2 = as_elements(inner2)
     if min(a.size, n1.size, n2.size) == 0:
         raise ValueError("base and inner sets must be nonempty")
     cost = a.size * n1.size**2 * n2.size
@@ -170,8 +163,15 @@ def u2_report(
 # ---------------------------------------------------------------------------
 
 
-def _phase_table(grid: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(grid, dtype=np.float64) / grid)
+def phase_matrix(n: np.ndarray, grid: int) -> np.ndarray:
+    """``e(n k / grid)`` for each offset ``n`` (rows) and ``k < grid`` (columns).
+
+    Every entry is read from one root-of-unity table by the exact residue
+    ``(n * k) mod grid``, so equal angles give bitwise equal phases.
+    """
+    table = np.exp(2j * np.pi * np.arange(grid, dtype=np.float64) / grid)
+    ks = np.arange(grid, dtype=np.int64)
+    return table[(n[:, None] * ks[None, :]) % grid]
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,8 @@ def local_fourier_scan(
     oscillation; phases are exact roots of unity indexed by
     ``(n * k) mod grid``.
     """
-    a = _elements(base)
-    n = _elements(inner)
+    a = as_elements(base)
+    n = as_elements(inner)
     if min(a.size, n.size) == 0:
         raise ValueError("base and inner sets must be nonempty")
     maxn = int(np.max(np.abs(n)))
@@ -223,9 +223,7 @@ def local_fourier_scan(
     if cost > budget:
         raise BudgetExceeded(f"fourier scan needs {cost} operations, budget {budget}")
 
-    table = _phase_table(grid)
-    ks = np.arange(grid, dtype=np.int64)
-    ph = table[(n[:, None] * ks[None, :]) % grid]  # (L, G)
+    ph = phase_matrix(n, grid)  # (L, G)
     vals = np.empty(a.size, dtype=np.float64)
     arg = np.empty(a.size, dtype=np.int64)
     step = _chunk_rows(n.size, grid)

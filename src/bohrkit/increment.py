@@ -18,10 +18,9 @@ witnesses transport through the same map.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,21 +28,19 @@ from .bohr import (
     BohrSet,
     BohrSpec,
     BudgetExceeded,
-    DilationSearch,
     exact_density,
     find_regular_dilation,
     infer_dilation,
     membership_mask,
     regularity_certificate,
+    sorted_distinct,
     spec_from_dict,
 )
-from .exact import RationalLike, as_rational, floor_frac, rational_pair
+from .exact import RationalLike, as_rational, rational_pair
 from .functions import BoundedFunction
-from .gowers import _phase_table, inverse_average, local_fourier_scan
+from .gowers import inverse_average, phase_matrix
 from .patterns import (
     Configuration,
-    DichotomyOutcome,
-    FinderResult,
     PreconditionError,
     dichotomy,
     find_configuration_restricted,
@@ -296,7 +293,7 @@ def fourier_increment(
     if c1 is None or not (0 < c1 < 1):
         raise ValueError("inner set must be a proper dilate of the base")
 
-    subset_sorted = np.unique(np.asarray(subset, dtype=np.int64))
+    subset_sorted = sorted_distinct(subset)
     delta = exact_density(subset_sorted, base.elements)
     f, delta_check = BoundedFunction.balanced_indicator(subset_sorted, base.elements)
     assert delta_check == delta
@@ -402,9 +399,7 @@ def _refined_pass(
     cand = np.nonzero(df > floor_b)[0]
     if cand.size == 0:
         return None
-    table = _phase_table(grid)
-    ks = np.arange(grid, dtype=np.int64)
-    ph = table[(n1[:, None] * ks[None, :]) % grid]
+    ph = phase_matrix(n1, grid)
     thr_sup = float(eta) / 2
     # the scan stops at the first qualifying base point, so work is metered
     # as it is spent rather than preflighted for the whole candidate list
@@ -610,7 +605,7 @@ def run(
     if mode == "faithful" and overrides:
         raise ValueError("faithful mode takes no overrides")
 
-    original = np.unique(np.asarray(subset, dtype=np.int64))
+    original = sorted_distinct(subset)
     work = original[(original >= -N) & (original <= N)]
     spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(N))
     mult, offset = 1, 0
@@ -720,7 +715,7 @@ def run(
             offset = offset + mult * a
             mult = mult * 2
             spec = target.spec
-            work = np.unique(new_work)
+            work = sorted_distinct(new_work)
             continue
 
         if out.kind == "large-u2":
@@ -767,7 +762,7 @@ def run(
             )
             offset = offset + mult * t0
             spec = inc.new_spec
-            work = np.unique(new_work)
+            work = sorted_distinct(new_work)
             continue
 
         # violation / no-case
@@ -804,7 +799,7 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     the whole trace rechecks).
     """
     problems: list[str] = []
-    original = np.unique(np.asarray(subset, dtype=np.int64))
+    original = sorted_distinct(subset)
     work = original[(original >= -N) & (original <= N)]
     spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(N))
     mult, offset = 1, 0
@@ -873,7 +868,7 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
             got = Fraction(int(members.size), inner.size)
             if got != Fraction(*info["new_density"]):
                 problems.append(f"step {rec.step}: increment density fails recheck")
-            work = np.unique((members - a) // 2)
+            work = sorted_distinct((members - a) // 2)
             offset = offset + mult * a
             mult = mult * 2
             spec = inner_spec
@@ -890,7 +885,7 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
                 problems.append(f"step {rec.step}: fourier density fails recheck")
             if got <= delta:
                 problems.append(f"step {rec.step}: fourier step did not gain density")
-            work = np.unique(new_work)
+            work = sorted_distinct(new_work)
             offset = offset + mult * t0
             spec = new_spec
             continue

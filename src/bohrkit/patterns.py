@@ -7,10 +7,14 @@ distinct ``n_1, ..., n_s``; all ``s(s+1)/2`` sums must land in ``A``.
 Two search modes are provided. The *extent* mode uses the midpoint
 representation: writing ``x_i = 2 n_i + a``, a configuration in ``A`` is the
 same thing as ``s`` distinct same-parity elements of ``A`` whose pairwise
-midpoints all lie in ``A``; the search is a lexicographic clique search over
-each parity class. The *restricted* mode takes ``a`` from a base set and
-``n_i`` from per-index inner sets, which is what the counting operator's
-domain looks like.
+midpoints all lie in ``A``. For ``x``, ``y`` of one parity the midpoint
+``(x + y) / 2`` is in ``A`` exactly when ``x + y`` is in ``2A``, so the extent
+finder and counter run :func:`pair_search`, the lexicographic search for
+k-subsets of a sorted pool whose pair sums all hit (or all miss) a given
+set, over each parity class with the sum set ``2A``; the sumfree search in
+:mod:`bohrkit.sumfree` runs the same core with ``avoid=True``. The
+*restricted* mode takes ``a`` from a base set and ``n_i`` from per-index
+inner sets, which is what the counting operator's domain looks like.
 
 The restricted mode is bit-parallel. For a fixed offset tuple the valid base
 points are ``base ∩ ⋂_{i<=j} (A - n_i - n_j)``: an AND of shifted copies of
@@ -35,18 +39,25 @@ status "inconclusive" with the work spent.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .bohr import BohrSet, BohrSpec, BudgetExceeded, regularity_certificate
+from .bohr import (
+    BohrSet,
+    BudgetExceeded,
+    ElementsLike,
+    as_elements,
+    exact_density,
+    regularity_certificate,
+    sorted_distinct,
+)
 from .exact import RationalLike, as_rational, rational_pair
 from .functions import BoundedFunction
-from .gowers import ElementsLike, _elements, u2_fourth_correlation, u2_report
+from .gowers import u2_fourth_correlation
 
 _EINSUM_LETTERS = "ijklmn"
 
@@ -123,60 +134,85 @@ class FinderResult:
         return out
 
 
+def pair_search(
+    pools: Sequence[list[int]], k: int, sums: set[int], *,
+    avoid: bool = False, count: bool = False, budget: int = 10**8,
+) -> tuple[Union[Optional[list[int]], int], int]:
+    """Lexicographic k-subsets of ascending pools whose pair sums hit ``sums``.
+
+    A subset qualifies when ``x + y`` is in ``sums`` for every pair of its
+    elements, or, with ``avoid``, outside ``sums`` for every pair. Each pool
+    is searched on its own, by backtracking in ascending order. Returns
+    ``(result, work)``: ``result`` is the least of the pools' first
+    qualifying subsets (``None`` if there is none), or with ``count`` the
+    number of qualifying subsets over all pools. One unit of work is one
+    pair-sum membership test; :class:`BudgetExceeded` is raised by the test
+    that passes the budget.
+    """
+    work = total = 0
+    firsts: list[list[int]] = []
+
+    def walk(prefix: list[int], pool: list[int], start: int) -> bool:
+        # extends prefix in ascending order; True ends the pool at its first hit
+        nonlocal work, total
+        if len(prefix) == k:
+            total += 1
+            if count:
+                return False
+            firsts.append(prefix)
+            return True
+        for idx in range(start, len(pool)):
+            x = pool[idx]
+            for y in prefix:
+                work += 1
+                if work > budget:
+                    raise BudgetExceeded(f"pair search passed its budget of {budget} tests")
+                if (x + y in sums) == avoid:
+                    break
+            else:
+                if walk(prefix + [x], pool, idx + 1):
+                    return True
+        return False
+
+    for pool in pools:
+        walk([], pool, 0)
+    if count:
+        return total, work
+    return (min(firsts) if firsts else None), work
+
+
+def _extent_search(subset: ElementsLike, s: int) -> tuple[np.ndarray, list[list[int]], set[int]]:
+    """Sorted distinct elements, their two parity classes, and ``2A``."""
+    if s < 2:
+        raise ValueError("configurations need s >= 2")
+    xs = sorted_distinct(subset)
+    lst = xs.tolist()
+    pools = [[x for x in lst if x % 2 == parity] for parity in (0, 1)]
+    return xs, pools, {2 * x for x in lst}
+
+
 def find_configuration(
     subset: ElementsLike, s: int, *, budget: int = 10**8
 ) -> FinderResult:
     """Lexicographically first s-configuration in ``subset``, extent search.
 
     Searches distinct same-parity ``x_1 < ... < x_s`` in the set with all
-    pairwise midpoints in the set, then maps back through ``a = x_1 mod 2``,
+    pairwise midpoints in the set (:func:`pair_search` over the two parity
+    classes with sum set ``2A``), then maps back through ``a = x_1 mod 2``,
     ``n_i = (x_i - a) / 2``. Work is counted in midpoint membership tests.
     """
-    if s < 2:
-        raise ValueError("configurations need s >= 2")
-    xs = np.unique(np.asarray(_elements(subset), dtype=np.int64))
-    members = set(xs.tolist())
-    by_parity = {0: [x for x in xs.tolist() if x % 2 == 0],
-                 1: [x for x in xs.tolist() if x % 2 == 1]}
-    work = 0
-
-    def rec(prefix: list[int], pool: list[int], start: int) -> Optional[list[int]]:
-        nonlocal work
-        if len(prefix) == s:
-            return prefix
-        for idx in range(start, len(pool)):
-            x = pool[idx]
-            ok = True
-            for y in prefix:
-                work += 1
-                if work > budget:
-                    raise BudgetExceeded("finder budget exhausted")
-                if (x + y) // 2 not in members:
-                    ok = False
-                    break
-            if ok:
-                got = rec(prefix + [x], pool, idx + 1)
-                if got is not None:
-                    return got
-        return None
-
+    xs, pools, doubled = _extent_search(subset, s)
     try:
-        found: Optional[list[int]] = None
-        for parity in (0, 1):
-            got = rec([], by_parity[parity], 0)
-            if got is not None and (found is None or got < found):
-                found = got
-        # parity classes are scanned separately; lexicographic order over the
-        # combined set is restored by comparing the two winners above
-        if found is None:
-            return FinderResult("none", None, work, budget, "extent")
-        a = found[0] % 2
-        ns = tuple((x - a) // 2 for x in found)
-        cfg = Configuration(a, ns)
-        assert verify_configuration(xs, cfg, s)
-        return FinderResult("found", cfg, work, budget, "extent")
+        found, work = pair_search(pools, s, doubled, budget=budget)
     except BudgetExceeded:
-        return FinderResult("inconclusive", None, work, budget, "extent")
+        # the raising test is the first one past the budget
+        return FinderResult("inconclusive", None, max(budget, 0) + 1, budget, "extent")
+    if found is None:
+        return FinderResult("none", None, work, budget, "extent")
+    a = found[0] % 2
+    cfg = Configuration(a, tuple((x - a) // 2 for x in found))
+    assert verify_configuration(xs, cfg, s)
+    return FinderResult("found", cfg, work, budget, "extent")
 
 
 def count_configurations(subset: ElementsLike, s: int, *, budget: int = 10**8) -> int:
@@ -184,44 +220,12 @@ def count_configurations(subset: ElementsLike, s: int, *, budget: int = 10**8) -
 
     Counts extent tuples ``x_1 < ... < x_s`` (same parity, all pairwise
     midpoints in the set); each corresponds to exactly one ``(a, ns)``. The
-    search mirrors :func:`find_configuration` but never stops early, so the
-    budget guards the whole enumeration (:class:`BudgetExceeded` on
-    exhaustion rather than an undercount).
+    search is :func:`find_configuration`'s, run to the end, so the budget
+    guards the whole enumeration (:class:`BudgetExceeded` on exhaustion
+    rather than an undercount).
     """
-    if s < 2:
-        raise ValueError("configurations need s >= 2")
-    xs = np.unique(np.asarray(_elements(subset), dtype=np.int64))
-    members = set(xs.tolist())
-    by_parity = {0: [x for x in xs.tolist() if x % 2 == 0],
-                 1: [x for x in xs.tolist() if x % 2 == 1]}
-    work = 0
-
-    def rec(prefix: list[int], pool: list[int], start: int) -> int:
-        nonlocal work
-        if len(prefix) == s:
-            return 1
-        total = 0
-        for idx in range(start, len(pool)):
-            x = pool[idx]
-            ok = True
-            for y in prefix:
-                work += 1
-                if work > budget:
-                    raise BudgetExceeded("counter budget exhausted")
-                if (x + y) // 2 not in members:
-                    ok = False
-                    break
-            if ok:
-                total += rec(prefix + [x], pool, idx + 1)
-        return total
-
-    return sum(rec([], by_parity[parity], 0) for parity in (0, 1))
-
-
-def _sorted_distinct(x: ElementsLike) -> np.ndarray:
-    # sort plus neighbour compare: np.unique hashes first, which costs far more
-    arr = np.sort(np.asarray(_elements(x), dtype=np.int64))
-    return arr[np.concatenate(([True], arr[1:] != arr[:-1]))] if arr.size else arr
+    _, pools, doubled = _extent_search(subset, s)
+    return pair_search(pools, s, doubled, count=True, budget=budget)[0]
 
 
 def _words(bits: int) -> int:
@@ -366,9 +370,9 @@ def find_configuration_restricted(
     s = len(inners)
     if s < 2:
         raise ValueError("configurations need s >= 2")
-    xs = _sorted_distinct(subset)
-    bs = _sorted_distinct(base)
-    inner_lists = [_sorted_distinct(x).tolist() for x in inners]
+    xs = sorted_distinct(subset)
+    bs = sorted_distinct(base)
+    inner_lists = [sorted_distinct(x).tolist() for x in inners]
     kernel = _ShiftedAndKernel(budget)
     try:
         kernel.pack(xs, bs, inner_lists)
@@ -441,8 +445,8 @@ def count_T_s(
         family = FunctionFamily.uniform(family, s)
     if family.s != s:
         raise ValueError("family arity does not match the inner sets")
-    a = _elements(base)
-    ns = [_elements(x) for x in inners]
+    a = as_elements(base)
+    ns = [as_elements(x) for x in inners]
     sizes = [x.size for x in ns]
     if a.size == 0 or min(sizes) == 0:
         raise ValueError("base and inner sets must be nonempty")
@@ -500,19 +504,19 @@ def count_patterns_exact(
     s = len(inners)
     if s < 2:
         raise ValueError("need at least two inner sets")
-    a = np.asarray(_elements(base), dtype=np.int64)
-    ns = [np.asarray(_elements(x), dtype=np.int64) for x in inners]
+    a = as_elements(base)
+    ns = [as_elements(x) for x in inners]
     sizes = [x.size for x in ns]
     if a.size == 0 or min(sizes) == 0:
         raise ValueError("base and inner sets must be nonempty")
     cost = _tuple_space_cost(a.size, sizes)
     if cost > budget:
         raise BudgetExceeded(f"counting needs {cost} operations, budget {budget}")
-    bs = _sorted_distinct(a)
+    bs = sorted_distinct(a)
     if bs.size != a.size:
         raise ValueError("base points must be distinct")
     kernel = _ShiftedAndKernel(budget)
-    kernel.pack(_sorted_distinct(subset), bs, [x.tolist() for x in ns])
+    kernel.pack(sorted_distinct(subset), bs, [x.tolist() for x in ns])
     count = kernel.count()
     return count, Fraction(count, cost)
 
@@ -606,7 +610,7 @@ def check_counting_bound(
     comparison is exact: both sides are rationals.
     """
     s = len(inners)
-    sizes = [np.asarray(_elements(x)).size for x in inners]
+    sizes = [as_elements(x).size for x in inners]
     bound = Fraction(s * s, sizes[-1])
     freeness = find_configuration_restricted(
         subset, base, inners, budget=finder_budget
@@ -712,11 +716,10 @@ def dichotomy(
     s = len(inner_cs)
     if s < 2:
         raise ValueError("need at least two inner dilations")
-    subset_arr = np.unique(np.asarray(_elements(subset), dtype=np.int64))
+    subset_arr = sorted_distinct(subset)
     d = base.spec.dim
     if delta is None:
-        inter = np.intersect1d(subset_arr, base.elements)
-        delta = Fraction(int(inter.size), base.size)
+        delta = exact_density(subset_arr, base.elements)
     if delta == 0:
         raise ValueError("subset has density zero on the base")
     bexp = s * (s + 1) // 2
@@ -867,7 +870,7 @@ def random_set(N: int, density: float, seed: int) -> np.ndarray:
 
 def count_three_aps_direct(subset: ElementsLike) -> int:
     """Nontrivial 3-term progressions ``x < y < z`` with ``x + z = 2y``."""
-    xs = np.unique(np.asarray(_elements(subset), dtype=np.int64))
+    xs = sorted_distinct(subset)
     members = set(xs.tolist())
     count = 0
     lst = xs.tolist()
@@ -881,7 +884,7 @@ def count_three_aps_direct(subset: ElementsLike) -> int:
 
 def count_three_aps_fft(subset: ElementsLike) -> int:
     """Same count through a convolution; rounding is checked, not assumed."""
-    xs = np.unique(np.asarray(_elements(subset), dtype=np.int64))
+    xs = sorted_distinct(subset)
     if xs.size == 0:
         return 0
     lo, hi = int(xs[0]), int(xs[-1])

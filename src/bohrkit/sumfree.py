@@ -2,10 +2,15 @@
 
 A set ``Z`` is *sumfree with respect to* ``W`` when ``z1 + z2`` avoids ``W``
 for every pair of distinct ``z1 != z2`` in ``Z`` (``z + z`` is allowed). The
-embedding route compresses a set of integers with small difference set into a
-prime cyclic group through ``a -> (lam * a) mod p`` restricted to the most
-popular half-interval of residues, which preserves additive quadruples in
-both directions; every returned map is verified exhaustively, so the
+sumfree search is :func:`~bohrkit.patterns.pair_search` with ``avoid=True``,
+the core that also runs the extent configuration search: there a pair
+``x, y`` of one parity must have ``x + y`` in ``2A`` (its midpoint in ``A``),
+here ``z1 + z2`` must miss ``W``.
+
+The embedding route compresses a set of integers with small difference set
+into a prime cyclic group through ``a -> (lam * a) mod p`` restricted to the
+most popular half-interval of residues, which preserves additive quadruples
+in both directions; every returned map is verified exhaustively, so the
 randomness in ``lam`` affects only the success rate, never soundness.
 
 Configuration search through the embedding is sound because the pattern
@@ -21,20 +26,25 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
-from .bohr import BudgetExceeded
+from .bohr import ElementsLike, as_elements, sorted_distinct
 from .exact import RationalLike, as_rational, rational_pair
-from .gowers import ElementsLike, _elements
-from .patterns import Configuration, FinderResult, PreconditionError, find_configuration
+from .patterns import (
+    Configuration,
+    FinderResult,
+    PreconditionError,
+    find_configuration,
+    pair_search,
+)
 
 
 def is_sumfree_with_respect_to(z: ElementsLike, w: ElementsLike) -> bool:
     """True iff ``z1 + z2`` misses ``w`` for all distinct ``z1 != z2`` in ``z``."""
-    zs = np.unique(np.asarray(_elements(z), dtype=np.int64))
-    ws = set(np.asarray(_elements(w), dtype=np.int64).tolist())
+    zs = sorted_distinct(z)
+    ws = set(as_elements(w).tolist())
     lst = zs.tolist()
     for i in range(len(lst)):
         for j in range(i + 1, len(lst)):
@@ -64,7 +74,7 @@ class FreimanMap:
             raise ValueError("domain and images must be aligned 1-d arrays")
         if domain.size and np.any(np.diff(domain) <= 0):
             raise ValueError("domain must be strictly increasing")
-        if np.unique(images).size != images.size:
+        if sorted_distinct(images).size != images.size:
             raise ValueError("map must be injective on its domain")
         if images.size and (int(images.min()) < 0 or int(images.max()) >= self.modulus):
             raise ValueError("images must be residues mod the modulus")
@@ -189,12 +199,12 @@ def ruzsa_embed(
     tried, the most popular half-interval of the image is kept, and the
     restricted map must pass :func:`check_freiman_isomorphic` to be returned.
     """
-    arr = np.unique(np.asarray(_elements(a), dtype=np.int64))
+    arr = sorted_distinct(a)
     n = arr.size
     if n == 0:
         raise ValueError("cannot embed an empty set")
     k = as_rational(k)
-    diffs = np.unique((arr[:, None] - arr[None, :]).reshape(-1))
+    diffs = sorted_distinct(arr[:, None] - arr[None, :])
     if diffs.size > k * n:
         raise PreconditionError(
             f"difference set has {diffs.size} elements, exceeding K|A| = {k * n}"
@@ -220,7 +230,7 @@ def ruzsa_embed(
             keep = _popular_half_interval(residues, p)
             dom = arr[keep]
             img = residues[keep]
-            if np.unique(img).size != img.size:
+            if sorted_distinct(img).size != img.size:
                 continue
             if dom.size * 2 < n:
                 continue
@@ -246,43 +256,20 @@ def find_sumfree_subset(
 ) -> Optional[np.ndarray]:
     """Lexicographically first ``B`` of size ``h``, sumfree with respect to ``a``.
 
-    Backtracking over the sorted elements; each pair-sum membership test
-    costs one unit of work, and :class:`BudgetExceeded` is raised when the
-    budget runs out (never a silent "none"). The result is re-checked before
-    being returned.
+    :func:`~bohrkit.patterns.pair_search` over the sorted elements with
+    ``avoid=True``: each pair-sum membership test costs one unit of work,
+    and :class:`BudgetExceeded` is raised when the budget runs out (never a
+    silent "none"). The result is re-checked before being returned.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
-    arr = np.unique(np.asarray(_elements(a), dtype=np.int64))
+    arr = sorted_distinct(a)
     if h == 0:
         return np.asarray([], dtype=np.int64)
     if h > arr.size:
         return None
-    members = set(arr.tolist())
     lst = arr.tolist()
-    work = 0
-
-    def rec(prefix: list[int], start: int) -> Optional[list[int]]:
-        nonlocal work
-        if len(prefix) == h:
-            return prefix
-        for idx in range(start, len(lst)):
-            x = lst[idx]
-            ok = True
-            for y in prefix:
-                work += 1
-                if work > budget:
-                    raise BudgetExceeded("sumfree search budget exhausted")
-                if x + y in members:
-                    ok = False
-                    break
-            if ok:
-                got = rec(prefix + [x], idx + 1)
-                if got is not None:
-                    return got
-        return None
-
-    got = rec([], 0)
+    got, _ = pair_search([lst], h, set(lst), avoid=True, budget=budget)
     if got is None:
         return None
     out = np.asarray(got, dtype=np.int64)
@@ -335,10 +322,10 @@ def find_configuration_via_embedding(
     2-isomorphism transports them) and re-verified element by element.
     "none" is only reported after the direct exhaustive search on the input.
     """
-    arr = np.unique(np.asarray(_elements(y3), dtype=np.int64))
+    arr = sorted_distinct(y3)
     if arr.size == 0:
         raise ValueError("empty input set")
-    diffs = np.unique((arr[:, None] - arr[None, :]).reshape(-1))
+    diffs = sorted_distinct(arr[:, None] - arr[None, :])
     measured_k = Fraction(int(diffs.size), int(arr.size))
 
     emb = ruzsa_embed(arr, measured_k, retries=retries, seed=seed, c_embed=c_embed)
@@ -376,8 +363,8 @@ def threshold_report(x: ElementsLike, y: ElementsLike, h: int) -> dict:
     against a doubly exponential floor; the floor is far beyond desk scale,
     so both comparisons are reported as data, never enforced.
     """
-    xs = np.unique(np.asarray(_elements(x), dtype=np.int64))
-    ys = np.unique(np.asarray(_elements(y), dtype=np.int64))
+    xs = sorted_distinct(x)
+    ys = sorted_distinct(y)
     upper = Fraction(int(ys.size), h**29)
     return {
         "x_size": int(xs.size),

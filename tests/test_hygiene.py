@@ -1,0 +1,93 @@
+"""Import hygiene of the library sources, checked with the standard ``ast``.
+
+Every module under ``src/bohrkit`` except the package ``__init__`` must
+import no underscore name from another bohrkit module (a private helper that
+two modules need belongs under a public name) and must use every name its
+top-level imports bind.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bohrkit"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_bohrkit(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "bohrkit"
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """Underscore names imported from bohrkit modules, anywhere in the file."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and _is_bohrkit(node)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # quoted annotations such as "BoundedFunction"
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return used
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by top-level imports that nothing in the module reads."""
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = _used_names(tree)
+    unused = sorted((line, name) for name, line in bound.items() if name not in used)
+    return [f"line {line}: {name}" for line, name in unused]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_cross_module_imports(path):
+    assert private_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_top_level_imports(path):
+    assert unused_imports(_tree(path)) == []
+
+
+def test_checks_catch_what_they_look_for():
+    tree = ast.parse(
+        "import os\n"
+        "from typing import Optional, Sequence\n"
+        "from .gowers import _elements\n"
+        "from bohrkit.bohr import _count_leq as count\n"
+        "x: 'Optional[int]' = None\n"
+    )
+    assert private_imports(tree) == ["line 3: _elements", "line 4: _count_leq"]
+    assert unused_imports(tree) == [
+        "line 1: os",
+        "line 2: Sequence",
+        "line 3: _elements",
+        "line 4: count",
+    ]

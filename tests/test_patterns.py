@@ -18,9 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded
+from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded, ElementsLike, as_elements
 from bohrkit.functions import BoundedFunction
-from bohrkit.gowers import ElementsLike, _elements
 from bohrkit.patterns import (
     Configuration,
     FinderResult,
@@ -37,6 +36,7 @@ from bohrkit.patterns import (
     dichotomy,
     find_configuration,
     find_configuration_restricted,
+    pair_search,
     random_set,
     verify_configuration,
 )
@@ -73,6 +73,25 @@ def config_pairs_oracle(xs: list[int]) -> int:
     return count
 
 
+def extent_oracle(xs: Sequence[int], s: int) -> tuple[Optional[tuple[int, ...]], int]:
+    """Lexicographically first and number of same-parity s-subsets of the set
+    with every pairwise midpoint in the set, by literal enumeration."""
+    members = set(xs)
+    hits = [
+        c
+        for c in itertools.combinations(sorted(members), s)
+        if len({x % 2 for x in c}) == 1
+        and all((x + y) // 2 in members for x, y in itertools.combinations(c, 2))
+    ]
+    return (hits[0] if hits else None), len(hits)
+
+
+def extent_pools(xs: Sequence[int]) -> tuple[list[list[int]], set[int]]:
+    """The parity classes and the doubled set the extent search walks."""
+    lst = sorted(set(xs))
+    return [[x for x in lst if x % 2 == p] for p in (0, 1)], {2 * x for x in lst}
+
+
 def aps_oracle(xs: list[int]) -> int:
     members = sorted(xs)
     mset = set(xs)
@@ -100,9 +119,9 @@ def restricted_finder_oracle(
     s = len(inners)
     if s < 2:
         raise ValueError("configurations need s >= 2")
-    members = set(np.asarray(_elements(subset), dtype=np.int64).tolist())
-    base_arr = np.asarray(_elements(base), dtype=np.int64)
-    inner_lists = [np.asarray(_elements(x), dtype=np.int64).tolist() for x in inners]
+    members = set(as_elements(subset).tolist())
+    base_arr = as_elements(base)
+    inner_lists = [as_elements(x).tolist() for x in inners]
     work = 0
 
     def rec(a: int, prefix: list[int]) -> Optional[list[int]]:
@@ -201,6 +220,55 @@ def test_finder_matches_pair_oracle():
         expect = config_pairs_oracle(xs)
         assert (res.status == "found") == (expect > 0)
         assert count_configurations(np.array(xs), 2) == expect
+
+
+extent_sets = st.lists(st.integers(-20, 30), max_size=14, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=extent_sets, s=st.sampled_from([2, 3, 4]))
+@example(xs=list(range(0, 9)), s=4)
+@example(xs=[], s=2)
+def test_extent_search_matches_combinations_oracle(xs, s):
+    first, total = extent_oracle(xs, s)
+    res = find_configuration(xs, s)
+    if first is None:
+        assert (res.status, res.config) == ("none", None)
+    else:
+        a = first[0] % 2
+        assert res.status == "found"
+        assert (res.config.a, res.config.ns) == (a, tuple((x - a) // 2 for x in first))
+    assert count_configurations(xs, s) == total
+
+
+@settings(max_examples=150, deadline=None)
+@given(xs=extent_sets, s=st.sampled_from([2, 3, 4]))
+def test_extent_search_budget_edges(xs, s):
+    full = find_configuration(xs, s)
+    at = find_configuration(xs, s, budget=full.work)
+    assert (at.status, at.config, at.work) == (full.status, full.config, full.work)
+    pools, doubled = extent_pools(xs)
+    total, work = pair_search(pools, s, doubled, count=True)
+    assert count_configurations(xs, s, budget=work) == total
+    if full.work:
+        short = find_configuration(xs, s, budget=full.work - 1)
+        assert (short.status, short.config, short.work) == ("inconclusive", None, full.work)
+    if work:
+        with pytest.raises(BudgetExceeded):
+            count_configurations(xs, s, budget=work - 1)
+
+
+def test_extent_search_work_pinned():
+    # fixed work figures: a change to the search order or the work unit shows here
+    assert find_configuration(behrend_set(500), 2).work == 190
+    res = find_configuration(random_set(200, 0.3, seed=3), 4)
+    assert (res.status, res.work) == ("found", 806)
+    assert (res.config.a, res.config.ns) == (0, (5, 57, 60, 71))
+    subset = random_set(60, 0.5, seed=1)
+    assert count_configurations(subset, 3, budget=1557) == 285
+    with pytest.raises(BudgetExceeded):
+        count_configurations(subset, 3, budget=1556)
+    assert find_configuration(behrend_set(500), 2, budget=189).work == 190
 
 
 def test_restricted_finder_respects_domains():

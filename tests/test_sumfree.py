@@ -6,14 +6,23 @@ the vectorized check must agree with it on every instance.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bohrkit.bohr import BudgetExceeded
-from bohrkit.patterns import PreconditionError, behrend_set, verify_configuration
+from bohrkit.patterns import (
+    PreconditionError,
+    behrend_set,
+    pair_search,
+    random_set,
+    verify_configuration,
+)
 from bohrkit.sumfree import (
     FreimanMap,
     check_freiman_isomorphic,
@@ -48,6 +57,16 @@ def sumfree_oracle(z: list[int], w: set[int]) -> bool:
     return all(
         z[i] + z[j] not in w for i in range(len(z)) for j in range(i + 1, len(z))
     )
+
+
+def sumfree_subsets_oracle(a: list[int], h: int) -> list[list[int]]:
+    """Every h-subset of ``a`` sumfree with respect to ``a``, in lexicographic order."""
+    members = set(a)
+    return [
+        list(c)
+        for c in itertools.combinations(sorted(members), h)
+        if all(x + y not in members for x, y in itertools.combinations(c, 2))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +199,42 @@ def test_find_sumfree_lexicographic_first():
 def test_find_sumfree_budget():
     with pytest.raises(BudgetExceeded):
         find_sumfree_subset(list(range(1, 40)), 5, budget=3)
+
+
+sumfree_sets = st.lists(st.integers(-15, 40), max_size=14, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=sumfree_sets, h=st.integers(0, 5))
+@example(a=[1, 2, 3, 4, 5], h=2)
+@example(a=[-3, 0, 3], h=3)
+def test_find_sumfree_matches_combinations_oracle(a, h):
+    subsets = sumfree_subsets_oracle(a, h)
+    got = find_sumfree_subset(a, h)
+    assert (None if got is None else got.tolist()) == (subsets[0] if subsets else None)
+    lst = sorted(set(a))
+    assert pair_search([lst], h, set(lst), avoid=True, count=True)[0] == len(subsets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=sumfree_sets, h=st.integers(1, 5))
+def test_find_sumfree_budget_edges(a, h):
+    lst = sorted(set(a))
+    got = find_sumfree_subset(a, h)
+    work = pair_search([lst], h, set(lst), avoid=True)[1] if h <= len(lst) else 0
+    at = find_sumfree_subset(a, h, budget=work)
+    assert (None if at is None else at.tolist()) == (None if got is None else got.tolist())
+    if work:
+        with pytest.raises(BudgetExceeded):
+            find_sumfree_subset(a, h, budget=work - 1)
+
+
+def test_find_sumfree_work_pinned():
+    # fixed work figure: a change to the search order or the work unit shows here
+    arr = random_set(80, 0.5, seed=2)
+    assert find_sumfree_subset(arr, 4, budget=11).tolist() == [3, 4, 12, 14]
+    with pytest.raises(BudgetExceeded):
+        find_sumfree_subset(arr, 4, budget=10)
 
 
 def test_find_sumfree_random_recheck():
