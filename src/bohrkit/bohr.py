@@ -11,8 +11,12 @@ Design principles:
   * one integer key per candidate element: the *entry dilation* of ``n`` is
     ``alpha(n) = max(|n|/M, max_j ||n theta_j|| / eps)`` and is represented
     exactly as ``K(n) / B`` for a shared denominator ``B``; then
-    ``n in (1+c) * Lambda  <=>  K(n) <= B * (1+c)``, so sizes of dilates are
-    ``searchsorted`` queries against one sorted key array,
+    ``n in (1+c) * Lambda  <=>  K(n) <= B * (1+c)``, and membership is the
+    case ``c = 0``,
+  * one key index serves every dilate: ``alpha_{c Lambda}(n) =
+    alpha_Lambda(n) / c``, so one sorted key array over the widest window
+    answers the size of every dilate, every certificate and every candidate
+    of a dilation search with ``searchsorted``,
   * regularity certificates evaluate the two-sided size bound at every
     membership breakpoint inside the window plus the window endpoints and 0;
     on the positive side this is equivalent to the for-all-real-dilation
@@ -20,16 +24,18 @@ Design principles:
     both bounds are tightest at the left end of each constant piece); on the
     negative side the certificate records the largest gap between consecutive
     checked points so downstream estimates can add an explicit slack term,
-  * a vectorized int64 path with overflow preflight, falling back to plain
-    Python integers when moduli or key magnitudes would overflow.
+  * keys are int64 when an overflow preflight passes and exact Python
+    integers otherwise; constraints with ``theta_j = 1`` always hold and
+    cost nothing.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -90,19 +96,6 @@ class BohrSpec:
             raise ValueError("dilation factor must be positive")
         return BohrSpec(self.theta, c * self.eps, c * self.M)
 
-    def contains(self, n: int) -> bool:
-        """Exact membership test for a single integer."""
-        n = int(n)
-        if abs(n) * self.M.denominator > self.M.numerator:
-            return False
-        en, ed = self.eps.numerator, self.eps.denominator
-        for t in self.theta:
-            p, q = t.numerator % t.denominator, t.denominator
-            r = (n % q) * p % q
-            if min(r, q - r) * ed > en * q:
-                return False
-        return True
-
     def as_dict(self) -> dict:
         return {
             "theta": [rational_pair(t) for t in self.theta],
@@ -118,108 +111,67 @@ class BohrSpec:
 # ---------------------------------------------------------------------------
 
 
-def _key_basis(spec: BohrSpec) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """Shared denominator and per-constraint multipliers for entry keys.
+def _entry_keys(spec: BohrSpec, ns: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact entry keys ``K(n)`` of ``ns`` and their shared denominator ``B``.
 
-    Returns ``(B, mult_M, comps)`` where ``comps[j] = (p_j, q_j, mult_j)``,
-    ``K_M(n) = |n| * mult_M`` and ``K_j(n) = min(r, q_j - r) * mult_j`` with
-    ``r = n p_j mod q_j``, so that ``alpha(n) = max(...) / B`` exactly.
+    ``alpha(n) = K(n)/B`` is the smallest dilation of the description that
+    contains ``n``, with ``K(n) = max(|n| mult_M, max_j min(r, q_j - r) mult_j)``
+    and ``r = n p_j mod q_j``. Constraints with ``theta_j = 1`` always hold and
+    are skipped. Keys are int64 when no intermediate can overflow, otherwise
+    an object array of exact Python integers.
     """
     en, ed = spec.eps.numerator, spec.eps.denominator
     mn, md = spec.M.numerator, spec.M.denominator
-    B = mn
-    comps_raw = []
-    for t in spec.theta:
-        p, q = t.numerator % t.denominator, t.denominator
-        B = math.lcm(B, en * q)
-        comps_raw.append((p, q))
+    pq = [(t.numerator, t.denominator) for t in spec.theta if t != 1]
+    B = math.lcm(mn, *(en * q for _, q in pq))
     mult_M = md * (B // mn)
-    comps = [(p, q, ed * (B // (en * q))) for p, q in comps_raw]
-    return B, mult_M, comps
-
-
-def entry_keys(spec: BohrSpec, ns: np.ndarray) -> tuple[list[int], int]:
-    """Exact entry keys ``K(n)`` and shared denominator ``B``.
-
-    ``alpha(n) = K(n)/B`` is the smallest dilation of the description containing
-    ``n``; in particular ``n`` is a member iff ``K(n) <= B``. Keys are plain
-    Python integers (no overflow), in the order of ``ns``.
-    """
-    B, mult_M, comps = _key_basis(spec)
-    keys = []
-    for n in ns:
-        n = int(n)
-        k = abs(n) * mult_M
-        for p, q, mult in comps:
-            r = (n % q) * p % q
-            k = max(k, min(r, q - r) * mult)
-        keys.append(k)
-    return keys, B
-
-
-def _vector_keys_safe(spec: BohrSpec, nmax: int) -> bool:
-    """Whether int64 vectorized key computation cannot overflow for |n|<=nmax."""
-    B, mult_M, comps = _key_basis(spec)
-    if mult_M >= _INT64_SAFE or nmax * mult_M >= _INT64_SAFE:
-        return False
-    for p, q, mult in comps:
-        if q * q >= _INT64_SAFE or (q // 2 + 1) * mult >= _INT64_SAFE:
-            return False
-    return True
-
-
-def _vector_keys(spec: BohrSpec, ns: np.ndarray) -> tuple[np.ndarray, int]:
-    """int64 entry keys for candidates ``ns``; caller must preflight safety."""
-    B, mult_M, comps = _key_basis(spec)
+    comps = [(p, q, ed * (B // (en * q))) for p, q in pq]
     ns = np.asarray(ns, dtype=np.int64)
-    keys = np.abs(ns) * np.int64(mult_M)
+    keys = np.abs(ns)
+    nmax = int(keys.max()) if ns.size else 0
+    if max(nmax, 1) * mult_M >= _INT64_SAFE or any(
+        q * q >= _INT64_SAFE or (q // 2 + 1) * mult >= _INT64_SAFE for _, q, mult in comps
+    ):
+        ns, keys = ns.astype(object), keys.astype(object)
+    keys = keys * mult_M
     for p, q, mult in comps:
-        r = (ns % q) * (p % q) % q
-        np.maximum(keys, np.minimum(r, q - r) * np.int64(mult), out=keys)
+        r = ns % q * p % q
+        keys = np.maximum(keys, np.minimum(r, q - r) * mult)
     return keys, B
 
 
-def _candidate_keys(spec: BohrSpec, nmax: int, enum_limit: int):
-    """Sorted entry keys for all candidates ``|n| <= nmax``.
-
-    Returns ``(ns, keys, B, order)`` with ``keys`` ascending and ``ns``
-    reordered to match. Uses the int64 path when safe, otherwise exact Python
-    integers (capped by ``enum_limit`` either way).
-    """
+def _window(nmax: int, enum_limit: int) -> np.ndarray:
+    """The candidates ``|n| <= nmax``, refused before allocation past ``enum_limit``."""
     count = 2 * nmax + 1
     if count > enum_limit:
         raise BudgetExceeded(
             f"candidate window has {count} integers, budget is {enum_limit}"
         )
-    ns = np.arange(-nmax, nmax + 1, dtype=np.int64)
-    if _vector_keys_safe(spec, nmax):
-        keys, B = _vector_keys(spec, ns)
-        order = np.argsort(keys, kind="stable")
-        return ns[order], keys[order], B, True
-    key_list, B = entry_keys(spec, ns)
-    order = sorted(range(len(key_list)), key=lambda i: key_list[i])
-    ns_sorted = ns[np.asarray(order, dtype=np.int64)]
-    keys_sorted = [key_list[i] for i in order]
-    return ns_sorted, keys_sorted, B, False
+    return np.arange(-nmax, nmax + 1, dtype=np.int64)
 
 
-def _count_leq(keys, threshold: int) -> int:
+def _key_index(spec: BohrSpec, nmax: int, enum_limit: int) -> tuple[np.ndarray, int]:
+    """Ascending entry keys of every candidate ``|n| <= nmax``, and ``B``."""
+    keys, B = _entry_keys(spec, _window(nmax, enum_limit))
+    keys.sort()
+    return keys, B
+
+
+def _count_leq(keys: np.ndarray, threshold: int) -> int:
     """How many sorted keys are <= threshold (threshold a Python int)."""
-    if isinstance(keys, np.ndarray):
-        hi = int(np.iinfo(np.int64).max)
-        t = min(max(int(threshold), -1), hi)
-        return int(np.searchsorted(keys, t, side="right"))
-    import bisect
-
-    return bisect.bisect_right(keys, threshold)
+    if keys.dtype != object:
+        threshold = min(threshold, _INT64_SAFE)  # int64 keys are all below it
+    return int(np.searchsorted(keys, threshold, side="right"))
 
 
-def _distinct_keys(keys, lo: int, hi: int) -> list[int]:
+def _distinct_keys(keys: np.ndarray, lo: int, hi: int) -> list[int]:
     """Ascending distinct sorted keys ``k`` with ``lo < k <= hi``, as Python ints."""
-    window = keys[_count_leq(keys, lo) : _count_leq(keys, hi)]
-    if isinstance(keys, np.ndarray):
-        return sorted_distinct(window).tolist()
-    return sorted(set(window))
+    return _drop_repeats(keys[_count_leq(keys, lo) : _count_leq(keys, hi)]).tolist()
+
+
+def _drop_repeats(arr: np.ndarray) -> np.ndarray:
+    """The first of each run of equal values in a sorted array."""
+    return arr[np.concatenate(([True], arr[1:] != arr[:-1]))] if arr.size else arr
 
 
 # ---------------------------------------------------------------------------
@@ -233,44 +185,14 @@ def enumerate_bohr(spec: BohrSpec, *, enum_limit: int = 10**7) -> np.ndarray:
     Candidates are ``|n| <= floor(M)``; ``0`` is always a member. Raises
     :class:`BudgetExceeded` when the candidate window exceeds ``enum_limit``.
     """
-    nmax = floor_frac(spec.M)
-    if nmax < 0:
-        nmax = 0
-    count = 2 * nmax + 1
-    if count > enum_limit:
-        raise BudgetExceeded(
-            f"candidate window has {count} integers, budget is {enum_limit}"
-        )
-    ns = np.arange(-nmax, nmax + 1, dtype=np.int64)
-    mask = membership_mask(spec, ns)
-    return ns[mask]
+    ns = _window(floor_frac(spec.M), enum_limit)
+    return ns[membership_mask(spec, ns)]
 
 
 def membership_mask(spec: BohrSpec, ns: np.ndarray) -> np.ndarray:
-    """Boolean membership mask for an int64 array of candidates."""
-    ns = np.asarray(ns, dtype=np.int64)
-    mn, md = spec.M.numerator, spec.M.denominator
-    en, ed = spec.eps.numerator, spec.eps.denominator
-    nmax = int(np.max(np.abs(ns))) if ns.size else 0
-    if md < _INT64_SAFE and nmax * md < _INT64_SAFE:
-        mask = np.abs(ns) * np.int64(md) <= np.int64(min(mn, _INT64_SAFE))
-    else:
-        mask = np.asarray([abs(int(n)) * md <= mn for n in ns], dtype=bool)
-    for t in spec.theta:
-        p, q = t.numerator % t.denominator, t.denominator
-        if p == 0:
-            continue
-        if q * q < _INT64_SAFE and q * ed < _INT64_SAFE and en * q < _INT64_SAFE:
-            r = (ns % q) * (p % q) % q
-            mask &= np.minimum(r, q - r) * np.int64(ed) <= np.int64(en * q)
-        else:
-            ok = np.asarray(
-                [min((int(n) % q) * p % q, q - (int(n) % q) * p % q) * ed <= en * q
-                 for n in ns],
-                dtype=bool,
-            )
-            mask &= ok
-    return mask
+    """Boolean membership mask for an int64 array of candidates: ``K(n) <= B``."""
+    keys, B = _entry_keys(spec, ns)
+    return keys <= B
 
 
 @dataclass(frozen=True)
@@ -299,7 +221,7 @@ class BohrSet:
         return {"spec": self.spec.as_dict(), "size": self.size}
 
 
-ElementsLike = Union[np.ndarray, BohrSet, Sequence[int]]
+ElementsLike = np.ndarray | BohrSet | Sequence[int]
 
 
 def as_elements(x: ElementsLike) -> np.ndarray:
@@ -315,8 +237,7 @@ def sorted_distinct(x: ElementsLike) -> np.ndarray:
     A sort plus a neighbour compare: ``np.unique`` gives the same array but
     hashes first, which costs far more on large sorted inputs.
     """
-    arr = np.sort(as_elements(x).ravel())
-    return arr[np.concatenate(([True], arr[1:] != arr[:-1]))] if arr.size else arr
+    return _drop_repeats(np.sort(as_elements(x).ravel()))
 
 
 def exact_density(subset: np.ndarray, ambient: np.ndarray) -> Fraction:
@@ -384,6 +305,63 @@ class RegularityCertificate:
         return out
 
 
+def _certify(
+    spec: BohrSpec, keys: np.ndarray, B: int, c: Fraction
+) -> RegularityCertificate:
+    """Certificate of ``spec``, the ``c``-dilate of the spec indexed by ``keys``.
+
+    Entry dilations scale as ``alpha_{c Lambda}(n) = alpha_Lambda(n) / c``, so
+    ``n in (1+x) * spec  <=>  K(n) <= B c (1+x)``: every size is one count
+    against the same sorted keys, which must cover ``|n| <= (1+w) c M``.
+    """
+    d = spec.dim
+    w = Fraction(1, 100 * d)
+    scale = B * c
+
+    def size(x: Fraction) -> int:
+        return _count_leq(keys, floor_frac(scale * (1 + x)))
+
+    base_size = size(Fraction(0))
+    if base_size == 0:
+        raise ValueError("Bohr set is empty; 0 should always be a member")
+
+    lo_key = -floor_frac(-scale * (1 - w))  # ceil: keys from here on have x >= -w
+    cs: set[Fraction] = {-w, Fraction(0), w}
+    cs.update(
+        k / scale - 1
+        for k in _distinct_keys(keys, lo_key - 1, floor_frac(scale * (1 + w)))
+    )
+
+    checked = sorted(cs)
+    witness_c = witness_size = witness_side = None
+    for x in checked:
+        sz = size(x)
+        dev = 100 * d * abs(x)
+        # lower: size >= base * (1 - dev); upper: size <= base * (1 + dev)
+        if sz < base_size * (1 - dev):
+            witness_c, witness_size, witness_side = x, sz, "lower"
+            break
+        if sz > base_size * (1 + dev):
+            witness_c, witness_size, witness_side = x, sz, "upper"
+            break
+
+    neg = [x for x in checked if x <= 0]
+    gaps = [b - a for a, b in zip(neg, neg[1:])]
+    return RegularityCertificate(
+        spec=spec,
+        window=w,
+        verdict=witness_c is None,
+        base_size=base_size,
+        num_checked=len(checked),
+        max_negative_gap=max(gaps) if gaps else w,
+        size_at_minus_window=size(-w),
+        size_at_plus_window=size(w),
+        witness_c=witness_c,
+        witness_size=witness_size,
+        witness_side=witness_side,
+    )
+
+
 def regularity_certificate(
     spec: BohrSpec, *, enum_limit: int = 10**7
 ) -> RegularityCertificate:
@@ -393,60 +371,9 @@ def regularity_certificate(
     ``[-w, w]`` with ``w = 1/(100 d)``, plus ``-w``, ``0`` and ``w``. A
     failure reports the first failing ``c`` (ascending) and the failing side.
     """
-    d = spec.dim
-    w = Fraction(1, 100 * d)
-    nmax_frac = (1 + w) * spec.M
-    nmax = floor_frac(nmax_frac)
-    if nmax < 0:
-        nmax = 0
-    _, keys, B, _ = _candidate_keys(spec, nmax, enum_limit)
-
-    base_size = _count_leq(keys, B)
-    if base_size == 0:
-        raise ValueError("Bohr set is empty; 0 should always be a member")
-
-    lo_key = B - (B * w.numerator) // w.denominator  # ceil breakpoints >= B(1-w)
-    hi_key_frac = B * (1 + w)
-    hi_key = floor_frac(hi_key_frac)
-    cs: set[Fraction] = {-w, Fraction(0), w}
-    for k in _distinct_keys(keys, lo_key - 1, hi_key):
-        c = Fraction(k, B) - 1
-        if -w <= c <= w:
-            cs.add(c)
-
-    checked = sorted(cs)
-    witness_c = witness_size = witness_side = None
-    for c in checked:
-        thr = floor_frac(B * (1 + c))
-        size = _count_leq(keys, thr)
-        dev = 100 * d * abs(c)
-        # lower: size >= base * (1 - dev); upper: size <= base * (1 + dev)
-        if size * 1 < base_size * (1 - dev):
-            witness_c, witness_size, witness_side = c, size, "lower"
-            break
-        if size * 1 > base_size * (1 + dev):
-            witness_c, witness_size, witness_side = c, size, "upper"
-            break
-
-    neg = [c for c in checked if c <= 0]
-    gaps = [b - a for a, b in zip(neg, neg[1:])]
-    max_gap = max(gaps) if gaps else w
-
-    size_lo = _count_leq(keys, floor_frac(B * (1 - w)))
-    size_hi = _count_leq(keys, floor_frac(B * (1 + w)))
-    return RegularityCertificate(
-        spec=spec,
-        window=w,
-        verdict=witness_c is None,
-        base_size=base_size,
-        num_checked=len(checked),
-        max_negative_gap=max_gap,
-        size_at_minus_window=size_lo,
-        size_at_plus_window=size_hi,
-        witness_c=witness_c,
-        witness_size=witness_size,
-        witness_side=witness_side,
-    )
+    w = Fraction(1, 100 * spec.dim)
+    keys, B = _key_index(spec, floor_frac((1 + w) * spec.M), enum_limit)
+    return _certify(spec, keys, B, Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -491,44 +418,34 @@ def find_regular_dilation(
     virtual neighbors), then ``hi``, ascending, capped at ``max_candidates``.
     Midpoints keep the dilated boundary as far as possible from any element's
     entry threshold, which is where certificates fail.
+
+    One sorted key index over ``|n| <= (1+w) hi M`` with ``w = 1/(100 d)``
+    serves the candidate scan and every candidate's certificate; ``enum_limit``
+    bounds that window, checked before anything is allocated.
     """
     lo, hi = as_rational(lo), as_rational(hi)
     if not (0 < lo <= hi):
         raise ValueError("need 0 < lo <= hi")
-    nmax = floor_frac(hi * spec.M)
-    if nmax < 0:
-        nmax = 0
-    _, keys, B, _ = _candidate_keys(spec, nmax, enum_limit)
+    w = Fraction(1, 100 * spec.dim)
+    keys, B = _key_index(spec, floor_frac((1 + w) * hi * spec.M), enum_limit)
 
-    lo_key = floor_frac(lo * B)
-    hi_key = floor_frac(hi * B)
-    alphas: list[Fraction] = []
-    for k in _distinct_keys(keys, lo_key, hi_key):
-        a = Fraction(k, B)
-        if lo < a < hi:
-            alphas.append(a)
+    # keys with lo < alpha < hi; [lo] + midpoints + [hi] is strictly ascending
+    # when lo < hi, so max_candidates candidates need no more of them than that
+    inside = _distinct_keys(keys, floor_frac(lo * B), -floor_frac(-hi * B) - 1)
+    vals = [lo] + [Fraction(k, B) for k in inside[:max_candidates]] + [hi]
+    mids = [(a + b) / 2 for a, b in zip(vals, vals[1:])]
+    candidates = ([lo] + mids + [hi] if lo < hi else [lo])[:max_candidates]
 
-    vals = [lo] + alphas + [hi]
-    mids = [(a + b) / 2 for a, b in zip(vals, vals[1:]) if a != b]
-    candidates: list[Fraction] = []
-    for c in [lo] + mids + [hi]:
-        if c not in candidates:
-            candidates.append(c)
-    candidates.sort()
-    candidates = candidates[:max_candidates]
-
-    tried: list[Fraction] = []
-    for c in candidates:
-        tried.append(c)
-        cert = regularity_certificate(spec.dilate(c), enum_limit=enum_limit)
+    for i, c in enumerate(candidates):
+        cert = _certify(spec.dilate(c), keys, B, c)
         if cert.verdict:
-            return DilationSearch(True, c, cert, tuple(tried))
+            return DilationSearch(True, c, cert, tuple(candidates[: i + 1]))
     return DilationSearch(
         False,
         None,
         None,
-        tuple(tried),
-        reason=f"no regular dilation among {len(tried)} candidates in [{lo}, {hi}]",
+        tuple(candidates),
+        reason=f"no regular dilation among {len(candidates)} candidates in [{lo}, {hi}]",
     )
 
 

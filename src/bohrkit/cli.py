@@ -367,9 +367,8 @@ def _cmd_patterns(args) -> int:
     limits = EngineLimits()
     for path in args.set:
         arr = read_set_file(path)
-        base = _standard_base(arr)
-        subset = np.intersect1d(arr, base.elements)
-        delta = exact_density(subset, base.elements)
+        base = _standard_base(arr)  # holds every element of arr
+        delta = exact_density(arr, base.elements)
         if delta == 0:
             raise CLIError(f"{path}: set is empty inside the standard base")
         plan = plan_inner_dilations(base.spec, args.s, table, delta, limits)
@@ -377,7 +376,7 @@ def _cmd_patterns(args) -> int:
             raise CLIError(f"{path}: no regular inner dilations found", EXIT_BUDGET)
         cs, _inner_sets, searches = plan
         outcome = dichotomy(
-            subset, base, cs,
+            arr, base, cs,
             enforce=(args.mode == "faithful"),
             budget=args.budget,
         )

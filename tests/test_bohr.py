@@ -11,13 +11,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohrkit.bohr import (
     BohrSet,
     BohrSpec,
     BudgetExceeded,
+    DilationSearch,
+    RegularityCertificate,
     enumerate_bohr,
     exact_density,
     find_regular_alpha,
@@ -27,7 +29,7 @@ from bohrkit.bohr import (
     regularity_certificate,
     spec_from_dict,
 )
-from bohrkit.exact import torus_distance
+from bohrkit.exact import as_rational, torus_distance
 
 # ---------------------------------------------------------------------------
 # oracle
@@ -41,9 +43,94 @@ def member_oracle(spec: BohrSpec, n: int) -> bool:
     return all(torus_distance(n * t) <= spec.eps for t in spec.theta)
 
 
+def alpha_oracle(spec: BohrSpec, n: int) -> Fraction:
+    """Literal entry dilation: the least c > 0 with n in the c-dilate."""
+    return max(
+        [Fraction(abs(n)) / spec.M]
+        + [torus_distance(n * t) / spec.eps for t in spec.theta]
+    )
+
+
+def certificate_oracle(spec: BohrSpec) -> RegularityCertificate:
+    """Certificate from member_oracle sizes at every literal breakpoint.
+
+    Checked points are alpha(n) - 1 in [-w, w] for every n that can enter a
+    dilate up to 1 + w, plus -w, 0 and w; the first failing point ascending
+    is the witness.
+    """
+    d = spec.dim
+    w = Fraction(1, 100 * d)
+    top = int((1 + w) * spec.M)
+    window = range(-top, top + 1)
+
+    def size(x: Fraction) -> int:
+        dilate = spec.dilate(1 + x)
+        return sum(member_oracle(dilate, n) for n in window)
+
+    breaks = {alpha_oracle(spec, n) - 1 for n in window}
+    checked = sorted({-w, Fraction(0), w} | {x for x in breaks if -w <= x <= w})
+    base = size(Fraction(0))
+    witness = (None, None, None)
+    for x in checked:
+        sz, dev = size(x), 100 * d * abs(x)
+        if sz < base * (1 - dev):
+            witness = (x, sz, "lower")
+            break
+        if sz > base * (1 + dev):
+            witness = (x, sz, "upper")
+            break
+    neg = [x for x in checked if x <= 0]
+    gaps = [b - a for a, b in zip(neg, neg[1:])]
+    return RegularityCertificate(
+        spec, w, witness[0] is None, base, len(checked),
+        max(gaps) if gaps else w, size(-w), size(w), *witness,
+    )
+
+
+def dilation_search_oracle(
+    spec: BohrSpec, lo, hi, *, max_candidates: int = 64, enum_limit: int = 10**7
+) -> DilationSearch:
+    """Reference dilation search on literal entry dilations.
+
+    Distinct alphas in (lo, hi) over |n| <= hi M, midpoints, a quadratic
+    dedupe, a sort, the cap, and a fresh certificate for every candidate.
+    """
+    lo, hi = as_rational(lo), as_rational(hi)
+    top = int(hi * spec.M)
+    alphas = sorted(
+        {a for a in (alpha_oracle(spec, n) for n in range(-top, top + 1)) if lo < a < hi}
+    )
+
+    vals = [lo] + alphas + [hi]
+    mids = [(a + b) / 2 for a, b in zip(vals, vals[1:]) if a != b]
+    candidates: list[Fraction] = []
+    for c in [lo] + mids + [hi]:
+        if c not in candidates:
+            candidates.append(c)
+    candidates.sort()
+    candidates = candidates[:max_candidates]
+
+    tried: list[Fraction] = []
+    for c in candidates:
+        tried.append(c)
+        cert = regularity_certificate(spec.dilate(c), enum_limit=enum_limit)
+        if cert.verdict:
+            return DilationSearch(True, c, cert, tuple(tried))
+    return DilationSearch(
+        False,
+        None,
+        None,
+        tuple(tried),
+        reason=f"no regular dilation among {len(tried)} candidates in [{lo}, {hi}]",
+    )
+
+
 def enumerate_oracle(spec: BohrSpec) -> list[int]:
     limit = int(spec.M)
     return [n for n in range(-limit, limit + 1) if member_oracle(spec, n)]
+
+
+_BIG = 2**61 - 1  # past the int64 overflow preflight: exact Python-int keys
 
 
 def random_spec(rng: random.Random, max_m: int = 500, max_d: int = 3) -> BohrSpec:
@@ -119,12 +206,31 @@ def test_membership_mask_matches_oracle():
 
 
 def test_membership_mask_huge_denominators():
-    # widths with astronomically large denominators must fall back cleanly
-    spec = BohrSpec((Fraction(1),), Fraction(1, 2**150), Fraction(3))
-    ns = np.arange(-5, 6, dtype=np.int64)
-    mask = membership_mask(spec, ns)
-    expect = np.array([member_oracle(spec, int(n)) for n in ns])
-    assert np.array_equal(mask, expect)
+    # widths with astronomically large denominators must fall back cleanly;
+    # theta = 1 constraints always hold, and denominators on both sides of
+    # the int64 overflow preflight must agree with the oracle
+    q31 = 2**31 - 1
+    specs = [
+        BohrSpec((Fraction(1),), Fraction(1, 2**150), Fraction(3)),
+        BohrSpec((Fraction(1), Fraction(2, 7)), Fraction(1, 5), Fraction(81, 2)),
+        # int64 keys
+        BohrSpec((Fraction(2**30 + 3, q31), Fraction(1)), Fraction(1, 5), Fraction(40)),
+        # q * q past the preflight
+        BohrSpec((Fraction(2**30 + 7, 2**31 + 11),), Fraction(1, 5), Fraction(40)),
+        # each q fits, their shared denominator does not
+        BohrSpec(
+            (Fraction(2**30 + 3, q31), Fraction(5, 2**31 - 19)), Fraction(2, 5), Fraction(60)
+        ),
+        BohrSpec((Fraction(1), Fraction(_BIG // 3, _BIG)), Fraction(1, 4), Fraction(90, 7)),
+        BohrSpec((Fraction(12345, _BIG), Fraction(1, 3)), Fraction(1, _BIG), Fraction(10**6)),
+    ]
+    ns = np.concatenate(
+        [np.arange(-200, 201), [10**9, -(10**12), 2**40, -(2**40) - 1]]
+    ).astype(np.int64)
+    for spec in specs:
+        mask = membership_mask(spec, ns)
+        expect = np.array([member_oracle(spec, int(n)) for n in ns])
+        assert np.array_equal(mask, expect), spec
 
 
 def test_zero_always_member_and_symmetric():
@@ -263,6 +369,85 @@ def test_find_regular_alpha_range():
             assert Fraction(1, 2) <= search.c <= 1
             scaled = BohrSpec(spec.theta, spec.eps * search.c, spec.M)
             assert regularity_certificate(scaled).verdict is True
+
+
+def test_certificate_matches_literal_oracle():
+    pinned = [
+        # a breakpoint at the least key past B (1 - w)
+        BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(150)),
+        # int64 keys and thresholds just under the overflow preflight
+        BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(100 * 2**55 + 1, 2**55)),
+        BohrSpec((Fraction(2**30 + 3, 2**31 - 1),), Fraction(1, 5), Fraction(40)),
+        BohrSpec((Fraction(_BIG // 2, _BIG),), Fraction(499, 1000), Fraction(50)),
+    ]
+    for spec in pinned:
+        assert regularity_certificate(spec) == certificate_oracle(spec)
+    rng = random.Random(13)
+    for _ in range(40):
+        spec = random_spec(rng, max_m=90)
+        assert regularity_certificate(spec) == certificate_oracle(spec)
+        c = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+        literal = certificate_oracle(spec.dilate(c))
+        assert regularity_certificate(spec.dilate(c)) == literal
+        # lo == hi tries c alone, certified from the undilated spec's keys
+        search = find_regular_dilation(spec, c, c)
+        assert search.found == literal.verdict
+        assert search.certificate == (literal if literal.verdict else None)
+
+
+@st.composite
+def dilation_inputs(draw):
+    # one denominator in four is past the int64 preflight
+    qs = st.one_of(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.just(_BIG))
+    theta = []
+    for q in draw(st.lists(qs, min_size=1, max_size=3)):
+        theta.append(Fraction(draw(st.integers(min_value=1, max_value=q)), q))
+    M = Fraction(draw(st.integers(20, 150)), draw(st.sampled_from([1, 2, 3, 7])))
+    lo = Fraction(draw(st.integers(1, 40)), 41)
+    hi = draw(st.sampled_from([lo + Fraction(draw(st.integers(1, 40)), 41), lo]))
+    # eps just below a tie at c = lo makes the first candidates fail
+    q0 = draw(st.sampled_from([t.denominator for t in theta if t.denominator < _BIG] or [2]))
+    tie = Fraction(draw(st.integers(1, max(q0 // 2, 1))), q0) / lo
+    eps = draw(st.one_of(
+        st.integers(1, 9).map(lambda t: tie * (1 - Fraction(t, 1000))),
+        st.fractions(Fraction(1, 100), Fraction(1, 2), max_denominator=1000),
+        st.integers(_BIG // 100, _BIG // 2).map(lambda e: Fraction(e, _BIG)),
+    ))
+    return BohrSpec(tuple(theta), eps, M), lo, hi, draw(st.sampled_from([1, 2, 64]))
+
+
+_PARITY = BohrSpec((Fraction(1, 2),), Fraction(499, 500), Fraction(100))
+_NEAR_PARITY = BohrSpec((Fraction(_BIG // 2, _BIG),), Fraction(499, 500), Fraction(201, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dilation_inputs())
+@example((_PARITY, Fraction(1, 2), Fraction(1), 64))
+@example((_PARITY, Fraction(1, 2), Fraction(1), 1))
+@example((_PARITY, Fraction(1, 2), Fraction(1, 2), 64))
+@example((_PARITY.dilate(Fraction(1, 2)), Fraction(999, 1000), Fraction(1), 64))
+@example((_NEAR_PARITY, Fraction(1, 2), Fraction(3, 4), 64))
+@example((_NEAR_PARITY, Fraction(1, 2), Fraction(3, 4), 2))
+def test_find_regular_dilation_matches_oracle(inputs):
+    spec, lo, hi, k = inputs
+    assert find_regular_dilation(spec, lo, hi, max_candidates=k) == dilation_search_oracle(
+        spec, lo, hi, max_candidates=k
+    )
+
+
+def test_find_regular_dilation_budget_edge():
+    # the budget covers the key index over |n| <= (1+w) hi M, w = 1/(100 d)
+    spec = BohrSpec((Fraction(2, 7), Fraction(1, 3)), Fraction(1, 5), Fraction(301, 2))
+    lo, hi = Fraction(1, 3), Fraction(5, 6)
+    window = 2 * int(Fraction(201, 200) * hi * spec.M) + 1
+    find_regular_dilation(spec, lo, hi, enum_limit=window)
+    with pytest.raises(BudgetExceeded):
+        find_regular_dilation(spec, lo, hi, enum_limit=window - 1)
+    # refused before allocation: this window would need 16 PB
+    huge = BohrSpec(spec.theta, spec.eps, Fraction(12 * 10**14))
+    window = 2 * int(Fraction(201, 200) * hi * huge.M) + 1
+    with pytest.raises(BudgetExceeded):
+        find_regular_dilation(huge, lo, hi, enum_limit=window - 1)
 
 
 def test_bohr_set_wrapper():

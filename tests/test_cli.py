@@ -168,6 +168,19 @@ def test_patterns_dichotomy_csv_header(tmp_path):
     assert "outcome.kind" in header and "set" in header and "delta" in header
 
 
+def test_patterns_dichotomy_ignores_set_order(tmp_path):
+    # the file is read as a set: an unsorted copy gives byte-identical reports
+    values = [int(v) for v in random_set(120, 0.4, seed=5)]
+    path = tmp_path / "a.txt"
+    reports = []
+    for order in (values, values[::2] + values[1::2][::-1]):
+        write_set(path, order)
+        proc = run_cli("patterns", "dichotomy", "--set", str(path))
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
+    assert reports[0] == reports[1]
+
+
 # ---------------------------------------------------------------------------
 # gen group
 # ---------------------------------------------------------------------------
