@@ -15,8 +15,12 @@ Two independent evaluation routes are kept side by side and never merged:
 Both use ``einsum(..., optimize=False)`` so results are bitwise reproducible
 across thread counts; agreement within 1e-9 is asserted by callers that need
 it. The Fourier scan evaluates windowed exponential sums on a rational grid
-with an explicit derivative-based error certificate, and all phases are read
-from an exact root-of-unity table indexed by residues, never accumulated.
+with an explicit derivative-based error certificate. Each base point's grid
+values come from one inverse FFT of its window placed at the residues
+``n mod grid`` (pocketfft, single-threaded, so the values are bitwise
+reproducible as well); the reported maximizing index is one that attains the
+computed maximum, and for real ``f`` it may be either of ``k`` and
+``grid - k``, whose magnitudes agree in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -163,15 +167,51 @@ def u2_report(
 # ---------------------------------------------------------------------------
 
 
-def phase_matrix(n: np.ndarray, grid: int) -> np.ndarray:
-    """``e(n k / grid)`` for each offset ``n`` (rows) and ``k < grid`` (columns).
+_SCAN_BUFFER = 2**18  # complex entries in one chunk of the FFT scan
 
-    Every entry is read from one root-of-unity table by the exact residue
-    ``(n * k) mod grid``, so equal angles give bitwise equal phases.
+
+def _scan_units(rows: int, grid: int) -> int:
+    """Scan work for ``rows`` base points: ``rows * grid * ceil(log2 grid)``."""
+    return rows * grid * (grid - 1).bit_length()
+
+
+def fourier_grid_maxima(
+    f: BoundedFunction,
+    points: np.ndarray,
+    inner: np.ndarray,
+    grid: int,
+    *,
+    budget: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Grid maxima of ``|E_{n in inner} f(a+n) e(n k / grid)|``, chunk by chunk.
+
+    For each base point ``a`` of ``points``, ``f(a+n)`` (times the
+    multiplicity of ``n``) goes to slot ``n mod grid`` of a zero row. The
+    caller guarantees ``grid > 2 max|n| + 1``, so no two offsets share a slot
+    and the unnormalised inverse FFT of the row at ``k`` is exactly the
+    exponential sum at ``k / grid``. Yields ``(chunk, values, argmax)`` for
+    consecutive chunks of about ``2^18 / grid`` points; ``argmax`` is an
+    index attaining the computed maximum.
+
+    One work unit is one FFT operation, ``rows * grid * ceil(log2 grid)``
+    per chunk; the chunk that would take the total past ``budget`` raises
+    :class:`BudgetExceeded` before it is computed.
     """
-    table = np.exp(2j * np.pi * np.arange(grid, dtype=np.float64) / grid)
-    ks = np.arange(grid, dtype=np.int64)
-    return table[(n[:, None] * ks[None, :]) % grid]
+    offsets, mult = np.unique(inner, return_counts=True)
+    slots = offsets % grid
+    step = max(1, _SCAN_BUFFER // grid)
+    buf = np.zeros((min(step, points.size), grid), dtype=np.complex128)
+    spent = 0
+    for lo in range(0, points.size, step):
+        a = points[lo : lo + step]
+        spent += _scan_units(a.size, grid)
+        if spent > budget:
+            raise BudgetExceeded(f"fourier scan spent {spent} units, budget {budget}")
+        rows = buf[: a.size]
+        rows[:, slots] = f.gather(a[:, None] + offsets[None, :]) * mult
+        mags = np.abs(np.fft.ifft(rows, axis=1, norm="forward"))
+        k = mags.argmax(axis=1)
+        yield a, np.take_along_axis(mags, k[:, None], axis=1)[:, 0] / inner.size, k
 
 
 @dataclass(frozen=True)
@@ -179,8 +219,10 @@ class FourierScan:
     """Per-base-point grid maxima of ``|E_{n in N} f(a+n) e(n y)|``.
 
     ``values[a]`` is the maximum over grid frequencies ``k/grid``;
-    ``argmax[a]`` is the smallest maximizing ``k``. The true supremum over
-    all real frequencies exceeds ``values[a]`` by at most
+    ``argmax[a]`` is a ``k`` that attains it as computed. For real ``f`` the
+    magnitudes at ``k`` and ``grid - k`` agree in exact arithmetic, so which
+    of the two is reported depends on rounding. The true supremum over all
+    real frequencies exceeds ``values[a]`` by at most
     ``certified_error = pi * max|n| / grid`` (a derivative bound over half a
     grid spacing).
     """
@@ -209,8 +251,11 @@ def local_fourier_scan(
     """Grid scan of the windowed exponential sum for every base point.
 
     Requires ``grid >= 4 * (max|n| + 1)`` so the grid resolves the fastest
-    oscillation; phases are exact roots of unity indexed by
-    ``(n * k) mod grid``.
+    oscillation. Each base point's ``grid`` values come from one inverse FFT
+    of its window (:func:`fourier_grid_maxima`), in ``O(grid log grid)``
+    rather than ``O(|N| grid)``. One work unit is one FFT operation; the
+    whole cost ``|A| * grid * ceil(log2 grid)`` is checked against
+    ``budget`` before anything is allocated.
     """
     a = as_elements(base)
     n = as_elements(inner)
@@ -219,22 +264,18 @@ def local_fourier_scan(
     maxn = int(np.max(np.abs(n)))
     if grid < 4 * (maxn + 1):
         raise ValueError(f"grid {grid} too coarse; need at least {4 * (maxn + 1)}")
-    cost = a.size * n.size * grid
+    cost = _scan_units(a.size, grid)
     if cost > budget:
-        raise BudgetExceeded(f"fourier scan needs {cost} operations, budget {budget}")
+        raise BudgetExceeded(f"fourier scan needs {cost} units, budget {budget}")
 
-    ph = phase_matrix(n, grid)  # (L, G)
-    vals = np.empty(a.size, dtype=np.float64)
-    arg = np.empty(a.size, dtype=np.int64)
-    step = _chunk_rows(n.size, grid)
-    for s in range(0, a.size, step):
-        t = f.gather(a[s : s + step, None] + n[None, :])  # (chunk, L)
-        z = np.einsum("ai,ik->ak", t, ph, optimize=False) / n.size
-        mags = np.abs(z)
-        vals[s : s + step] = mags.max(axis=1)
-        arg[s : s + step] = mags.argmax(axis=1)
+    _, vals, arg = zip(*fourier_grid_maxima(f, a, n, grid, budget=budget))
     err = math.pi * maxn / grid
-    return FourierScan(grid=grid, certified_error=err, values=vals, argmax=arg)
+    return FourierScan(
+        grid=grid,
+        certified_error=err,
+        values=np.concatenate(vals),
+        argmax=np.concatenate(arg),
+    )
 
 
 def inverse_average(

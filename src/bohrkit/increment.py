@@ -38,7 +38,7 @@ from .bohr import (
 )
 from .exact import RationalLike, as_rational, rational_pair
 from .functions import BoundedFunction
-from .gowers import inverse_average, phase_matrix
+from .gowers import fourier_grid_maxima, inverse_average
 from .patterns import (
     Configuration,
     PreconditionError,
@@ -327,8 +327,7 @@ def fourier_increment(
 
     shrunk = BohrSet.from_spec(base.spec.dilate(1 - c1), enum_limit=enum_limit)
     a_arr = shrunk.elements
-    t = f.gather(a_arr[:, None] + n1[None, :])
-    df = t.real.mean(axis=1)
+    df = f.gather(a_arr[:, None] + n1[None, :]).real.mean(axis=1)
 
     # plain translate: the inner-set average is already large somewhere
     thr_a = float(eta**3 / 128)
@@ -359,7 +358,7 @@ def fourier_increment(
     g = grid_eff
     for attempt in range(max_grid_retries + 1):
         outcome = _refined_pass(
-            subset_sorted, base, inner1, a_arr, t, df, delta, eta, c_prime, c1,
+            subset_sorted, base, inner1, f, a_arr, df, delta, eta, c_prime, c1,
             g, slack, budget, enum_limit, tuple(unmet), ia,
         )
         if outcome is not None:
@@ -378,8 +377,8 @@ def _refined_pass(
     subset_sorted: np.ndarray,
     base: BohrSet,
     inner1: BohrSet,
+    f: BoundedFunction,
     a_arr: np.ndarray,
-    t: np.ndarray,
     df: np.ndarray,
     delta: Fraction,
     eta: Fraction,
@@ -392,36 +391,30 @@ def _refined_pass(
     unmet: tuple,
     ia: Optional[float],
 ) -> Optional[IncrementOutcome]:
-    """One grid pass of the refined-witness search; None means retry finer."""
+    """One grid pass of the refined-witness search; None means retry finer.
+
+    The scan stops at the first qualifying base point, so its work is
+    metered chunk by chunk as it is spent rather than preflighted for every
+    candidate: one unit is one FFT operation, ``rows * grid *
+    ceil(log2 grid)`` per chunk of base points.
+    """
     n1 = inner1.elements
     d = base.spec.dim
     floor_b = -float(eta) / 32
     cand = np.nonzero(df > floor_b)[0]
     if cand.size == 0:
         return None
-    ph = phase_matrix(n1, grid)
     thr_sup = float(eta) / 2
-    # the scan stops at the first qualifying base point, so work is metered
-    # as it is spent rather than preflighted for the whole candidate list
-    step = max(1, 2**16 // max(1, grid))
-    spent = 0
-
-    for lo in range(0, cand.size, step):
-        rows = cand[lo : lo + step]
-        spent += rows.size * n1.size * grid
-        if spent > budget:
-            raise BudgetExceeded(
-                f"refined scan spent {spent} operations, budget {budget}"
-            )
-        z = np.einsum("ai,ik->ak", t[rows], ph, optimize=False) / n1.size
-        mags = np.abs(z)
-        vals = mags.max(axis=1)
+    for chunk, vals, ks in fourier_grid_maxima(f, a_arr[cand], n1, grid, budget=budget):
         good = np.nonzero(vals >= thr_sup)[0]
         if good.size == 0:
             continue
         r = int(good[0])
-        a_star = int(a_arr[int(rows[r])])
-        k_star = int(mags[r].argmax())
+        a_star = int(chunk[r])
+        k_star = int(ks[r])
+        # for real f the scan may report k or grid - k (equal magnitudes);
+        # ||n k/grid|| = ||n (grid - k)/grid||, so either y gives the same
+        # refined Bohr set
         y = Fraction(k_star, grid) if k_star else Fraction(1)
         new_spec = BohrSpec(
             base.spec.theta + (y,),
@@ -795,7 +788,11 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     re-read: the inner chain is rebuilt from the recorded dilation factors,
     every inner set is recounted, the smallness threshold is recomputed from
     ``(s, delta)``, and the restricted freeness search is run again with the
-    recorded finder budget. Returns the list of discrepancies (empty means
+    recorded finder budget. A ``fourier-*`` record must name a refinement of
+    the ambient spec (the ambient frequencies first, then any adjoined ones,
+    with ``eps`` and ``M`` shrunk by one common ratio in (0, 1)) whose
+    translate ``t0 + new_ambient`` lies inside the ambient set, and its
+    density is re-measured. Returns the list of discrepancies (empty means
     the whole trace rechecks).
     """
     problems: list[str] = []
@@ -877,7 +874,15 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
             info = pay["increment"]
             t0 = info["translate"]
             new_spec = spec_from_dict(info["new_spec"])
+            prefix = BohrSpec(new_spec.theta[: spec.dim], new_spec.eps, new_spec.M)
+            ratio = infer_dilation(prefix, spec)
+            if ratio is None or not 0 < ratio < 1:
+                problems.append(
+                    f"step {rec.step}: new spec is not a refinement of the ambient spec"
+                )
             new_ambient = BohrSet.from_spec(new_spec)
+            if not bool(np.all(membership_mask(spec, t0 + new_ambient.elements))):
+                problems.append(f"step {rec.step}: refined translate leaves the ambient set")
             shifted = work - t0
             new_work = shifted[np.isin(shifted, new_ambient.elements)]
             got = Fraction(int(new_work.size), new_ambient.size)

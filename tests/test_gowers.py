@@ -1,21 +1,27 @@
 """Local uniformity norms and certified Fourier scans.
 
 Oracles here are literal loop transcriptions in plain Python complex
-arithmetic: the five-index sum for the fourth power and the direct
-exponential sum for the grid scan. The library paths must match them to
-roundoff.
+arithmetic (the five-index sum for the fourth power and the direct
+exponential sum for the grid scan), plus the dense root-of-unity scan that
+the FFT scan replaced. The library paths must match them to roundoff.
 """
 
 from __future__ import annotations
 
 import cmath
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bohrkit.bohr import BohrSet, BohrSpec
+from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded
 from bohrkit.functions import BoundedFunction
 from bohrkit.gowers import (
     check_inverse_theorem,
@@ -71,6 +77,33 @@ def scan_oracle(f, base, inner, grid):
             best = max(best, abs(z))
         out.append(best)
     return out
+
+
+def dense_scan_oracle(f, base, inner, grid):
+    """The dense scan: one ``(L, grid)`` phase matrix, one einsum per chunk.
+
+    Every phase is read from one root-of-unity table by the exact residue
+    ``(n * k) mod grid``. Returns per-row maxima and the first maximizing
+    ``k`` of the computed magnitudes.
+    """
+    n = np.asarray(inner, dtype=np.int64)
+    a = np.asarray(base, dtype=np.int64)
+    table = np.exp(2j * np.pi * np.arange(grid, dtype=np.float64) / grid)
+    ks = np.arange(grid, dtype=np.int64)
+    phase_matrix = table[(n[:, None] * ks[None, :]) % grid]
+    t = f.gather(a[:, None] + n[None, :])
+    mags = np.abs(np.einsum("ai,ik->ak", t, phase_matrix, optimize=False) / n.size)
+    return mags.max(axis=1), mags.argmax(axis=1)
+
+
+def literal_fourier(f, a, inner, k, grid) -> complex:
+    """``E_n f(a+n) e(n k / grid)`` as a plain Python sum."""
+    lookup = {int(n): complex(v) for n, v in zip(f.support, f.values)}
+    total = sum(
+        lookup.get(int(a + n), 0j) * cmath.exp(2j * cmath.pi * int(n) * k / grid)
+        for n in inner
+    )
+    return total / len(inner)
 
 
 def random_function(rng: random.Random, lo: int, hi: int) -> BoundedFunction:
@@ -187,6 +220,92 @@ def test_scan_grid_too_coarse():
     f = BoundedFunction.indicator(np.arange(-10, 11))
     with pytest.raises(ValueError, match="too coarse"):
         local_fourier_scan(f, np.array([0]), np.arange(-10, 11), 16)
+
+
+def _next_prime(n: int) -> int:
+    while any(n % p == 0 for p in range(2, int(n**0.5) + 1)):
+        n += 1
+    return n
+
+
+@st.composite
+def scan_cases(draw):
+    if draw(st.booleans()):
+        lo = draw(st.integers(-12, 0))
+        inner = list(range(lo, draw(st.integers(lo, 12)) + 1))
+    else:
+        # sparse, unsorted, possibly repeated offsets (a repeat counts twice)
+        inner = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=9))
+    g0 = 4 * (max(abs(n) for n in inner) + 1)
+    kind = draw(st.sampled_from(["exact", "prime", "odd-multiple", "power-of-two"]))
+    grid = {
+        "exact": g0,
+        "prime": _next_prime(g0),
+        "odd-multiple": g0 * draw(st.sampled_from([3, 5])),
+        "power-of-two": 1 << (g0 - 1).bit_length(),
+    }[kind]
+    base = sorted(draw(st.sets(st.integers(-15, 15), min_size=1, max_size=6)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    real = draw(st.booleans())
+    vals_rng = np.random.default_rng(seed)
+    support = np.arange(-30, 31)
+    values = vals_rng.uniform(-1, 1, support.size).astype(np.complex128)
+    if not real:
+        values *= np.exp(2j * np.pi * vals_rng.uniform(0, 1, support.size))
+    return BoundedFunction(support, values), base, inner, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_fft_scan_matches_dense_oracle(case):
+    f, base, inner, grid = case
+    scan = local_fourier_scan(f, np.array(base), np.array(inner), grid)
+    expect, _ = dense_scan_oracle(f, base, inner, grid)
+    assert np.max(np.abs(scan.values - expect)) <= 1e-12
+    # the reported index attains the maximum; for real f it may be either
+    # of k and grid - k, so the index itself is not compared
+    for i, a in enumerate(base):
+        top = abs(literal_fourier(f, a, inner, int(scan.argmax[i]), grid))
+        assert abs(top - scan.values[i]) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [48, 64, 65])
+def test_scan_budget_edge(grid):
+    # one work unit per FFT operation: |A| * grid * ceil(log2 grid)
+    f = random_function(random.Random(29), -30, 30)
+    base, inner = np.arange(-3, 4), np.arange(-5, 6)
+    cost = base.size * grid * (grid - 1).bit_length()
+    scan = local_fourier_scan(f, base, inner, grid, budget=cost)
+    assert scan.values.shape == (base.size,)
+    with pytest.raises(BudgetExceeded, match="fourier scan needs"):
+        local_fourier_scan(f, base, inner, grid, budget=cost - 1)
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from bohrkit.functions import BoundedFunction
+from bohrkit.gowers import local_fourier_scan
+rng = np.random.default_rng(31)
+support = np.arange(-1200, 1201)
+f, _ = BoundedFunction.balanced_indicator(rng.choice(support, 900, replace=False), support)
+scan = local_fourier_scan(f, np.arange(-1000, 1001), np.arange(-50, 51), 512)
+print(hashlib.sha256(scan.values.tobytes() + scan.argmax.tobytes()).hexdigest())
+"""
+
+
+def test_scan_bytes_do_not_depend_on_thread_count():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_inverse_average_is_mean_square():

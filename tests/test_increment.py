@@ -18,6 +18,8 @@ from bohrkit.bohr import BohrSet, BohrSpec
 from bohrkit.increment import (
     ConstantTable,
     EngineLimits,
+    RunResult,
+    StepRecord,
     fourier_increment,
     recheck_run,
     run,
@@ -266,6 +268,62 @@ def test_recheck_reruns_freeness_for_small_bohr():
     assert recheck_run(other, 3000, result) == [
         f"step {result.steps[-1].step}: freeness search reruns as found"
     ]
+
+
+def _parity_fourier_run():
+    # the parity example as a one-step run: N = 1800 makes its interval base
+    # the run's own starting spec
+    base = _interval(1800)
+    evens = base.elements[base.elements % 2 == 0]
+    inner = BohrSet.from_spec(base.spec.dilate(Fraction(1, 6)))
+    out = fourier_increment(
+        evens, base, inner, Fraction(1, 8), Fraction(48, 100),
+        grid=1204, enforce=False,
+    )
+    rec = StepRecord(
+        0, "fourier-refined", 1, out.delta_before, base.spec, 1, 0,
+        {"increment": out.as_dict()},
+    )
+    return evens, RunResult("limit", 3, "hand-built", None, (rec,), {})
+
+
+def test_recheck_accepts_hand_built_fourier_record():
+    evens, result = _parity_fourier_run()
+    assert recheck_run(evens, 1800, result) == []
+
+
+def _forge_translate(info, evens):
+    # a translate that pokes out of [-1800, 1800], with its density claim
+    # re-measured so that only the containment check can object
+    info["translate"] = -1800
+    refined = BohrSet.from_spec(BohrSpec(
+        (Fraction(1), Fraction(1, 2)), Fraction(1, 96), Fraction(75, 2)
+    ))
+    shifted = evens + 1800
+    got = Fraction(int(np.isin(shifted, refined.elements).sum()), refined.size)
+    info["delta_after"] = [got.numerator, got.denominator]
+
+
+def _forge_spec(theta, eps):
+    def forge(info, evens):
+        # the same integer set as the true refined spec, so the density holds
+        info["new_spec"] = BohrSpec(theta, eps, Fraction(75, 2)).as_dict()
+    return forge
+
+
+@pytest.mark.parametrize(
+    "forge, complaint",
+    [(_forge_translate, "refined translate leaves the ambient set"),
+     (_forge_spec((Fraction(1, 2),), Fraction(1, 96)), "not a refinement"),
+     (_forge_spec((Fraction(1), Fraction(1, 2)), Fraction(1, 48)), "not a refinement")],
+    ids=["shifted-translate", "dropped-frequency", "uneven-shrink"],
+)
+def test_recheck_rederives_forged_fourier_record(forge, complaint):
+    evens, result = _parity_fourier_run()
+    forged = copy.deepcopy(result)
+    forge(forged.steps[0].payload["increment"], evens)
+    problems = recheck_run(evens, 1800, forged)
+    assert len(problems) == 1 and complaint in problems[0]
 
 
 def test_run_rejects_bad_mode():
