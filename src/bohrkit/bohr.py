@@ -282,11 +282,6 @@ class RegularityCertificate:
     witness_size: Optional[int] = None
     witness_side: Optional[str] = None
 
-    @property
-    def shift_slack(self) -> Fraction:
-        """Additive slack ``100 d * max_negative_gap`` for shift estimates."""
-        return 100 * self.spec.dim * self.max_negative_gap
-
     def as_dict(self) -> dict:
         out = {
             "spec": self.spec.as_dict(),

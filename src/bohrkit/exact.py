@@ -56,8 +56,3 @@ def torus_distance(x: Fraction) -> Fraction:
 def floor_frac(x: Fraction) -> int:
     """Exact floor of a rational."""
     return x.numerator // x.denominator
-
-
-def ceil_frac(x: Fraction) -> int:
-    """Exact ceiling of a rational."""
-    return -((-x.numerator) // x.denominator)

@@ -6,15 +6,25 @@ and inner sets ``N1``, ``N2`` is
     E_{a in A} E_{n1, n1' in N1} E_{n2, n2' in N2}
         f(a+n1+n2) conj f(a+n1+n2') conj f(a+n1'+n2) f(a+n1'+n2').
 
-Two independent evaluation routes are kept side by side and never merged:
+Both routes evaluate the cube ``T[a, i, k] = f(a + n1_i + n2_k)`` and are
+the two Cauchy-Schwarz squares of the same sum; they are kept side by side
+and never merged:
 
-  * ``u2_fourth_direct``: the literal four-operand contraction,
-  * ``u2_fourth_correlation``: ``E_a E_{n1,n1'} | E_{n2} f(a+n1+n2)
-    conj f(a+n1'+n2) |^2``, a two-operand contraction followed by a square.
+  * ``u2_fourth_correlation`` sums over ``N2`` first:
+    ``E_a E_{i,j} | E_k T[a,i,k] conj T[a,j,k] |^2``, cost ``|A| L1^2 L2``;
+  * ``u2_fourth_direct`` sums over ``N1`` first:
+    ``E_a E_{k,l} | E_i T[a,i,k] conj T[a,i,l] |^2``, cost ``|A| L1 L2^2``.
 
-Both use ``einsum(..., optimize=False)`` so results are bitwise reproducible
-across thread counts; agreement within 1e-9 is asserted by callers that need
-it. The Fourier scan evaluates windowed exponential sums on a rational grid
+Each is a two-operand ``einsum(..., optimize=False)`` followed by a square,
+so results are bitwise reproducible across thread counts, and both are means
+of squared magnitudes, so neither can come out negative. Because they
+contract in different orders they round differently; agreement within 1e-9
+is asserted by callers that need it. Every kernel here, the Fourier scan
+included, walks its base points in chunks sized by one bound: the largest
+array a chunk builds holds at most 2^18 entries, unless one base point alone
+needs more (:func:`_chunk_rows`).
+
+The Fourier scan evaluates windowed exponential sums on a rational grid
 with an explicit derivative-based error certificate. Each base point's grid
 values come from one inverse FFT of its window placed at the residues
 ``n mod grid`` (pocketfft, single-threaded, so the values are bitwise
@@ -44,8 +54,12 @@ from .exact import RationalLike, as_rational, rational_pair
 from .functions import BoundedFunction
 
 
-def _chunk_rows(l1: int, l2: int, target: int = 2**22) -> int:
-    return max(1, target // max(1, l1 * l2))
+_CHUNK_ENTRIES = 2**18  # entries in the largest array one chunk builds
+
+
+def _chunk_rows(width: int) -> int:
+    """Base points per chunk when each point builds arrays of ``width`` entries."""
+    return max(1, _CHUNK_ENTRIES // width)
 
 
 def _gather_cube(
@@ -56,12 +70,6 @@ def _gather_cube(
     return f.gather(pts)
 
 
-def _clamp_fourth(x: float) -> float:
-    if x < -1e-9:
-        raise ValueError(f"fourth power came out at {x}, below roundoff floor")
-    return max(x, 0.0)
-
-
 def u2_fourth_direct(
     f: BoundedFunction,
     base: ElementsLike,
@@ -70,24 +78,29 @@ def u2_fourth_direct(
     *,
     budget: int = 5 * 10**8,
 ) -> float:
-    """Fourth power of the local U2 norm via the literal 4-fold contraction."""
+    """Fourth power via the ``N1``-first square.
+
+    ``E_a E_{k,l} |E_i T[a,i,k] conj T[a,i,l]|^2`` with
+    ``T[a,i,k] = f(a + n1_i + n2_k)``: an ``L2 x L2`` correlation matrix per
+    base point, summed over ``N1``, then squared. The cost ``|A| L1 L2^2``
+    (one unit per multiply-add) is checked against ``budget`` before
+    anything is allocated.
+    """
     a = as_elements(base)
     n1 = as_elements(inner1)
     n2 = as_elements(inner2)
     if min(a.size, n1.size, n2.size) == 0:
         raise ValueError("base and inner sets must be nonempty")
-    cost = a.size * n1.size**2 * n2.size**2
+    cost = a.size * n1.size * n2.size**2
     if cost > budget:
         raise BudgetExceeded(f"direct route needs {cost} operations, budget {budget}")
     vals = np.empty(a.size, dtype=np.float64)
-    step = _chunk_rows(n1.size, n2.size)
+    step = _chunk_rows(max(n1.size * n2.size, n2.size**2))
     for s in range(0, a.size, step):
         t = _gather_cube(f, a[s : s + step], n1, n2)
-        tc = t.conj()
-        block = np.einsum("aik,ail,ajk,ajl->a", t, tc, tc, t, optimize=False)
-        vals[s : s + step] = block.real
-    fourth = float(np.mean(vals)) / (n1.size**2 * n2.size**2)
-    return _clamp_fourth(fourth)
+        m = np.einsum("aik,ail->akl", t, t.conj(), optimize=False) / n1.size
+        vals[s : s + step] = (m.real**2 + m.imag**2).mean(axis=(1, 2))
+    return float(np.mean(vals))
 
 
 def u2_fourth_correlation(
@@ -98,7 +111,11 @@ def u2_fourth_correlation(
     *,
     budget: int = 5 * 10**8,
 ) -> float:
-    """Fourth power via pair correlations: square of the inner average."""
+    """Fourth power via the ``N2``-first square: pair correlations, squared.
+
+    ``E_a E_{i,j} |E_k T[a,i,k] conj T[a,j,k]|^2``, cost ``|A| L1^2 L2``,
+    checked against ``budget`` before anything is allocated.
+    """
     a = as_elements(base)
     n1 = as_elements(inner1)
     n2 = as_elements(inner2)
@@ -110,13 +127,13 @@ def u2_fourth_correlation(
             f"correlation route needs {cost} operations, budget {budget}"
         )
     vals = np.empty(a.size, dtype=np.float64)
-    step = _chunk_rows(n1.size, n2.size)
+    step = _chunk_rows(max(n1.size * n2.size, n1.size**2))
     for s in range(0, a.size, step):
         t = _gather_cube(f, a[s : s + step], n1, n2)
         m = np.einsum("aik,ajk->aij", t, t.conj(), optimize=False) / n2.size
         block = (m.real**2 + m.imag**2).mean(axis=(1, 2))
         vals[s : s + step] = block
-    return _clamp_fourth(float(np.mean(vals)))
+    return float(np.mean(vals))
 
 
 def u2_norm(
@@ -167,9 +184,6 @@ def u2_report(
 # ---------------------------------------------------------------------------
 
 
-_SCAN_BUFFER = 2**18  # complex entries in one chunk of the FFT scan
-
-
 def _scan_units(rows: int, grid: int) -> int:
     """Scan work for ``rows`` base points: ``rows * grid * ceil(log2 grid)``."""
     return rows * grid * (grid - 1).bit_length()
@@ -199,7 +213,7 @@ def fourier_grid_maxima(
     """
     offsets, mult = np.unique(inner, return_counts=True)
     slots = offsets % grid
-    step = max(1, _SCAN_BUFFER // grid)
+    step = _chunk_rows(grid)
     buf = np.zeros((min(step, points.size), grid), dtype=np.complex128)
     spent = 0
     for lo in range(0, points.size, step):

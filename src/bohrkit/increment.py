@@ -510,6 +510,9 @@ class StepRecord:
         }
 
 
+_EXIT_CODES = {"found": 0, "exhausted": 1, "limit": 3, "violation": 3}
+
+
 @dataclass(frozen=True)
 class RunResult:
     status: str  # found | exhausted | limit | violation
@@ -604,33 +607,33 @@ def run(
     mult, offset = 1, 0
     records: list[StepRecord] = []
 
-    def finish(status: str, code: int, reason: str, cfg=None) -> RunResult:
+    def finish(status: str, reason: str, cfg=None) -> RunResult:
         final = {
             "mult": mult,
             "offset": offset,
             "d": spec.dim,
             "set_size": int(work.size),
         }
-        return RunResult(status, code, reason, cfg, tuple(records), final)
+        return RunResult(status, _EXIT_CODES[status], reason, cfg, tuple(records), final)
 
     for step in range(limits.max_steps):
         try:
             ambient = BohrSet.from_spec(spec, enum_limit=limits.enum_limit)
         except BudgetExceeded as exc:
-            return finish("limit", 3, f"enumeration budget: {exc}")
+            return finish("limit", f"enumeration budget: {exc}")
         delta = exact_density(work, ambient.elements)
         if delta == 0:
-            return finish("exhausted", 1, "set is empty on the ambient Bohr set")
+            return finish("exhausted", "set is empty on the ambient Bohr set")
 
         if mode == "faithful":
             if Fraction(step) > table.k_max(s, delta):
-                return finish("limit", 3, "printed iteration cap exceeded")
+                return finish("limit", "printed iteration cap exceeded")
             if Fraction(spec.dim) > table.d_max(s, delta):
-                return finish("limit", 3, "printed dimension cap exceeded")
+                return finish("limit", "printed dimension cap exceeded")
 
         chain = plan_inner_dilations(spec, s, table, delta, limits)
         if chain is None:
-            return finish("limit", 3, "no regular dilation found for the chain")
+            return finish("limit", "no regular dilation found for the chain")
         cs, inner_sets, chain_notes = chain
 
         freeness = find_configuration_restricted(
@@ -642,9 +645,7 @@ def run(
                 mult * cfg.a + offset, tuple(mult * n for n in cfg.ns)
             )
             if not verify_configuration(original, cfg_orig, s):
-                return finish(
-                    "limit", 3, "transported configuration failed verification"
-                )
+                return finish("limit", "transported configuration failed verification")
             records.append(
                 StepRecord(
                     step, "config", spec.dim, delta, spec, mult, offset,
@@ -656,9 +657,9 @@ def run(
                     },
                 )
             )
-            return finish("found", 0, "configuration found", cfg_orig)
+            return finish("found", "configuration found", cfg_orig)
         if freeness.status == "inconclusive":
-            return finish("limit", 3, "freeness search inconclusive within budget")
+            return finish("limit", "freeness search inconclusive within budget")
 
         try:
             out = dichotomy(
@@ -673,9 +674,9 @@ def run(
                 freeness=freeness,
             )
         except PreconditionError as exc:
-            return finish("limit", 3, f"dichotomy precondition failed: {exc}")
+            return finish("limit", f"dichotomy precondition failed: {exc}")
         except BudgetExceeded as exc:
-            return finish("limit", 3, f"dichotomy budget: {exc}")
+            return finish("limit", f"dichotomy budget: {exc}")
 
         if out.kind == "small-bohr":
             records.append(
@@ -684,7 +685,7 @@ def run(
                     {"dichotomy": out.as_dict(), "chain": chain_notes},
                 )
             )
-            return finish("exhausted", 1, "innermost Bohr set certified small")
+            return finish("exhausted", "innermost Bohr set certified small")
 
         if out.kind == "local-increment":
             info = out.data["increment"]
@@ -696,9 +697,9 @@ def run(
             new_work = (members - a) // 2
             new_delta = Fraction(int(new_work.size), target.size)
             if [new_delta.numerator, new_delta.denominator] != info["new_density"]:
-                return finish("limit", 3, "local increment failed recheck")
+                return finish("limit", "local increment failed recheck")
             if new_delta < delta * table.case2_factor(s):
-                return finish("limit", 3, "local increment below the required factor")
+                return finish("limit", "local increment below the required factor")
             records.append(
                 StepRecord(
                     step, "local-increment", spec.dim, delta, spec, mult, offset,
@@ -728,21 +729,19 @@ def run(
                     enum_limit=limits.enum_limit,
                 )
             except BudgetExceeded as exc:
-                return finish("limit", 3, f"fourier scan budget: {exc}")
+                return finish("limit", f"fourier scan budget: {exc}")
             if inc.status in ("no-witness", "hypothesis-not-met"):
-                return finish(
-                    "limit", 3, f"fourier increment: {inc.status}"
-                )
+                return finish("limit", f"fourier increment: {inc.status}")
             gain = inc.increment
             if gain is None or gain <= 0 or gain < table.min_increment():
-                return finish("limit", 3, "fourier witness gain below acceptance")
+                return finish("limit", "fourier witness gain below acceptance")
             t0 = inc.translate
             new_ambient = BohrSet.from_spec(inc.new_spec, enum_limit=limits.enum_limit)
             shifted = work - t0
             new_work = shifted[np.isin(shifted, new_ambient.elements)]
             recheck = Fraction(int(new_work.size), new_ambient.size)
             if recheck != inc.delta_after:
-                return finish("limit", 3, "fourier increment failed recheck")
+                return finish("limit", "fourier increment failed recheck")
             records.append(
                 StepRecord(
                     step, f"fourier-{inc.status}", spec.dim, delta, spec, mult, offset,
@@ -767,12 +766,11 @@ def run(
         )
         if out.kind == "violation":
             return finish(
-                "violation", 3,
-                "all dichotomy branches clean under certified preconditions",
+                "violation", "all dichotomy branches clean under certified preconditions"
             )
-        return finish("limit", 3, "no dichotomy branch fired (preconditions unmet)")
+        return finish("limit", "no dichotomy branch fired (preconditions unmet)")
 
-    return finish("limit", 3, f"step cap {limits.max_steps} reached")
+    return finish("limit", f"step cap {limits.max_steps} reached")
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +790,9 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     the ambient spec (the ambient frequencies first, then any adjoined ones,
     with ``eps`` and ``M`` shrunk by one common ratio in (0, 1)) whose
     translate ``t0 + new_ambient`` lies inside the ambient set, and its
-    density is re-measured. Returns the list of discrepancies (empty means
+    density is re-measured. The terminal status is never read on trust: it
+    must follow from the record the replay ends on (see
+    :func:`_status_problems`). Returns the list of discrepancies (empty means
     the whole trace rechecks).
     """
     problems: list[str] = []
@@ -800,8 +800,11 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     work = original[(original >= -N) & (original <= N)]
     spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(N))
     mult, offset = 1, 0
+    last: Optional[StepRecord] = None
+    replayed = 0
 
     for rec in result.steps:
+        last, replayed = rec, replayed + 1
         if rec.spec != spec:
             problems.append(f"step {rec.step}: ambient spec drifted")
             break
@@ -896,4 +899,47 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
             continue
         # violation / no-case are terminal records with nothing to replay
         break
+    trailing = len(result.steps) - replayed
+    return problems + _status_problems(result, last, trailing, work, spec)
+
+
+def _status_problems(
+    result: RunResult,
+    last: Optional[StepRecord],
+    trailing: int,
+    work: np.ndarray,
+    spec: BohrSpec,
+) -> list[str]:
+    """Check the claimed status against the replay that ended on ``last``.
+
+    ``trailing`` records follow ``last`` unreplayed; ``work`` and ``spec``
+    are the replayed set and ambient spec after the last record that moves
+    the state. ``exhausted`` needs a final ``small-bohr`` record or a
+    replayed set that is empty on the ambient set; ``found`` needs a final
+    ``config`` record naming ``result.config``; ``violation`` needs a final
+    ``violation`` record; ``limit`` claims nothing. The exit code must be
+    the status's own.
+    """
+    status = result.status
+    if status not in _EXIT_CODES:
+        return [f"unknown status {status!r}"]
+    problems = []
+    if result.exit_code != _EXIT_CODES[status]:
+        problems.append(f"exit code {result.exit_code} does not match status {status}")
+    case = last.case if last is not None else None
+    moved = case is None or case == "local-increment" or case.startswith("fourier-")
+    if not moved and trailing:
+        return problems + [f"step {last.step}: records follow the terminal {case} record"]
+    if status == "exhausted":
+        if case != "small-bohr" and exact_density(work, BohrSet.from_spec(spec).elements):
+            problems.append(
+                "status exhausted without a final small-bohr record"
+                " or an empty replayed set"
+            )
+    elif status == "found":
+        pay = last.payload["config_original"] if case == "config" else None
+        if pay is None or Configuration(pay["a"], tuple(pay["ns"])) != result.config:
+            problems.append("status found without a final config record naming the result")
+    elif status == "violation" and case != "violation":
+        problems.append("status violation without a final violation record")
     return problems

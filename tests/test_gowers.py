@@ -2,13 +2,15 @@
 
 Oracles here are literal loop transcriptions in plain Python complex
 arithmetic (the five-index sum for the fourth power and the direct
-exponential sum for the grid scan), plus the dense root-of-unity scan that
-the FFT scan replaced. The library paths must match them to roundoff.
+exponential sum for the grid scan), plus the two kernels the library
+replaced: the literal four-operand U2 contraction and the dense
+root-of-unity scan. The library paths must match them to roundoff.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import os
 import random
 import subprocess
@@ -18,10 +20,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded
+from bohrkit.cli import main as cli_main
 from bohrkit.functions import BoundedFunction
 from bohrkit.gowers import (
     check_inverse_theorem,
@@ -61,6 +64,19 @@ def fourth_power_oracle(f, base, n1, n2) -> float:
     result = total / count
     assert abs(result.imag) < 1e-10
     return max(result.real, 0.0)
+
+
+def u2_literal_oracle(f, base, n1, n2) -> float:
+    """The literal four-operand contraction over the whole cube at once.
+
+    ``E_a E_{i,j,k,l} T[a,i,k] conj T[a,i,l] conj T[a,j,k] T[a,j,l]`` with
+    ``T[a,i,k] = f(a + n1_i + n2_k)``, at cost ``|A| L1^2 L2^2``.
+    """
+    a, n1, n2 = (np.asarray(x, dtype=np.int64) for x in (base, n1, n2))
+    t = f.gather(a[:, None, None] + n1[None, :, None] + n2[None, None, :])
+    tc = t.conj()
+    block = np.einsum("aik,ail,ajk,ajl->a", t, tc, tc, t, optimize=False)
+    return float(np.mean(block.real)) / (n1.size**2 * n2.size**2)
 
 
 def scan_oracle(f, base, inner, grid):
@@ -178,6 +194,130 @@ def test_singleton_inners_collapse_to_mean_fourth():
     d = u2_fourth_direct(f, base, np.array([0]), np.array([0]))
     expect = float(np.mean(np.abs(f.gather(base)) ** 4))
     assert abs(d - expect) < 1e-12
+
+
+def _u2_case(seed: int, real: bool, base, n1, n2):
+    lo = min(base) + min(n1) + min(n2) - 3
+    hi = max(base) + max(n1) + max(n2) + 3
+    rng = np.random.default_rng(seed)
+    support = np.arange(lo, hi + 1)
+    values = rng.uniform(-1, 1, support.size).astype(np.complex128)
+    if not real:
+        values *= np.exp(2j * np.pi * rng.uniform(0, 1, support.size))
+    return BoundedFunction(support, values), list(base), list(n1), list(n2)
+
+
+def _long_base(l1: int, l2: int) -> list[int]:
+    """A base a few points longer than one chunk of either route.
+
+    Both routes build a ``(rows, L1, L2)`` cube per chunk, and the chunks
+    are sized so that no array exceeds 2^18 entries.
+    """
+    return list(range(-7, 2**18 // (l1 * l2) - 2))
+
+
+@st.composite
+def u2_cases(draw):
+    inner = st.lists(st.integers(-9, 9), unique=True, min_size=1, max_size=6)
+    # unsorted, sparse and negative offsets; L1 and L2 drawn independently
+    n1, n2 = draw(inner), draw(inner)
+    if draw(st.integers(0, 7)) == 3:
+        base = _long_base(len(n1), len(n2))
+    else:
+        base = draw(st.lists(st.integers(-20, 20), unique=True, min_size=1, max_size=8))
+    return _u2_case(draw(st.integers(0, 2**32 - 1)), draw(st.booleans()), base, n1, n2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(u2_cases())
+@example(_u2_case(1, False, [4, -3, 0, 11, 7], [6, -2, 0, 9, -5], [1, -4]))  # L1 > L2
+@example(_u2_case(2, True, [-6, 2, 5], [3, -1], [-8, 0, 5, 2, -3, 7]))  # L2 > L1
+@example(_u2_case(3, True, _long_base(4, 2), [-2, 0, 1, 3], [1, -1]))
+@example(_u2_case(4, False, _long_base(1, 5), [2], [-4, 0, 3, -1, 6]))
+def test_u2_routes_match_literal_oracle(case):
+    f, base, n1, n2 = case
+    expect = u2_literal_oracle(f, base, n1, n2)
+    for route in (u2_fourth_direct, u2_fourth_correlation):
+        got = route(f, np.array(base), np.array(n1), np.array(n2))
+        assert abs(got - expect) <= 1e-12, route.__name__
+
+
+@pytest.mark.parametrize(
+    "route, units, message",
+    [(u2_fourth_direct, lambda a, l1, l2: a * l1 * l2**2, "direct route needs"),
+     (u2_fourth_correlation, lambda a, l1, l2: a * l1**2 * l2, "correlation route needs")],
+    ids=["direct", "correlation"],
+)
+def test_u2_budget_edge(route, units, message):
+    f = random_function(random.Random(30), -30, 30)
+    base, n1, n2 = np.arange(-4, 5), np.arange(-3, 4), np.arange(-1, 2)
+    cost = units(base.size, n1.size, n2.size)
+    assert route(f, base, n1, n2, budget=cost) >= 0.0
+    with pytest.raises(BudgetExceeded, match=message):
+        route(f, base, n1, n2, budget=cost - 1)
+    # the whole cost is checked before anything is allocated
+    huge = np.arange(10**6)
+    with pytest.raises(BudgetExceeded, match=message):
+        route(f, huge, huge[:10**4], huge[:10**4])
+
+
+def test_u2_report_runs_at_the_larger_route_cost():
+    # N1-first costs |A| L1 L2^2 and N2-first |A| L1^2 L2; the literal
+    # contraction's |A| L1^2 L2^2 is no longer needed
+    f = random_function(random.Random(31), -30, 30)
+    base, n1, n2 = np.arange(-4, 5), np.arange(-3, 4), np.arange(-1, 2)
+    budget = base.size * n1.size**2 * n2.size
+    assert base.size * n1.size**2 * n2.size**2 > budget
+    rep = u2_report(f, base, n1, n2, budget=budget)
+    assert rep.agreement <= 1e-12
+
+
+def _pinned_small():
+    rng = np.random.default_rng(7)
+    support = np.arange(-40, 41)
+    values = rng.uniform(0, 1, support.size) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, support.size)
+    )
+    f = BoundedFunction(support, values)
+    return f, np.array([-9, 3, 14, -2, 7]), np.array([5, -3, 0, 11]), np.array([-6, 2])
+
+
+def _pinned_chunked():
+    # 4001 base points at L1 = 31, L2 = 9: several chunks
+    rng = np.random.default_rng(11)
+    support = np.arange(-2100, 2101)
+    f, _ = BoundedFunction.balanced_indicator(rng.choice(support, 1300, replace=False), support)
+    return f, np.arange(-2000, 2001), np.arange(-15, 16), np.arange(-4, 5)
+
+
+def test_correlation_route_bits_are_pinned():
+    # values computed while the direct route was the literal contraction;
+    # the correlation route (and with it u2_norm, check_von_neumann and
+    # dichotomy) must not move by one bit
+    assert u2_fourth_correlation(*_pinned_small()).hex() == "0x1.c13e6e2c649eap-5"
+    assert u2_fourth_correlation(*_pinned_chunked()).hex() == "0x1.a3e60bd500860p-8"
+
+
+def test_dichotomy_norm_bits_are_pinned(tmp_path, capsys):
+    # `patterns dichotomy` on [-79, 79] minus the multiples of 15, with both
+    # inner dilations at c = 1, scans the balanced norm of the pair (1, 2)
+    base = BohrSet.from_spec(BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(79)))
+    subset = base.elements[base.elements % 15 != 0]
+    balanced, _ = BoundedFunction.balanced_indicator(subset, base.elements)
+    fourth = u2_fourth_correlation(balanced, base, base, base, budget=10**9)
+    assert fourth.hex() == "0x1.7aa7f4805ddeep-14"
+
+    path = tmp_path / "a.txt"
+    path.write_text("".join(f"{v}\n" for v in subset.tolist()))
+    constants = tmp_path / "c.json"
+    constants.write_text('{"x1": "2", "x_rest": "2"}')
+    argv = ["patterns", "dichotomy", "--set", str(path), "--constants", str(constants),
+            "--budget", str(10**9)]
+    assert cli_main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["inner_cs"] == [[1, 1], [1, 1]]
+    data = report["outcome"]["data"]["large_u2"]
+    assert data["norms_scanned"] == {"1,2": float(f"{fourth**0.25:.12g}")}
 
 
 # ---------------------------------------------------------------------------

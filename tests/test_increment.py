@@ -8,6 +8,7 @@ fully hand-derived parity example; engine runs against exact replays.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from bohrkit.increment import (
     recheck_run,
     run,
 )
-from bohrkit.patterns import behrend_set, random_set, verify_configuration
+from bohrkit.patterns import Configuration, behrend_set, random_set, verify_configuration
 
 # ---------------------------------------------------------------------------
 # independent constant evaluation
@@ -324,6 +325,66 @@ def test_recheck_rederives_forged_fourier_record(forge, complaint):
     forge(forged.steps[0].payload["increment"], evens)
     problems = recheck_run(evens, 1800, forged)
     assert len(problems) == 1 and complaint in problems[0]
+
+
+_NO_EXHAUSTION = "status exhausted without a final small-bohr record or an empty replayed set"
+_NO_FOUND = "status found without a final config record naming the result"
+
+
+def test_recheck_derives_exhaustion_of_an_empty_trace():
+    # a trace with no records proves exhaustion only when the set misses [-N, N]
+    forged = RunResult("exhausted", 1, "forged", None, (), {})
+    assert recheck_run(random_set(2000, 0.3, 7), 2000, forged) == [_NO_EXHAUSTION]
+    assert recheck_run(np.array([-2500, 2001]), 2000, forged) == []
+    real = run(np.array([-2500, 2001]), 2000, 2, mode="practical")
+    assert (real.status, real.steps) == ("exhausted", ())
+
+
+def _forge_found(result):
+    return {
+        "relabelled-exhausted": (
+            dataclasses.replace(result, status="exhausted", exit_code=1, config=None),
+            [_NO_EXHAUSTION],
+        ),
+        "other-config": (
+            dataclasses.replace(
+                result, config=Configuration(result.config.a + 1, result.config.ns)
+            ),
+            [_NO_FOUND],
+        ),
+        "no-config": (dataclasses.replace(result, config=None), [_NO_FOUND]),
+        "exit-code": (
+            dataclasses.replace(result, exit_code=1),
+            ["exit code 1 does not match status found"],
+        ),
+        "trailing-record": (
+            dataclasses.replace(result, steps=result.steps + result.steps[-1:]),
+            [f"step {result.steps[-1].step}: records follow the terminal config record"],
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "forgery",
+    ["relabelled-exhausted", "other-config", "no-config", "exit-code", "trailing-record"],
+)
+def test_recheck_derives_status_of_found_run(forgery):
+    subset = random_set(2000, 0.3, 7)
+    result = run(subset, 2000, 2, mode="practical")
+    assert result.status == "found" and result.steps[-1].case == "config"
+    forged, problems = _forge_found(result)[forgery]
+    assert recheck_run(subset, 2000, forged) == problems
+
+
+@pytest.mark.parametrize(
+    "status, code, problems",
+    [("violation", 3, ["status violation without a final violation record"]),
+     ("found", 0, [_NO_FOUND])],
+)
+def test_recheck_derives_status_of_small_bohr_run(status, code, problems):
+    subset, result = _behrend_small_bohr_run()
+    forged = dataclasses.replace(result, status=status, exit_code=code)
+    assert recheck_run(subset, 3000, forged) == problems
 
 
 def test_run_rejects_bad_mode():
