@@ -197,10 +197,17 @@ def membership_mask(spec: BohrSpec, ns: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BohrSet:
-    """A spec together with its enumerated elements (ascending int64)."""
+    """A spec, its enumerated elements (ascending int64) and, once known,
+    its regularity certificate, carried so that no step certifies it again."""
 
     spec: BohrSpec
     elements: np.ndarray
+    certificate: Optional[RegularityCertificate] = None
+
+    def __post_init__(self) -> None:
+        cert = self.certificate
+        if cert is not None and (cert.spec != self.spec or cert.base_size != self.size):
+            raise ValueError("the certificate belongs to another Bohr set")
 
     @classmethod
     def from_spec(cls, spec: BohrSpec, *, enum_limit: int = 10**7) -> "BohrSet":
@@ -209,13 +216,6 @@ class BohrSet:
     @property
     def size(self) -> int:
         return int(self.elements.size)
-
-    def contains_array(self, ns: np.ndarray) -> np.ndarray:
-        """Membership of ``ns`` decided against the enumerated elements."""
-        ns = np.asarray(ns, dtype=np.int64)
-        idx = np.searchsorted(self.elements, ns)
-        idx = np.clip(idx, 0, self.size - 1)
-        return self.elements[idx] == ns
 
     def as_dict(self) -> dict:
         return {"spec": self.spec.as_dict(), "size": self.size}
@@ -240,14 +240,26 @@ def sorted_distinct(x: ElementsLike) -> np.ndarray:
     return _drop_repeats(np.sort(as_elements(x).ravel()))
 
 
+def sorted_lookup(values: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
+    """``(idx, hit)`` for ``points`` of any shape in sorted distinct ``values``.
+
+    ``hit`` marks the points in ``values``, and there ``values[idx] == point``;
+    elsewhere ``idx`` is a clipped position (all zero when ``values`` is empty).
+    """
+    pts = np.asarray(points, dtype=np.int64)
+    if values.size == 0:
+        return np.zeros(pts.shape, dtype=np.intp), np.zeros(pts.shape, dtype=bool)
+    idx = np.asarray(np.searchsorted(values, pts))  # an array even for one point
+    np.minimum(idx, values.size - 1, out=idx)
+    return idx, values[idx] == pts
+
+
 def exact_density(subset: np.ndarray, ambient: np.ndarray) -> Fraction:
     """``|subset ∩ ambient| / |ambient|`` exactly; the intersection counts distinct values."""
     if ambient.size == 0:
         raise ValueError("ambient set is empty")
-    sub, amb = sorted_distinct(subset), sorted_distinct(ambient)
-    # each distinct ambient value occurs in sub at most once
-    inter = np.searchsorted(sub, amb, side="right") - np.searchsorted(sub, amb)
-    return Fraction(int(inter.sum()), int(ambient.size))
+    hit = sorted_lookup(sorted_distinct(subset), sorted_distinct(ambient))[1]
+    return Fraction(int(np.count_nonzero(hit)), int(ambient.size))
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +408,17 @@ class DilationSearch:
             out["c"] = rational_pair(self.c)
             out["certificate"] = self.certificate.as_dict()
         return out
+
+
+def certificates(
+    sets: Sequence[BohrSet], *, enum_limit: int = 10**7
+) -> list[RegularityCertificate]:
+    """Each set's certificate: the one carried, else one per distinct spec."""
+    known = {bs.spec: bs.certificate for bs in sets if bs.certificate is not None}
+    for bs in sets:
+        if bs.spec not in known:
+            known[bs.spec] = regularity_certificate(bs.spec, enum_limit=enum_limit)
+    return [known[bs.spec] for bs in sets]
 
 
 def find_regular_dilation(

@@ -374,9 +374,9 @@ def _cmd_patterns(args) -> int:
         plan = plan_inner_dilations(base.spec, args.s, table, delta, limits)
         if plan is None:
             raise CLIError(f"{path}: no regular inner dilations found", EXIT_BUDGET)
-        cs, _inner_sets, searches = plan
+        inner_sets, searches = plan
         outcome = dichotomy(
-            arr, base, cs,
+            arr, base, inner_sets,
             enforce=(args.mode == "faithful"),
             budget=args.budget,
         )
@@ -384,7 +384,7 @@ def _cmd_patterns(args) -> int:
             "set": path,
             "base_size": base.size,
             "delta": rational_pair(delta),
-            "inner_cs": [rational_pair(c) for c in cs],
+            "inner_cs": [note["c"] for note in searches],
             "inner_searches": searches,
             "outcome": outcome.as_dict(),
         })

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bohr import sorted_distinct
+from .bohr import sorted_distinct, sorted_lookup
 from .exact import RationalLike, as_rational
 
 _BOUND_TOL = 1e-12
@@ -75,22 +75,17 @@ class BoundedFunction:
         subset = sorted_distinct(subset)
         if ambient.size == 0:
             raise ValueError("ambient set is empty")
-        inside = np.isin(ambient, subset)
+        inside = sorted_lookup(subset, ambient)[1]
         delta = Fraction(int(np.count_nonzero(inside)), int(ambient.size))
         vals = inside.astype(np.complex128) - complex(float(delta))
         return cls(ambient, vals), delta
 
     def gather(self, points: np.ndarray) -> np.ndarray:
         """Values at ``points`` (any shape), zero off the support."""
-        pts = np.asarray(points, dtype=np.int64)
-        flat = pts.reshape(-1)
+        idx, hit = sorted_lookup(self.support, points)
         if self.support.size == 0:
-            return np.zeros(pts.shape, dtype=np.complex128)
-        idx = np.searchsorted(self.support, flat)
-        idx_c = np.minimum(idx, self.support.size - 1)
-        hit = self.support[idx_c] == flat
-        out = np.where(hit, self.values[idx_c], 0.0 + 0.0j)
-        return out.reshape(pts.shape)
+            return hit.astype(np.complex128)  # all zero
+        return np.where(hit, self.values[idx], 0.0 + 0.0j)
 
     def mean_on(self, points: np.ndarray) -> complex:
         """Average of the function over the given points."""

@@ -47,8 +47,8 @@ from .bohr import (
     BudgetExceeded,
     ElementsLike,
     as_elements,
+    certificates,
     infer_dilation,
-    regularity_certificate,
 )
 from .exact import RationalLike, as_rational, rational_pair
 from .functions import BoundedFunction
@@ -368,9 +368,10 @@ def check_inverse_theorem(
 
     Hypotheses (all checked, exactly where rational): ``inner1 = c1 * base``
     with ``c1 <= eta^8 / (5000 d)``, ``inner2 = c2 * inner1`` with
-    ``c2 <= eta^2 / (400 d)``, all three sets regular, and U2 norm at least
-    ``eta``. Conclusion threshold: ``eta^8 / 40`` for ``E_a sup^2``, tested
-    against the certified grid lower bound with slack ``2 err + err^2``.
+    ``c2 <= eta^2 / (400 d)``, all three sets regular (each distinct spec
+    certified once), and U2 norm at least ``eta``. Conclusion threshold:
+    ``eta^8 / 40`` for ``E_a sup^2``, tested against the certified grid
+    lower bound with slack ``2 err + err^2``.
     """
     eta = as_rational(eta)
     if not (0 < eta <= 1):
@@ -388,8 +389,8 @@ def check_inverse_theorem(
         reasons.append("inner2 is not a dilate of inner1")
     elif c2 > eta**2 / (400 * d):
         reasons.append(f"c2 = {c2} exceeds eta^2/(400 d) = {eta**2 / (400 * d)}")
-    for name, bs in (("base", base), ("inner1", inner1), ("inner2", inner2)):
-        cert = regularity_certificate(bs.spec, enum_limit=enum_limit)
+    certs = certificates((base, inner1, inner2), enum_limit=enum_limit)
+    for name, cert in zip(("base", "inner1", "inner2"), certs):
         if not cert.verdict:
             reasons.append(f"{name} is not regular (witness c = {cert.witness_c})")
 

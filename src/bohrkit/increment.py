@@ -6,7 +6,9 @@ dichotomy reports a large balanced norm, convert it into a density increment
 through the windowed Fourier scan. Every step's claim is re-measured exactly
 (set sizes and densities as rationals on actual enumerated sets) before the
 step is accepted; printed constant formulas are reproduced bit-exactly in
-:class:`ConstantTable` but never trusted as a substitute for measurement.
+:class:`ConstantTable` (the scan thresholds in :mod:`bohrkit.patterns`) but
+never trusted as a substitute for measurement. A step enumerates and
+certifies each Bohr set once; a transition hands the set it built on.
 
 State bookkeeping: the ambient set is always a genuine Bohr set in *current*
 coordinates, and an affine map ``original = mult * x + offset`` links current
@@ -28,12 +30,15 @@ from .bohr import (
     BohrSet,
     BohrSpec,
     BudgetExceeded,
+    certificates,
+    enumerate_bohr,
     exact_density,
     find_regular_dilation,
     infer_dilation,
     membership_mask,
     regularity_certificate,
     sorted_distinct,
+    sorted_lookup,
     spec_from_dict,
 )
 from .exact import RationalLike, as_rational, rational_pair
@@ -44,6 +49,8 @@ from .patterns import (
     PreconditionError,
     dichotomy,
     find_configuration_restricted,
+    increment_factor,
+    smallness_bound,
     verify_configuration,
 )
 
@@ -68,9 +75,10 @@ class ConstantTable:
 
     ``faithful`` evaluates the printed formulas as exact rationals in
     ``(s, d, delta)``. ``practical`` swaps the contraction rates for fixed
-    fractions that let desk-size instances move, keeping the scan thresholds
-    (smallness, increment factor, norm threshold) on the printed formulas.
-    Every override is recorded and surfaces in reports.
+    fractions that let desk-size instances move. The scan thresholds, shared
+    by both modes, live in :mod:`bohrkit.patterns` (``smallness_bound``,
+    ``increment_factor``, ``u2_threshold``). Every override is recorded and
+    surfaces in reports.
     """
 
     mode: str
@@ -128,22 +136,6 @@ class ConstantTable:
             return Fraction(0)
         return self.overrides.get("min_increment", _PRACTICAL_DEFAULTS["min_increment"])
 
-    # thresholds shared by both modes (the printed scan formulas)
-
-    @staticmethod
-    def smallness(s: int, delta: Fraction) -> Fraction:
-        b = s * (s + 1) // 2
-        return Fraction(32 * s * s) / delta**b
-
-    @staticmethod
-    def case2_factor(s: int) -> Fraction:
-        return 1 + Fraction(1, 8 * s * s)
-
-    @staticmethod
-    def u2_threshold(s: int, delta: Fraction) -> Fraction:
-        b = s * (s + 1) // 2
-        return delta**b / (32 * s * s)
-
     # printed bookkeeping quantities, reproduced for reporting only
 
     @staticmethod
@@ -169,20 +161,6 @@ class ConstantTable:
     @staticmethod
     def d_max(s: int, delta: Fraction) -> Fraction:
         return Fraction(2**29) * Fraction(s**8) / delta ** (2 * s * (s + 1))
-
-    def describe(self, s: int, d: int, delta: Fraction) -> dict:
-        return {
-            "mode": self.mode,
-            "overrides": {k: rational_pair(v) for k, v in sorted(self.overrides.items())},
-            "x1": rational_pair(self.x1(s, d, delta)),
-            "x_rest": rational_pair(self.x_rest(s, d, delta)),
-            "c_prime": rational_pair(self.c_prime(s, d, delta)),
-            "eta": rational_pair(self.eta(s, delta)),
-            "min_increment": rational_pair(self.min_increment()),
-            "smallness": rational_pair(self.smallness(s, delta)),
-            "case2_factor": rational_pair(self.case2_factor(s)),
-            "u2_threshold": rational_pair(self.u2_threshold(s, delta)),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +218,6 @@ class IncrementOutcome:
             "bound_asserted": self.bound_asserted,
         }
         return out
-
-
-def _exact_translate_density(
-    subset_sorted: np.ndarray, points: np.ndarray
-) -> Fraction:
-    if points.size == 0:
-        raise ValueError("empty translate")
-    idx = np.searchsorted(subset_sorted, points)
-    idx = np.clip(idx, 0, max(subset_sorted.size - 1, 0))
-    hits = (
-        (subset_sorted[idx] == points) if subset_sorted.size else np.zeros(points.shape, bool)
-    )
-    return Fraction(int(np.count_nonzero(hits)), int(points.size))
 
 
 def fourier_increment(
@@ -334,8 +299,8 @@ def fourier_increment(
     hit = np.nonzero(df >= thr_a)[0]
     if hit.size:
         a_star = int(a_arr[int(hit[0])])
-        pts = a_star + n1
-        d_after = _exact_translate_density(subset_sorted, pts)
+        hits = sorted_lookup(subset_sorted, a_star + n1)[1]
+        d_after = Fraction(int(np.count_nonzero(hits)), int(n1.size))
         return IncrementOutcome(
             status="translate",
             unmet=tuple(unmet),
@@ -349,7 +314,7 @@ def fourier_increment(
             inverse_avg=ia,
         )
 
-    inner_cert = regularity_certificate(inner1.spec, enum_limit=enum_limit)
+    (inner_cert,) = certificates([inner1], enum_limit=enum_limit)
     slack = min(
         200.0 * float(c_prime) * d + 100.0 * d * float(inner_cert.max_negative_gap),
         2.0,
@@ -428,10 +393,7 @@ def _refined_pass(
         )
         if not np.any(ok_rows):
             return None
-        sidx = np.searchsorted(subset_sorted, pts)
-        sidx = np.clip(sidx, 0, max(subset_sorted.size - 1, 0))
-        hits = (subset_sorted[sidx] == pts) if subset_sorted.size else np.zeros(pts.shape, bool)
-        counts = hits.sum(axis=1)
+        counts = sorted_lookup(subset_sorted, pts)[1].sum(axis=1)
         counts = np.where(ok_rows, counts, -1)
         best = int(np.argmax(counts))
         best_density = Fraction(int(counts[best]), refined.size)
@@ -533,15 +495,21 @@ class RunResult:
         }
 
 
+def _members(work: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The elements of ``work`` (sorted, distinct) among ``points``, in their order."""
+    idx, hit = sorted_lookup(work, points)
+    return work[idx[hit]]
+
+
 def plan_inner_dilations(
     spec: BohrSpec,
     s: int,
     table: ConstantTable,
     delta: Fraction,
     limits: EngineLimits,
-) -> Optional[tuple[list[Fraction], list[BohrSet], list[dict]]]:
-    """Regular nested dilates targeting the table rates; None when stuck."""
-    cs: list[Fraction] = []
+) -> Optional[tuple[list[BohrSet], list[dict]]]:
+    """Regular nested dilates targeting the table rates, each set carrying
+    the certificate its dilation search found, and their notes; None when stuck."""
     sets: list[BohrSet] = []
     notes: list[dict] = []
     current = spec
@@ -555,11 +523,11 @@ def plan_inner_dilations(
             max_candidates=limits.max_candidates,
             enum_limit=limits.enum_limit,
         )
-        if not search.found:
+        if not search.found or search.c > 1:  # a dilate past 1 is not nested
             return None
-        cs.append(search.c)
         current = current.dilate(search.c)
-        sets.append(BohrSet.from_spec(current, enum_limit=limits.enum_limit))
+        elements = enumerate_bohr(current, enum_limit=limits.enum_limit)
+        sets.append(BohrSet(current, elements, search.certificate))
         notes.append(
             {
                 "index": i,
@@ -569,7 +537,7 @@ def plan_inner_dilations(
                 "tried": len(search.tried),
             }
         )
-    return cs, sets, notes
+    return sets, notes
 
 
 def run(
@@ -604,6 +572,7 @@ def run(
     original = sorted_distinct(subset)
     work = original[(original >= -N) & (original <= N)]
     spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(N))
+    ambient: Optional[BohrSet] = None  # a transition carries its set over
     mult, offset = 1, 0
     records: list[StepRecord] = []
 
@@ -617,10 +586,11 @@ def run(
         return RunResult(status, _EXIT_CODES[status], reason, cfg, tuple(records), final)
 
     for step in range(limits.max_steps):
-        try:
-            ambient = BohrSet.from_spec(spec, enum_limit=limits.enum_limit)
-        except BudgetExceeded as exc:
-            return finish("limit", f"enumeration budget: {exc}")
+        if ambient is None:
+            try:
+                ambient = BohrSet.from_spec(spec, enum_limit=limits.enum_limit)
+            except BudgetExceeded as exc:
+                return finish("limit", f"enumeration budget: {exc}")
         delta = exact_density(work, ambient.elements)
         if delta == 0:
             return finish("exhausted", "set is empty on the ambient Bohr set")
@@ -634,7 +604,7 @@ def run(
         chain = plan_inner_dilations(spec, s, table, delta, limits)
         if chain is None:
             return finish("limit", "no regular dilation found for the chain")
-        cs, inner_sets, chain_notes = chain
+        inner_sets, chain_notes = chain
 
         freeness = find_configuration_restricted(
             work, ambient, inner_sets, budget=limits.finder_budget
@@ -665,7 +635,7 @@ def run(
             out = dichotomy(
                 work,
                 ambient,
-                cs,
+                inner_sets,
                 delta=delta,
                 enforce=(mode == "faithful"),
                 budget=limits.count_budget,
@@ -692,13 +662,11 @@ def run(
             i = info["inner_index"]
             a = info["a"]
             target = inner_sets[i - 1]
-            translated = a + 2 * target.elements
-            members = work[np.isin(work, translated)]
-            new_work = (members - a) // 2
+            new_work = (_members(work, a + 2 * target.elements) - a) // 2
             new_delta = Fraction(int(new_work.size), target.size)
             if [new_delta.numerator, new_delta.denominator] != info["new_density"]:
                 return finish("limit", "local increment failed recheck")
-            if new_delta < delta * table.case2_factor(s):
+            if new_delta < delta * increment_factor(s):
                 return finish("limit", "local increment below the required factor")
             records.append(
                 StepRecord(
@@ -708,7 +676,7 @@ def run(
             )
             offset = offset + mult * a
             mult = mult * 2
-            spec = target.spec
+            ambient, spec = target, target.spec
             work = sorted_distinct(new_work)
             continue
 
@@ -737,8 +705,7 @@ def run(
                 return finish("limit", "fourier witness gain below acceptance")
             t0 = inc.translate
             new_ambient = BohrSet.from_spec(inc.new_spec, enum_limit=limits.enum_limit)
-            shifted = work - t0
-            new_work = shifted[np.isin(shifted, new_ambient.elements)]
+            new_work = _members(work, t0 + new_ambient.elements) - t0
             recheck = Fraction(int(new_work.size), new_ambient.size)
             if recheck != inc.delta_after:
                 return finish("limit", "fourier increment failed recheck")
@@ -753,7 +720,7 @@ def run(
                 )
             )
             offset = offset + mult * t0
-            spec = inc.new_spec
+            ambient, spec = new_ambient, new_ambient.spec
             work = sorted_distinct(new_work)
             continue
 
@@ -784,16 +751,16 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     Replays the state transforms and re-measures each step's claim on freshly
     enumerated sets. A ``small-bohr`` record is re-derived rather than
     re-read: the inner chain is rebuilt from the recorded dilation factors,
-    every inner set is recounted, the smallness threshold is recomputed from
-    ``(s, delta)``, and the restricted freeness search is run again with the
-    recorded finder budget. A ``fourier-*`` record must name a refinement of
-    the ambient spec (the ambient frequencies first, then any adjoined ones,
-    with ``eps`` and ``M`` shrunk by one common ratio in (0, 1)) whose
-    translate ``t0 + new_ambient`` lies inside the ambient set, and its
-    density is re-measured. The terminal status is never read on trust: it
-    must follow from the record the replay ends on (see
-    :func:`_status_problems`). Returns the list of discrepancies (empty means
-    the whole trace rechecks).
+    every inner set is certified regular and recounted, the smallness
+    threshold is recomputed from ``(s, delta)``, and the restricted freeness
+    search is run again with the recorded finder budget. A ``fourier-*``
+    record must name a refinement of the ambient spec (the ambient
+    frequencies first, then any adjoined ones, with ``eps`` and ``M`` shrunk
+    by one common ratio in (0, 1)) whose translate ``t0 + new_ambient`` lies
+    inside the ambient set, and its density is re-measured. The terminal
+    status is never read on trust: it must follow from the record the replay
+    ends on (see :func:`_status_problems`). Returns the list of discrepancies
+    (empty means the whole trace rechecks).
     """
     problems: list[str] = []
     original = sorted_distinct(subset)
@@ -832,15 +799,17 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
             if len(pay["chain"]) != s_arity:
                 problems.append(f"step {rec.step}: chain length differs from s = {s_arity}")
                 break
-            inner_sets = []
-            inner_spec = spec
-            for note in pay["chain"]:
-                inner_spec = inner_spec.dilate(Fraction(*note["c"]))
-                inner_sets.append(BohrSet.from_spec(inner_spec))
+            inner_sets = [BohrSet.from_spec(sp) for sp in _chain_specs(spec, pay["chain"])[1:]]
+            for i, bs in enumerate(inner_sets, start=1):
+                cert = regularity_certificate(bs.spec)
+                if not cert.verdict:
+                    problems.append(
+                        f"step {rec.step}: inner{i} not regular (witness c = {cert.witness_c})"
+                    )
             sizes = [b.size for b in inner_sets]
             if data["inner_sizes"] != sizes or data["small"]["size"] != sizes[-1]:
                 problems.append(f"step {rec.step}: inner sizes recount as {sizes}")
-            thr = ConstantTable.smallness(s_arity, delta)
+            thr = smallness_bound(s_arity, delta)
             if data["small"]["threshold"] != rational_pair(thr):
                 problems.append(f"step {rec.step}: smallness threshold recomputes as {thr}")
             if Fraction(sizes[-1]) > thr:
@@ -856,15 +825,12 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
         if rec.case == "local-increment":
             info = pay["dichotomy"]["data"]["increment"]
             a = info["a"]
-            chain = pay["chain"]
-            inner_spec = spec
-            for note in chain[: info["inner_index"]]:
-                inner_spec = inner_spec.dilate(Fraction(*note["c"]))
+            inner_spec = _chain_specs(spec, pay["chain"][: info["inner_index"]])[-1]
             inner = BohrSet.from_spec(inner_spec)
             translated = a + 2 * inner.elements
             if not bool(np.all(membership_mask(spec, translated))):
                 problems.append(f"step {rec.step}: doubled translate leaves the base")
-            members = work[np.isin(work, translated)]
+            members = _members(work, translated)
             got = Fraction(int(members.size), inner.size)
             if got != Fraction(*info["new_density"]):
                 problems.append(f"step {rec.step}: increment density fails recheck")
@@ -886,8 +852,7 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
             new_ambient = BohrSet.from_spec(new_spec)
             if not bool(np.all(membership_mask(spec, t0 + new_ambient.elements))):
                 problems.append(f"step {rec.step}: refined translate leaves the ambient set")
-            shifted = work - t0
-            new_work = shifted[np.isin(shifted, new_ambient.elements)]
+            new_work = _members(work, t0 + new_ambient.elements) - t0
             got = Fraction(int(new_work.size), new_ambient.size)
             if got != Fraction(*info["delta_after"]):
                 problems.append(f"step {rec.step}: fourier density fails recheck")
@@ -901,6 +866,14 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
         break
     trailing = len(result.steps) - replayed
     return problems + _status_problems(result, last, trailing, work, spec)
+
+
+def _chain_specs(spec: BohrSpec, notes: list[dict]) -> list[BohrSpec]:
+    """``spec`` followed by the chain its notes' dilation factors rebuild."""
+    specs = [spec]
+    for note in notes:
+        specs.append(specs[-1].dilate(Fraction(*note["c"])))
+    return specs
 
 
 def _status_problems(

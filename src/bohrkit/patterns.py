@@ -51,11 +51,13 @@ from .bohr import (
     BudgetExceeded,
     ElementsLike,
     as_elements,
+    certificates,
     exact_density,
-    regularity_certificate,
+    infer_dilation,
     sorted_distinct,
+    sorted_lookup,
 )
-from .exact import RationalLike, as_rational, rational_pair
+from .exact import rational_pair
 from .functions import BoundedFunction
 from .gowers import u2_fourth_correlation
 
@@ -652,36 +654,42 @@ class DichotomyOutcome:
         }
 
 
+def smallness_bound(s: int, delta: Fraction) -> Fraction:
+    """The small-Bohr threshold ``32 s^2 / delta^(s(s+1)/2)`` on ``|N_s|``."""
+    return Fraction(32 * s * s) / delta ** (s * (s + 1) // 2)
+
+
+def increment_factor(s: int) -> Fraction:
+    """The local-increment factor ``1 + 1/(8 s^2)`` on the density."""
+    return 1 + Fraction(1, 8 * s * s)
+
+
+def u2_threshold(s: int, delta: Fraction) -> Fraction:
+    """The large-norm threshold ``delta^(s(s+1)/2) / (32 s^2)``."""
+    return delta ** (s * (s + 1) // 2) / (32 * s * s)
+
+
 def _first_local_increment(
     subset_arr: np.ndarray,
     base_elems: np.ndarray,
     inner_elems: np.ndarray,
-    delta: Fraction,
-    s: int,
+    required: Fraction,
 ) -> Optional[tuple[int, Fraction]]:
     """Smallest base point whose doubled-inner translate sits inside the base
-    and carries density at least ``(1 + 1/(8 s^2)) * delta``; exact compares."""
+    and carries density at least ``required``; exact compares."""
     doubled = 2 * inner_elems
     li = inner_elems.size
-    p, q = delta.numerator, delta.denominator
-    factor = 8 * s * s
+    p, q = required.numerator, required.denominator
     step = max(1, 2**22 // max(1, li))
     for lo in range(0, base_elems.size, step):
         chunk = base_elems[lo : lo + step]
         pts = chunk[:, None] + doubled[None, :]
-        idx = np.searchsorted(base_elems, pts)
-        idx = np.clip(idx, 0, base_elems.size - 1)
-        inside = np.all(base_elems[idx] == pts, axis=1)
+        inside = np.all(sorted_lookup(base_elems, pts)[1], axis=1)
         if not np.any(inside):
             continue
-        sidx = np.searchsorted(subset_arr, pts)
-        sidx = np.clip(sidx, 0, max(subset_arr.size - 1, 0))
-        hits = (
-            (subset_arr[sidx] == pts) if subset_arr.size else np.zeros_like(pts, bool)
-        )
-        counts = hits.sum(axis=1)
-        # count/li >= (1 + 1/factor) * p/q  <=>  count*factor*q >= li*(factor+1)*p
-        good = inside & (counts * (factor * q) >= li * (factor + 1) * p)
+        counts = sorted_lookup(subset_arr, pts)[1].sum(axis=1)
+        # count / li >= p / q  <=>  count * q >= li * p
+        good = inside & (counts * q >= li * p)
         where = np.nonzero(good)[0]
         if where.size:
             k = int(where[0])
@@ -692,7 +700,7 @@ def _first_local_increment(
 def dichotomy(
     subset: ElementsLike,
     base: BohrSet,
-    inner_cs: Sequence[RationalLike],
+    inner_sets: Sequence[BohrSet],
     *,
     delta: Optional[Fraction] = None,
     enforce: bool = True,
@@ -703,43 +711,36 @@ def dichotomy(
 ) -> DichotomyOutcome:
     """Run the four-way case scan for a configuration-free dense subset.
 
-    ``inner_cs`` are the relative dilation factors: ``N_1 = c_1 * base`` and
-    ``N_i = c_i * N_{i-1}``. Preconditions (freeness on the restricted
-    domain, the smallness bound on ``c_1``, regularity of the base and every
-    inner set) are certified first; with ``enforce`` they must all hold,
-    otherwise the scan still runs and the unmet list is recorded. Branches
-    are scanned in a fixed order: small innermost set, local density
-    increment on a doubled translate, large balanced U2 norm. If no branch
-    fires the outcome is ``violation`` only when every precondition was
-    certified.
+    ``inner_sets`` is the nested chain ``N_1 = c_1 * base``, ``N_i = c_i *
+    N_{i-1}`` with each ``c_i`` in ``(0, 1]`` (``ValueError`` otherwise).
+    Preconditions (freeness on the restricted domain, the smallness bound on
+    ``c_1``, regularity of the base and every inner set, certified only for
+    sets that carry no certificate) are checked first; with ``enforce`` they
+    must all hold, otherwise the scan still runs and the unmet list is
+    recorded. Branches are scanned in a fixed order: small innermost set,
+    local density increment on a doubled translate, large balanced U2 norm.
+    If no branch fires the outcome is ``violation`` only when every
+    precondition was certified.
     """
-    s = len(inner_cs)
+    s = len(inner_sets)
     if s < 2:
         raise ValueError("need at least two inner dilations")
+    chain = [base, *inner_sets]
+    cs = [infer_dilation(inner.spec, outer.spec) for outer, inner in zip(chain, inner_sets)]
+    if any(c is None or c > 1 for c in cs):
+        raise ValueError("inner sets must form a nested chain of dilates of the base")
     subset_arr = sorted_distinct(subset)
-    d = base.spec.dim
     if delta is None:
         delta = exact_density(subset_arr, base.elements)
     if delta == 0:
         raise ValueError("subset has density zero on the base")
-    bexp = s * (s + 1) // 2
-
-    specs = [base.spec]
-    for c in inner_cs:
-        specs.append(specs[-1].dilate(as_rational(c)))
-    inner_sets = [
-        BohrSet.from_spec(sp, enum_limit=enum_limit) for sp in specs[1:]
-    ]
 
     unmet: list[str] = []
-    c1 = as_rational(inner_cs[0])
-    c1_bound = delta**s / (3200 * d * s * s)
-    if c1 > c1_bound:
-        unmet.append(f"c1 = {c1} exceeds smallness bound {c1_bound}")
-    for name, sp in [("base", base.spec)] + [
-        (f"inner{i + 1}", inner_sets[i].spec) for i in range(s)
-    ]:
-        cert = regularity_certificate(sp, enum_limit=enum_limit)
+    c1_bound = delta**s / (3200 * base.spec.dim * s * s)
+    if cs[0] > c1_bound:
+        unmet.append(f"c1 = {cs[0]} exceeds smallness bound {c1_bound}")
+    names = ["base"] + [f"inner{i + 1}" for i in range(s)]
+    for name, cert in zip(names, certificates(chain, enum_limit=enum_limit)):
         if not cert.verdict:
             unmet.append(f"{name} not regular (witness c = {cert.witness_c})")
     if freeness is None:
@@ -756,7 +757,7 @@ def dichotomy(
     data: dict = {"freeness": freeness.as_dict(), "inner_sizes": [b.size for b in inner_sets]}
 
     # branch 1: the innermost set is already small
-    small_rhs = Fraction(32 * s * s) / delta**bexp
+    small_rhs = smallness_bound(s, delta)
     if Fraction(inner_sets[-1].size) <= small_rhs:
         data["small"] = {
             "size": inner_sets[-1].size,
@@ -765,23 +766,22 @@ def dichotomy(
         return DichotomyOutcome("small-bohr", s, delta, tuple(unmet), data)
 
     # branch 2: a doubled translate with a genuine density increment
+    required = delta * increment_factor(s)
     for i, bs in enumerate(inner_sets, start=1):
-        hit = _first_local_increment(
-            subset_arr, base.elements, bs.elements, delta, s
-        )
+        hit = _first_local_increment(subset_arr, base.elements, bs.elements, required)
         if hit is not None:
             a, new_density = hit
             data["increment"] = {
                 "inner_index": i,
                 "a": a,
                 "new_density": rational_pair(new_density),
-                "required": rational_pair(delta * (1 + Fraction(1, 8 * s * s))),
+                "required": rational_pair(required),
             }
             return DichotomyOutcome("local-increment", s, delta, tuple(unmet), data)
 
     # branch 3: some pairwise balanced norm is large
     balanced, _ = BoundedFunction.balanced_indicator(subset_arr, base.elements)
-    u2_threshold = delta**bexp / (32 * s * s)
+    threshold = u2_threshold(s, delta)
     norms: dict = {}
     for i in range(1, s + 1):
         for j in range(i + 1, s + 1):
@@ -790,16 +790,16 @@ def dichotomy(
             )
             norm = fourth**0.25
             norms[f"{i},{j}"] = norm
-            if norm >= float(u2_threshold):
+            if norm >= float(threshold):
                 data["large_u2"] = {
                     "pair": [i, j],
                     "norm": norm,
-                    "threshold": rational_pair(u2_threshold),
+                    "threshold": rational_pair(threshold),
                     "norms_scanned": norms,
                 }
                 return DichotomyOutcome("large-u2", s, delta, tuple(unmet), data)
     data["norms_scanned"] = norms
-    data["u2_threshold"] = rational_pair(u2_threshold)
+    data["u2_threshold"] = rational_pair(threshold)
 
     kind = "violation" if not unmet else "no-case"
     return DichotomyOutcome(kind, s, delta, tuple(unmet), data)

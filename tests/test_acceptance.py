@@ -40,7 +40,10 @@ from bohrkit.patterns import (
     count_three_aps_fft,
     dichotomy,
     find_configuration,
+    increment_factor,
     random_set,
+    smallness_bound,
+    u2_threshold,
     verify_configuration,
 )
 from bohrkit.sumfree import (
@@ -343,7 +346,9 @@ def test_criterion_09_dichotomy_cases_and_counting_bound():
         base = BohrSet.from_spec(BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(n)))
         delta = Fraction(int(subset.size), base.size)
         c1 = delta**2 / 12800
-        out = dichotomy(subset, base, [c1, Fraction(1, 2)], enforce=True)
+        inner1 = BohrSet.from_spec(base.spec.dilate(c1))
+        inner2 = BohrSet.from_spec(inner1.spec.dilate(Fraction(1, 2)))
+        out = dichotomy(subset, base, [inner1, inner2], enforce=True)
         assert out.kind in ("small-bohr", "local-increment", "large-u2")
         assert out.unmet == ()
         if out.kind == "small-bohr":
@@ -377,9 +382,9 @@ def test_criterion_10_constant_table():
         assert table.x_rest(s, d, delta) == Fraction(1, 2**20) / s**4 / d * delta ** (s * (s + 1))
         assert table.eta(s, delta) == Fraction(1, 2**23) / s**8 * delta ** (2 * s * (s + 1))
         assert table.c_prime(s, d, delta) == Fraction(1, 2**37) / s**8 / d * delta ** (2 * s * (s + 1))
-        assert table.smallness(s, delta) == 32 * s * s * delta ** (-b)
-        assert table.u2_threshold(s, delta) == delta**b / (32 * s * s)
-        assert table.case2_factor(s) == 1 + Fraction(1, 8 * s * s)
+        assert smallness_bound(s, delta) == 32 * s * s * delta ** (-b)
+        assert u2_threshold(s, delta) == delta**b / (32 * s * s)
+        assert increment_factor(s) == 1 + Fraction(1, 8 * s * s)
         assert table.inverse_bound(s, delta) == table.eta(s, delta) ** 2
         assert table.increment_translate(s, delta) == Fraction(1, 2**54) / s**16 * delta ** (4 * s * (s + 1))
         assert table.increment_refined(s, delta) == Fraction(1, 2**28) / s**8 * delta ** (2 * s * (s + 1))

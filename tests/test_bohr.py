@@ -6,6 +6,7 @@ exact rational arithmetic; every vectorized path is checked against it.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from bohrkit.bohr import (
     infer_dilation,
     membership_mask,
     regularity_certificate,
+    sorted_lookup,
     spec_from_dict,
 )
 from bohrkit.exact import as_rational, torus_distance
@@ -454,5 +456,58 @@ def test_bohr_set_wrapper():
     spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(10))
     bs = BohrSet.from_spec(spec)
     assert bs.size == 21
-    inside = bs.contains_array(np.array([0, 10, 11]))
+    _, inside = sorted_lookup(bs.elements, np.array([0, 10, 11]))
     assert inside.tolist() == [True, True, False]
+
+
+def test_bohr_set_rejects_a_foreign_certificate():
+    spec = BohrSpec((Fraction(1, 3),), Fraction(1, 4), Fraction(40))
+    cert = regularity_certificate(spec)
+    elements = enumerate_bohr(spec)
+    carried = BohrSet(spec, elements, cert)
+    assert carried.certificate is cert and "certificate" not in carried.as_dict()
+    other = spec.dilate(Fraction(1, 2))
+    with pytest.raises(ValueError, match="another Bohr set"):
+        BohrSet(other, enumerate_bohr(other), cert)
+    # another description of the same integers: the sizes agree, the specs not
+    alias = BohrSpec(spec.theta, spec.eps, Fraction(81, 2))
+    assert np.array_equal(enumerate_bohr(alias), elements)
+    with pytest.raises(ValueError, match="another Bohr set"):
+        BohrSet(alias, elements, cert)
+    with pytest.raises(ValueError, match="another Bohr set"):
+        BohrSet(spec, elements[1:], cert)
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_INT64 = st.integers(_INT64_MIN, _INT64_MAX)
+
+
+@st.composite
+def lookup_inputs(draw):
+    """Sorted distinct int64 values and points of 1 to 3 dimensions: random
+    int64s, the extremes, and values, their neighbours, below and above."""
+    values = sorted(draw(st.sets(st.one_of(st.integers(-20, 20), _INT64), max_size=10)))
+    near = [v + dv for v in values for dv in (-1, 0, 1) if _INT64_MIN <= v + dv <= _INT64_MAX]
+    pool = st.one_of(
+        st.integers(-25, 25), _INT64, st.sampled_from([_INT64_MIN, _INT64_MAX] + near)
+    )
+    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    points = draw(st.lists(pool, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=np.int64), np.array(points, dtype=np.int64).reshape(shape)
+
+
+_EMPTY = np.array([], dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookup_inputs())
+@example((_EMPTY, np.array([[0, _INT64_MIN], [_INT64_MAX, 5]])))
+@example((np.array([_INT64_MIN, 0, _INT64_MAX]), np.array([[[_INT64_MIN + 1, _INT64_MAX]]])))
+@example((np.array([-3, 4]), np.array([-4, -3, 0, 4, 5])))
+def test_sorted_lookup_matches_set_oracle(inputs):
+    values, points = inputs
+    idx, hit = sorted_lookup(values, points)
+    assert idx.shape == hit.shape == points.shape
+    members = set(values.tolist())
+    assert hit.ravel().tolist() == [p in members for p in points.ravel().tolist()]
+    assert values[idx[hit]].tolist() == points[hit].tolist()

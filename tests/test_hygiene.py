@@ -3,7 +3,9 @@
 Every module under ``src/bohrkit`` except the package ``__init__`` must
 import no underscore name from another bohrkit module (a private helper that
 two modules need belongs under a public name) and must use every name its
-top-level imports bind.
+top-level imports bind. Every module, the package ``__init__`` included,
+must leave ``np.isin`` and ``np.intersect1d`` alone: each membership question
+on a sorted array goes through ``bohr.sorted_lookup``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bohrkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+_SET_OPS = ("isin", "intersect1d")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -66,6 +69,15 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"line {line}: {name}" for line, name in unused]
 
 
+def set_op_calls(tree: ast.Module) -> list[str]:
+    """References to ``np.isin`` or ``np.intersect1d``, by any module alias."""
+    return [
+        f"line {node.lineno}: {node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _SET_OPS
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_cross_module_imports(path):
     assert private_imports(_tree(path)) == []
@@ -76,6 +88,11 @@ def test_no_unused_top_level_imports(path):
     assert unused_imports(_tree(path)) == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_set_membership(path):
+    assert set_op_calls(_tree(path)) == []
+
+
 def test_checks_catch_what_they_look_for():
     tree = ast.parse(
         "import os\n"
@@ -83,6 +100,8 @@ def test_checks_catch_what_they_look_for():
         "from .gowers import _elements\n"
         "from bohrkit.bohr import _count_leq as count\n"
         "x: 'Optional[int]' = None\n"
+        "y = np.isin(a, b)\n"
+        "z = numpy.intersect1d(a, b)\n"
     )
     assert private_imports(tree) == ["line 3: _elements", "line 4: _count_leq"]
     assert unused_imports(tree) == [
@@ -91,3 +110,4 @@ def test_checks_catch_what_they_look_for():
         "line 3: _elements",
         "line 4: count",
     ]
+    assert set_op_calls(tree) == ["line 6: isin", "line 7: intersect1d"]

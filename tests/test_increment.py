@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bohrkit import bohr, increment
 from bohrkit.bohr import BohrSet, BohrSpec
 from bohrkit.increment import (
     ConstantTable,
@@ -22,10 +23,19 @@ from bohrkit.increment import (
     RunResult,
     StepRecord,
     fourier_increment,
+    plan_inner_dilations,
     recheck_run,
     run,
 )
-from bohrkit.patterns import Configuration, behrend_set, random_set, verify_configuration
+from bohrkit.patterns import (
+    Configuration,
+    behrend_set,
+    increment_factor,
+    random_set,
+    smallness_bound,
+    u2_threshold,
+    verify_configuration,
+)
 
 # ---------------------------------------------------------------------------
 # independent constant evaluation
@@ -64,9 +74,9 @@ def test_faithful_matches_independent_evaluation():
         assert t.x_rest(s, d, delta) == oracle["x_rest"]
         assert t.eta(s, delta) == oracle["eta"]
         assert t.c_prime(s, d, delta) == oracle["c_prime"]
-        assert t.smallness(s, delta) == oracle["smallness"]
-        assert t.u2_threshold(s, delta) == oracle["u2_threshold"]
-        assert t.case2_factor(s) == oracle["case2_factor"]
+        assert smallness_bound(s, delta) == oracle["smallness"]
+        assert u2_threshold(s, delta) == oracle["u2_threshold"]
+        assert increment_factor(s) == oracle["case2_factor"]
         assert t.inverse_bound(s, delta) == oracle["inverse_bound"]
         assert t.increment_translate(s, delta) == oracle["increment_translate"]
         assert t.increment_refined(s, delta) == oracle["increment_refined"]
@@ -79,8 +89,8 @@ def test_faithful_spot_value():
     t = ConstantTable.faithful()
     assert t.x1(2, 1, Fraction(1, 2)) == Fraction(1, 2**145)
     assert t.eta(2, Fraction(1, 2)) == Fraction(1, 2**43)
-    assert t.smallness(2, Fraction(1, 2)) == 1024
-    assert t.u2_threshold(2, Fraction(1, 2)) == Fraction(1, 1024)
+    assert smallness_bound(2, Fraction(1, 2)) == 1024
+    assert u2_threshold(2, Fraction(1, 2)) == Fraction(1, 1024)
 
 
 def test_practical_defaults_and_overrides():
@@ -204,6 +214,41 @@ def test_run_behrend_1e5_takes_certified_step():
     assert recheck_run(subset, 10**5, result) == []
 
 
+def test_run_certifies_and_enumerates_each_spec_once(monkeypatch):
+    # the base, N_1 and N_2 of the one small-bohr step: the chain keeps the
+    # certificates its dilation search found, and the dichotomy reuses them
+    certified, enumerated = [], []
+
+    def counting(name, log):
+        inner = getattr(bohr, name)
+
+        def wrapper(spec, *args, **kwargs):
+            log.append(spec)
+            return inner(spec, *args, **kwargs)
+
+        for module in (bohr, increment):
+            if getattr(module, name, None) is inner:
+                monkeypatch.setattr(module, name, wrapper)
+
+    counting("_certify", certified)
+    counting("enumerate_bohr", enumerated)
+    result = run(behrend_set(10**5), 10**5, 2, mode="practical")
+    assert [r.case for r in result.steps] == ["small-bohr"]
+    assert len(certified) == len(set(certified)) == 3
+    assert len(enumerated) == len(set(enumerated)) == 3
+    assert set(certified) == set(enumerated)
+
+
+def test_chain_past_one_is_not_planned():
+    # practical x1 = 4 searches [2, 4]: a dilate that grows is not nested
+    subset = behrend_set(3000)
+    table = ConstantTable.practical({"x1": Fraction(4)})
+    spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(3000))
+    assert plan_inner_dilations(spec, 2, table, Fraction(1, 10), EngineLimits()) is None
+    result = run(subset, 3000, 2, mode="practical", overrides={"x1": Fraction(4)})
+    assert (result.status, result.reason) == ("limit", "no regular dilation found for the chain")
+
+
 def test_run_faithful_terminates_step_one():
     base = np.arange(-1000, 1001)
     evens = base[base % 2 == 0]
@@ -256,6 +301,21 @@ def test_recheck_rederives_forged_small_bohr(field, value, complaint):
         data["small"]["threshold"] = value
     problems = recheck_run(subset, 3000, forged)
     assert len(problems) == 1 and complaint in problems[0]
+
+
+def test_recheck_certifies_the_small_bohr_chain():
+    # the innermost set becomes M = 199/100 (c_2 = 398/1875 after c_1 = 1/320
+    # on N = 3000): size 3, with every recorded size and the threshold still
+    # consistent, but not regular
+    subset, result = _behrend_small_bohr_run()
+    forged = copy.deepcopy(result)
+    pay = forged.steps[-1].payload
+    pay["chain"][1]["c"] = [398, 1875]
+    pay["dichotomy"]["data"]["inner_sizes"] = [19, 3]
+    pay["dichotomy"]["data"]["small"]["size"] = 3
+    assert recheck_run(subset, 3000, forged) == [
+        f"step {result.steps[-1].step}: inner2 not regular (witness c = 1/199)"
+    ]
 
 
 def test_recheck_reruns_freeness_for_small_bohr():

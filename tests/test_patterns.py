@@ -470,10 +470,19 @@ def _interval_base(m: int) -> BohrSet:
     return BohrSet.from_spec(BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(m)))
 
 
+def _chain(base: BohrSet, cs) -> list[BohrSet]:
+    """The nested dilates N_1 = c_1 base, N_i = c_i N_{i-1}, uncertified."""
+    sets = [base]
+    for c in cs:
+        sets.append(BohrSet.from_spec(sets[-1].spec.dilate(c)))
+    return sets[1:]
+
+
 def test_dichotomy_small_bohr_on_sparse_set():
     base = _interval_base(1000)
     subset = behrend_set(1000)
-    out = dichotomy(subset, base, [Fraction(1, 320), Fraction(1, 16)], enforce=False)
+    chain = _chain(base, [Fraction(1, 320), Fraction(1, 16)])
+    out = dichotomy(subset, base, chain, enforce=False)
     assert out.kind == "small-bohr"
     assert "small" in out.data
 
@@ -482,7 +491,7 @@ def test_dichotomy_enforce_raises_on_unmet():
     base = _interval_base(2500)
     evens = base.elements[base.elements % 2 == 0]
     with pytest.raises(PreconditionError):
-        dichotomy(evens, base, [Fraction(1, 4), Fraction(1)], enforce=True)
+        dichotomy(evens, base, _chain(base, [Fraction(1, 4), Fraction(1)]), enforce=True)
 
 
 def test_dichotomy_local_increment_branch():
@@ -490,7 +499,7 @@ def test_dichotomy_local_increment_branch():
     # is all even, so the density jumps from ~1/2 to 1
     base = _interval_base(2500)
     evens = base.elements[base.elements % 2 == 0]
-    out = dichotomy(evens, base, [Fraction(1, 4), Fraction(1)], enforce=False)
+    out = dichotomy(evens, base, _chain(base, [Fraction(1, 4), Fraction(1)]), enforce=False)
     assert out.kind == "local-increment"
     info = out.data["increment"]
     assert info["new_density"] == [1, 1]
@@ -504,15 +513,28 @@ def test_dichotomy_local_increment_branch():
     assert len(out.unmet) >= 1  # c1 bound and freeness were honestly recorded
 
 
+def test_dichotomy_local_increment_at_exactly_the_required_density():
+    # |base| = 363, |N_1| = 165 > the smallness bound 140.4, and 11 even points
+    # removed: delta = 32/33, so the required density (33/32) delta is 1, met
+    # exactly by the all-odd translate -17 + 2 N_1
+    base = _interval_base(181)
+    inner = BohrSet.from_spec(base.spec.dilate(Fraction(82, 181)))
+    e = base.elements
+    subset = e[~((e >= -20) & (e <= 0) & (e % 2 == 0))]
+    out = dichotomy(subset, base, [inner, inner], enforce=False)
+    assert out.kind == "local-increment"
+    assert out.data["increment"] == {
+        "inner_index": 1, "a": -17, "new_density": [1, 1], "required": [1, 1]
+    }
+
+
 def test_dichotomy_large_u2_branch():
     # remove every multiple of 15: no doubled translate gains enough, but
     # the balanced function carries strong period-15 structure
     base = _interval_base(79)
     arr = base.elements
     subset = arr[np.mod(arr, 15) != 0]
-    out = dichotomy(
-        subset, base, [Fraction(1), Fraction(1)], enforce=False, budget=10**9
-    )
+    out = dichotomy(subset, base, [base, base], enforce=False, budget=10**9)
     assert out.kind == "large-u2"
     info = out.data["large_u2"]
     assert info["norm"] >= Fraction(*info["threshold"])
@@ -521,6 +543,24 @@ def test_dichotomy_large_u2_branch():
 def test_dichotomy_no_case_when_nothing_fires():
     # the full base: density one, zero balanced function, large inner sets
     base = _interval_base(64)
-    out = dichotomy(base.elements, base, [Fraction(1), Fraction(1)], enforce=False)
+    out = dichotomy(base.elements, base, [base, base], enforce=False)
     assert out.kind == "no-case"
     assert out.unmet  # honest: preconditions were not certified
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [
+        lambda base: [base.spec.dilate(Fraction(1, 8)), base.spec.dilate(Fraction(1, 4))],
+        lambda base: [base.spec.dilate(Fraction(1, 8)),
+                      BohrSpec((Fraction(1, 2),), Fraction(1, 16), Fraction(4))],
+        lambda base: [BohrSpec((Fraction(1),), Fraction(1, 4), Fraction(8)),
+                      base.spec.dilate(Fraction(1, 16))],
+    ],
+    ids=["growing", "other-frequency", "uneven-ratio"],
+)
+def test_dichotomy_rejects_a_chain_that_is_not_nested(inner):
+    base = _interval_base(64)
+    chain = [BohrSet.from_spec(spec) for spec in inner(base)]
+    with pytest.raises(ValueError, match="nested chain"):
+        dichotomy(base.elements[::3], base, chain, enforce=False)
