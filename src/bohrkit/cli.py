@@ -365,6 +365,7 @@ def _cmd_patterns(args) -> int:
         raise CLIError("faithful mode accepts no constant overrides")
     rows = []
     limits = EngineLimits()
+    stopped = False
     for path in args.set:
         arr = read_set_file(path)
         base = _standard_base(arr)  # holds every element of arr
@@ -375,21 +376,25 @@ def _cmd_patterns(args) -> int:
         if plan is None:
             raise CLIError(f"{path}: no regular inner dilations found", EXIT_BUDGET)
         inner_sets, searches = plan
-        outcome = dichotomy(
-            arr, base, inner_sets,
-            enforce=(args.mode == "faithful"),
-            budget=args.budget,
-        )
+        try:
+            outcome = dichotomy(
+                arr, base, inner_sets,
+                enforce=(args.mode == "faithful"),
+                budget=args.budget,
+            ).as_dict()
+        except BudgetExceeded as exc:  # this set's row says so; the sweep goes on
+            outcome = {"kind": "budget", "reason": str(exc)}
+            stopped = True
         rows.append({
             "set": path,
             "base_size": base.size,
             "delta": rational_pair(delta),
             "inner_cs": [note["c"] for note in searches],
             "inner_searches": searches,
-            "outcome": outcome.as_dict(),
+            "outcome": outcome,
         })
     _emit(rows if len(rows) > 1 else rows[0], args)
-    return EXIT_OK
+    return EXIT_BUDGET if stopped else EXIT_OK
 
 
 def _cmd_gen(args) -> int:

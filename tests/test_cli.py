@@ -15,6 +15,7 @@ import pytest
 
 from bohrkit.cli import read_set_file
 from bohrkit.patterns import behrend_set, count_configurations, random_set
+from bohrkit.reports import canonical_json
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -179,6 +180,32 @@ def test_patterns_dichotomy_ignores_set_order(tmp_path):
         assert proc.returncode == 0, proc.stderr
         reports.append(proc.stdout)
     assert reports[0] == reports[1]
+
+
+def test_patterns_dichotomy_sweep_keeps_rows_past_a_budget_stop(tmp_path):
+    # m15 = [-79, 79] minus the multiples of 15: its U2 contraction passes the
+    # default budget, and the sets around it must still get their rows
+    paths = [
+        write_set(tmp_path / "behrend1000", behrend_set(1000)),
+        write_set(tmp_path / "m15", [v for v in range(-79, 80) if v % 15]),
+        write_set(tmp_path / "evens", range(2, 201, 2)),
+    ]
+    constants = tmp_path / "c.json"
+    constants.write_text('{"x1": "2", "x_rest": "2"}')
+    sweep = ["patterns", "dichotomy", "--constants", str(constants)]
+    proc = run_cli(*sweep, *(a for p in paths for a in ("--set", p)))
+    assert proc.returncode == 3, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert [row["set"] for row in rows] == paths
+    assert rows[1]["outcome"] == {
+        "kind": "budget",
+        "reason": "correlation route needs 639128961 operations, budget 500000000",
+    }
+    assert [rows[0]["outcome"]["kind"], rows[2]["outcome"]["kind"]] == ["small-bohr"] * 2
+    # without the stopped set: exit 0 and the same bytes for the other rows
+    clean = run_cli(*sweep, "--set", paths[0], "--set", paths[2])
+    assert clean.returncode == 0, clean.stderr
+    assert clean.stdout == canonical_json([rows[0], rows[2]])
 
 
 # ---------------------------------------------------------------------------

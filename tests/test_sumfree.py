@@ -1,7 +1,12 @@
 """Sumfree checks, Freiman 2-isomorphisms, and the embedding pipeline.
 
-The Freiman oracle below is the unoptimized four-nested-loop transcription;
-the vectorized check must agree with it on every instance.
+``freiman_oracle`` below is the unoptimized four-nested-loop transcription
+of the 2-isomorphism condition. The library's check sorts the ``n(n+1)/2``
+pair sums once and compares the partition of the pairs by domain sum with
+their partition by image sum, in ``O(n^2 log n)``; it must agree with the
+four-loop oracle on every small instance, and with a quadratic dict-partition
+oracle on instances too large for the four loops. ``popular_window_oracle``
+is the per-start loop that the vectorized popular-window search replaced.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bohrkit import sumfree
 from bohrkit.bohr import BudgetExceeded
 from bohrkit.patterns import (
     PreconditionError,
@@ -51,6 +57,35 @@ def freiman_oracle(fm: FreimanMap) -> bool:
                     if same_dom != same_img:
                         return False
     return True
+
+
+def freiman_partition_oracle(fm: FreimanMap) -> bool:
+    """Quadratic form of the same condition: domain sums and image sums biject."""
+    dom = fm.domain.tolist()
+    img = fm.images.tolist()
+    p = fm.modulus
+    img_of: dict[int, int] = {}
+    dom_of: dict[int, int] = {}
+    for i in range(len(dom)):
+        for j in range(i, len(dom)):
+            d, v = dom[i] + dom[j], (img[i] + img[j]) % p
+            if img_of.setdefault(d, v) != v or dom_of.setdefault(v, d) != d:
+                return False
+    return True
+
+
+def popular_window_oracle(residues: np.ndarray, p: int) -> np.ndarray:
+    """One ``searchsorted`` per candidate start; the first strict maximum wins."""
+    length = (p + 1) // 2
+    rs = np.sort(residues)
+    ext = np.concatenate([rs, rs + p])
+    best_count, best_start = -1, 0
+    for i in range(rs.size):
+        start = int(rs[i])
+        count = int(np.searchsorted(ext, start + length, side="left")) - i
+        if count > best_count:
+            best_count, best_start = count, start
+    return (residues - best_start) % p < length
 
 
 def sumfree_oracle(z: list[int], w: set[int]) -> bool:
@@ -101,6 +136,14 @@ def test_freiman_frozen_examples():
     assert check_freiman_isomorphic(bad) is False
     tiny = FreimanMap(np.array([9]), 5, np.array([2]))
     assert check_freiman_isomorphic(tiny) is True
+    empty = FreimanMap(np.array([], dtype=np.int64), 5, np.array([], dtype=np.int64))
+    assert check_freiman_isomorphic(empty) is True
+    # the images split 0 + 2 = 1 + 1, or join 0 + 0 with 1 + 2 = 7
+    dom = np.array([0, 1, 2])
+    assert check_freiman_isomorphic(FreimanMap(dom, 7, np.array([0, 1, 3]))) is False
+    assert check_freiman_isomorphic(FreimanMap(dom, 7, np.array([0, 1, 6]))) is False
+    # x -> x + 3 mod 5 is one only because image sums are compared mod 5
+    assert check_freiman_isomorphic(FreimanMap(dom, 5, np.array([3, 4, 0]))) is True
 
 
 def test_freiman_matches_quadruple_oracle():
@@ -117,6 +160,100 @@ def test_freiman_matches_quadruple_oracle():
         agree_true += expect
         agree_false += not expect
     assert agree_true > 0 and agree_false > 0  # both outcomes exercised
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+
+
+@st.composite
+def freiman_maps(draw):
+    """Random injective images, or ``lam * a mod p`` kept on a cyclic window.
+
+    The second kind is how :func:`ruzsa_embed` builds its candidates, so many
+    of those maps are genuine 2-isomorphisms.
+    """
+    p = draw(st.sampled_from(PRIMES))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, min(12, p)))
+        dom = sorted(draw(st.lists(st.integers(-20, 40), min_size=n, max_size=n, unique=True)))
+        img = draw(st.permutations(range(p)))[:n]
+        return FreimanMap(np.array(dom), p, np.array(img))
+    lo = draw(st.integers(-20, 20))
+    pool = draw(st.lists(st.integers(lo, lo + p // 2), min_size=1, max_size=12, unique=True))
+    lam = draw(st.integers(1, p - 1))
+    start = draw(st.integers(0, p - 1))
+    dom = np.array(sorted(pool))
+    img = dom * lam % p
+    keep = (img - start) % p < (p + 1) // 2
+    if not keep.any():
+        keep[0] = True
+    return FreimanMap(dom[keep], p, img[keep])
+
+
+@settings(max_examples=300, deadline=None)
+@given(fm=freiman_maps())
+# n = 1: no quadruple can disagree
+@example(fm=FreimanMap(np.array([9]), 5, np.array([2])))
+# image sums collide where domain sums do not: 1 + 6 = 0 + 0 (mod 7)
+@example(fm=FreimanMap(np.array([0, 1, 2]), 7, np.array([0, 1, 6])))
+# the domain repeats a pair sum (0 + 2 = 1 + 1), which the images split
+@example(fm=FreimanMap(np.array([0, 1, 2]), 7, np.array([0, 1, 3])))
+# a genuine map whose image sums only agree after reduction mod 5
+@example(fm=FreimanMap(np.array([0, 1, 2]), 5, np.array([3, 4, 0])))
+def test_freiman_check_matches_oracle_on_embedding_maps(fm):
+    assert check_freiman_isomorphic(fm) == freiman_oracle(fm)
+
+
+def test_freiman_check_matches_partition_oracle_at_eighty_points():
+    n = 100
+    res = ruzsa_embed(np.arange(1, n + 1), Fraction(2 * n - 1, n), seed=0)
+    fm = res.map
+    assert fm.domain.size == 79
+    assert check_freiman_isomorphic(fm) is freiman_partition_oracle(fm) is True
+    rng = random.Random(55)
+    verdicts = set()
+    for _ in range(6):
+        images = fm.images.copy()
+        free = sorted(set(range(fm.modulus)) - set(images.tolist()))
+        images[rng.randrange(images.size)] = rng.choice(free)
+        moved = FreimanMap(fm.domain, fm.modulus, images)
+        verdict = check_freiman_isomorphic(moved)
+        assert verdict == freiman_partition_oracle(moved)
+        verdicts.add(verdict)
+        shuffled = FreimanMap(fm.domain, fm.modulus, rng.sample(images.tolist(), images.size))
+        assert check_freiman_isomorphic(shuffled) == freiman_partition_oracle(shuffled)
+    assert False in verdicts
+
+
+@st.composite
+def residue_lists(draw):
+    """A prime and 1 to 20 residues mod it, repeats allowed."""
+    p = draw(st.sampled_from(PRIMES))
+    return p, np.array(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=20)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=residue_lists())
+@example(case=(2, np.array([1, 0, 1])))
+def test_popular_window_matches_loop_oracle(case):
+    p, residues = case
+    assert np.array_equal(
+        sumfree._popular_half_interval(residues, p), popular_window_oracle(residues, p)
+    )
+
+
+def test_popular_window_pinned_cases():
+    window = sumfree._popular_half_interval
+    assert window(np.array([4]), 7).tolist() == [True]
+    assert window(np.array([0, 0]), 2).tolist() == [True, True]
+    # starts 0 and 3 both hold three residues mod 13 (length 7): the smaller wins
+    residues = np.array([9, 3, 0, 6])
+    assert window(residues, 13).tolist() == [False, True, True, True]
+    assert np.array_equal(window(residues, 13), popular_window_oracle(residues, 13))
+    # mod 11 (length 6) every start holds three residues, the wrapped ones too
+    residues = np.array([10, 5, 2, 7, 0])
+    assert window(residues, 11).tolist() == [False, True, True, False, True]
+    assert np.array_equal(window(residues, 11), popular_window_oracle(residues, 11))
 
 
 def test_freiman_map_validation():
@@ -148,6 +285,36 @@ def test_ruzsa_embed_interval():
     assert check_freiman_isomorphic(res.map) is True
     assert res.kept_size * 2 >= arr.size
     assert res.map.modulus <= 8 * Fraction(39, 20) * 20
+
+
+@pytest.mark.parametrize("n, attempts, kept, modulus, multiplier", [
+    (30, 22, 27, 53, 52),
+    (60, 8, 34, 67, 66),
+    (100, 45, 79, 157, 1),
+])
+def test_ruzsa_embed_interval_pinned(n, attempts, kept, modulus, multiplier):
+    # fixed figures: a change to the prime walk, the multipliers, the window
+    # or the verdict of the check shows here
+    res = ruzsa_embed(np.arange(1, n + 1), Fraction(2 * n - 1, n), seed=0)
+    assert res.status == "ok"
+    assert (res.attempts, res.kept_size) == (attempts, kept)
+    assert (res.map.modulus, res.map.multiplier) == (modulus, multiplier)
+    assert res.map.domain.size == kept
+    assert np.array_equal(res.map.images, res.map.domain * multiplier % modulus)
+
+
+def _gap(a: int, b: int) -> np.ndarray:
+    """The proper two-dimensional progression ``x + 5 a y``, ``x < a``, ``y < b``."""
+    return np.array(sorted(x + 5 * a * y for x in range(a) for y in range(b)))
+
+
+@pytest.mark.parametrize("a, b", [(16, 4), (12, 8)])
+def test_ruzsa_embed_gap_fails_pinned(a, b):
+    gap = _gap(a, b)
+    k = Fraction(int(np.unique(gap[:, None] - gap[None, :]).size), int(gap.size))
+    res = ruzsa_embed(gap, k, seed=0)
+    assert res.status == "failed" and res.map is None
+    assert res.attempts == 64 and res.kept_size == 0
 
 
 def test_ruzsa_embed_precondition():
