@@ -358,11 +358,7 @@ def _cmd_patterns(args) -> int:
         _emit({"count": count, "s": args.s, "size": int(arr.size)}, args)
         return EXIT_OK if count > 0 else EXIT_NEGATIVE
     # dichotomy sweep: one classification per input set
-    overrides = read_constants_file(args.constants)
-    table = ConstantTable.practical(overrides) if args.mode == "practical" \
-        else ConstantTable.faithful()
-    if args.mode == "faithful" and overrides is not None:
-        raise CLIError("faithful mode accepts no constant overrides")
+    table = ConstantTable.for_mode(args.mode, read_constants_file(args.constants))
     rows = []
     limits = EngineLimits()
     stopped = False

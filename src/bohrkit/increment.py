@@ -12,10 +12,14 @@ certifies each Bohr set once; a transition hands the set it built on.
 
 State bookkeeping: the ambient set is always a genuine Bohr set in *current*
 coordinates, and an affine map ``original = mult * x + offset`` links current
-coordinates to the input set. Translating by ``t`` adds ``mult * t`` to the
-offset; the doubled-translate branch renormalizes ``x -> (x - a) / 2`` so the
-new ambient set is the inner Bohr set itself (``mult`` doubles). Configuration
-witnesses transport through the same map.
+coordinates to the input set. One private engine state holds the current set,
+the ambient spec and that map, and :func:`run` and :func:`recheck_run` move it
+through the same two transitions. The doubled translate ``a + 2 * target``
+renormalizes ``x -> (x - a) / 2`` (``mult`` doubles); the translate ``t +
+target`` of the Fourier step subtracts ``t``. Either way the new ambient set
+is ``target`` itself (for the Fourier step, the set the scan enumerated) and
+``offset`` gains ``mult`` times the shift. Configuration witnesses transport
+through the same map.
 """
 
 from __future__ import annotations
@@ -87,6 +91,18 @@ class ConstantTable:
     @classmethod
     def faithful(cls) -> "ConstantTable":
         return cls("faithful", {})
+
+    @classmethod
+    def for_mode(cls, mode: str, overrides: Optional[dict] = None) -> "ConstantTable":
+        """The table of ``mode``; only ``practical`` takes overrides (an empty
+        dict overrides nothing, so ``faithful`` accepts it)."""
+        if mode == "practical":
+            return cls.practical(overrides)
+        if mode != "faithful":
+            raise ValueError("mode must be faithful or practical")
+        if overrides:
+            raise ValueError("faithful mode takes no overrides")
+        return cls.faithful()
 
     @classmethod
     def practical(cls, overrides: Optional[dict] = None) -> "ConstantTable":
@@ -176,7 +192,9 @@ class IncrementOutcome:
     carries the increment), ``refined`` (a new frequency was adjoined and a
     translate of the refined set carries it), ``no-witness`` (scan exhausted,
     including grid refinements), or ``hypothesis-not-met`` (enforced
-    hypotheses failed; nothing was scanned).
+    hypotheses failed; nothing was scanned). ``new_set`` is the Bohr set
+    whose translate carries the increment, as the scan enumerated it: the
+    inner set itself for ``translate``, the refined set for ``refined``.
     """
 
     status: str
@@ -186,12 +204,16 @@ class IncrementOutcome:
     a_star: Optional[int] = None
     translate: Optional[int] = None
     y: Optional[Fraction] = None
-    new_spec: Optional[BohrSpec] = None
+    new_set: Optional[BohrSet] = None
     delta_after: Optional[Fraction] = None
     scan_value: Optional[float] = None
     inverse_avg: Optional[float] = None
     guaranteed_bound: Optional[float] = None
     bound_asserted: bool = False
+
+    @property
+    def new_spec(self) -> Optional[BohrSpec]:
+        return self.new_set.spec if self.new_set is not None else None
 
     @property
     def increment(self) -> Optional[Fraction]:
@@ -220,6 +242,9 @@ class IncrementOutcome:
         return out
 
 
+_GRID_RETRIES = 2  # grid misses retry at 8x and then 64x the starting grid
+
+
 def fourier_increment(
     subset: np.ndarray,
     base: BohrSet,
@@ -231,7 +256,6 @@ def fourier_increment(
     enforce: bool = True,
     budget: int = 5 * 10**8,
     enum_limit: int = 10**7,
-    max_grid_retries: int = 2,
 ) -> IncrementOutcome:
     """Find a translate (possibly of a refined Bohr set) where the subset is denser.
 
@@ -243,7 +267,7 @@ def fourier_increment(
     ``eta/2`` nominates a frequency; the refined set adjoins it with widths
     scaled by ``c_prime * c1``, and the best translate ``a + n1`` with the
     refined set inside the base is taken. Acceptance always re-measures the
-    density exactly; grid misses retry with an 8x finer grid.
+    density exactly; grid misses retry with an 8x finer grid, twice.
 
     With ``enforce`` the printed hypotheses (mean zero, real values,
     ``c1 <= eta^3 / (2^15 d)``, ``c_prime <= eta / (2^13 d)``, grid Fourier
@@ -308,7 +332,7 @@ def fourier_increment(
             grid_used=grid_eff,
             a_star=a_star,
             translate=a_star,
-            new_spec=inner1.spec,
+            new_set=inner1,
             delta_after=d_after,
             scan_value=float(df[int(hit[0])]),
             inverse_avg=ia,
@@ -319,114 +343,88 @@ def fourier_increment(
         200.0 * float(c_prime) * d + 100.0 * d * float(inner_cert.max_negative_gap),
         2.0,
     )
+    cand = np.nonzero(df > -float(eta) / 32)[0]
 
-    g = grid_eff
-    for attempt in range(max_grid_retries + 1):
-        outcome = _refined_pass(
-            subset_sorted, base, inner1, f, a_arr, df, delta, eta, c_prime, c1,
-            g, slack, budget, enum_limit, tuple(unmet), ia,
-        )
+    def refined_pass(grid: int) -> Optional[IncrementOutcome]:
+        """One grid pass of the refined-witness search; None means retry finer.
+
+        The scan stops at the first qualifying base point, so its work is
+        metered chunk by chunk as it is spent rather than preflighted for
+        every candidate: one unit is one FFT operation, ``rows * grid *
+        ceil(log2 grid)`` per chunk of base points.
+        """
+        if cand.size == 0:
+            return None
+        thr_sup = float(eta) / 2
+        for chunk, vals, ks in fourier_grid_maxima(f, a_arr[cand], n1, grid, budget=budget):
+            good = np.nonzero(vals >= thr_sup)[0]
+            if good.size == 0:
+                continue
+            r = int(good[0])
+            a_star = int(chunk[r])
+            k_star = int(ks[r])
+            # for real f the scan may report k or grid - k (equal magnitudes);
+            # ||n k/grid|| = ||n (grid - k)/grid||, so either y gives the same
+            # refined Bohr set
+            y = Fraction(k_star, grid) if k_star else Fraction(1)
+            new_spec = BohrSpec(
+                base.spec.theta + (y,),
+                c_prime * c1 * base.spec.eps,
+                c_prime * c1 * base.spec.M,
+            )
+            refined = BohrSet.from_spec(new_spec, enum_limit=enum_limit)
+            pts = a_star + n1[:, None] + refined.elements[None, :]
+            ok_rows = np.all(
+                membership_mask(base.spec, pts.reshape(-1)).reshape(pts.shape), axis=1
+            )
+            if not np.any(ok_rows):
+                return None
+            counts = sorted_lookup(subset_sorted, pts)[1].sum(axis=1)
+            counts = np.where(ok_rows, counts, -1)
+            best = int(np.argmax(counts))
+            best_density = Fraction(int(counts[best]), refined.size)
+            inc = best_density - delta
+            if inc < eta / 32:
+                return None
+            val = float(vals[r])
+            eps_new = float(new_spec.eps)
+            guar = ((val - slack - 8 * eps_new) - (float(eta) / 32 + slack)) / 2
+            asserted = False
+            if guar > 0:
+                if float(inc) < guar - 1e-9:
+                    raise ValueError(
+                        f"measured increment {float(inc)} fell below the guaranteed "
+                        f"bound {guar}; the derivation is falsified"
+                    )
+                asserted = True
+            return IncrementOutcome(
+                status="refined",
+                unmet=tuple(unmet),
+                delta_before=delta,
+                grid_used=grid,
+                a_star=a_star,
+                translate=a_star + int(n1[best]),
+                y=y,
+                new_set=refined,
+                delta_after=best_density,
+                scan_value=val,
+                inverse_avg=ia,
+                guaranteed_bound=guar if guar > 0 else None,
+                bound_asserted=asserted,
+            )
+        return None
+
+    for attempt in range(_GRID_RETRIES + 1):
+        outcome = refined_pass(grid_eff * 8**attempt)
         if outcome is not None:
             return outcome
-        g *= 8
     return IncrementOutcome(
         status="no-witness",
         unmet=tuple(unmet),
         delta_before=delta,
-        grid_used=g // 8,
+        grid_used=grid_eff * 8**_GRID_RETRIES,
         inverse_avg=ia,
     )
-
-
-def _refined_pass(
-    subset_sorted: np.ndarray,
-    base: BohrSet,
-    inner1: BohrSet,
-    f: BoundedFunction,
-    a_arr: np.ndarray,
-    df: np.ndarray,
-    delta: Fraction,
-    eta: Fraction,
-    c_prime: Fraction,
-    c1: Fraction,
-    grid: int,
-    slack: float,
-    budget: int,
-    enum_limit: int,
-    unmet: tuple,
-    ia: Optional[float],
-) -> Optional[IncrementOutcome]:
-    """One grid pass of the refined-witness search; None means retry finer.
-
-    The scan stops at the first qualifying base point, so its work is
-    metered chunk by chunk as it is spent rather than preflighted for every
-    candidate: one unit is one FFT operation, ``rows * grid *
-    ceil(log2 grid)`` per chunk of base points.
-    """
-    n1 = inner1.elements
-    d = base.spec.dim
-    floor_b = -float(eta) / 32
-    cand = np.nonzero(df > floor_b)[0]
-    if cand.size == 0:
-        return None
-    thr_sup = float(eta) / 2
-    for chunk, vals, ks in fourier_grid_maxima(f, a_arr[cand], n1, grid, budget=budget):
-        good = np.nonzero(vals >= thr_sup)[0]
-        if good.size == 0:
-            continue
-        r = int(good[0])
-        a_star = int(chunk[r])
-        k_star = int(ks[r])
-        # for real f the scan may report k or grid - k (equal magnitudes);
-        # ||n k/grid|| = ||n (grid - k)/grid||, so either y gives the same
-        # refined Bohr set
-        y = Fraction(k_star, grid) if k_star else Fraction(1)
-        new_spec = BohrSpec(
-            base.spec.theta + (y,),
-            c_prime * c1 * base.spec.eps,
-            c_prime * c1 * base.spec.M,
-        )
-        refined = BohrSet.from_spec(new_spec, enum_limit=enum_limit)
-        pts = a_star + n1[:, None] + refined.elements[None, :]
-        ok_rows = np.all(
-            membership_mask(base.spec, pts.reshape(-1)).reshape(pts.shape), axis=1
-        )
-        if not np.any(ok_rows):
-            return None
-        counts = sorted_lookup(subset_sorted, pts)[1].sum(axis=1)
-        counts = np.where(ok_rows, counts, -1)
-        best = int(np.argmax(counts))
-        best_density = Fraction(int(counts[best]), refined.size)
-        inc = best_density - delta
-        if inc < eta / 32:
-            return None
-        val = float(vals[r])
-        eps_new = float(new_spec.eps)
-        guar = ((val - slack - 8 * eps_new) - (float(eta) / 32 + slack)) / 2
-        asserted = False
-        if guar > 0:
-            if float(inc) < guar - 1e-9:
-                raise ValueError(
-                    f"measured increment {float(inc)} fell below the guaranteed "
-                    f"bound {guar}; the derivation is falsified"
-                )
-            asserted = True
-        return IncrementOutcome(
-            status="refined",
-            unmet=unmet,
-            delta_before=delta,
-            grid_used=grid,
-            a_star=a_star,
-            translate=a_star + int(n1[best]),
-            y=y,
-            new_spec=new_spec,
-            delta_after=best_density,
-            scan_value=val,
-            inverse_avg=ia,
-            guaranteed_bound=guar if guar > 0 else None,
-            bound_asserted=asserted,
-        )
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +439,6 @@ class EngineLimits:
     count_budget: int = 5 * 10**8
     finder_budget: int = 10**8
     grid: int = 512
-    max_candidates: int = 64
 
 
 @dataclass(frozen=True)
@@ -495,10 +492,44 @@ class RunResult:
         }
 
 
-def _members(work: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The elements of ``work`` (sorted, distinct) among ``points``, in their order."""
-    idx, hit = sorted_lookup(work, points)
-    return work[idx[hit]]
+@dataclass(frozen=True)
+class _State:
+    """Where the iteration stands: the current set ``work`` (sorted, distinct)
+    on the ambient ``spec``, and the map ``original = mult * x + offset`` back
+    to the input's coordinates.
+
+    Each transition keeps the points of ``work`` in ``shift + scale * target``
+    and renormalizes them by ``x -> (x - shift) / scale``, so the new ambient
+    set is ``target`` itself. ``target.elements`` ascend, hence so does the
+    new set.
+    """
+
+    work: np.ndarray
+    spec: BohrSpec
+    mult: int = 1
+    offset: int = 0
+
+    @classmethod
+    def start(cls, subset: np.ndarray, N: int) -> "_State":
+        """The input on the width-``N`` integer window (frequency 1 makes the
+        torus constraint vacuous)."""
+        arr = sorted_distinct(subset)
+        window = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(N))
+        return cls(arr[(arr >= -N) & (arr <= N)], window)
+
+    def doubled(self, a: int, target: BohrSet) -> "_State":
+        """The doubled translate ``a + 2 * target``, renormalized by ``x -> (x - a) / 2``."""
+        return self._moved(a, 2, target)
+
+    def translated(self, t: int, target: BohrSet) -> "_State":
+        """The translate ``t + target``, moved back by ``t``."""
+        return self._moved(t, 1, target)
+
+    def _moved(self, shift: int, scale: int, target: BohrSet) -> "_State":
+        idx, hit = sorted_lookup(self.work, shift + scale * target.elements)
+        mult, offset = self.mult, self.offset
+        kept = self.work[idx[hit]]
+        return _State((kept - shift) // scale, target.spec, mult * scale, offset + mult * shift)
 
 
 def plan_inner_dilations(
@@ -517,11 +548,7 @@ def plan_inner_dilations(
         d = current.dim
         target = table.x1(s, d, delta) if i == 1 else table.x_rest(s, d, delta)
         search = find_regular_dilation(
-            current,
-            target / 2,
-            target,
-            max_candidates=limits.max_candidates,
-            enum_limit=limits.enum_limit,
+            current, target / 2, target, enum_limit=limits.enum_limit
         )
         if not search.found or search.c > 1:  # a dilate past 1 is not nested
             return None
@@ -558,39 +585,37 @@ def run(
     small-set branch fired: a valid negative) or ``limit`` (budgets, caps,
     or a witness the scan could not certify).
     """
-    if mode not in ("faithful", "practical"):
-        raise ValueError("mode must be faithful or practical")
+    table = ConstantTable.for_mode(mode, overrides)
     if s < 2:
         raise ValueError("s must be at least 2")
     limits = limits or EngineLimits()
-    table = (
-        ConstantTable.faithful() if mode == "faithful" else ConstantTable.practical(overrides)
-    )
-    if mode == "faithful" and overrides:
-        raise ValueError("faithful mode takes no overrides")
 
-    original = sorted_distinct(subset)
-    work = original[(original >= -N) & (original <= N)]
-    spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(N))
+    state = _State.start(subset, N)
     ambient: Optional[BohrSet] = None  # a transition carries its set over
-    mult, offset = 1, 0
     records: list[StepRecord] = []
 
     def finish(status: str, reason: str, cfg=None) -> RunResult:
         final = {
-            "mult": mult,
-            "offset": offset,
-            "d": spec.dim,
-            "set_size": int(work.size),
+            "mult": state.mult,
+            "offset": state.offset,
+            "d": state.spec.dim,
+            "set_size": int(state.work.size),
         }
         return RunResult(status, _EXIT_CODES[status], reason, cfg, tuple(records), final)
+
+    def record(step: int, case: str, delta: Fraction, payload: dict) -> None:
+        spec = state.spec
+        records.append(
+            StepRecord(step, case, spec.dim, delta, spec, state.mult, state.offset, payload)
+        )
 
     for step in range(limits.max_steps):
         if ambient is None:
             try:
-                ambient = BohrSet.from_spec(spec, enum_limit=limits.enum_limit)
+                ambient = BohrSet.from_spec(state.spec, enum_limit=limits.enum_limit)
             except BudgetExceeded as exc:
                 return finish("limit", f"enumeration budget: {exc}")
+        spec, work = state.spec, state.work
         delta = exact_density(work, ambient.elements)
         if delta == 0:
             return finish("exhausted", "set is empty on the ambient Bohr set")
@@ -612,20 +637,18 @@ def run(
         if freeness.status == "found":
             cfg = freeness.config
             cfg_orig = Configuration(
-                mult * cfg.a + offset, tuple(mult * n for n in cfg.ns)
+                state.mult * cfg.a + state.offset, tuple(state.mult * n for n in cfg.ns)
             )
-            if not verify_configuration(original, cfg_orig, s):
+            if not verify_configuration(subset, cfg_orig, s):
                 return finish("limit", "transported configuration failed verification")
-            records.append(
-                StepRecord(
-                    step, "config", spec.dim, delta, spec, mult, offset,
-                    {
-                        "config": cfg.as_dict(),
-                        "config_original": cfg_orig.as_dict(),
-                        "finder": freeness.as_dict(),
-                        "chain": chain_notes,
-                    },
-                )
+            record(
+                step, "config", delta,
+                {
+                    "config": cfg.as_dict(),
+                    "config_original": cfg_orig.as_dict(),
+                    "finder": freeness.as_dict(),
+                    "chain": chain_notes,
+                },
             )
             return finish("found", "configuration found", cfg_orig)
         if freeness.status == "inconclusive":
@@ -649,35 +672,22 @@ def run(
             return finish("limit", f"dichotomy budget: {exc}")
 
         if out.kind == "small-bohr":
-            records.append(
-                StepRecord(
-                    step, "small-bohr", spec.dim, delta, spec, mult, offset,
-                    {"dichotomy": out.as_dict(), "chain": chain_notes},
-                )
-            )
+            record(step, "small-bohr", delta, {"dichotomy": out.as_dict(), "chain": chain_notes})
             return finish("exhausted", "innermost Bohr set certified small")
 
         if out.kind == "local-increment":
             info = out.data["increment"]
-            i = info["inner_index"]
-            a = info["a"]
-            target = inner_sets[i - 1]
-            new_work = (_members(work, a + 2 * target.elements) - a) // 2
-            new_delta = Fraction(int(new_work.size), target.size)
+            target = inner_sets[info["inner_index"] - 1]
+            moved = state.doubled(info["a"], target)
+            new_delta = Fraction(int(moved.work.size), target.size)
             if [new_delta.numerator, new_delta.denominator] != info["new_density"]:
                 return finish("limit", "local increment failed recheck")
             if new_delta < delta * increment_factor(s):
                 return finish("limit", "local increment below the required factor")
-            records.append(
-                StepRecord(
-                    step, "local-increment", spec.dim, delta, spec, mult, offset,
-                    {"dichotomy": out.as_dict(), "chain": chain_notes},
-                )
+            record(
+                step, "local-increment", delta, {"dichotomy": out.as_dict(), "chain": chain_notes}
             )
-            offset = offset + mult * a
-            mult = mult * 2
-            ambient, spec = target, target.spec
-            work = sorted_distinct(new_work)
+            state, ambient = moved, target
             continue
 
         if out.kind == "large-u2":
@@ -703,34 +713,22 @@ def run(
             gain = inc.increment
             if gain is None or gain <= 0 or gain < table.min_increment():
                 return finish("limit", "fourier witness gain below acceptance")
-            t0 = inc.translate
-            new_ambient = BohrSet.from_spec(inc.new_spec, enum_limit=limits.enum_limit)
-            new_work = _members(work, t0 + new_ambient.elements) - t0
-            recheck = Fraction(int(new_work.size), new_ambient.size)
-            if recheck != inc.delta_after:
+            moved = state.translated(inc.translate, inc.new_set)
+            if Fraction(int(moved.work.size), inc.new_set.size) != inc.delta_after:
                 return finish("limit", "fourier increment failed recheck")
-            records.append(
-                StepRecord(
-                    step, f"fourier-{inc.status}", spec.dim, delta, spec, mult, offset,
-                    {
-                        "dichotomy": out.as_dict(),
-                        "increment": inc.as_dict(),
-                        "chain": chain_notes,
-                    },
-                )
+            record(
+                step, f"fourier-{inc.status}", delta,
+                {
+                    "dichotomy": out.as_dict(),
+                    "increment": inc.as_dict(),
+                    "chain": chain_notes,
+                },
             )
-            offset = offset + mult * t0
-            ambient, spec = new_ambient, new_ambient.spec
-            work = sorted_distinct(new_work)
+            state, ambient = moved, inc.new_set
             continue
 
         # violation / no-case
-        records.append(
-            StepRecord(
-                step, out.kind, spec.dim, delta, spec, mult, offset,
-                {"dichotomy": out.as_dict(), "chain": chain_notes},
-            )
-        )
+        record(step, out.kind, delta, {"dichotomy": out.as_dict(), "chain": chain_notes})
         if out.kind == "violation":
             return finish(
                 "violation", "all dichotomy branches clean under certified preconditions"
@@ -763,23 +761,21 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     (empty means the whole trace rechecks).
     """
     problems: list[str] = []
-    original = sorted_distinct(subset)
-    work = original[(original >= -N) & (original <= N)]
-    spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(N))
-    mult, offset = 1, 0
+    state = _State.start(subset, N)
     last: Optional[StepRecord] = None
     replayed = 0
 
     for rec in result.steps:
         last, replayed = rec, replayed + 1
+        spec = state.spec
         if rec.spec != spec:
             problems.append(f"step {rec.step}: ambient spec drifted")
             break
-        if (rec.mult, rec.offset) != (mult, offset):
+        if (rec.mult, rec.offset) != (state.mult, state.offset):
             problems.append(f"step {rec.step}: affine map drifted")
             break
         ambient = BohrSet.from_spec(spec)
-        delta = exact_density(work, ambient.elements)
+        delta = exact_density(state.work, ambient.elements)
         if delta != rec.delta:
             problems.append(
                 f"step {rec.step}: recorded density {rec.delta} remeasures {delta}"
@@ -790,7 +786,7 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
             cfg = Configuration(
                 pay["config_original"]["a"], tuple(pay["config_original"]["ns"])
             )
-            if not verify_configuration(original, cfg, len(cfg.ns)):
+            if not verify_configuration(subset, cfg, len(cfg.ns)):
                 problems.append(f"step {rec.step}: configuration not in the input set")
             break
         if rec.case == "small-bohr":
@@ -815,7 +811,7 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
             if Fraction(sizes[-1]) > thr:
                 problems.append(f"step {rec.step}: innermost set is not small")
             freeness = find_configuration_restricted(
-                work, ambient, inner_sets, budget=data["freeness"]["budget"]
+                state.work, ambient, inner_sets, budget=data["freeness"]["budget"]
             )
             if freeness.status != "none":
                 problems.append(
@@ -827,17 +823,11 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
             a = info["a"]
             inner_spec = _chain_specs(spec, pay["chain"][: info["inner_index"]])[-1]
             inner = BohrSet.from_spec(inner_spec)
-            translated = a + 2 * inner.elements
-            if not bool(np.all(membership_mask(spec, translated))):
+            if not bool(np.all(membership_mask(spec, a + 2 * inner.elements))):
                 problems.append(f"step {rec.step}: doubled translate leaves the base")
-            members = _members(work, translated)
-            got = Fraction(int(members.size), inner.size)
-            if got != Fraction(*info["new_density"]):
+            state = state.doubled(a, inner)
+            if Fraction(int(state.work.size), inner.size) != Fraction(*info["new_density"]):
                 problems.append(f"step {rec.step}: increment density fails recheck")
-            work = sorted_distinct((members - a) // 2)
-            offset = offset + mult * a
-            mult = mult * 2
-            spec = inner_spec
             continue
         if rec.case.startswith("fourier-"):
             info = pay["increment"]
@@ -852,20 +842,17 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
             new_ambient = BohrSet.from_spec(new_spec)
             if not bool(np.all(membership_mask(spec, t0 + new_ambient.elements))):
                 problems.append(f"step {rec.step}: refined translate leaves the ambient set")
-            new_work = _members(work, t0 + new_ambient.elements) - t0
-            got = Fraction(int(new_work.size), new_ambient.size)
+            state = state.translated(t0, new_ambient)
+            got = Fraction(int(state.work.size), new_ambient.size)
             if got != Fraction(*info["delta_after"]):
                 problems.append(f"step {rec.step}: fourier density fails recheck")
             if got <= delta:
                 problems.append(f"step {rec.step}: fourier step did not gain density")
-            work = sorted_distinct(new_work)
-            offset = offset + mult * t0
-            spec = new_spec
             continue
         # violation / no-case are terminal records with nothing to replay
         break
     trailing = len(result.steps) - replayed
-    return problems + _status_problems(result, last, trailing, work, spec)
+    return problems + _status_problems(result, last, trailing, state)
 
 
 def _chain_specs(spec: BohrSpec, notes: list[dict]) -> list[BohrSpec]:
@@ -880,18 +867,16 @@ def _status_problems(
     result: RunResult,
     last: Optional[StepRecord],
     trailing: int,
-    work: np.ndarray,
-    spec: BohrSpec,
+    state: _State,
 ) -> list[str]:
     """Check the claimed status against the replay that ended on ``last``.
 
-    ``trailing`` records follow ``last`` unreplayed; ``work`` and ``spec``
-    are the replayed set and ambient spec after the last record that moves
-    the state. ``exhausted`` needs a final ``small-bohr`` record or a
-    replayed set that is empty on the ambient set; ``found`` needs a final
-    ``config`` record naming ``result.config``; ``violation`` needs a final
-    ``violation`` record; ``limit`` claims nothing. The exit code must be
-    the status's own.
+    ``trailing`` records follow ``last`` unreplayed; ``state`` is the replay
+    after the last record that moves it. ``exhausted`` needs a final
+    ``small-bohr`` record or a replayed set that is empty on the ambient
+    set; ``found`` needs a final ``config`` record naming ``result.config``;
+    ``violation`` needs a final ``violation`` record; ``limit`` claims
+    nothing. The exit code must be the status's own.
     """
     status = result.status
     if status not in _EXIT_CODES:
@@ -904,7 +889,9 @@ def _status_problems(
     if not moved and trailing:
         return problems + [f"step {last.step}: records follow the terminal {case} record"]
     if status == "exhausted":
-        if case != "small-bohr" and exact_density(work, BohrSet.from_spec(spec).elements):
+        if case != "small-bohr" and exact_density(
+            state.work, BohrSet.from_spec(state.spec).elements
+        ):
             problems.append(
                 "status exhausted without a final small-bohr record"
                 " or an empty replayed set"

@@ -419,11 +419,23 @@ class FunctionFamily:
         return self.table[(i, j)]
 
 
-def _tuple_space_cost(base_size: int, inner_sizes: Sequence[int]) -> int:
-    c = base_size
-    for l in inner_sizes:
-        c *= l
-    return c
+def _tuple_space(
+    base: ElementsLike, inners: Sequence[ElementsLike], budget: int
+) -> tuple[np.ndarray, list[np.ndarray], int]:
+    """The base and inner arrays and the tuple-space size ``|base| * prod |N_i|``,
+    checked: at least two inner sets, none empty, the size within ``budget``."""
+    if len(inners) < 2:
+        raise ValueError("need at least two inner sets")
+    a = as_elements(base)
+    ns = [as_elements(x) for x in inners]
+    if a.size == 0 or min(x.size for x in ns) == 0:
+        raise ValueError("base and inner sets must be nonempty")
+    cost = a.size
+    for x in ns:
+        cost *= x.size
+    if cost > budget:
+        raise BudgetExceeded(f"counting needs {cost} operations, budget {budget}")
+    return a, ns, cost
 
 
 def count_T_s(
@@ -438,23 +450,15 @@ def count_T_s(
     Dense contraction, chunked over the base axis; chunking cannot change any
     per-base value, and the final mean runs over the full base-indexed array.
     """
-    s = len(inners)
-    if s < 2:
-        raise ValueError("need at least two inner sets")
+    a, ns, cost = _tuple_space(base, inners, budget)
+    s = len(ns)
     if s > len(_EINSUM_LETTERS):
         raise ValueError(f"s = {s} too large for dense counting")
     if isinstance(family, BoundedFunction):
         family = FunctionFamily.uniform(family, s)
     if family.s != s:
         raise ValueError("family arity does not match the inner sets")
-    a = as_elements(base)
-    ns = [as_elements(x) for x in inners]
     sizes = [x.size for x in ns]
-    if a.size == 0 or min(sizes) == 0:
-        raise ValueError("base and inner sets must be nonempty")
-    cost = _tuple_space_cost(a.size, sizes)
-    if cost > budget:
-        raise BudgetExceeded(f"counting needs {cost} operations, budget {budget}")
 
     pair_mem = max(
         sizes[i] * sizes[j] for i in range(s) for j in range(i, s)
@@ -481,10 +485,7 @@ def count_T_s(
                 )
                 ops.append(family.get(i + 1, j + 1).gather(grid))
         vals[lo : lo + step] = np.einsum(signature, *ops, optimize=False)
-    denom = 1
-    for l in sizes:
-        denom *= l
-    return complex(np.mean(vals / denom))
+    return complex(np.mean(vals / (cost // a.size)))
 
 
 def count_patterns_exact(
@@ -503,17 +504,7 @@ def count_patterns_exact(
     :func:`find_configuration_restricted`. The tuple space is checked against
     the budget up front; the walk's 64-bit words are metered against it too.
     """
-    s = len(inners)
-    if s < 2:
-        raise ValueError("need at least two inner sets")
-    a = as_elements(base)
-    ns = [as_elements(x) for x in inners]
-    sizes = [x.size for x in ns]
-    if a.size == 0 or min(sizes) == 0:
-        raise ValueError("base and inner sets must be nonempty")
-    cost = _tuple_space_cost(a.size, sizes)
-    if cost > budget:
-        raise BudgetExceeded(f"counting needs {cost} operations, budget {budget}")
+    a, ns, cost = _tuple_space(base, inners, budget)
     bs = sorted_distinct(a)
     if bs.size != a.size:
         raise ValueError("base points must be distinct")

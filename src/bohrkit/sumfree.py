@@ -41,6 +41,7 @@ from .patterns import (
     PreconditionError,
     find_configuration,
     pair_search,
+    verify_configuration,
 )
 
 
@@ -186,19 +187,21 @@ def _popular_half_interval(residues: np.ndarray, p: int) -> np.ndarray:
     return (residues - best_start) % p < length
 
 
+_C_EMBED = 8  # moduli reach up to _C_EMBED * k * |a|; reports record it as c_embed
+
+
 def ruzsa_embed(
     a: ElementsLike,
     k: RationalLike,
     *,
     retries: int = 64,
     seed: int = 0,
-    c_embed: int = 8,
 ) -> EmbedResult:
     """Embed at least half of ``a`` into a prime cyclic group, verified.
 
     Requires the declared doubling to hold: ``|a - a| <= k * |a|`` (checked
     exactly; :class:`PreconditionError` otherwise). Primes ascend through
-    ``(|a|, c_embed * k * |a|]``; for each, a few seeded multipliers are
+    ``(|a|, 8 * k * |a|]``; for each, a few seeded multipliers are
     tried, the most popular half-interval of the image is kept, and the
     restricted map must pass :func:`check_freiman_isomorphic` to be returned.
     """
@@ -212,7 +215,7 @@ def ruzsa_embed(
         raise PreconditionError(
             f"difference set has {diffs.size} elements, exceeding K|A| = {k * n}"
         )
-    cap_frac = c_embed * k * n
+    cap_frac = _C_EMBED * k * n
     cap = int(cap_frac) if cap_frac == int(cap_frac) else int(cap_frac) + 1
     rng = random.Random(seed)
     attempts = 0
@@ -241,10 +244,10 @@ def ruzsa_embed(
             if check_freiman_isomorphic(fm):
                 return EmbedResult(
                     "ok", fm, k, int(diffs.size), n, int(dom.size),
-                    attempts, c_embed, seed,
+                    attempts, _C_EMBED, seed,
                 )
     return EmbedResult(
-        "failed", None, k, int(diffs.size), n, 0, attempts, c_embed, seed,
+        "failed", None, k, int(diffs.size), n, 0, attempts, _C_EMBED, seed,
         reason=f"no verified map among {attempts} attempts with modulus <= {cap}",
     )
 
@@ -312,9 +315,7 @@ def find_configuration_via_embedding(
     h: int,
     *,
     budget: int = 10**8,
-    retries: int = 64,
     seed: int = 0,
-    c_embed: int = 8,
 ) -> EmbeddingSearch:
     """Search for an h-configuration, compressing through a verified embedding.
 
@@ -331,7 +332,7 @@ def find_configuration_via_embedding(
     diffs = sorted_distinct(arr[:, None] - arr[None, :])
     measured_k = Fraction(int(diffs.size), int(arr.size))
 
-    emb = ruzsa_embed(arr, measured_k, retries=retries, seed=seed, c_embed=c_embed)
+    emb = ruzsa_embed(arr, measured_k, seed=seed)
     if emb.status == "ok":
         image = np.sort(emb.map.images)
         hit = find_configuration(image, h, budget=budget)
@@ -344,8 +345,7 @@ def find_configuration_via_embedding(
             a0 = diag[0] % 2
             ns = tuple((u - a0) // 2 for u in diag)
             pulled = Configuration(a0, ns)
-            members = set(arr.tolist())
-            if not all(v in members for v in pulled.elements()):
+            if not verify_configuration(arr, pulled, h):
                 raise AssertionError(
                     "pulled-back configuration left the input set; "
                     "the verified isomorphism cannot do this"

@@ -208,6 +208,16 @@ def test_patterns_dichotomy_sweep_keeps_rows_past_a_budget_stop(tmp_path):
     assert clean.stdout == canonical_json([rows[0], rows[2]])
 
 
+@pytest.mark.parametrize("command", [("patterns", "dichotomy"), ("increment", "run")])
+def test_faithful_mode_rejects_constant_overrides(tmp_path, command):
+    path = write_set(tmp_path / "z.txt", range(1, 41))
+    constants = tmp_path / "c.json"
+    constants.write_text('{"x1": "2"}')
+    proc = run_cli(*command, "--set", path, "--mode", "faithful", "--constants", str(constants))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: faithful mode takes no overrides\n"
+
+
 # ---------------------------------------------------------------------------
 # gen group
 # ---------------------------------------------------------------------------

@@ -5,17 +5,21 @@ import no underscore name from another bohrkit module (a private helper that
 two modules need belongs under a public name) and must use every name its
 top-level imports bind. Every module, the package ``__init__`` included,
 must leave ``np.isin`` and ``np.intersect1d`` alone: each membership question
-on a sorted array goes through ``bohr.sorted_lookup``.
+on a sorted array goes through ``bohr.sorted_lookup``. Every library function
+the bench harness traces (``bench/spans.py``, ``TARGETS``) must still exist
+under the name the harness patches, so a rename cannot silently drop a span.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bohrkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bohrkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 _SET_OPS = ("isin", "intersect1d")
 
@@ -91,6 +95,29 @@ def test_no_unused_top_level_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_numpy_set_membership(path):
     assert set_op_calls(_tree(path)) == []
+
+
+def traced_targets(tree: ast.Module) -> list[tuple[str, str]]:
+    """The ``(module, attribute)`` pairs that open each entry of ``TARGETS``."""
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "TARGETS"
+    ]
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in value.elts]
+
+
+def test_traced_targets_resolve():
+    targets = traced_targets(_tree(ROOT / "bench" / "spans.py"))
+    assert len(targets) > 20
+    missing = []
+    for modname, attr in targets:
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{modname}.{attr}")
+    assert missing == []
 
 
 def test_checks_catch_what_they_look_for():

@@ -2,7 +2,8 @@
 
 The faithful constant table is checked against an independent big-rational
 evaluator written from the same printed formulas; the Fourier step against a
-fully hand-derived parity example; engine runs against exact replays.
+fully hand-derived parity example; the engine state's two transitions against
+a literal loop oracle; engine runs against exact replays.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bohrkit import bohr, increment
-from bohrkit.bohr import BohrSet, BohrSpec
+from bohrkit.bohr import BohrSet, BohrSpec, enumerate_bohr
 from bohrkit.increment import (
     ConstantTable,
     EngineLimits,
@@ -30,6 +33,7 @@ from bohrkit.increment import (
 from bohrkit.patterns import (
     Configuration,
     behrend_set,
+    dichotomy,
     increment_factor,
     random_set,
     smallness_bound,
@@ -111,6 +115,8 @@ def test_practical_rejects_unknown_override():
 def test_faithful_rejects_overrides():
     with pytest.raises(ValueError):
         run(np.arange(1, 10), 10, mode="faithful", overrides={"eta": Fraction(1, 2)})
+    # an empty table of overrides names no constant
+    assert ConstantTable.for_mode("faithful", {}) == ConstantTable.faithful()
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +144,8 @@ def test_fourier_increment_refined_parity_example():
     assert out.a_star == -1500
     assert out.translate == -1764
     assert out.y == Fraction(1, 2)
+    assert out.new_set.spec == out.new_spec
+    assert np.array_equal(out.new_set.elements, enumerate_bohr(out.new_spec))
     assert out.new_spec.theta == (Fraction(1), Fraction(1, 2))
     assert out.new_spec.eps == Fraction(1, 96)
     assert out.new_spec.M == Fraction(75, 2)
@@ -165,6 +173,7 @@ def test_fourier_increment_translate_case():
     assert out.status == "translate"
     assert out.a_star == -175 and out.translate == -175
     assert out.new_spec == inner.spec
+    assert out.new_set is inner
     assert out.delta_after == 1
     assert out.increment == Fraction(200, 401)
 
@@ -180,6 +189,60 @@ def test_fourier_increment_enforce_reports_unmet():
     assert out.status == "hypothesis-not-met"
     assert out.unmet
     assert out.new_spec is None and out.increment is None
+
+
+# ---------------------------------------------------------------------------
+# the engine state and its two transitions
+# ---------------------------------------------------------------------------
+
+
+def transition_oracle(subset, N: int, moves) -> dict:
+    """Current point -> input point after ``moves``, by literal loops.
+
+    A ``doubled`` move by ``a`` onto ``T`` keeps each ``n`` in ``T`` whose
+    point ``a + 2n`` is held; a ``translated`` move by ``t`` keeps each ``n``
+    whose point ``t + n`` is held. The input point rides along unchanged.
+    """
+    held = {x: x for x in subset if -N <= x <= N}
+    for kind, shift, target in moves:
+        scale = 2 if kind == "doubled" else 1
+        moved = {}
+        for n in target.elements.tolist():
+            if shift + scale * n in held:
+                moved[n] = held[shift + scale * n]
+        held = moved
+    return held
+
+
+@st.composite
+def transition_chains(draw):
+    N = draw(st.integers(8, 60))
+    window = range(-N - 3, N + 4)  # a few input points fall outside [-N, N]
+    mask = draw(st.lists(st.booleans(), min_size=len(window), max_size=len(window)))
+    moves = []
+    for _ in range(draw(st.integers(0, 3))):
+        q = draw(st.integers(1, 12))
+        theta = (Fraction(1), Fraction(draw(st.integers(1, q)), q))
+        spec = BohrSpec(theta, Fraction(draw(st.integers(1, 4)), 8), draw(st.integers(1, N)))
+        kind = draw(st.sampled_from(["doubled", "translated"]))
+        moves.append((kind, draw(st.integers(-N // 2, N // 2)), BohrSet.from_spec(spec)))
+    return [x for x, keep in zip(window, mask) if keep], N, moves
+
+
+@settings(max_examples=150, deadline=None)
+@given(transition_chains())
+@example((list(range(-20, 21)), 20, [
+    ("doubled", 3, _interval(6)), ("translated", 2, _interval(3)), ("doubled", -1, _interval(1)),
+]))
+def test_state_transitions_match_loop_oracle(chain):
+    subset, N, moves = chain
+    state = increment._State.start(np.array(subset, dtype=np.int64), N)
+    for kind, shift, target in moves:
+        state = getattr(state, kind)(shift, target)
+        assert state.spec == target.spec
+    held = transition_oracle(subset, N, moves)
+    assert state.work.tolist() == sorted(held)
+    assert [state.mult * x + state.offset for x in sorted(held)] == [held[x] for x in sorted(held)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +414,45 @@ def _parity_fourier_run():
 def test_recheck_accepts_hand_built_fourier_record():
     evens, result = _parity_fourier_run()
     assert recheck_run(evens, 1800, result) == []
+
+
+def _evens_local_increment_run():
+    # the evens of [-2500, 2500] with the chain c = 1/4, 1 as a one-step run:
+    # every contained doubled translate at even a is all even
+    base = _interval(2500)
+    evens = base.elements[base.elements % 2 == 0]
+    inner = BohrSet.from_spec(base.spec.dilate(Fraction(1, 4)))
+    out = dichotomy(evens, base, [inner, inner], enforce=False)
+    assert out.kind == "local-increment"
+    rec = StepRecord(
+        0, "local-increment", 1, out.delta, base.spec, 1, 0,
+        {"dichotomy": out.as_dict(), "chain": [{"c": [1, 4]}, {"c": [1, 1]}]},
+    )
+    return evens, RunResult("limit", 3, "hand-built", None, (rec,), {})
+
+
+def test_recheck_accepts_hand_built_local_increment_record():
+    evens, result = _evens_local_increment_run()
+    assert result.steps[0].payload["dichotomy"]["data"]["increment"]["new_density"] == [1, 1]
+    assert recheck_run(evens, 2500, result) == []
+
+
+@pytest.mark.parametrize(
+    "forged, complaint",
+    [
+        # a + 2 N_1 = [2, 2502] pokes out of the base; its density 1250/1251 is
+        # re-measured, so only the containment check can object
+        ({"a": 1252, "new_density": [1250, 1251]}, "doubled translate leaves the base"),
+        ({"new_density": [1, 2]}, "increment density fails recheck"),
+    ],
+    ids=["translate-leaves-base", "forged-density"],
+)
+def test_recheck_rederives_forged_local_increment_record(forged, complaint):
+    evens, result = _evens_local_increment_run()
+    forgery = copy.deepcopy(result)
+    forgery.steps[0].payload["dichotomy"]["data"]["increment"].update(forged)
+    problems = recheck_run(evens, 2500, forgery)
+    assert len(problems) == 1 and complaint in problems[0]
 
 
 def _forge_translate(info, evens):
