@@ -35,13 +35,14 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .exact import RationalLike, as_rational, floor_frac, rational_pair
 
 _INT64_SAFE = 2**62
+_CHUNK_ENTRIES = 2**18  # entries in the largest array one chunk builds
 
 
 class BudgetExceeded(RuntimeError):
@@ -195,10 +196,11 @@ def membership_mask(spec: BohrSpec, ns: np.ndarray) -> np.ndarray:
     return keys <= B
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BohrSet:
     """A spec, its enumerated elements (ascending int64) and, once known,
-    its regularity certificate, carried so that no step certifies it again."""
+    its regularity certificate, carried so that no step certifies it again.
+    Equal when all three agree; hashed by spec."""
 
     spec: BohrSpec
     elements: np.ndarray
@@ -209,9 +211,21 @@ class BohrSet:
         if cert is not None and (cert.spec != self.spec or cert.base_size != self.size):
             raise ValueError("the certificate belongs to another Bohr set")
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BohrSet):
+            return NotImplemented
+        return (
+            self.spec == other.spec
+            and np.array_equal(self.elements, other.elements)
+            and self.certificate == other.certificate
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.spec)
+
     @classmethod
-    def from_spec(cls, spec: BohrSpec, *, enum_limit: int = 10**7) -> "BohrSet":
-        return cls(spec, enumerate_bohr(spec, enum_limit=enum_limit))
+    def from_spec(cls, spec: BohrSpec) -> "BohrSet":
+        return cls(spec, enumerate_bohr(spec))
 
     @property
     def size(self) -> int:
@@ -260,6 +274,45 @@ def exact_density(subset: np.ndarray, ambient: np.ndarray) -> Fraction:
         raise ValueError("ambient set is empty")
     hit = sorted_lookup(sorted_distinct(subset), sorted_distinct(ambient))[1]
     return Fraction(int(np.count_nonzero(hit)), int(ambient.size))
+
+
+def chunk_rows(width: int) -> int:
+    """Rows per chunk when each row builds arrays of ``width`` entries: the
+    largest array a chunk builds holds at most 2^18 entries, unless one row
+    alone needs more."""
+    return max(1, _CHUNK_ENTRIES // width)
+
+
+def translate_counts(
+    subset: np.ndarray,
+    ambient: np.ndarray,
+    shifts: np.ndarray,
+    offsets: np.ndarray,
+    *,
+    budget: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """How much of ``subset`` each translate ``t + offsets`` holds, chunk by chunk.
+
+    ``subset`` and ``ambient`` are sorted distinct arrays. For consecutive
+    chunks of ``shifts`` yields ``(chunk, inside, counts)``: ``inside[r]``
+    says whether ``chunk[r] + offsets`` lies in ``ambient``, and
+    ``counts[r]`` is ``|(chunk[r] + offsets) ∩ subset|``, an exact integer.
+
+    One work unit is one point looked up, ``rows * |offsets|`` per chunk;
+    the chunk that would take the total past ``budget`` raises
+    :class:`BudgetExceeded` before it is computed.
+    """
+    step = chunk_rows(offsets.size)
+    spent = 0
+    for lo in range(0, shifts.size, step):
+        chunk = shifts[lo : lo + step]
+        spent += chunk.size * offsets.size
+        if spent > budget:
+            raise BudgetExceeded(f"translate count spent {spent} points, budget {budget}")
+        pts = chunk[:, None] + offsets[None, :]
+        inside = np.all(sorted_lookup(ambient, pts)[1], axis=1)
+        counts = np.count_nonzero(sorted_lookup(subset, pts)[1], axis=1)
+        yield chunk, inside, counts
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +463,12 @@ class DilationSearch:
         return out
 
 
-def certificates(
-    sets: Sequence[BohrSet], *, enum_limit: int = 10**7
-) -> list[RegularityCertificate]:
+def certificates(sets: Sequence[BohrSet]) -> list[RegularityCertificate]:
     """Each set's certificate: the one carried, else one per distinct spec."""
     known = {bs.spec: bs.certificate for bs in sets if bs.certificate is not None}
     for bs in sets:
         if bs.spec not in known:
-            known[bs.spec] = regularity_certificate(bs.spec, enum_limit=enum_limit)
+            known[bs.spec] = regularity_certificate(bs.spec)
     return [known[bs.spec] for bs in sets]
 
 
@@ -467,17 +518,9 @@ def find_regular_dilation(
     )
 
 
-def find_regular_alpha(
-    spec: BohrSpec, *, max_candidates: int = 64, enum_limit: int = 10**7
-) -> DilationSearch:
+def find_regular_alpha(spec: BohrSpec, *, enum_limit: int = 10**7) -> DilationSearch:
     """Scan ``[1/2, 1]`` for a regular dilation of ``spec``."""
-    return find_regular_dilation(
-        spec,
-        Fraction(1, 2),
-        Fraction(1),
-        max_candidates=max_candidates,
-        enum_limit=enum_limit,
-    )
+    return find_regular_dilation(spec, Fraction(1, 2), Fraction(1), enum_limit=enum_limit)
 
 
 def spec_from_dict(payload: dict) -> BohrSpec:

@@ -22,7 +22,7 @@ contract in different orders they round differently; agreement within 1e-9
 is asserted by callers that need it. Every kernel here, the Fourier scan
 included, walks its base points in chunks sized by one bound: the largest
 array a chunk builds holds at most 2^18 entries, unless one base point alone
-needs more (:func:`_chunk_rows`).
+needs more (:func:`bohrkit.bohr.chunk_rows`, the one chunk rule).
 
 The Fourier scan evaluates windowed exponential sums on a rational grid
 with an explicit derivative-based error certificate. Each base point's grid
@@ -48,18 +48,11 @@ from .bohr import (
     ElementsLike,
     as_elements,
     certificates,
+    chunk_rows,
     infer_dilation,
 )
 from .exact import RationalLike, as_rational, rational_pair
 from .functions import BoundedFunction
-
-
-_CHUNK_ENTRIES = 2**18  # entries in the largest array one chunk builds
-
-
-def _chunk_rows(width: int) -> int:
-    """Base points per chunk when each point builds arrays of ``width`` entries."""
-    return max(1, _CHUNK_ENTRIES // width)
 
 
 def _gather_cube(
@@ -95,7 +88,7 @@ def u2_fourth_direct(
     if cost > budget:
         raise BudgetExceeded(f"direct route needs {cost} operations, budget {budget}")
     vals = np.empty(a.size, dtype=np.float64)
-    step = _chunk_rows(max(n1.size * n2.size, n2.size**2))
+    step = chunk_rows(max(n1.size * n2.size, n2.size**2))
     for s in range(0, a.size, step):
         t = _gather_cube(f, a[s : s + step], n1, n2)
         m = np.einsum("aik,ail->akl", t, t.conj(), optimize=False) / n1.size
@@ -127,7 +120,7 @@ def u2_fourth_correlation(
             f"correlation route needs {cost} operations, budget {budget}"
         )
     vals = np.empty(a.size, dtype=np.float64)
-    step = _chunk_rows(max(n1.size * n2.size, n1.size**2))
+    step = chunk_rows(max(n1.size * n2.size, n1.size**2))
     for s in range(0, a.size, step):
         t = _gather_cube(f, a[s : s + step], n1, n2)
         m = np.einsum("aik,ajk->aij", t, t.conj(), optimize=False) / n2.size
@@ -213,7 +206,7 @@ def fourier_grid_maxima(
     """
     offsets, mult = np.unique(inner, return_counts=True)
     slots = offsets % grid
-    step = _chunk_rows(grid)
+    step = chunk_rows(grid)
     buf = np.zeros((min(step, points.size), grid), dtype=np.complex128)
     spent = 0
     for lo in range(0, points.size, step):
@@ -362,7 +355,6 @@ def check_inverse_theorem(
     *,
     grid: int = 512,
     budget: int = 5 * 10**8,
-    enum_limit: int = 10**7,
 ) -> InverseCheck:
     """Check that a large local U2 norm forces large averaged Fourier energy.
 
@@ -371,7 +363,8 @@ def check_inverse_theorem(
     ``c2 <= eta^2 / (400 d)``, all three sets regular (each distinct spec
     certified once), and U2 norm at least ``eta``. Conclusion threshold:
     ``eta^8 / 40`` for ``E_a sup^2``, tested against the certified grid
-    lower bound with slack ``2 err + err^2``.
+    lower bound with slack ``2 err + err^2``. When a hypothesis fails the
+    scan is not run and its fields stay ``None``.
     """
     eta = as_rational(eta)
     if not (0 < eta <= 1):
@@ -389,7 +382,7 @@ def check_inverse_theorem(
         reasons.append("inner2 is not a dilate of inner1")
     elif c2 > eta**2 / (400 * d):
         reasons.append(f"c2 = {c2} exceeds eta^2/(400 d) = {eta**2 / (400 * d)}")
-    certs = certificates((base, inner1, inner2), enum_limit=enum_limit)
+    certs = certificates((base, inner1, inner2))
     for name, cert in zip(("base", "inner1", "inner2"), certs):
         if not cert.verdict:
             reasons.append(f"{name} is not regular (witness c = {cert.witness_c})")
@@ -403,37 +396,22 @@ def check_inverse_theorem(
         reasons.append(f"norm {rep.norm} below eta = {float(eta)}")
 
     threshold = eta**8 / 40
-    if reasons:
-        return InverseCheck(
-            status="hypothesis-not-met",
-            reasons=tuple(reasons),
-            eta=eta,
-            c1=c1,
-            c2=c2,
-            norm=rep.norm,
-            fourth_direct=rep.fourth_direct,
-            fourth_correlation=rep.fourth_correlation,
-            inverse_avg=None,
-            threshold=threshold,
-            certified_error=None,
-            slack=None,
-            grid=grid,
-        )
-
-    scan = local_fourier_scan(f, base, inner2, grid, budget=budget)
-    ia = float(np.mean(scan.values**2))
-    err = scan.certified_error
-    slack = 2 * err + err * err
-    thr = float(threshold)
-    if ia >= thr:
-        status = "pass"
-    elif ia + slack < thr:
-        status = "fail"
-    else:
-        status = "inconclusive"
+    status, ia, err, slack = "hypothesis-not-met", None, None, None
+    if not reasons:
+        scan = local_fourier_scan(f, base, inner2, grid, budget=budget)
+        ia = float(np.mean(scan.values**2))
+        err = scan.certified_error
+        slack = 2 * err + err * err
+        thr = float(threshold)
+        if ia >= thr:
+            status = "pass"
+        elif ia + slack < thr:
+            status = "fail"
+        else:
+            status = "inconclusive"
     return InverseCheck(
         status=status,
-        reasons=(),
+        reasons=tuple(reasons),
         eta=eta,
         c1=c1,
         c2=c2,

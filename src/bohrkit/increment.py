@@ -24,6 +24,7 @@ through the same map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -44,6 +45,7 @@ from .bohr import (
     sorted_distinct,
     sorted_lookup,
     spec_from_dict,
+    translate_counts,
 )
 from .exact import RationalLike, as_rational, rational_pair
 from .functions import BoundedFunction
@@ -255,19 +257,20 @@ def fourier_increment(
     grid: int = 512,
     enforce: bool = True,
     budget: int = 5 * 10**8,
-    enum_limit: int = 10**7,
 ) -> IncrementOutcome:
     """Find a translate (possibly of a refined Bohr set) where the subset is denser.
 
     The balanced function ``f = 1_A - delta`` on the base set is scanned over
     base points ``a`` in the ``(1 - c1)``-dilate (so ``a + inner`` stays in
     the base). If some ``a`` already has ``E_{n in inner} f(a+n) >=
-    eta^3/128``, that translate is the witness. Otherwise the first ``a``
-    (ascending) with ``E f > -eta/32`` and grid Fourier value at least
+    eta^3/128``, the first such ``a`` (ascending) gives the witness. Otherwise
+    the first ``a`` with ``E f > -eta/32`` and grid Fourier value at least
     ``eta/2`` nominates a frequency; the refined set adjoins it with widths
     scaled by ``c_prime * c1``, and the best translate ``a + n1`` with the
-    refined set inside the base is taken. Acceptance always re-measures the
-    density exactly; grid misses retry with an 8x finer grid, twice.
+    refined set inside the base is taken. Every translate decision compares
+    an exact integer count (:func:`bohrkit.bohr.translate_counts`, metered
+    against ``budget`` one point at a time); grid misses retry with an 8x
+    finer grid, twice.
 
     With ``enforce`` the printed hypotheses (mean zero, real values,
     ``c1 <= eta^3 / (2^15 d)``, ``c_prime <= eta / (2^13 d)``, grid Fourier
@@ -314,36 +317,41 @@ def fourier_increment(
             inverse_avg=ia,
         )
 
-    shrunk = BohrSet.from_spec(base.spec.dilate(1 - c1), enum_limit=enum_limit)
-    a_arr = shrunk.elements
-    df = f.gather(a_arr[:, None] + n1[None, :]).real.mean(axis=1)
+    # plain translate: for a in the (1 - c1)-dilate, a + N1 lies in the base
+    # (Bohr triangle inequality), so E_n f(a+n) = count/L - delta exactly
+    shrunk = BohrSet.from_spec(base.spec.dilate(1 - c1))
+    L = int(n1.size)
+    take = math.ceil(L * (delta + eta**3 / 128))
+    keep = math.floor(L * (delta - eta / 32))
+    kept: list[np.ndarray] = []  # base points with E f > -eta/32
+    scan = translate_counts(subset_sorted, base.elements, shrunk.elements, n1, budget=budget)
+    for chunk, inside, counts in scan:
+        assert inside.all()
+        hit = np.nonzero(counts >= take)[0]
+        if hit.size:
+            k = int(hit[0])
+            a_star = int(chunk[k])
+            d_after = Fraction(int(counts[k]), L)
+            return IncrementOutcome(
+                status="translate",
+                unmet=tuple(unmet),
+                delta_before=delta,
+                grid_used=grid_eff,
+                a_star=a_star,
+                translate=a_star,
+                new_set=inner1,
+                delta_after=d_after,
+                scan_value=float(d_after - delta),
+                inverse_avg=ia,
+            )
+        kept.append(chunk[counts > keep])
+    cand = np.concatenate(kept)
 
-    # plain translate: the inner-set average is already large somewhere
-    thr_a = float(eta**3 / 128)
-    hit = np.nonzero(df >= thr_a)[0]
-    if hit.size:
-        a_star = int(a_arr[int(hit[0])])
-        hits = sorted_lookup(subset_sorted, a_star + n1)[1]
-        d_after = Fraction(int(np.count_nonzero(hits)), int(n1.size))
-        return IncrementOutcome(
-            status="translate",
-            unmet=tuple(unmet),
-            delta_before=delta,
-            grid_used=grid_eff,
-            a_star=a_star,
-            translate=a_star,
-            new_set=inner1,
-            delta_after=d_after,
-            scan_value=float(df[int(hit[0])]),
-            inverse_avg=ia,
-        )
-
-    (inner_cert,) = certificates([inner1], enum_limit=enum_limit)
+    (inner_cert,) = certificates([inner1])
     slack = min(
         200.0 * float(c_prime) * d + 100.0 * d * float(inner_cert.max_negative_gap),
         2.0,
     )
-    cand = np.nonzero(df > -float(eta) / 32)[0]
 
     def refined_pass(grid: int) -> Optional[IncrementOutcome]:
         """One grid pass of the refined-witness search; None means retry finer.
@@ -351,12 +359,13 @@ def fourier_increment(
         The scan stops at the first qualifying base point, so its work is
         metered chunk by chunk as it is spent rather than preflighted for
         every candidate: one unit is one FFT operation, ``rows * grid *
-        ceil(log2 grid)`` per chunk of base points.
+        ceil(log2 grid)`` per chunk of base points. The translates of the
+        refined set are counted under the same budget, one unit per point.
         """
         if cand.size == 0:
             return None
         thr_sup = float(eta) / 2
-        for chunk, vals, ks in fourier_grid_maxima(f, a_arr[cand], n1, grid, budget=budget):
+        for chunk, vals, ks in fourier_grid_maxima(f, cand, n1, grid, budget=budget):
             good = np.nonzero(vals >= thr_sup)[0]
             if good.size == 0:
                 continue
@@ -372,15 +381,14 @@ def fourier_increment(
                 c_prime * c1 * base.spec.eps,
                 c_prime * c1 * base.spec.M,
             )
-            refined = BohrSet.from_spec(new_spec, enum_limit=enum_limit)
-            pts = a_star + n1[:, None] + refined.elements[None, :]
-            ok_rows = np.all(
-                membership_mask(base.spec, pts.reshape(-1)).reshape(pts.shape), axis=1
+            refined = BohrSet.from_spec(new_spec)
+            rows = a_star + n1  # the translates a* + n1 + refined
+            scan = translate_counts(
+                subset_sorted, base.elements, rows, refined.elements, budget=budget
             )
-            if not np.any(ok_rows):
+            counts = np.concatenate([np.where(inside, c, -1) for _, inside, c in scan])
+            if counts.max() < 0:  # no translate inside the base
                 return None
-            counts = sorted_lookup(subset_sorted, pts)[1].sum(axis=1)
-            counts = np.where(ok_rows, counts, -1)
             best = int(np.argmax(counts))
             best_density = Fraction(int(counts[best]), refined.size)
             inc = best_density - delta
@@ -403,7 +411,7 @@ def fourier_increment(
                 delta_before=delta,
                 grid_used=grid,
                 a_star=a_star,
-                translate=a_star + int(n1[best]),
+                translate=int(rows[best]),
                 y=y,
                 new_set=refined,
                 delta_after=best_density,
@@ -435,7 +443,6 @@ def fourier_increment(
 @dataclass(frozen=True)
 class EngineLimits:
     max_steps: int = 32
-    enum_limit: int = 10**7
     count_budget: int = 5 * 10**8
     finder_budget: int = 10**8
     grid: int = 512
@@ -547,13 +554,11 @@ def plan_inner_dilations(
     for i in range(1, s + 1):
         d = current.dim
         target = table.x1(s, d, delta) if i == 1 else table.x_rest(s, d, delta)
-        search = find_regular_dilation(
-            current, target / 2, target, enum_limit=limits.enum_limit
-        )
+        search = find_regular_dilation(current, target / 2, target)
         if not search.found or search.c > 1:  # a dilate past 1 is not nested
             return None
         current = current.dilate(search.c)
-        elements = enumerate_bohr(current, enum_limit=limits.enum_limit)
+        elements = enumerate_bohr(current)
         sets.append(BohrSet(current, elements, search.certificate))
         notes.append(
             {
@@ -612,7 +617,7 @@ def run(
     for step in range(limits.max_steps):
         if ambient is None:
             try:
-                ambient = BohrSet.from_spec(state.spec, enum_limit=limits.enum_limit)
+                ambient = BohrSet.from_spec(state.spec)
             except BudgetExceeded as exc:
                 return finish("limit", f"enumeration budget: {exc}")
         spec, work = state.spec, state.work
@@ -659,11 +664,8 @@ def run(
                 work,
                 ambient,
                 inner_sets,
-                delta=delta,
                 enforce=(mode == "faithful"),
                 budget=limits.count_budget,
-                finder_budget=limits.finder_budget,
-                enum_limit=limits.enum_limit,
                 freeness=freeness,
             )
         except PreconditionError as exc:
@@ -704,7 +706,6 @@ def run(
                     grid=limits.grid,
                     enforce=(mode == "faithful"),
                     budget=limits.count_budget,
-                    enum_limit=limits.enum_limit,
                 )
             except BudgetExceeded as exc:
                 return finish("limit", f"fourier scan budget: {exc}")

@@ -39,6 +39,7 @@ status "inconclusive" with the work spent.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +56,7 @@ from .bohr import (
     exact_density,
     infer_dilation,
     sorted_distinct,
-    sorted_lookup,
+    translate_counts,
 )
 from .exact import rational_pair
 from .functions import BoundedFunction
@@ -594,7 +595,6 @@ def check_counting_bound(
     inners: Sequence[ElementsLike],
     *,
     budget: int = 5 * 10**8,
-    finder_budget: int = 10**8,
 ) -> CountingBoundReport:
     """If no configuration lives on the restricted domain, ``T_s(1_A) <= s^2/|N_s|``.
 
@@ -605,9 +605,7 @@ def check_counting_bound(
     s = len(inners)
     sizes = [as_elements(x).size for x in inners]
     bound = Fraction(s * s, sizes[-1])
-    freeness = find_configuration_restricted(
-        subset, base, inners, budget=finder_budget
-    )
+    freeness = find_configuration_restricted(subset, base, inners)
     if freeness.status != "none":
         return CountingBoundReport(freeness, None, None, bound, None)
     count, t = count_patterns_exact(subset, base, inners, budget=budget)
@@ -660,44 +658,13 @@ def u2_threshold(s: int, delta: Fraction) -> Fraction:
     return delta ** (s * (s + 1) // 2) / (32 * s * s)
 
 
-def _first_local_increment(
-    subset_arr: np.ndarray,
-    base_elems: np.ndarray,
-    inner_elems: np.ndarray,
-    required: Fraction,
-) -> Optional[tuple[int, Fraction]]:
-    """Smallest base point whose doubled-inner translate sits inside the base
-    and carries density at least ``required``; exact compares."""
-    doubled = 2 * inner_elems
-    li = inner_elems.size
-    p, q = required.numerator, required.denominator
-    step = max(1, 2**22 // max(1, li))
-    for lo in range(0, base_elems.size, step):
-        chunk = base_elems[lo : lo + step]
-        pts = chunk[:, None] + doubled[None, :]
-        inside = np.all(sorted_lookup(base_elems, pts)[1], axis=1)
-        if not np.any(inside):
-            continue
-        counts = sorted_lookup(subset_arr, pts)[1].sum(axis=1)
-        # count / li >= p / q  <=>  count * q >= li * p
-        good = inside & (counts * q >= li * p)
-        where = np.nonzero(good)[0]
-        if where.size:
-            k = int(where[0])
-            return int(chunk[k]), Fraction(int(counts[k]), li)
-    return None
-
-
 def dichotomy(
     subset: ElementsLike,
     base: BohrSet,
     inner_sets: Sequence[BohrSet],
     *,
-    delta: Optional[Fraction] = None,
     enforce: bool = True,
     budget: int = 5 * 10**8,
-    finder_budget: int = 10**8,
-    enum_limit: int = 10**7,
     freeness: Optional[FinderResult] = None,
 ) -> DichotomyOutcome:
     """Run the four-way case scan for a configuration-free dense subset.
@@ -708,10 +675,12 @@ def dichotomy(
     ``c_1``, regularity of the base and every inner set, certified only for
     sets that carry no certificate) are checked first; with ``enforce`` they
     must all hold, otherwise the scan still runs and the unmet list is
-    recorded. Branches are scanned in a fixed order: small innermost set,
+    recorded; without ``freeness`` the restricted finder runs at its default
+    budget. Branches are scanned in a fixed order: small innermost set,
     local density increment on a doubled translate, large balanced U2 norm.
     If no branch fires the outcome is ``violation`` only when every
-    precondition was certified.
+    precondition was certified. ``budget`` meters each branch-2 translate
+    scan (:func:`bohrkit.bohr.translate_counts`) and each U2 evaluation.
     """
     s = len(inner_sets)
     if s < 2:
@@ -721,8 +690,7 @@ def dichotomy(
     if any(c is None or c > 1 for c in cs):
         raise ValueError("inner sets must form a nested chain of dilates of the base")
     subset_arr = sorted_distinct(subset)
-    if delta is None:
-        delta = exact_density(subset_arr, base.elements)
+    delta = exact_density(subset_arr, base.elements)
     if delta == 0:
         raise ValueError("subset has density zero on the base")
 
@@ -731,13 +699,11 @@ def dichotomy(
     if cs[0] > c1_bound:
         unmet.append(f"c1 = {cs[0]} exceeds smallness bound {c1_bound}")
     names = ["base"] + [f"inner{i + 1}" for i in range(s)]
-    for name, cert in zip(names, certificates(chain, enum_limit=enum_limit)):
+    for name, cert in zip(names, certificates(chain)):
         if not cert.verdict:
             unmet.append(f"{name} not regular (witness c = {cert.witness_c})")
     if freeness is None:
-        freeness = find_configuration_restricted(
-            subset_arr, base, inner_sets, budget=finder_budget
-        )
+        freeness = find_configuration_restricted(subset_arr, base, inner_sets)
     if freeness.status == "found":
         unmet.append("subset is not configuration-free on the restricted domain")
     elif freeness.status == "inconclusive":
@@ -756,19 +722,25 @@ def dichotomy(
         }
         return DichotomyOutcome("small-bohr", s, delta, tuple(unmet), data)
 
-    # branch 2: a doubled translate with a genuine density increment
+    # branch 2: the first base point whose doubled translate a + 2 N_i sits
+    # inside the base and carries density at least `required`
     required = delta * increment_factor(s)
     for i, bs in enumerate(inner_sets, start=1):
-        hit = _first_local_increment(subset_arr, base.elements, bs.elements, required)
-        if hit is not None:
-            a, new_density = hit
-            data["increment"] = {
-                "inner_index": i,
-                "a": a,
-                "new_density": rational_pair(new_density),
-                "required": rational_pair(required),
-            }
-            return DichotomyOutcome("local-increment", s, delta, tuple(unmet), data)
+        need = math.ceil(bs.size * required)
+        scan = translate_counts(
+            subset_arr, base.elements, base.elements, 2 * bs.elements, budget=budget
+        )
+        for chunk, inside, counts in scan:
+            hit = np.nonzero(inside & (counts >= need))[0]
+            if hit.size:
+                k = int(hit[0])
+                data["increment"] = {
+                    "inner_index": i,
+                    "a": int(chunk[k]),
+                    "new_density": rational_pair(Fraction(int(counts[k]), bs.size)),
+                    "required": rational_pair(required),
+                }
+                return DichotomyOutcome("local-increment", s, delta, tuple(unmet), data)
 
     # branch 3: some pairwise balanced norm is large
     balanced, _ = BoundedFunction.balanced_indicator(subset_arr, base.elements)

@@ -30,6 +30,7 @@ from bohrkit.bohr import (
     regularity_certificate,
     sorted_lookup,
     spec_from_dict,
+    translate_counts,
 )
 from bohrkit.exact import as_rational, torus_distance
 
@@ -460,6 +461,16 @@ def test_bohr_set_wrapper():
     assert inside.tolist() == [True, True, False]
 
 
+def test_bohr_set_equality_and_hash():
+    spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(5))
+    a, b = BohrSet.from_spec(spec), BohrSet.from_spec(spec)
+    assert a == b and hash(a) == hash(b)
+    assert a != BohrSet(spec, a.elements[1:])
+    assert a != BohrSet(spec, a.elements, regularity_certificate(spec))
+    assert a != spec
+    assert b in {a} and len({a, b, BohrSet(spec, a.elements[1:])}) == 2
+
+
 def test_bohr_set_rejects_a_foreign_certificate():
     spec = BohrSpec((Fraction(1, 3),), Fraction(1, 4), Fraction(40))
     cert = regularity_certificate(spec)
@@ -511,3 +522,62 @@ def test_sorted_lookup_matches_set_oracle(inputs):
     members = set(values.tolist())
     assert hit.ravel().tolist() == [p in members for p in points.ravel().tolist()]
     assert values[idx[hit]].tolist() == points[hit].tolist()
+
+
+# ---------------------------------------------------------------------------
+# translate counts
+# ---------------------------------------------------------------------------
+
+
+def translate_counts_oracle(subset, ambient, shifts, offsets):
+    """Literal loops: is ``t + offsets`` inside ``ambient``, and how much of
+    ``subset`` it holds, for every shift ``t``."""
+    sub, amb = set(subset.tolist()), set(ambient.tolist())
+    offs = offsets.tolist()
+    inside = [all(t + n in amb for n in offs) for t in shifts.tolist()]
+    counts = [sum(t + n in sub for n in offs) for t in shifts.tolist()]
+    return inside, counts
+
+
+@st.composite
+def translate_inputs(draw):
+    """An interval ambient set with a few holes, a random subset of a wider
+    window, 1024 to 1100 offsets and 257 to 600 shifts: every scan runs in
+    several chunks of 2^18 / |offsets| rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, W = 1500, 700
+    holes = rng.integers(-A, A + 1, size=draw(st.integers(0, 3)))
+    ambient = np.setdiff1d(np.arange(-A, A + 1), holes)
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    window = np.arange(-A - W, A + W + 1)
+    subset = window[rng.random(window.size) < density]
+    n_off = draw(st.integers(1024, 1100))
+    offsets = np.sort(rng.choice(np.arange(-W, W + 1), size=n_off, replace=False))
+    shifts = rng.integers(-A - W, A + W + 1, size=draw(st.integers(257, 600)))
+    return subset, ambient, shifts, offsets
+
+
+@settings(max_examples=25, deadline=None)
+@given(translate_inputs())
+def test_translate_counts_match_literal_loops(inputs):
+    subset, ambient, shifts, offsets = inputs
+    chunks = list(translate_counts(subset, ambient, shifts, offsets, budget=10**9))
+    assert len(chunks) >= 2
+    assert np.concatenate([c for c, _, _ in chunks]).tolist() == shifts.tolist()
+    inside = np.concatenate([i for _, i, _ in chunks]).tolist()
+    counts = np.concatenate([k for _, _, k in chunks]).tolist()
+    assert (inside, counts) == translate_counts_oracle(subset, ambient, shifts, offsets)
+
+
+def test_translate_counts_budget_boundary():
+    ambient = np.arange(-2000, 2001)
+    subset = ambient[::3]
+    offsets = np.arange(-512, 512)
+    shifts = np.arange(-400, 400)
+    total = shifts.size * offsets.size
+    chunks = list(translate_counts(subset, ambient, shifts, offsets, budget=total))
+    assert len(chunks) == 4 and sum(c.size for c, _, _ in chunks) == shifts.size
+    scan = translate_counts(subset, ambient, shifts, offsets, budget=total - 1)
+    assert len([next(scan) for _ in range(3)]) == 3  # the last chunk alone is refused
+    with pytest.raises(BudgetExceeded, match=f"spent {total} points, budget {total - 1}"):
+        next(scan)

@@ -8,15 +8,21 @@ must leave ``np.isin`` and ``np.intersect1d`` alone: each membership question
 on a sorted array goes through ``bohr.sorted_lookup``. Every library function
 the bench harness traces (``bench/spans.py``, ``TARGETS``) must still exist
 under the name the harness patches, so a rename cannot silently drop a span.
+The settable values of the public API are counted and pinned, so a new knob
+has to move the pin in its own diff.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+
+import bohrkit
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bohrkit"
@@ -118,6 +124,38 @@ def test_traced_targets_resolve():
         if not callable(obj):
             missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+def _defaulted(fn) -> int:
+    params = inspect.signature(fn).parameters.values()
+    return sum(p.default is not inspect.Parameter.empty for p in params)
+
+
+def settable_values() -> dict[str, int]:
+    """Defaulted parameters of every function in ``bohrkit.__all__`` and of
+    every classmethod, staticmethod and public method of its classes, plus
+    the ``EngineLimits`` fields; only the nonzero counts are listed."""
+    counts: dict[str, int] = {}
+    for name in bohrkit.__all__:
+        obj = getattr(bohrkit, name)
+        if not inspect.isclass(obj):
+            if callable(obj):
+                counts[name] = _defaulted(obj)
+            continue
+        for attr, raw in vars(obj).items():
+            if isinstance(raw, (classmethod, staticmethod)):
+                counts[f"{name}.{attr}"] = _defaulted(raw.__func__)
+            elif inspect.isfunction(raw) and not attr.startswith("_"):
+                counts[f"{name}.{attr}"] = _defaulted(raw)
+    limits = dataclasses.fields(bohrkit.EngineLimits)
+    counts["EngineLimits fields"] = sum(f.default is not dataclasses.MISSING for f in limits)
+    return {k: v for k, v in counts.items() if v}
+
+
+def test_settable_values():
+    counts = settable_values()
+    assert counts["EngineLimits fields"] == 4
+    assert sum(counts.values()) == 46, counts
 
 
 def test_checks_catch_what_they_look_for():

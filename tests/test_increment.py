@@ -19,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohrkit import bohr, increment
-from bohrkit.bohr import BohrSet, BohrSpec, enumerate_bohr
+from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded, enumerate_bohr
+from bohrkit.exact import torus_distance
 from bohrkit.increment import (
     ConstantTable,
     EngineLimits,
@@ -161,6 +162,21 @@ def test_fourier_increment_refined_parity_example():
     assert Fraction(int(inside.size), new_ambient.size) == out.delta_after
 
 
+def test_fourier_increment_refined_translate_stays_in_the_base():
+    # the parity example with the evens running on past the base: a translate
+    # a* + n1 + refined that pokes out of [-1800, 1800] holds as many evens,
+    # but only translates inside the base are candidates
+    base = _interval(1800)
+    inner = BohrSet.from_spec(base.spec.dilate(Fraction(1, 6)))
+    out = fourier_increment(
+        np.arange(-3000, 3001, 2), base, inner, Fraction(1, 8), Fraction(48, 100),
+        grid=1204, enforce=False,
+    )
+    assert (out.status, out.a_star, out.translate) == ("refined", -1500, -1764)
+    assert out.delta_after == 1
+    assert np.all(np.abs(out.translate + out.new_set.elements) <= 1800)
+
+
 def test_fourier_increment_translate_case():
     # a solid left half is so lopsided that a single translate already wins
     base = _interval(200)
@@ -176,6 +192,68 @@ def test_fourier_increment_translate_case():
     assert out.new_set is inner
     assert out.delta_after == 1
     assert out.increment == Fraction(200, 401)
+    assert out == fourier_increment(
+        left, base, inner, Fraction(1, 8), Fraction(48, 100), grid=128, enforce=False
+    )
+    with pytest.raises(BudgetExceeded, match="translate count"):
+        fourier_increment(
+            left, base, inner, Fraction(1, 8), Fraction(48, 100),
+            grid=128, enforce=False, budget=1,
+        )
+
+
+def _literal_members(spec: BohrSpec) -> list[int]:
+    """The Bohr set of ``spec`` by its definition, ascending."""
+    m = int(spec.M)
+    return [
+        n for n in range(-m, m + 1)
+        if abs(n) <= spec.M and all(torus_distance(n * t) <= spec.eps for t in spec.theta)
+    ]
+
+
+@st.composite
+def translate_pick_inputs(draw):
+    m = draw(st.integers(40, 160))
+    theta = draw(st.sampled_from([(Fraction(1),), (Fraction(1), Fraction(1, 7))]))
+    spec = BohrSpec(theta, Fraction(1, 2) if len(theta) == 1 else Fraction(1, 5), Fraction(m))
+    c1 = Fraction(draw(st.integers(1, m // 4)), m)
+    # a random subset of the given density, or the points off a residue class
+    # mod k (k = 1 is the whole window), where every translate gains nearly 0
+    kind = draw(st.sampled_from([0.2, 0.5, 0.8, 1, 2, 3, 5]))
+    eta = draw(st.sampled_from([Fraction(1, 4), Fraction(48, 100), Fraction(1)]))
+    return spec, c1, kind, draw(st.integers(0, 2**32 - 1)), eta
+
+
+@settings(max_examples=40, deadline=None)
+@given(translate_pick_inputs())
+def test_fourier_increment_translate_pick_is_the_literal_rule(inputs):
+    # the first a of the (1 - c1)-dilate, ascending, whose translate a + N1
+    # gains at least eta^3/128 over the base density, counted exactly
+    spec, c1, kind, seed, eta = inputs
+    window = np.arange(-2 * int(spec.M), 2 * int(spec.M) + 1)
+    if isinstance(kind, float):
+        subset = window[np.random.default_rng(seed).random(window.size) < kind]
+    else:
+        subset = window[(window % kind != seed % kind) | (kind == 1)]
+    members = set(subset.tolist())
+    base_pts = _literal_members(spec)
+    delta = Fraction(sum(n in members for n in base_pts), len(base_pts))
+    inner = BohrSet.from_spec(spec.dilate(c1))
+    offsets = inner.elements.tolist()
+    pick = None
+    for a in _literal_members(spec.dilate(1 - c1)):
+        gain = Fraction(sum(a + n in members for n in offsets), len(offsets)) - delta
+        if gain >= eta**3 / 128:
+            pick = (a, gain)
+            break
+    out = fourier_increment(
+        subset, BohrSet.from_spec(spec), inner, Fraction(1, 8), eta, grid=16, enforce=False
+    )
+    if pick is None:
+        assert out.status != "translate"
+    else:
+        assert (out.status, out.a_star, out.translate) == ("translate", pick[0], pick[0])
+        assert out.increment == pick[1] and out.scan_value == float(pick[1])
 
 
 def test_fourier_increment_enforce_reports_unmet():

@@ -38,6 +38,7 @@ from bohrkit.patterns import (
     find_configuration_restricted,
     pair_search,
     random_set,
+    smallness_bound,
     verify_configuration,
 )
 
@@ -511,6 +512,11 @@ def test_dichotomy_local_increment_branch():
     inside = np.isin(translate, evens).sum()
     assert Fraction(int(inside), inner.size) == Fraction(1)
     assert len(out.unmet) >= 1  # c1 bound and freeness were honestly recorded
+    # the branch-2 scan is metered: one point looked up is one unit
+    with pytest.raises(BudgetExceeded, match="translate count"):
+        dichotomy(
+            evens, base, _chain(base, [Fraction(1, 4), Fraction(1)]), enforce=False, budget=1
+        )
 
 
 def test_dichotomy_local_increment_at_exactly_the_required_density():
@@ -526,6 +532,44 @@ def test_dichotomy_local_increment_at_exactly_the_required_density():
     assert out.data["increment"] == {
         "inner_index": 1, "a": -17, "new_density": [1, 1], "required": [1, 1]
     }
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(360, 450), st.sampled_from([0.88, 0.92, 0.96]), st.integers(0, 2**32 - 1))
+def test_dichotomy_local_increment_pick_is_the_literal_rule(m, density, seed):
+    # branch 2 takes, over N_1 then N_2, the first base point a (ascending)
+    # whose doubled translate a + 2 N_i lies in the base and holds at least
+    # (1 + 1/32) delta |N_i| points of the subset
+    base = _interval_base(m)
+    chain = _chain(base, [Fraction(1, 3), Fraction(1)])
+    e = base.elements
+    subset = e[np.random.default_rng(seed).random(e.size) < density]
+    members, base_pts = set(subset.tolist()), set(e.tolist())
+    delta = Fraction(subset.size, e.size)
+    pick = None
+    for i, bs in enumerate(chain, start=1):
+        doubled = (2 * bs.elements).tolist()
+        for a in e.tolist():
+            if all(a + n in base_pts for n in doubled):
+                density_at_a = Fraction(sum(a + n in members for n in doubled), bs.size)
+                if density_at_a >= delta * Fraction(33, 32):
+                    pick = {"inner_index": i, "a": a, "new_density": density_at_a}
+                    break
+        if pick:
+            break
+    assert chain[-1].size > smallness_bound(2, delta)  # branch 1 stays quiet
+    try:
+        out = dichotomy(subset, base, chain, enforce=False)
+    except BudgetExceeded:  # the U2 branch, reached after a clean branch 2
+        assert pick is None
+        return
+    if pick is None:
+        assert out.kind != "local-increment"
+    else:
+        info = out.data["increment"]
+        assert out.kind == "local-increment"
+        assert (info["inner_index"], info["a"]) == (pick["inner_index"], pick["a"])
+        assert Fraction(*info["new_density"]) == pick["new_density"]
 
 
 def test_dichotomy_large_u2_branch():
