@@ -246,12 +246,15 @@ def as_elements(x: ElementsLike) -> np.ndarray:
 
 
 def sorted_distinct(x: ElementsLike) -> np.ndarray:
-    """Ascending distinct int64 values of ``x``, flattened.
+    """Ascending distinct int64 values of ``x``, flattened, in a fresh array.
 
-    A sort plus a neighbour compare: ``np.unique`` gives the same array but
-    hashes first, which costs far more on large sorted inputs.
+    A strictly ascending 1-D input is only copied; any other is sorted and
+    its repeats dropped (``np.unique`` hashes first: far slower on big input).
     """
-    return _drop_repeats(np.sort(as_elements(x).ravel()))
+    arr = as_elements(x)
+    if arr.ndim == 1 and bool(np.all(arr[1:] > arr[:-1])):
+        return arr.copy()
+    return _drop_repeats(np.sort(arr.ravel()))
 
 
 def sorted_lookup(values: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,9 @@ Layout: six verb groups, each with flat subcommands::
 
 Exit codes: 0 success or witness found; 1 valid run with a negative answer
 (not regular, no configuration, engine exhausted); 2 usage or input error;
-3 budget or retry limit reached; 4 I/O failure while writing output.
+3 budget or retry limit reached; 4 I/O failure while writing output. An
+engine ``exhausted`` certifies freeness on the restricted domain only, an
+empty claim when some ``|N_i| < s - i + 1`` leaves no distinct offset tuple.
 
 Inputs are plain files: integer sets are one integer per line (``#``
 comments and blank lines ignored, duplicates rejected), Bohr set

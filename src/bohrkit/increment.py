@@ -587,8 +587,10 @@ def run(
     makes the torus constraint vacuous). Each step either exits with a
     verified configuration mapped back to input coordinates, renormalizes
     into a denser sub-Bohr-set, or stops with ``exhausted`` (the certified
-    small-set branch fired: a valid negative) or ``limit`` (budgets, caps,
-    or a witness the scan could not certify).
+    small-set branch fired: freeness holds on the restricted domain of the
+    planned chain only, an empty claim when some ``|N_i| < s - i + 1`` leaves
+    no distinct offset tuple) or ``limit`` (budgets, caps, or a witness the
+    scan could not certify).
     """
     table = ConstantTable.for_mode(mode, overrides)
     if s < 2:

@@ -4,25 +4,27 @@ An *s-configuration* inside a set ``A`` is the value set
 ``{n_i + n_j + a : 1 <= i <= j <= s}`` for integers ``a`` and pairwise
 distinct ``n_1, ..., n_s``; all ``s(s+1)/2`` sums must land in ``A``.
 
-Two search modes are provided. The *extent* mode uses the midpoint
-representation: writing ``x_i = 2 n_i + a``, a configuration in ``A`` is the
-same thing as ``s`` distinct same-parity elements of ``A`` whose pairwise
-midpoints all lie in ``A``. For ``x``, ``y`` of one parity the midpoint
-``(x + y) / 2`` is in ``A`` exactly when ``x + y`` is in ``2A``, so the extent
-finder and counter run :func:`pair_search`, the lexicographic search for
-k-subsets of a sorted pool whose pair sums all hit (or all miss) a given
-set, over each parity class with the sum set ``2A``; the sumfree search in
-:mod:`bohrkit.sumfree` runs the same core with ``avoid=True``. The
+Two search modes are provided, on one shifted-AND kernel. The *extent* mode
+uses the midpoint representation: writing ``x_i = 2 n_i + a``, a
+configuration in ``A`` is the same thing as ``s`` distinct elements of ``A``
+whose pair sums all lie in ``2A`` (each pair then shares a parity and has
+its midpoint in ``A``). The extent finder and counter walk chosen elements:
+choosing ``y`` keeps the larger candidates in ``2A - y``, one AND of the
+candidate bitset with a shifted copy of ``2A``; the sumfree search in
+:mod:`bohrkit.sumfree` keeps those outside ``A - y``. On a sparse set, where
+that shift would read more words than the set has elements, the bitsets are
+over ranks and the candidates that pair with ``y`` are looked up once per
+``y``, so the cost follows the size of the set, not its range. The
 *restricted* mode takes ``a`` from a base set and ``n_i`` from per-index
 inner sets, which is what the counting operator's domain looks like.
 
-The restricted mode is bit-parallel. For a fixed offset tuple the valid base
+The restricted mode walks offset tuples. For a fixed tuple the valid base
 points are ``base ∩ ⋂_{i<=j} (A - n_i - n_j)``: an AND of shifted copies of
 the indicator of ``A``. Both ``A`` and the base are packed into Python-int
 bitsets over one window of base points, clipped to the ``a`` that can work
 at all; walking the offset prefixes depth first, each prefix carries the
-running AND as its mask, and an empty mask cuts the whole subtree. One unit
-of restricted work is one 64-bit word read by a shifted AND.
+running AND as its mask, and an empty mask cuts the whole subtree. In both
+modes one unit of work is one 64-bit word read (see :class:`ShiftedAndKernel`).
 
 The counting operator for a family of bounded functions ``f_ij`` is
 
@@ -39,11 +41,12 @@ status "inconclusive" with the work spent.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +59,7 @@ from .bohr import (
     exact_density,
     infer_dilation,
     sorted_distinct,
+    sorted_lookup,
     translate_counts,
 )
 from .exact import rational_pair
@@ -137,61 +141,11 @@ class FinderResult:
         return out
 
 
-def pair_search(
-    pools: Sequence[list[int]], k: int, sums: set[int], *,
-    avoid: bool = False, count: bool = False, budget: int = 10**8,
-) -> tuple[Union[Optional[list[int]], int], int]:
-    """Lexicographic k-subsets of ascending pools whose pair sums hit ``sums``.
-
-    A subset qualifies when ``x + y`` is in ``sums`` for every pair of its
-    elements, or, with ``avoid``, outside ``sums`` for every pair. Each pool
-    is searched on its own, by backtracking in ascending order. Returns
-    ``(result, work)``: ``result`` is the least of the pools' first
-    qualifying subsets (``None`` if there is none), or with ``count`` the
-    number of qualifying subsets over all pools. One unit of work is one
-    pair-sum membership test; :class:`BudgetExceeded` is raised by the test
-    that passes the budget.
-    """
-    work = total = 0
-    firsts: list[list[int]] = []
-
-    def walk(prefix: list[int], pool: list[int], start: int) -> bool:
-        # extends prefix in ascending order; True ends the pool at its first hit
-        nonlocal work, total
-        if len(prefix) == k:
-            total += 1
-            if count:
-                return False
-            firsts.append(prefix)
-            return True
-        for idx in range(start, len(pool)):
-            x = pool[idx]
-            for y in prefix:
-                work += 1
-                if work > budget:
-                    raise BudgetExceeded(f"pair search passed its budget of {budget} tests")
-                if (x + y in sums) == avoid:
-                    break
-            else:
-                if walk(prefix + [x], pool, idx + 1):
-                    return True
-        return False
-
-    for pool in pools:
-        walk([], pool, 0)
-    if count:
-        return total, work
-    return (min(firsts) if firsts else None), work
-
-
-def _extent_search(subset: ElementsLike, s: int) -> tuple[np.ndarray, list[list[int]], set[int]]:
-    """Sorted distinct elements, their two parity classes, and ``2A``."""
+def _extent_elements(subset: ElementsLike, s: int) -> np.ndarray:
+    """Sorted distinct elements of the set, once ``s`` is checked."""
     if s < 2:
         raise ValueError("configurations need s >= 2")
-    xs = sorted_distinct(subset)
-    lst = xs.tolist()
-    pools = [[x for x in lst if x % 2 == parity] for parity in (0, 1)]
-    return xs, pools, {2 * x for x in lst}
+    return sorted_distinct(subset)
 
 
 def find_configuration(
@@ -199,23 +153,25 @@ def find_configuration(
 ) -> FinderResult:
     """Lexicographically first s-configuration in ``subset``, extent search.
 
-    Searches distinct same-parity ``x_1 < ... < x_s`` in the set with all
-    pairwise midpoints in the set (:func:`pair_search` over the two parity
-    classes with sum set ``2A``), then maps back through ``a = x_1 mod 2``,
-    ``n_i = (x_i - a) / 2``. Work is counted in midpoint membership tests.
+    Searches distinct ``x_1 < ... < x_s`` in the set whose pair sums all lie
+    in ``2A`` (the kernel's element walk), then maps back through
+    ``a = x_1 mod 2``, ``n_i = (x_i - a) / 2``. Work is counted in 64-bit
+    words read; past the budget the result is ``inconclusive`` with the
+    words spent, never "none".
     """
-    xs, pools, doubled = _extent_search(subset, s)
+    xs = _extent_elements(subset, s)
+    kernel = ShiftedAndKernel(budget)
     try:
-        found, work = pair_search(pools, s, doubled, budget=budget)
+        kernel.pack_elements(xs, midpoints=True, avoid=False)
+        found = kernel.first_subset(s)
     except BudgetExceeded:
-        # the raising test is the first one past the budget
-        return FinderResult("inconclusive", None, max(budget, 0) + 1, budget, "extent")
+        return FinderResult("inconclusive", None, kernel.work, budget, "extent")
     if found is None:
-        return FinderResult("none", None, work, budget, "extent")
+        return FinderResult("none", None, kernel.work, budget, "extent")
     a = found[0] % 2
     cfg = Configuration(a, tuple((x - a) // 2 for x in found))
     assert verify_configuration(xs, cfg, s)
-    return FinderResult("found", cfg, work, budget, "extent")
+    return FinderResult("found", cfg, kernel.work, budget, "extent")
 
 
 def count_configurations(subset: ElementsLike, s: int, *, budget: int = 10**8) -> int:
@@ -223,12 +179,14 @@ def count_configurations(subset: ElementsLike, s: int, *, budget: int = 10**8) -
 
     Counts extent tuples ``x_1 < ... < x_s`` (same parity, all pairwise
     midpoints in the set); each corresponds to exactly one ``(a, ns)``. The
-    search is :func:`find_configuration`'s, run to the end, so the budget
-    guards the whole enumeration (:class:`BudgetExceeded` on exhaustion
-    rather than an undercount).
+    walk is :func:`find_configuration`'s, run to the end, so the budget in
+    words guards the whole enumeration (:class:`BudgetExceeded` rather than
+    an undercount).
     """
-    _, pools, doubled = _extent_search(subset, s)
-    return pair_search(pools, s, doubled, count=True, budget=budget)[0]
+    xs = _extent_elements(subset, s)
+    kernel = ShiftedAndKernel(budget)
+    kernel.pack_elements(xs, midpoints=True, avoid=False)
+    return kernel.count_subsets(s)
 
 
 def _words(bits: int) -> int:
@@ -244,19 +202,24 @@ def _pack(positions: np.ndarray) -> int:
     return int.from_bytes(buf.tobytes(), "little")
 
 
-class _ShiftedAndKernel:
-    """Restricted configurations as ANDs of shifted copies of ``1_A``.
+class ShiftedAndKernel:
+    """Configuration and sumfree searches as ANDs of bitsets, in two walks.
 
-    Bit ``k`` of a mask stands for the base point ``lo + k``. The window
-    ``[lo, hi]`` keeps only base points ``a`` with every ``a + 2 n_i`` inside
-    the range of ``A``; no other ``a`` can carry a tuple. ``A`` is packed from
-    ``lo + tmin`` on, ``tmin`` the least offset sum, so ``A`` shifted by an
-    offset sum ``t`` is one right shift by ``t - tmin``.
+    Bit ``k`` of a mask is the point ``lo + k``; the targets are packed from
+    ``lo + tmin`` on, so the points ``p`` with ``p + t`` a target are one
+    right shift of ``abits`` by ``t - tmin``. :meth:`pack` loads the walk
+    over offset tuples (targets ``A``, points the base points whose every
+    ``a + 2 n_i`` lies in the range of ``A``). :meth:`pack_elements` loads
+    the walk over chosen elements, where choosing ``y`` ANDs the candidates
+    with its *row*, the larger elements that pair with it: on a dense set
+    one shift of the qualifying offset pair sums, on a sparse set (where that
+    shift reads more words than the set has elements) a bitset over ranks
+    built once per ``y`` by lookups.
 
-    Work is metered in 64-bit words: packing costs the words it writes, and
-    each shifted AND costs ``ceil(W / 64)``, ``W`` the bit width of the
-    shifted copy of ``A`` it reads (the window plus the spread of the offset
-    sums, cut below the best witness once one is known).
+    Work is in 64-bit words: packing costs the words it writes, a shifted
+    AND the words of the shifted copy it reads (for the offset walk, cut
+    below the best witness once one is known), a rank row one word per
+    element it looks up once, then its own words per AND.
     :class:`BudgetExceeded` is raised as soon as the budget is passed.
     """
 
@@ -290,11 +253,56 @@ class _ShiftedAndKernel:
         self.base_mask = _pack(bs[(bs >= self.lo) & (bs <= hi)] - self.lo)
         self.abits = _pack(xs[(xs >= origin) & (xs <= hi + self.tmin + self.span)] - origin)
 
+    def pack_elements(self, xs: np.ndarray, *, midpoints: bool, avoid: bool) -> None:
+        """Load a sorted distinct set ``A`` for the element walk.
+
+        A pair ``x, y`` qualifies when ``(x + y) / 2`` (with ``midpoints``)
+        or ``x + y`` is in ``A``; with ``avoid``, when it is not.
+        """
+        self.xs, self.midpoints, self.avoid = xs, midpoints, avoid
+        self.rows: dict[int, int] = {}
+        if xs.size == 0:
+            return
+        span = int(xs[-1]) - int(xs[0])
+        self.ranked = _words(2 * span + 1) > xs.size
+        if self.ranked:
+            self.base_mask = (1 << xs.size) - 1
+            return
+        self.lo = self.tmin = 0
+        d = xs - xs[0]  # offsets, exact: the span is small here
+        if midpoints:  # x + y = 2a exactly when dx + dy = 2 da
+            targets = 2 * d
+        else:  # x + y = a exactly when dx + dy = da - x0, kept in [0, 2 span]
+            x0 = int(xs[0])
+            low, high = min(max(x0, 0), span + 1), max(min(2 * span + x0, span), -1)
+            targets = d[(d >= low) & (d <= high)] - x0
+        self._charge(_words(span + 1) + _words(2 * span + 1))
+        self.base_mask, self.abits = _pack(d), _pack(targets)
+        if avoid:
+            self.abits ^= (1 << (2 * span + 1)) - 1
+
     def and_shifted(self, mask: int, t: int) -> int:
-        """``mask`` restricted to the base points ``a`` with ``a + t`` in ``A``."""
+        """``mask`` restricted to the points ``p`` with ``p + t`` a target."""
         sh = t - self.tmin
         self._charge(_words(self.abits.bit_length() - sh))
         return mask & (self.abits >> sh)
+
+    def _rank_row(self, i: int) -> int:
+        """Ranks above ``i`` whose elements pair with the ``i``-th; built once."""
+        row = self.rows.get(i)
+        if row is None:
+            y, above = self.xs[i], self.xs[i + 1:]
+            self._charge(above.size)
+            if self.midpoints:  # (x + y) / 2 without forming x + y
+                hit = ((above ^ y) & 1) == 0
+                target = (above >> 1) + (y >> 1) + (above & y & 1)
+            else:  # x + y wraps only past the int64 range, where A has nothing
+                target = above + y
+                hit = ((above ^ target) & (y ^ target)) >= 0
+            hit &= sorted_lookup(self.xs, target)[1]
+            row = self.rows[i] = _pack(np.flatnonzero(hit != self.avoid) + (i + 1))
+        self._charge(_words(row.bit_length()))
+        return row
 
     def _extend(self, prefix: list[int], n: int, mask: int) -> int:
         """AND in every offset sum the new offset ``n`` adds to the prefix."""
@@ -348,6 +356,46 @@ class _ShiftedAndKernel:
 
         return walk([], self.base_mask) if self.base_mask else 0
 
+    def _choices(self, cand: int) -> Iterator[tuple[int, int]]:
+        """Each candidate point ascending, with the larger ones that pair with it."""
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if not cand:
+                return  # the largest candidate: nothing above it to pair with
+            p = low.bit_length() - 1
+            rest = cand & self._rank_row(p) if self.ranked else self.and_shifted(cand, p)
+            if rest:
+                yield p, rest
+
+    def first_subset(self, k: int) -> Optional[list[int]]:
+        """First ``k``-subset of ``A``, ascending, whose pairs all qualify;
+        lexicographic order."""
+
+        def walk(prefix: list[int], cand: int) -> Optional[list[int]]:
+            if len(prefix) + 1 == k:
+                return prefix + [(cand & -cand).bit_length() - 1]
+            for p, rest in self._choices(cand):
+                found = walk(prefix + [p], rest)
+                if found:
+                    return found
+            return None
+
+        found = walk([], self.base_mask) if self.base_mask else None
+        if found is None:
+            return None
+        return self.xs[found].tolist() if self.ranked else [int(self.xs[0]) + p for p in found]
+
+    def count_subsets(self, k: int) -> int:
+        """Number of such subsets: candidate popcounts over ``(k - 1)``-prefixes."""
+
+        def walk(depth: int, cand: int) -> int:
+            if depth + 1 == k:
+                return cand.bit_count()
+            return sum(walk(depth + 1, rest) for _, rest in self._choices(cand))
+
+        return walk(0, self.base_mask) if self.base_mask else 0
+
 
 def find_configuration_restricted(
     subset: ElementsLike,
@@ -376,7 +424,7 @@ def find_configuration_restricted(
     xs = sorted_distinct(subset)
     bs = sorted_distinct(base)
     inner_lists = [sorted_distinct(x).tolist() for x in inners]
-    kernel = _ShiftedAndKernel(budget)
+    kernel = ShiftedAndKernel(budget)
     try:
         kernel.pack(xs, bs, inner_lists)
         cfg = kernel.first_witness()
@@ -509,7 +557,7 @@ def count_patterns_exact(
     bs = sorted_distinct(a)
     if bs.size != a.size:
         raise ValueError("base points must be distinct")
-    kernel = _ShiftedAndKernel(budget)
+    kernel = ShiftedAndKernel(budget)
     kernel.pack(sorted_distinct(subset), bs, [x.tolist() for x in ns])
     count = kernel.count()
     return count, Fraction(count, cost)
@@ -784,7 +832,7 @@ def behrend_set(N: int) -> np.ndarray:
     """
     if N < 3:
         return np.arange(1, N + 1, dtype=np.int64)
-    best: Optional[tuple[int, int, int, list[int]]] = None
+    best: Optional[tuple[tuple[int, int, int, int], list[int]]] = None
     for b in range(3, 13):
         k = (b + 1) // 2
         n_max = 1
@@ -794,7 +842,7 @@ def behrend_set(N: int) -> np.ndarray:
             if k**n > 10**6:
                 continue
             shells: dict[int, list[int]] = {}
-            for digits in _digit_vectors(k, n):
+            for digits in itertools.product(range(k), repeat=n):
                 val = 0
                 for x in reversed(digits):
                     val = val * b + x
@@ -805,21 +853,10 @@ def behrend_set(N: int) -> np.ndarray:
                 shells.setdefault(r, []).append(val)
             for r, vals in shells.items():
                 key = (len(vals), -n, -b, -r)
-                if best is None or key > (
-                    len(best[3]),
-                    -best[0],
-                    -best[1],
-                    -best[2],
-                ):
-                    best = (n, b, r, vals)
+                if best is None or key > best[0]:
+                    best = (key, vals)
     assert best is not None
-    return np.asarray(sorted(best[3]), dtype=np.int64)
-
-
-def _digit_vectors(k: int, n: int):
-    import itertools
-
-    return itertools.product(range(k), repeat=n)
+    return np.asarray(sorted(best[1]), dtype=np.int64)
 
 
 def random_set(N: int, density: float, seed: int) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 A set ``Z`` is *sumfree with respect to* ``W`` when ``z1 + z2`` avoids ``W``
 for every pair of distinct ``z1 != z2`` in ``Z`` (``z + z`` is allowed). The
-sumfree search is :func:`~bohrkit.patterns.pair_search` with ``avoid=True``,
-the core that also runs the extent configuration search: there a pair
-``x, y`` of one parity must have ``x + y`` in ``2A`` (its midpoint in ``A``),
-here ``z1 + z2`` must miss ``W``.
+sumfree search is the element walk of the shifted-AND kernel in
+:mod:`bohrkit.patterns` that also runs the extent configuration search:
+there a pair ``x, y`` must have ``x + y`` in ``2A``, here ``z1 + z2`` must
+miss ``A``. Both meter their work in 64-bit words read.
 
 The embedding route compresses a set of integers with small difference set
 into a prime cyclic group through ``a -> (lam * a) mod p`` restricted to the
@@ -39,8 +39,8 @@ from .patterns import (
     Configuration,
     FinderResult,
     PreconditionError,
+    ShiftedAndKernel,
     find_configuration,
-    pair_search,
     verify_configuration,
 )
 
@@ -262,9 +262,10 @@ def find_sumfree_subset(
 ) -> Optional[np.ndarray]:
     """Lexicographically first ``B`` of size ``h``, sumfree with respect to ``a``.
 
-    :func:`~bohrkit.patterns.pair_search` over the sorted elements with
-    ``avoid=True``: each pair-sum membership test costs one unit of work,
-    and :class:`BudgetExceeded` is raised when the budget runs out (never a
+    The element walk of the shifted-AND kernel over the sorted elements,
+    keeping after each choice ``y`` the larger candidates ``x`` with
+    ``x + y`` outside ``a``. Work is counted in 64-bit words read, and
+    :class:`BudgetExceeded` is raised when the budget is passed (never a
     silent "none"). The result is re-checked before being returned.
     """
     if h < 0:
@@ -274,8 +275,9 @@ def find_sumfree_subset(
         return np.asarray([], dtype=np.int64)
     if h > arr.size:
         return None
-    lst = arr.tolist()
-    got, _ = pair_search([lst], h, set(lst), avoid=True, budget=budget)
+    kernel = ShiftedAndKernel(budget)
+    kernel.pack_elements(arr, midpoints=False, avoid=True)
+    got = kernel.first_subset(h)
     if got is None:
         return None
     out = np.asarray(got, dtype=np.int64)
@@ -353,10 +355,7 @@ def find_configuration_via_embedding(
             return EmbeddingSearch("found", pulled, "embedded", measured_k, emb, hit)
 
     direct = find_configuration(arr, h, budget=budget)
-    if direct.status == "inconclusive":
-        return EmbeddingSearch("inconclusive", None, "direct", measured_k, emb, direct)
-    route = "direct"
-    return EmbeddingSearch(direct.status, direct.config, route, measured_k, emb, direct)
+    return EmbeddingSearch(direct.status, direct.config, "direct", measured_k, emb, direct)
 
 
 def threshold_report(x: ElementsLike, y: ElementsLike, h: int) -> dict:

@@ -28,6 +28,7 @@ from bohrkit.bohr import (
     infer_dilation,
     membership_mask,
     regularity_certificate,
+    sorted_distinct,
     sorted_lookup,
     spec_from_dict,
     translate_counts,
@@ -522,6 +523,37 @@ def test_sorted_lookup_matches_set_oracle(inputs):
     members = set(values.tolist())
     assert hit.ravel().tolist() == [p in members for p in points.ravel().tolist()]
     assert values[idx[hit]].tolist() == points[hit].tolist()
+
+
+@st.composite
+def distinct_inputs(draw):
+    """Ascending, descending, repeated or shuffled values, 1-D or 2-D."""
+    values = draw(st.lists(st.one_of(st.integers(-20, 20), _INT64), max_size=12))
+    order = draw(st.sampled_from(["ascending", "descending", "repeated", "as drawn"]))
+    if order == "ascending":
+        values = sorted(set(values))
+    elif order == "descending":
+        values = sorted(set(values), reverse=True)
+    elif order == "repeated":
+        values = sorted(values + values[: len(values) // 2])
+    arr = np.array(values, dtype=np.int64)
+    if draw(st.booleans()) and arr.size % 2 == 0:
+        arr = arr.reshape(2, -1)
+    return arr
+
+
+@settings(max_examples=200, deadline=None)
+@given(distinct_inputs())
+@example(_EMPTY)
+@example(np.array([[1, 2], [3, 4]]))  # ascending once flattened, but 2-D
+@example(np.array([5, 5]))
+def test_sorted_distinct_matches_unique(arr):
+    before = arr.copy()
+    got = sorted_distinct(arr)
+    assert got.dtype == np.int64 and got.ndim == 1
+    assert got.tolist() == np.unique(arr).tolist()
+    assert not np.shares_memory(got, arr)  # a fresh array, even when nothing moved
+    assert np.array_equal(arr, before)
 
 
 # ---------------------------------------------------------------------------

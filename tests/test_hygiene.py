@@ -155,7 +155,7 @@ def settable_values() -> dict[str, int]:
 def test_settable_values():
     counts = settable_values()
     assert counts["EngineLimits fields"] == 4
-    assert sum(counts.values()) == 46, counts
+    assert sum(counts.values()) == 43, counts
 
 
 def test_checks_catch_what_they_look_for():

@@ -3,13 +3,16 @@
 Counting oracles are literal nested loops over the tuple space; progression
 counters are cross-checked against each other and against hand counts. The
 bit-parallel restricted finder is checked against the recursive
-membership-test finder it replaced, kept here unchanged as the oracle.
+membership-test finder it replaced, kept here unchanged as the oracle; the
+bit-parallel extent search against literal combinations, and its word count
+against a replay of its walk on sorted lists.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -25,6 +28,7 @@ from bohrkit.patterns import (
     FinderResult,
     FunctionFamily,
     PreconditionError,
+    ShiftedAndKernel,
     behrend_set,
     check_counting_bound,
     check_von_neumann,
@@ -36,7 +40,6 @@ from bohrkit.patterns import (
     dichotomy,
     find_configuration,
     find_configuration_restricted,
-    pair_search,
     random_set,
     smallness_bound,
     verify_configuration,
@@ -87,10 +90,75 @@ def extent_oracle(xs: Sequence[int], s: int) -> tuple[Optional[tuple[int, ...]],
     return (hits[0] if hits else None), len(hits)
 
 
-def extent_pools(xs: Sequence[int]) -> tuple[list[list[int]], set[int]]:
-    """The parity classes and the doubled set the extent search walks."""
-    lst = sorted(set(xs))
-    return [[x for x in lst if x % 2 == p] for p in (0, 1)], {2 * x for x in lst}
+def element_walk_oracle(
+    xs: Sequence[int], k: int, *, midpoints: bool, avoid: bool
+) -> tuple[Optional[list[int]], int, int, int]:
+    """The shifted-AND kernel's element walk replayed on sorted lists.
+
+    Chooses ``y`` ascending among the candidates and keeps the larger ones
+    ``x`` whose pair qualifies: ``(x + y) / 2`` (with ``midpoints``) or
+    ``x + y`` is in the set, or with ``avoid`` is not; at the last depth
+    every candidate completes a subset. Words follow the kernel's meter,
+    worked out from the values. When the pair sums ``[2 lo, 2 hi]`` fit in
+    no more words than the set has elements, packing costs the words of
+    ``[lo, hi]`` and of the sums, and each ``y`` with a larger candidate
+    left reads the qualifying sums from ``lo + y`` on. Otherwise the ``i``-th
+    element's row costs one word per element above it when first chosen,
+    and each choice costs the words of the row's ranks. Returns the first
+    subset, the words spent when it is found (the whole walk when there is
+    none), the number of subsets and the words of the whole walk.
+    """
+    xs = sorted(set(xs))
+    n = len(xs)
+    if not n:
+        return None, 0, 0, 0
+    members = set(xs)
+    rank = {x: i for i, x in enumerate(xs)}
+
+    def qualifies(total: int) -> bool:
+        hit = total % 2 == 0 and total // 2 in members if midpoints else total in members
+        return hit != avoid
+
+    def words(b: int) -> int:
+        return max(1, -(-b // 64))
+
+    lo, span = xs[0], xs[-1] - xs[0]
+    ranked = words(2 * span + 1) > n
+    rows: dict[int, list[int]] = {}
+    work = 0
+    if not ranked:
+        work = words(span + 1) + words(2 * span + 1)
+        bits = next((p + 1 for p in range(2 * span, -1, -1) if qualifies(2 * lo + p)), 0)
+    count = 0
+    first: Optional[list[int]] = None
+    first_work = 0
+
+    def charge(y: int) -> None:
+        nonlocal work
+        if not ranked:
+            work += words(bits - (y - lo))
+            return
+        i = rank[y]
+        if i not in rows:
+            work += n - i - 1
+            rows[i] = [r for r in range(i + 1, n) if qualifies(y + xs[r])]
+        work += words(rows[i][-1] + 1 if rows[i] else 0)
+
+    def walk(prefix: list[int], cand: list[int]) -> None:
+        nonlocal count, first, first_work
+        if len(prefix) + 1 == k:
+            count += len(cand)
+            if first is None:
+                first, first_work = prefix + [cand[0]], work
+            return
+        for i, y in enumerate(cand[:-1]):
+            charge(y)
+            rest = [x for x in cand[i + 1 :] if qualifies(x + y)]
+            if rest:
+                walk(prefix + [y], rest)
+
+    walk([], xs)
+    return first, (first_work if first else work), count, work
 
 
 def aps_oracle(xs: list[int]) -> int:
@@ -223,15 +291,41 @@ def test_finder_matches_pair_oracle():
         assert count_configurations(np.array(xs), 2) == expect
 
 
-extent_sets = st.lists(st.integers(-20, 30), max_size=14, unique=True)
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def extent_sets(draw):
+    """Small sets with negatives, a few points spread over 10^6 with a wide
+    progression among them, or points near the ends of the int64 range."""
+    kind = draw(st.sampled_from(["small", "spread", "int64 ends"]))
+    if kind == "small":
+        return draw(st.lists(st.integers(-20, 30), max_size=14, unique=True))
+    if kind == "spread":
+        start = draw(st.integers(-10**6, 10**6))
+        step = draw(st.integers(1, 4 * 10**5))
+        terms = draw(st.integers(0, 5))
+        extra = draw(st.lists(st.integers(-10**6, 10**6), max_size=4))
+        return sorted({start + i * step for i in range(terms)} | set(extra))
+    centre = draw(st.sampled_from([_INT64_MIN, -(2**62), 2**62, _INT64_MAX]))
+    near = draw(st.lists(st.integers(-40, 40), max_size=10))
+    ends = st.sampled_from([_INT64_MIN, _INT64_MAX, 2**62])
+    far = draw(st.lists(st.one_of(ends, st.integers(-90, 90)), max_size=3))
+    return sorted({min(max(centre + d, _INT64_MIN), _INT64_MAX) for d in near} | set(far))
 
 
 @settings(max_examples=300, deadline=None)
-@given(xs=extent_sets, s=st.sampled_from([2, 3, 4]))
+@given(xs=extent_sets(), s=st.sampled_from([2, 3, 4, 5]))
 @example(xs=list(range(0, 9)), s=4)
 @example(xs=[], s=2)
+@example(xs=[-7, 3], s=3)  # s larger than the set
+@example(xs=[-10**6, 0, 10**6], s=3)
 def test_extent_search_matches_combinations_oracle(xs, s):
     first, total = extent_oracle(xs, s)
+    walk_first, find_words, walk_total, count_words = element_walk_oracle(
+        xs, s, midpoints=True, avoid=False
+    )
+    assert (walk_first, walk_total) == (None if first is None else list(first), total)
     res = find_configuration(xs, s)
     if first is None:
         assert (res.status, res.config) == ("none", None)
@@ -239,19 +333,24 @@ def test_extent_search_matches_combinations_oracle(xs, s):
         a = first[0] % 2
         assert res.status == "found"
         assert (res.config.a, res.config.ns) == (a, tuple((x - a) // 2 for x in first))
+    assert res.work == find_words
     assert count_configurations(xs, s) == total
+    arr = np.array(sorted(set(xs)), dtype=np.int64)
+    kernel = ShiftedAndKernel(10**8)
+    kernel.pack_elements(arr, midpoints=True, avoid=False)
+    assert (kernel.count_subsets(s), kernel.work) == (total, count_words)
 
 
 @settings(max_examples=150, deadline=None)
-@given(xs=extent_sets, s=st.sampled_from([2, 3, 4]))
+@given(xs=extent_sets(), s=st.sampled_from([2, 3, 4, 5]))
 def test_extent_search_budget_edges(xs, s):
     full = find_configuration(xs, s)
     at = find_configuration(xs, s, budget=full.work)
     assert (at.status, at.config, at.work) == (full.status, full.config, full.work)
-    pools, doubled = extent_pools(xs)
-    total, work = pair_search(pools, s, doubled, count=True)
+    _, _, total, work = element_walk_oracle(xs, s, midpoints=True, avoid=False)
     assert count_configurations(xs, s, budget=work) == total
     if full.work:
+        # the last word charged is the one past the budget: never "none"
         short = find_configuration(xs, s, budget=full.work - 1)
         assert (short.status, short.config, short.work) == ("inconclusive", None, full.work)
     if work:
@@ -259,17 +358,73 @@ def test_extent_search_budget_edges(xs, s):
             count_configurations(xs, s, budget=work - 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    xs=extent_sets(), k=st.integers(1, 6), midpoints=st.booleans(), avoid=st.booleans()
+)
+@example(xs=[-(10**6), 0, 10**6], k=2, midpoints=False, avoid=True)  # ranks
+@example(xs=list(range(-3, 12)), k=3, midpoints=False, avoid=True)  # values
+def test_element_walk_matches_replay(xs, k, midpoints, avoid):
+    # both pair tests, kept or avoided, on values and on ranks: subsets and words
+    first, find_words, total, count_words = element_walk_oracle(
+        xs, k, midpoints=midpoints, avoid=avoid
+    )
+    arr = np.array(sorted(set(xs)), dtype=np.int64)
+    kernel = ShiftedAndKernel(10**8)
+    kernel.pack_elements(arr, midpoints=midpoints, avoid=avoid)
+    assert (kernel.first_subset(k), kernel.work) == (first, find_words)
+    kernel = ShiftedAndKernel(10**8)
+    kernel.pack_elements(arr, midpoints=midpoints, avoid=avoid)
+    assert (kernel.count_subsets(k), kernel.work) == (total, count_words)
+
+
 def test_extent_search_work_pinned():
     # fixed work figures: a change to the search order or the work unit shows here
-    assert find_configuration(behrend_set(500), 2).work == 190
+    # (in 64-bit words read)
+    assert find_configuration(behrend_set(500), 2).work == 180
     res = find_configuration(random_set(200, 0.3, seed=3), 4)
-    assert (res.status, res.work) == ("found", 806)
+    assert (res.status, res.work) == ("found", 156)
     assert (res.config.a, res.config.ns) == (0, (5, 57, 60, 71))
     subset = random_set(60, 0.5, seed=1)
-    assert count_configurations(subset, 3, budget=1557) == 285
+    assert count_configurations(subset, 3, budget=326) == 285
     with pytest.raises(BudgetExceeded):
-        count_configurations(subset, 3, budget=1556)
-    assert find_configuration(behrend_set(500), 2, budget=189).work == 190
+        count_configurations(subset, 3, budget=325)
+    assert find_configuration(behrend_set(500), 2, budget=179).work == 180
+
+
+def test_extent_search_none_on_behrend_million():
+    # 1716 elements over [1, 10^6] and no 3-term progression: "none" is
+    # proved inside the default budget of 10^8 words
+    res = find_configuration(behrend_set(10**6), 2)
+    assert (res.status, res.work) == ("none", 1473185)
+
+
+def test_extent_search_on_wide_sparse_sets():
+    # a sparse set walks ranks: its words and memory follow its size, not its range
+    tracemalloc.start()
+    try:
+        res = find_configuration([0, 10**9, 2 * 10**9], 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.config, res.work) == ("found", Configuration(0, (0, 10**9)), 3)
+    assert peak < 10**6
+    res = find_configuration([0, 10**12, 3 * 10**12, 4 * 10**12], 2)
+    assert (res.status, res.work) == ("none", 9)
+    assert count_configurations([-(10**15), 0, 10**15, 2 * 10**15], 2) == 2
+
+
+def test_extent_search_near_int64_ends():
+    # pair sums past the int64 range neither wrap around nor overflow
+    top = 2**63 - 1
+    res = find_configuration([5 * 10**18, 5 * 10**18 + 2, 5 * 10**18 + 4], 2)
+    assert res.config == Configuration(0, (25 * 10**17, 25 * 10**17 + 2))
+    res = find_configuration([top - 4, top - 2, top], 2)  # one narrow window
+    assert res.config == Configuration(1, (2**62 - 3, 2**62 - 1))
+    res = find_configuration([-(2**63), -(2**63) + 2, -(2**63) + 4, 0, top - 2, top], 2)
+    assert res.config == Configuration(0, (-(2**62), -(2**62) + 2))  # ranks
+    assert find_configuration([-(2**63), -1, 1, top], 2).status == "none"
+    assert count_configurations([-(2**62) - 2, -(2**62), 0, 2**62, 2**62 + 2], 2) == 2
 
 
 def test_restricted_finder_respects_domains():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from bohrkit import sumfree
 from bohrkit.bohr import BudgetExceeded
 from bohrkit.patterns import (
     PreconditionError,
+    ShiftedAndKernel,
     behrend_set,
-    pair_search,
     random_set,
     verify_configuration,
 )
@@ -368,40 +369,92 @@ def test_find_sumfree_budget():
         find_sumfree_subset(list(range(1, 40)), 5, budget=3)
 
 
-sumfree_sets = st.lists(st.integers(-15, 40), max_size=14, unique=True)
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def sumfree_sets(draw):
+    """Small sets with negatives, a few points spread over 10^6, or points
+    near the ends of the int64 range."""
+    kind = draw(st.sampled_from(["small", "spread", "int64 ends"]))
+    if kind == "small":
+        return draw(st.lists(st.integers(-15, 40), max_size=14, unique=True))
+    if kind == "spread":
+        start = draw(st.integers(-10**6, 10**6))
+        step = draw(st.integers(1, 4 * 10**5))
+        extra = draw(st.lists(st.integers(-10**6, 10**6), max_size=5))
+        return sorted({start, start + step, start + 2 * step} | set(extra))
+    centre = draw(st.sampled_from([_INT64_MIN, -(2**62), 2**62, _INT64_MAX]))
+    near = draw(st.lists(st.integers(-40, 40), max_size=10))
+    ends = st.sampled_from([_INT64_MIN, _INT64_MAX, 2**62])
+    far = draw(st.lists(st.one_of(ends, st.integers(-90, 90)), max_size=3))
+    return sorted({min(max(centre + d, _INT64_MIN), _INT64_MAX) for d in near} | set(far))
+
+
+def sumfree_walk(a: list[int], h: int) -> tuple[Optional[list[int]], int, int]:
+    """The kernel's element walk with ``avoid``, unmetered: the first subset,
+    its words, and the number of subsets."""
+    arr = np.array(sorted(set(a)), dtype=np.int64)
+    kernel = ShiftedAndKernel(10**12)
+    kernel.pack_elements(arr, midpoints=False, avoid=True)
+    first = kernel.first_subset(h)
+    work = kernel.work
+    kernel = ShiftedAndKernel(10**12)
+    kernel.pack_elements(arr, midpoints=False, avoid=True)
+    return first, work, kernel.count_subsets(h)
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=sumfree_sets, h=st.integers(0, 5))
+@given(a=sumfree_sets(), h=st.integers(0, 7))
 @example(a=[1, 2, 3, 4, 5], h=2)
 @example(a=[-3, 0, 3], h=3)
+@example(a=[-5, 5], h=1)
+@example(a=[-10**6, 0, 10**6], h=3)  # 0 + 10^6 and -10^6 + 0 both hit the set
 def test_find_sumfree_matches_combinations_oracle(a, h):
     subsets = sumfree_subsets_oracle(a, h)
     got = find_sumfree_subset(a, h)
     assert (None if got is None else got.tolist()) == (subsets[0] if subsets else None)
-    lst = sorted(set(a))
-    assert pair_search([lst], h, set(lst), avoid=True, count=True)[0] == len(subsets)
+    if 1 <= h <= len(set(a)):
+        first, _, count = sumfree_walk(a, h)
+        assert (first, count) == (subsets[0] if subsets else None, len(subsets))
 
 
 @settings(max_examples=150, deadline=None)
-@given(a=sumfree_sets, h=st.integers(1, 5))
+@given(a=sumfree_sets(), h=st.integers(1, 6))
 def test_find_sumfree_budget_edges(a, h):
-    lst = sorted(set(a))
     got = find_sumfree_subset(a, h)
-    work = pair_search([lst], h, set(lst), avoid=True)[1] if h <= len(lst) else 0
+    work = sumfree_walk(a, h)[1] if h <= len(set(a)) else 0
     at = find_sumfree_subset(a, h, budget=work)
     assert (None if at is None else at.tolist()) == (None if got is None else got.tolist())
     if work:
+        # one word short raises, never a silent "none"
         with pytest.raises(BudgetExceeded):
             find_sumfree_subset(a, h, budget=work - 1)
 
 
 def test_find_sumfree_work_pinned():
-    # fixed work figure: a change to the search order or the work unit shows here
+    # fixed work figure, in 64-bit words read: a change to the search order
+    # or the work unit shows here
     arr = random_set(80, 0.5, seed=2)
-    assert find_sumfree_subset(arr, 4, budget=11).tolist() == [3, 4, 12, 14]
+    assert find_sumfree_subset(arr, 4, budget=14).tolist() == [3, 4, 12, 14]
     with pytest.raises(BudgetExceeded):
-        find_sumfree_subset(arr, 4, budget=10)
+        find_sumfree_subset(arr, 4, budget=13)
+
+
+def test_find_sumfree_on_wide_and_int64_sets():
+    # a sparse set walks ranks: words follow its size, not its range
+    got = find_sumfree_subset([1, 10**10, 3 * 10**10], 2, budget=10)
+    assert got.tolist() == [1, 10**10]
+    # sums past the int64 range miss the set; they do not wrap around onto it
+    near = [2**62, 2**62 + 1, 2**62 + 2]
+    assert find_sumfree_subset(near, 3).tolist() == near
+    top = 2**63 - 1
+    assert find_sumfree_subset([-top, 3, 5, top - 10], 2).tolist() == [-top, 3]
+    assert find_sumfree_subset([-(2**62), 0, 2**62], 2) is None
+    assert find_sumfree_subset([-4, top - 2, top], 3).tolist() == [-4, top - 2, top]
+    assert find_sumfree_subset([-(2**63), -(2**63) + 1, 2**63 - 1], 3).tolist() == [
+        -(2**63), -(2**63) + 1, 2**63 - 1
+    ]
 
 
 def test_find_sumfree_random_recheck():
