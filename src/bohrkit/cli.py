@@ -267,10 +267,9 @@ def _emit(report, args, *, default_format: str = "json") -> None:
 
 def _emit_set(elements: np.ndarray, args, header: str) -> None:
     if args.format is not None:
-        _emit({"size": int(elements.size),
-               "elements": [int(x) for x in elements]}, args)
+        _emit({"size": int(elements.size), "elements": elements.tolist()}, args)
         return
-    lines = [f"# {header}"] + [str(int(x)) for x in elements]
+    lines = [f"# {header}", *map(str, elements.tolist())]
     text = "\n".join(lines) + "\n"
     if args.out:
         try:
@@ -305,7 +304,7 @@ def _cmd_bohr(args) -> int:
     if args.action == "enum":
         elements = enumerate_bohr(spec, enum_limit=args.budget)
         _emit({"spec": spec.as_dict(), "size": int(elements.size),
-               "elements": [int(x) for x in elements]}, args)
+               "elements": elements.tolist()}, args)
         return EXIT_OK
     if args.action == "regular":
         cert = regularity_certificate(spec, enum_limit=args.budget)

@@ -11,8 +11,12 @@ count, dict construction order, or numpy scalar types:
 - numpy scalars and arrays are converted to plain Python values,
 - no timestamps, hostnames, or other environment data are ever included.
 
-Round-tripping a report through :func:`parse_report` and re-emitting it
-reproduces the same bytes.
+Emitting a report is one :func:`normalize` walk and one indented writer.
+The writer takes only the normalized types and gives exactly the text of
+``json.dumps(value, sort_keys=True, indent=2)``, which the tests keep as
+its oracle; the standard library would run that call through its
+pure-Python encoder. Round-tripping a report through :func:`parse_report`
+and re-emitting it reproduces the same bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Iterable, Optional
 
 import numpy as np
@@ -51,21 +57,83 @@ def normalize(obj: Any) -> Any:
     if isinstance(obj, np.complexfloating):
         return normalize(complex(obj))
     if isinstance(obj, np.ndarray):
-        return [normalize(x) for x in obj.tolist()]
+        if obj.dtype.kind in "biu":  # tolist() already gives plain bools and ints
+            return obj.tolist()
+        return normalize(obj.tolist())  # nested lists, or a scalar when 0-d
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
         return {str(k): normalize(v) for k, v in items}
     if isinstance(obj, (list, tuple, set, frozenset)):
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        if all(type(x) is int for x in seq):  # not bool, not an int subclass
+            return list(seq)
         return [normalize(x) for x in seq]
     if hasattr(obj, "as_dict"):
         return normalize(obj.as_dict())
     raise TypeError(f"cannot normalize {type(obj).__name__} for a report")
 
 
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
+def _write(v: Any, out: list[str], pad: str) -> None:
+    """Append ``v``, a normalized value, as indented JSON; ``pad`` is the
+    indent of the line it starts on. Dict keys are written in the order
+    :func:`normalize` left them, which is sorted."""
+    if isinstance(v, str):
+        out.append(_encode_str(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, float):
+        out.append(_float_text(v))
+    elif isinstance(v, list):
+        if not v:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if all(type(x) is int for x in v):
+            out.append("[\n" + inner + sep.join(map(int.__repr__, v)) + "\n" + pad + "]")
+            return
+        out.append("[\n" + inner)
+        for i, x in enumerate(v):
+            if i:
+                out.append(sep)
+            _write(x, out, inner)
+        out.append("\n" + pad + "]")
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        out.append("{\n" + inner)
+        for i, k in enumerate(v):
+            if i:
+                out.append(",\n" + inner)
+            out.append(_encode_str(k) + ": ")
+            _write(v[k], out, inner)
+        out.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"cannot write {type(v).__name__} as report JSON")
+
+
 def canonical_json(obj: Any) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(normalize(obj), sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _write(normalize(obj), out, "")
+    out.append("\n")
+    return "".join(out)
 
 
 def canonical_json_line(obj: Any) -> str:
@@ -96,14 +164,13 @@ def _flatten(prefix: str, obj: Any, out: dict) -> None:
     elif isinstance(obj, list):
         cells = []
         for x in obj:
-            nx = normalize(x)
-            if isinstance(nx, (dict, list)):
-                cells.append(json.dumps(nx, sort_keys=True, separators=(",", ":")))
+            if isinstance(x, (dict, list)):
+                cells.append(json.dumps(x, sort_keys=True, separators=(",", ":")))
             else:
-                cells.append(str(nx))
+                cells.append(str(x))
         out[prefix] = ";".join(cells)
     else:
-        out[prefix] = normalize(obj)
+        out[prefix] = obj
 
 
 def csv_rows(rows: Iterable[Any]) -> str:

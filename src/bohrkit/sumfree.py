@@ -266,15 +266,16 @@ def find_sumfree_subset(
     keeping after each choice ``y`` the larger candidates ``x`` with
     ``x + y`` outside ``a``. Work is counted in 64-bit words read, and
     :class:`BudgetExceeded` is raised when the budget is passed (never a
-    silent "none"). The result is re-checked before being returned.
+    silent "none"). For ``h <= 1`` there is no pair to test and no word is
+    read. The result is re-checked before being returned.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
     arr = sorted_distinct(a)
-    if h == 0:
-        return np.asarray([], dtype=np.int64)
     if h > arr.size:
         return None
+    if h <= 1:
+        return arr[:h].copy()
     kernel = ShiftedAndKernel(budget)
     kernel.pack_elements(arr, midpoints=False, avoid=True)
     got = kernel.first_subset(h)

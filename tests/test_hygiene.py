@@ -5,7 +5,9 @@ import no underscore name from another bohrkit module (a private helper that
 two modules need belongs under a public name) and must use every name its
 top-level imports bind. Every module, the package ``__init__`` included,
 must leave ``np.isin`` and ``np.intersect1d`` alone: each membership question
-on a sorted array goes through ``bohr.sorted_lookup``. Every library function
+on a sorted array goes through ``bohr.sorted_lookup``. No module calls
+``json.dumps`` with an ``indent``: indented report text has one writer,
+``reports.canonical_json``. Every library function
 the bench harness traces (``bench/spans.py``, ``TARGETS``) must still exist
 under the name the harness patches, so a rename cannot silently drop a span.
 The settable values of the public API are counted and pinned, so a new knob
@@ -88,6 +90,17 @@ def set_op_calls(tree: ast.Module) -> list[str]:
     ]
 
 
+def indented_dumps(tree: ast.Module) -> list[str]:
+    """Calls of ``dumps`` (``json.dumps`` by any alias) given an ``indent``."""
+    return [
+        f"line {node.lineno}: dumps"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "dumps"
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_cross_module_imports(path):
     assert private_imports(_tree(path)) == []
@@ -101,6 +114,11 @@ def test_no_unused_top_level_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_numpy_set_membership(path):
     assert set_op_calls(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_indented_json_writer(path):
+    assert indented_dumps(_tree(path)) == []
 
 
 def traced_targets(tree: ast.Module) -> list[tuple[str, str]]:
@@ -167,6 +185,9 @@ def test_checks_catch_what_they_look_for():
         "x: 'Optional[int]' = None\n"
         "y = np.isin(a, b)\n"
         "z = numpy.intersect1d(a, b)\n"
+        "t = json.dumps(v, sort_keys=True, indent=2)\n"
+        "u = dumps(v, indent=None)\n"
+        "w = json.dumps(v, separators=(',', ':'))\n"
     )
     assert private_imports(tree) == ["line 3: _elements", "line 4: _count_leq"]
     assert unused_imports(tree) == [
@@ -176,3 +197,4 @@ def test_checks_catch_what_they_look_for():
         "line 4: count",
     ]
     assert set_op_calls(tree) == ["line 6: isin", "line 7: intersect1d"]
+    assert indented_dumps(tree) == ["line 8: dumps", "line 9: dumps"]

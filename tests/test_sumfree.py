@@ -423,13 +423,22 @@ def test_find_sumfree_matches_combinations_oracle(a, h):
 @given(a=sumfree_sets(), h=st.integers(1, 6))
 def test_find_sumfree_budget_edges(a, h):
     got = find_sumfree_subset(a, h)
-    work = sumfree_walk(a, h)[1] if h <= len(set(a)) else 0
+    # h = 1 needs no pair test, so no word: the kernel is not loaded
+    work = sumfree_walk(a, h)[1] if 2 <= h <= len(set(a)) else 0
     at = find_sumfree_subset(a, h, budget=work)
     assert (None if at is None else at.tolist()) == (None if got is None else got.tolist())
     if work:
         # one word short raises, never a silent "none"
         with pytest.raises(BudgetExceeded):
             find_sumfree_subset(a, h, budget=work - 1)
+
+
+def test_find_sumfree_single_element_at_budget_zero():
+    # the least element is sumfree alone: neither side packs or reads a word
+    assert find_sumfree_subset(np.arange(1, 20), 1, budget=0).tolist() == [1]  # dense
+    assert find_sumfree_subset([1, 10**10], 1, budget=0).tolist() == [1]  # sparse
+    assert find_sumfree_subset([], 1, budget=0) is None
+    assert find_sumfree_subset(np.arange(1, 20), 0, budget=0).tolist() == []
 
 
 def test_find_sumfree_work_pinned():
