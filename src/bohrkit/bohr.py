@@ -12,7 +12,9 @@ Design principles:
     ``alpha(n) = max(|n|/M, max_j ||n theta_j|| / eps)`` and is represented
     exactly as ``K(n) / B`` for a shared denominator ``B``; then
     ``n in (1+c) * Lambda  <=>  K(n) <= B * (1+c)``, and membership is the
-    case ``c = 0``,
+    case ``c = 0``; the term of ``theta_j = p_j/q_j`` is periodic in ``n``
+    with period ``q_j``, so on a window of consecutive candidates it is
+    computed for one period and tiled,
   * one key index serves every dilate: ``alpha_{c Lambda}(n) =
     alpha_Lambda(n) / c``, so one sorted key array over the widest window
     answers the size of every dilate, every certificate and every candidate
@@ -112,7 +114,7 @@ class BohrSpec:
 # ---------------------------------------------------------------------------
 
 
-def _entry_keys(spec: BohrSpec, ns: np.ndarray) -> tuple[np.ndarray, int]:
+def _entry_keys(spec: BohrSpec, ns: np.ndarray, *, run: bool) -> tuple[np.ndarray, int]:
     """Exact entry keys ``K(n)`` of ``ns`` and their shared denominator ``B``.
 
     ``alpha(n) = K(n)/B`` is the smallest dilation of the description that
@@ -120,6 +122,11 @@ def _entry_keys(spec: BohrSpec, ns: np.ndarray) -> tuple[np.ndarray, int]:
     and ``r = n p_j mod q_j``. Constraints with ``theta_j = 1`` always hold and
     are skipped. Keys are int64 when no intermediate can overflow, otherwise
     an object array of exact Python integers.
+
+    ``run`` says that ``ns`` is a run of consecutive integers, which only its
+    construction can tell (its ends cannot). The residue term then repeats
+    with period ``q_j``: it is computed for the first ``q_j`` candidates and
+    taken into the keys one period-long row at a time.
     """
     en, ed = spec.eps.numerator, spec.eps.denominator
     mn, md = spec.M.numerator, spec.M.denominator
@@ -134,11 +141,23 @@ def _entry_keys(spec: BohrSpec, ns: np.ndarray) -> tuple[np.ndarray, int]:
         q * q >= _INT64_SAFE or (q // 2 + 1) * mult >= _INT64_SAFE for _, q, mult in comps
     ):
         ns, keys = ns.astype(object), keys.astype(object)
-    keys = keys * mult_M
+    keys *= mult_M
     for p, q, mult in comps:
-        r = ns % q * p % q
-        keys = np.maximum(keys, np.minimum(r, q - r) * mult)
+        if run and q < ns.size:
+            term = _residue_term(ns[:q], p, q, mult)
+            whole = ns.size - ns.size % q
+            rows = keys[:whole].reshape(-1, q)
+            np.maximum(rows, term, out=rows)
+            np.maximum(keys[whole:], term[: ns.size - whole], out=keys[whole:])
+        else:
+            np.maximum(keys, _residue_term(ns, p, q, mult), out=keys)
     return keys, B
+
+
+def _residue_term(ns: np.ndarray, p: int, q: int, mult: int) -> np.ndarray:
+    """``min(r, q - r) * mult`` with ``r = n p mod q``, for each ``n`` of ``ns``."""
+    r = ns % q * p % q
+    return np.minimum(r, q - r) * mult
 
 
 def _window(nmax: int, enum_limit: int) -> np.ndarray:
@@ -153,7 +172,7 @@ def _window(nmax: int, enum_limit: int) -> np.ndarray:
 
 def _key_index(spec: BohrSpec, nmax: int, enum_limit: int) -> tuple[np.ndarray, int]:
     """Ascending entry keys of every candidate ``|n| <= nmax``, and ``B``."""
-    keys, B = _entry_keys(spec, _window(nmax, enum_limit))
+    keys, B = _entry_keys(spec, _window(nmax, enum_limit), run=True)
     keys.sort()
     return keys, B
 
@@ -187,12 +206,13 @@ def enumerate_bohr(spec: BohrSpec, *, enum_limit: int = 10**7) -> np.ndarray:
     :class:`BudgetExceeded` when the candidate window exceeds ``enum_limit``.
     """
     ns = _window(floor_frac(spec.M), enum_limit)
-    return ns[membership_mask(spec, ns)]
+    keys, B = _entry_keys(spec, ns, run=True)
+    return ns[keys <= B]
 
 
 def membership_mask(spec: BohrSpec, ns: np.ndarray) -> np.ndarray:
     """Boolean membership mask for an int64 array of candidates: ``K(n) <= B``."""
-    keys, B = _entry_keys(spec, ns)
+    keys, B = _entry_keys(spec, ns, run=False)
     return keys <= B
 
 
@@ -258,15 +278,28 @@ def sorted_distinct(x: ElementsLike) -> np.ndarray:
 
 
 def sorted_lookup(values: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
-    """``(idx, hit)`` for ``points`` of any shape in sorted distinct ``values``.
+    """``(idx, hit)`` for ``points`` of any shape in ``values``.
 
-    ``hit`` marks the points in ``values``, and there ``values[idx] == point``;
-    elsewhere ``idx`` is a clipped position (all zero when ``values`` is empty).
+    ``values`` must be strictly ascending (sorted and distinct). ``hit`` marks
+    the points in ``values``, and there ``values[idx] == point``; elsewhere
+    ``idx`` is a clipped position (all zero when ``values`` is empty).
+
+    Because ``values`` ascends strictly, it is a run of consecutive integers
+    exactly when ``values[-1] - values[0] + 1 == values.size``. A run (an
+    interval support, ``[N]``, a window) is answered by arithmetic: a point
+    clipped into ``[values[0], values[-1]]`` is a hit when it did not move, and
+    its offset from ``values[0]`` is its index; any other input is searched.
     """
     pts = np.asarray(points, dtype=np.int64)
     if values.size == 0:
         return np.zeros(pts.shape, dtype=np.intp), np.zeros(pts.shape, dtype=bool)
-    idx = np.asarray(np.searchsorted(values, pts))  # an array even for one point
+    lo, hi = int(values[0]), int(values[-1])
+    if hi - lo + 1 == values.size:
+        idx = np.asarray(np.clip(pts, lo, hi))  # an array even for one point
+        hit = idx == pts
+        idx -= lo  # in [0, size): nothing wraps at the int64 ends
+        return idx, hit
+    idx = np.asarray(np.searchsorted(values, pts))
     np.minimum(idx, values.size - 1, out=idx)
     return idx, values[idx] == pts
 

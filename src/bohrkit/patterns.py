@@ -41,7 +41,6 @@ status "inconclusive" with the work spent.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -828,11 +827,12 @@ def behrend_set(N: int) -> np.ndarray:
     without carries, so ``u + v = 2w`` forces the digitwise equation; on a
     fixed shell ``sum x_i^2 = r`` the parallelogram law then forces
     ``u = v = w``. The sweep picks the (dimension, base, shell) with the most
-    elements fitting in ``[1, N]``.
+    elements fitting in ``[1, N]``; ties go to the smallest dimension, then
+    base, then radius.
     """
     if N < 3:
         return np.arange(1, N + 1, dtype=np.int64)
-    best: Optional[tuple[tuple[int, int, int, int], list[int]]] = None
+    best: Optional[tuple[tuple[int, int, int, int], int, int]] = None
     for b in range(3, 13):
         k = (b + 1) // 2
         n_max = 1
@@ -841,22 +841,26 @@ def behrend_set(N: int) -> np.ndarray:
         for n in range(2, n_max + 1):
             if k**n > 10**6:
                 continue
-            shells: dict[int, list[int]] = {}
-            for digits in itertools.product(range(k), repeat=n):
-                val = 0
-                for x in reversed(digits):
-                    val = val * b + x
-                val += 1
-                if val > N:
-                    continue
-                r = sum(x * x for x in digits)
-                shells.setdefault(r, []).append(val)
-            for r, vals in shells.items():
-                key = (len(vals), -n, -b, -r)
-                if best is None or key > best[0]:
-                    best = (key, vals)
+            vals, radii = _digit_block(b, k, n)
+            shells = np.bincount(radii[vals <= N])
+            r = int(np.argmax(shells))  # the least radius of a largest shell
+            key = (int(shells[r]), -n, -b, -r)
+            if best is None or key > best[0]:
+                best = (key, b, n)
     assert best is not None
-    return np.asarray(sorted(best[1]), dtype=np.int64)
+    (_, _, _, neg_r), b, n = best
+    vals, radii = _digit_block(b, (b + 1) // 2, n)
+    return np.sort(vals[(vals <= N) & (radii == -neg_r)])
+
+
+def _digit_block(b: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``1 + sum_i x_i b^i`` and ``sum_i x_i^2`` for every ``x`` in ``[0, k)^n``."""
+    digits = np.arange(k, dtype=np.int64)
+    vals, radii = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for i in range(n):
+        vals = np.add.outer(vals, digits * b**i).ravel()
+        radii = np.add.outer(radii, digits * digits).ravel()
+    return vals, radii
 
 
 def random_set(N: int, density: float, seed: int) -> np.ndarray:

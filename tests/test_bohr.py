@@ -34,6 +34,7 @@ from bohrkit.bohr import (
     translate_counts,
 )
 from bohrkit.exact import as_rational, torus_distance
+from bohrkit.functions import BoundedFunction
 
 # ---------------------------------------------------------------------------
 # oracle
@@ -235,6 +236,50 @@ def test_membership_mask_huge_denominators():
         mask = membership_mask(spec, ns)
         expect = np.array([member_oracle(spec, int(n)) for n in ns])
         assert np.array_equal(mask, expect), spec
+
+
+# Periods q_j below and above the candidate window 2 floor(M) + 1, windows
+# starting at a residue other than 0 (-60 = 3 mod 7) and at 0 (-63 mod 7),
+# a period equal to the window (13), tails of 2 and 0 candidates, and keys
+# on the exact Python-int path (a huge q, or a huge multiplier) with a short
+# period tiled alongside.
+_PERIOD_SPECS = [
+    BohrSpec((Fraction(1, 3),), Fraction(1, 5), Fraction(10)),
+    BohrSpec((Fraction(2, 7),), Fraction(1, 5), Fraction(60)),
+    BohrSpec((Fraction(2, 7),), Fraction(1, 5), Fraction(63)),
+    BohrSpec((Fraction(3, 8), Fraction(5, 211)), Fraction(1, 4), Fraction(90)),
+    BohrSpec((Fraction(4, 13),), Fraction(1, 6), Fraction(13, 2)),
+    BohrSpec((Fraction(4, 11), Fraction(1)), Fraction(1, 6), Fraction(6)),
+    BohrSpec((Fraction(2, 7), Fraction(12345, _BIG)), Fraction(1, 5), Fraction(40)),
+    BohrSpec((Fraction(3, 5),), Fraction(1, _BIG), Fraction(45)),
+]
+
+
+@pytest.mark.parametrize("spec", _PERIOD_SPECS, ids=range(len(_PERIOD_SPECS)))
+def test_window_keys_match_oracle_across_periods(spec):
+    assert enumerate_bohr(spec).tolist() == enumerate_oracle(spec)
+    assert regularity_certificate(spec) == certificate_oracle(spec)
+    ns = np.arange(-int(spec.M) - 9, int(spec.M) + 10)
+    assert membership_mask(spec, ns).tolist() == [member_oracle(spec, int(n)) for n in ns]
+
+
+def _one_repeat() -> np.ndarray:
+    arr = np.arange(-30, 31)
+    arr[17] = arr[16]
+    return arr
+
+
+@pytest.mark.parametrize(
+    "ns",
+    [np.array([0, 0, 0, 3]), np.arange(40, -41, -1), _one_repeat()],
+    ids=["repeats", "descending", "one-repeat"],
+)
+def test_membership_mask_on_arrays_whose_ends_mimic_a_run(ns):
+    # size and ends (or extremes) look like a run of consecutive integers,
+    # but the candidates are not one: each must get its own key
+    for spec in _PERIOD_SPECS:
+        expect = [member_oracle(spec, int(n)) for n in ns]
+        assert membership_mask(spec, ns).tolist() == expect, spec
 
 
 def test_zero_always_member_and_symmetric():
@@ -496,14 +541,28 @@ _INT64 = st.integers(_INT64_MIN, _INT64_MAX)
 
 @st.composite
 def lookup_inputs(draw):
-    """Sorted distinct int64 values and points of 1 to 3 dimensions: random
-    int64s, the extremes, and values, their neighbours, below and above."""
-    values = sorted(draw(st.sets(st.one_of(st.integers(-20, 20), _INT64), max_size=10)))
+    """Strictly ascending int64 values and points of 0 to 3 dimensions: random
+    int64s, the extremes, and values, their neighbours, below and above.
+    Half the draws make ``values`` a run of consecutive integers: of length
+    1, 2 or more, anywhere, or starting at the lowest int64 or ending at the
+    highest."""
+    if draw(st.booleans()):
+        values = sorted(draw(st.sets(st.one_of(st.integers(-20, 20), _INT64), max_size=10)))
+    else:
+        length = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 40)))
+        start = draw(
+            st.one_of(
+                st.integers(-20, 20),
+                st.integers(_INT64_MIN, _INT64_MAX - length + 1),
+                st.sampled_from([_INT64_MIN, _INT64_MAX - length + 1]),
+            )
+        )
+        values = list(range(start, start + length))
     near = [v + dv for v in values for dv in (-1, 0, 1) if _INT64_MIN <= v + dv <= _INT64_MAX]
     pool = st.one_of(
         st.integers(-25, 25), _INT64, st.sampled_from([_INT64_MIN, _INT64_MAX] + near)
     )
-    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
     points = draw(st.lists(pool, min_size=math.prod(shape), max_size=math.prod(shape)))
     return np.array(values, dtype=np.int64), np.array(points, dtype=np.int64).reshape(shape)
 
@@ -511,11 +570,21 @@ def lookup_inputs(draw):
 _EMPTY = np.array([], dtype=np.int64)
 
 
-@settings(max_examples=200, deadline=None)
+def _run(start: int, length: int) -> np.ndarray:
+    return np.arange(start, start + length, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
 @given(lookup_inputs())
 @example((_EMPTY, np.array([[0, _INT64_MIN], [_INT64_MAX, 5]])))
 @example((np.array([_INT64_MIN, 0, _INT64_MAX]), np.array([[[_INT64_MIN + 1, _INT64_MAX]]])))
 @example((np.array([-3, 4]), np.array([-4, -3, 0, 4, 5])))
+@example((_run(_INT64_MIN, 3), np.array([_INT64_MIN, _INT64_MIN + 2, _INT64_MIN + 3, _INT64_MAX])))
+@example((_run(_INT64_MAX - 2, 3), np.array([_INT64_MIN, _INT64_MAX - 3, _INT64_MAX - 2, _INT64_MAX])))
+@example((_run(_INT64_MIN, 1), np.array(_INT64_MAX)))
+@example((_run(_INT64_MAX, 1), np.array(_INT64_MAX)))
+@example((_run(-2, 5), np.array(3)))
+@example((_run(-2, 5), np.array(-2)))
 def test_sorted_lookup_matches_set_oracle(inputs):
     values, points = inputs
     idx, hit = sorted_lookup(values, points)
@@ -523,6 +592,24 @@ def test_sorted_lookup_matches_set_oracle(inputs):
     members = set(values.tolist())
     assert hit.ravel().tolist() == [p in members for p in points.ravel().tolist()]
     assert values[idx[hit]].tolist() == points[hit].tolist()
+    assert np.all((0 <= idx) & (idx < max(values.size, 1)))  # callers index with it
+
+
+def test_sorted_lookup_on_a_run_does_not_search(monkeypatch):
+    # a silent fallback to the search would pass every value test above
+    def refuse(*args, **kwargs):
+        raise AssertionError("searchsorted called")
+
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    support = np.arange(-50, 51)
+    pts = np.array([[-51, -50, 0], [50, 51, 7]])
+    idx, hit = sorted_lookup(support, pts)
+    assert hit.tolist() == [[False, True, True], [True, False, True]]
+    assert support[idx[hit]].tolist() == pts[hit].tolist()
+    f = BoundedFunction(support, support / 64)
+    assert f.gather(pts).tolist() == [[0, -50 / 64, 0], [50 / 64, 0, 7 / 64]]
+    with pytest.raises(AssertionError, match="searchsorted called"):
+        sorted_lookup(np.array([-50, 0, 51]), pts)  # not a run: searched
 
 
 @st.composite

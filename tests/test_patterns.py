@@ -172,6 +172,37 @@ def aps_oracle(xs: list[int]) -> int:
     return count
 
 
+def behrend_oracle(N: int) -> list[int]:
+    """The sphere-shell sweep as literal loops over digit tuples."""
+    if N < 3:
+        return list(range(1, N + 1))
+    best: Optional[tuple[tuple[int, int, int, int], list[int]]] = None
+    for b in range(3, 13):
+        k = (b + 1) // 2
+        n_max = 1
+        while b**n_max <= N:
+            n_max += 1
+        for n in range(2, n_max + 1):
+            if k**n > 10**6:
+                continue
+            shells: dict[int, list[int]] = {}
+            for digits in itertools.product(range(k), repeat=n):
+                val = 0
+                for x in reversed(digits):
+                    val = val * b + x
+                val += 1
+                if val > N:
+                    continue
+                r = sum(x * x for x in digits)
+                shells.setdefault(r, []).append(val)
+            for r, vals in shells.items():
+                key = (len(vals), -n, -b, -r)
+                if best is None or key > best[0]:
+                    best = (key, vals)
+    assert best is not None
+    return sorted(best[1])
+
+
 def restricted_finder_oracle(
     subset: ElementsLike,
     base: ElementsLike,
@@ -606,6 +637,16 @@ def test_behrend_free_and_deterministic():
     assert np.all((1 <= bs) & (bs <= 1000))
     assert count_three_aps_direct(bs) == 0
     assert bs.size >= 30
+
+
+@pytest.mark.parametrize(
+    "Ns", [range(400), [10**3, 2500, 5000, 10**4, 3 * 10**4, 10**5, 10**6]],
+    ids=["below-400", "ladder"],
+)
+def test_behrend_matches_literal_sweep(Ns):
+    for N in Ns:
+        got = behrend_set(N)
+        assert got.dtype == np.int64 and got.tolist() == behrend_oracle(N), N
 
 
 def test_random_set_deterministic():
