@@ -15,14 +15,29 @@ and never merged:
   * ``u2_fourth_direct`` sums over ``N1`` first:
     ``E_a E_{k,l} | E_i T[a,i,k] conj T[a,i,l] |^2``, cost ``|A| L1 L2^2``.
 
-Each is a two-operand ``einsum(..., optimize=False)`` followed by a square,
-so results are bitwise reproducible across thread counts, and both are means
-of squared magnitudes, so neither can come out negative. Because they
-contract in different orders they round differently; agreement within 1e-9
-is asserted by callers that need it. Every kernel here, the Fourier scan
-included, walks its base points in chunks sized by one bound: the largest
-array a chunk builds holds at most 2^18 entries, unless one base point alone
-needs more (:func:`bohrkit.bohr.chunk_rows`, the one chunk rule).
+The ``N2``-first square at ``(a, i, j)`` depends only on the pair
+``(a + n1_i, n1_j - n1_i)``. Where ``A + N1`` is barely bigger than ``A``
+(windows, intervals, Bohr sets) few pairs are distinct, so for each chunk of
+base points the correlation route fills a pair table over the distinct
+``P = chunk + N1`` and ``D = N1 - N1`` when ``|P| |D| < rows L1^2`` and
+contracts the cube otherwise; the budget ``|A| L1^2 L2`` stays an upper
+bound on the products either computes. The choice is made from the input
+sizes alone, and the table's entries are computed by the same contraction,
+division and square as the cube's, so the result equals the cube
+contraction bit for bit whichever runs. The direct route stays the literal
+``N1``-first contraction.
+
+Each square is a two-operand ``einsum(..., optimize=False)`` followed by a
+square, so results are bitwise reproducible across thread counts, and both
+routes are means of squared magnitudes, so neither can come out negative.
+Because they contract in different orders they round differently; agreement
+within 1e-9 is asserted by callers that need it. Every kernel here, the
+Fourier scan included, walks its base points in chunks sized by one bound:
+the largest array a chunk builds holds at most 2^18 entries, unless one base
+point alone needs more (:func:`bohrkit.bohr.chunk_rows`, the one chunk
+rule). Before anything is allocated, each kernel checks in Python integers
+that every sum of points it forms fits int64; a wrapped sum could land on
+the support.
 
 The Fourier scan evaluates windowed exponential sums on a rational grid
 with an explicit derivative-based error certificate. Each base point's grid
@@ -50,9 +65,13 @@ from .bohr import (
     certificates,
     chunk_rows,
     infer_dilation,
+    sorted_distinct,
+    sorted_lookup,
 )
 from .exact import RationalLike, as_rational, rational_pair
 from .functions import BoundedFunction
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _gather_cube(
@@ -61,6 +80,49 @@ def _gather_cube(
     """``T[a, i, k] = f(base_a + n1_i + n2_k)`` for one chunk of ``base``."""
     pts = base[:, None, None] + n1[None, :, None] + n2[None, None, :]
     return f.gather(pts)
+
+
+def _pair_table(
+    f: BoundedFunction, p: np.ndarray, d: np.ndarray, n2: np.ndarray
+) -> np.ndarray:
+    """``S[r, c] = |E_k f(p_r + n2_k) conj f(p_r + d_c + n2_k)|^2``.
+
+    Built over consecutive sub-chunks of ``p`` whose largest array holds at
+    most 2^18 entries (:func:`bohrkit.bohr.chunk_rows`), with the cube's
+    contraction, division and square, so each entry has the bits of the
+    cube entry it stands for. ``f`` is looked up once per distinct offset
+    ``d + n2`` and spread to the ``(d, n2)`` grid by index.
+    """
+    offsets = d[:, None] + n2[None, :]
+    q = sorted_distinct(offsets)
+    qidx = sorted_lookup(q, offsets)[0]
+    table = np.empty((p.size, d.size), dtype=np.float64)
+    step = chunk_rows(d.size * n2.size)
+    for s in range(0, p.size, step):
+        ps = p[s : s + step]
+        x = f.gather(ps[:, None] + n2[None, :])
+        y = f.gather(ps[:, None] + q[None, :]).conj()[:, qidx]
+        m = np.einsum("rk,rck->rc", x, y, optimize=False) / n2.size
+        table[s : s + step] = m.real**2 + m.imag**2
+    return table
+
+
+def _extent(x: np.ndarray) -> tuple[int, int]:
+    return int(x.min()), int(x.max())
+
+
+def _require_int64(what: str, *parts: tuple[int, int]) -> None:
+    """Raise ``ValueError`` unless ``x_1``, ``x_1 + x_2``, ... all fit int64
+    for every ``x_i`` in the ``i``-th ``(lo, hi)`` range.
+
+    Checked in Python integers, so a kernel that forms these sums left to
+    right in int64 never wraps: a wrapped point could land on the support.
+    """
+    lo = hi = 0
+    for part_lo, part_hi in parts:
+        lo, hi = lo + part_lo, hi + part_hi
+        if lo < _INT64_MIN or hi > _INT64_MAX:
+            raise ValueError(f"{what} sums reach [{lo}, {hi}], outside int64")
 
 
 def u2_fourth_direct(
@@ -87,6 +149,7 @@ def u2_fourth_direct(
     cost = a.size * n1.size * n2.size**2
     if cost > budget:
         raise BudgetExceeded(f"direct route needs {cost} operations, budget {budget}")
+    _require_int64("direct route", _extent(a), _extent(n1), _extent(n2))
     vals = np.empty(a.size, dtype=np.float64)
     step = chunk_rows(max(n1.size * n2.size, n2.size**2))
     for s in range(0, a.size, step):
@@ -106,8 +169,22 @@ def u2_fourth_correlation(
 ) -> float:
     """Fourth power via the ``N2``-first square: pair correlations, squared.
 
-    ``E_a E_{i,j} |E_k T[a,i,k] conj T[a,j,k]|^2``, cost ``|A| L1^2 L2``,
-    checked against ``budget`` before anything is allocated.
+    ``E_a E_{i,j} |E_k T[a,i,k] conj T[a,j,k]|^2``. The square at ``(a, i, j)``
+    depends only on the pair ``(p, d) = (a + n1_i, n1_j - n1_i)``, so for
+    each chunk of base points, with ``P`` the distinct ``chunk + N1`` and
+    ``D`` the distinct ``N1 - N1``, the route computes one of:
+
+      * the pair table ``S[p, d]`` (:func:`_pair_table`), read back at every
+        ``(a, i, j)``, when ``|P| |D| < rows L1^2``: few distinct pairs, as on
+        windows, intervals and Bohr sets, where ``A + N1`` is barely bigger
+        than ``A``;
+      * the cube contraction ``einsum("aik,ajk->aij")`` otherwise.
+
+    Both sum over ``k`` in the same order and square the same way, so the
+    result equals the cube contraction's bit for bit whichever runs. The
+    budget counts the cube, ``|A| L1^2 L2``, an upper bound on the products
+    either computes; it is checked, as is that no sum ``a + n1 + d + n2``
+    leaves int64, before anything is allocated.
     """
     a = as_elements(base)
     n1 = as_elements(inner1)
@@ -119,13 +196,28 @@ def u2_fourth_correlation(
         raise BudgetExceeded(
             f"correlation route needs {cost} operations, budget {budget}"
         )
+    lo1, hi1 = _extent(n1)
+    d_ext = (lo1 - hi1, hi1 - lo1)  # the extremes of N1 - N1
+    # every sum either side forms: a + n1 (+ d) + n2, and d + n2
+    _require_int64("correlation route", _extent(a), (lo1, hi1), d_ext, _extent(n2))
+    _require_int64("correlation route", d_ext, _extent(n2))
+    diffs = n1[None, :] - n1[:, None]  # diffs[i, j] = n1_j - n1_i
+    d = sorted_distinct(diffs)
+    didx = sorted_lookup(d, diffs)[0]
     vals = np.empty(a.size, dtype=np.float64)
     step = chunk_rows(max(n1.size * n2.size, n1.size**2))
     for s in range(0, a.size, step):
-        t = _gather_cube(f, a[s : s + step], n1, n2)
-        m = np.einsum("aik,ajk->aij", t, t.conj(), optimize=False) / n2.size
-        block = (m.real**2 + m.imag**2).mean(axis=(1, 2))
-        vals[s : s + step] = block
+        chunk = a[s : s + step]
+        starts = chunk[:, None] + n1[None, :]
+        p = sorted_distinct(starts)
+        if p.size * d.size < chunk.size * n1.size**2:
+            pidx = sorted_lookup(p, starts)[0]
+            sq = _pair_table(f, p, d, n2).take(pidx[:, :, None] * d.size + didx)
+        else:
+            t = _gather_cube(f, chunk, n1, n2)
+            m = np.einsum("aik,ajk->aij", t, t.conj(), optimize=False) / n2.size
+            sq = m.real**2 + m.imag**2
+        vals[s : s + step] = sq.mean(axis=(1, 2))
     return float(np.mean(vals))
 
 
@@ -268,12 +360,14 @@ def local_fourier_scan(
     n = as_elements(inner)
     if min(a.size, n.size) == 0:
         raise ValueError("base and inner sets must be nonempty")
-    maxn = int(np.max(np.abs(n)))
+    lo, hi = _extent(n)
+    maxn = max(-lo, hi)  # in Python ints: np.abs wraps at -2^63
     if grid < 4 * (maxn + 1):
         raise ValueError(f"grid {grid} too coarse; need at least {4 * (maxn + 1)}")
     cost = _scan_units(a.size, grid)
     if cost > budget:
         raise BudgetExceeded(f"fourier scan needs {cost} units, budget {budget}")
+    _require_int64("fourier scan", _extent(a), (lo, hi))
 
     _, vals, arg = zip(*fourier_grid_maxima(f, a, n, grid, budget=budget))
     err = math.pi * maxn / grid

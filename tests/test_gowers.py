@@ -15,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bohrkit import gowers
 from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded
 from bohrkit.cli import main as cli_main
 from bohrkit.functions import BoundedFunction
@@ -77,6 +79,23 @@ def u2_literal_oracle(f, base, n1, n2) -> float:
     tc = t.conj()
     block = np.einsum("aik,ail,ajk,ajl->a", t, tc, tc, t, optimize=False)
     return float(np.mean(block.real)) / (n1.size**2 * n2.size**2)
+
+
+def u2_cube_oracle(f, base, n1, n2) -> float:
+    """The correlation route as a cube contraction, chunk by chunk.
+
+    ``E_a E_{i,j} |E_k T[a,i,k] conj T[a,j,k]|^2`` with one
+    ``einsum("aik,ajk->aij")`` over each chunk of base points: the kernel
+    the pair table replaced. The library must equal it bit for bit.
+    """
+    a, n1, n2 = (np.asarray(x, dtype=np.int64) for x in (base, n1, n2))
+    vals = np.empty(a.size, dtype=np.float64)
+    step = max(1, 2**18 // max(n1.size * n2.size, n1.size**2))
+    for s in range(0, a.size, step):
+        t = f.gather(a[s : s + step, None, None] + n1[None, :, None] + n2[None, None, :])
+        m = np.einsum("aik,ajk->aij", t, t.conj(), optimize=False) / n2.size
+        vals[s : s + step] = (m.real**2 + m.imag**2).mean(axis=(1, 2))
+    return float(np.mean(vals))
 
 
 def scan_oracle(f, base, inner, grid):
@@ -196,15 +215,18 @@ def test_singleton_inners_collapse_to_mean_fourth():
     assert abs(d - expect) < 1e-12
 
 
-def _u2_case(seed: int, real: bool, base, n1, n2):
-    lo = min(base) + min(n1) + min(n2) - 3
-    hi = max(base) + max(n1) + max(n2) + 3
-    rng = np.random.default_rng(seed)
-    support = np.arange(lo, hi + 1)
+def _random_values(rng: np.random.Generator, support: np.ndarray, real: bool) -> BoundedFunction:
     values = rng.uniform(-1, 1, support.size).astype(np.complex128)
     if not real:
         values *= np.exp(2j * np.pi * rng.uniform(0, 1, support.size))
-    return BoundedFunction(support, values), list(base), list(n1), list(n2)
+    return BoundedFunction(support, values)
+
+
+def _u2_case(seed: int, real: bool, base, n1, n2):
+    lo = min(base) + min(n1) + min(n2) - 3
+    hi = max(base) + max(n1) + max(n2) + 3
+    f = _random_values(np.random.default_rng(seed), np.arange(lo, hi + 1), real)
+    return f, list(base), list(n1), list(n2)
 
 
 def _long_base(l1: int, l2: int) -> list[int]:
@@ -320,6 +342,131 @@ def test_dichotomy_norm_bits_are_pinned(tmp_path, capsys):
     assert data["norms_scanned"] == {"1,2": float(f"{fourth**0.25:.12g}")}
 
 
+def _unstructured(seed: int = 41, size: int = 4000):
+    # a sparse wide base and random N1: few (p, d) pairs repeat, so the
+    # pair table would hold more entries than the cube
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-(10**6), 10**6, size)
+    n1 = rng.choice(np.arange(-(10**4), 10**4), 31, replace=False)
+    n2 = np.arange(-4, 5)
+    pts = np.unique(base[:, None] + n1[None, :]).ravel()
+    support = np.unique((pts[:, None] + n2[None, :]).ravel())
+    support = support[rng.random(support.size) < 0.5]  # half the points are off f
+    return _random_values(rng, support, False), base, n1, n2
+
+
+@st.composite
+def correlation_cases(draw):
+    """Inputs from both sides of the pair-table choice, as ``(f, base, n1, n2)``."""
+    kind = draw(st.sampled_from(["window", "bohr", "sparse", "repeated", "long"]))
+    window = st.integers(0, 7).map(lambda r: list(range(-r, r + 1)))
+    if kind == "window":
+        lo = draw(st.integers(-50, 50))
+        base = list(range(lo, lo + draw(st.integers(1, 300))))
+        n1 = draw(window)
+        n2 = list(range(draw(st.integers(-6, 0)), draw(st.integers(0, 6)) + 1))
+    elif kind == "bohr":
+        dim = draw(st.integers(1, 2))
+        freqs = tuple(Fraction(draw(st.integers(1, 96)), 97) for _ in range(dim))
+        spec = BohrSpec(freqs, Fraction(1, 4), Fraction(draw(st.integers(20, 600))))
+        base = BohrSet.from_spec(spec).elements.tolist()
+        n1 = BohrSet.from_spec(spec.dilate(Fraction(1, draw(st.integers(5, 30))))).elements.tolist()
+        n2 = BohrSet.from_spec(spec.dilate(Fraction(1, draw(st.integers(30, 200))))).elements.tolist()
+    elif kind == "sparse":
+        base = draw(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=60))
+        n1 = draw(st.lists(st.integers(-(10**4), 10**4), unique=True, min_size=1, max_size=12))
+        n2 = draw(st.lists(st.integers(-9, 9), unique=True, min_size=1, max_size=7))
+    elif kind == "repeated":
+        # unsorted base with repeats; offsets unsorted, N2 possibly repeated
+        base = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=120))
+        n1 = draw(st.permutations(draw(window)))
+        n2 = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=7))
+    else:
+        # a base past one chunk; with L2 >= L1 the pair table takes two sub-chunks
+        n1, n2 = draw(window), draw(window)
+        rows = 2**18 // max(len(n1) * len(n2), len(n1) ** 2)
+        base = list(range(-5, rows + draw(st.integers(1, 40))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return _corr_case(seed, draw(st.booleans()), base, n1, n2)
+
+
+def _corr_case(seed: int, real: bool, base, n1, n2):
+    base, n1, n2 = (np.array(x, dtype=np.int64) for x in (base, n1, n2))
+    pts = np.unique((base[:, None] + n1[None, :]).ravel())
+    support = np.unique((pts[:, None] + np.unique(n2)[None, :]).ravel())
+    lo, hi = int(support[0]), int(support[-1])
+    if hi - lo < 10**5:
+        support = np.arange(lo - 3, hi + 4)  # a run, looked up by offset
+    return _random_values(np.random.default_rng(seed), support, real), base, n1, n2
+
+
+@settings(max_examples=60, deadline=None)
+@given(correlation_cases())
+@example(_pinned_small())
+@example(_pinned_chunked())
+@example(_corr_case(5, False, range(-3, 9715), range(-1, 2), range(-4, 5)))  # 2 sub-chunks
+@example(_corr_case(6, True, range(-100, 101), range(-7, 8), [0, 3, -2, 5, 1]))  # L2 = 5
+@example(_unstructured(7, 300))
+def test_correlation_route_equals_cube_bit_for_bit(case):
+    f, base, n1, n2 = case
+    assert u2_fourth_correlation(f, base, n1, n2, budget=10**12) == u2_cube_oracle(f, base, n1, n2)
+
+
+def _einsum_calls(monkeypatch) -> list[str]:
+    calls: list[str] = []
+    real = np.einsum
+
+    def record(subscripts, *operands, **kwargs):
+        calls.append(subscripts)
+        return real(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(gowers.np, "einsum", record)
+    return calls
+
+
+def test_correlation_route_picks_the_smaller_side(monkeypatch):
+    calls = _einsum_calls(monkeypatch)
+    f, base, n1, n2 = _pinned_chunked()  # a 4001-point interval at 31 x 9
+    u2_fourth_correlation(f, base, n1, n2)
+    assert calls and set(calls) == {"rk,rck->rc"}
+    calls.clear()
+    u2_fourth_correlation(*_unstructured())
+    assert calls and set(calls) == {"aik,ajk->aij"}
+
+
+def test_correlation_route_memory_stays_chunked():
+    # a table over all of A + N1 would hold 100031 x 61 floats, 49 MB
+    f, _, n1, n2 = _pinned_chunked()
+    base = np.arange(-50000, 50001)
+    tracemalloc.start()
+    try:
+        u2_fourth_correlation(f, base, n1, n2, budget=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_sums_past_int64_are_refused():
+    # every a + n1 + n2 lies past 2^63 - 1, so off the support: the true
+    # fourth power is 0, and a wrapped sum would read 1
+    f = BoundedFunction(np.arange(-(2**63), -(2**63) + 8), np.ones(8))
+    base, n1, n2 = np.array([2**63 - 1]), np.array([1, 2]), np.array([0, 1])
+    for route in (u2_fourth_direct, u2_fourth_correlation):
+        with pytest.raises(ValueError, match="outside int64"):
+            route(f, base, n1, n2)
+    with pytest.raises(ValueError, match="outside int64"):
+        local_fourier_scan(f, base, np.array([1, 2, 3]), 16)
+    # |-2^63| does not fit int64 either: the grid bound is taken in Python ints
+    with pytest.raises(ValueError, match="too coarse"):
+        local_fourier_scan(f, np.array([0]), np.array([-(2**63)]), 16)
+    # the pair table also forms a + n1 + (n1' - n1) + n2 and (n1' - n1) + n2
+    n1 = np.array([0, 2**62])
+    with pytest.raises(ValueError, match="correlation route"):
+        u2_fourth_correlation(f, np.array([2**62 - 1]), n1, np.array([0]))
+    assert u2_fourth_direct(f, np.array([2**62 - 1]), n1, np.array([0])) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Fourier scans
 # ---------------------------------------------------------------------------
@@ -425,12 +572,13 @@ _THREAD_PROBE = """
 import hashlib
 import numpy as np
 from bohrkit.functions import BoundedFunction
-from bohrkit.gowers import local_fourier_scan
+from bohrkit.gowers import local_fourier_scan, u2_fourth_correlation
 rng = np.random.default_rng(31)
 support = np.arange(-1200, 1201)
 f, _ = BoundedFunction.balanced_indicator(rng.choice(support, 900, replace=False), support)
 scan = local_fourier_scan(f, np.arange(-1000, 1001), np.arange(-50, 51), 512)
-print(hashlib.sha256(scan.values.tobytes() + scan.argmax.tobytes()).hexdigest())
+fourth = u2_fourth_correlation(f, np.arange(-1000, 1001), np.arange(-15, 16), np.arange(-4, 5))
+print(hashlib.sha256(scan.values.tobytes() + scan.argmax.tobytes()).hexdigest(), fourth.hex())
 """
 
 
@@ -445,7 +593,7 @@ def test_scan_bytes_do_not_depend_on_thread_count():
             env=env, capture_output=True, text=True, check=True,
         )
         digests.append(proc.stdout.strip())
-    assert len(digests[0]) == 64 and digests[0] == digests[1]
+    assert len(digests[0].split()[0]) == 64 and digests[0] == digests[1]
 
 
 def test_inverse_average_is_mean_square():
