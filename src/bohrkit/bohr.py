@@ -41,9 +41,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .exact import RationalLike, as_rational, floor_frac, rational_pair
+from .exact import RationalLike, Wired, as_rational, floor_frac
 
 _INT64_SAFE = 2**62
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _CHUNK_ENTRIES = 2**18  # entries in the largest array one chunk builds
 
 
@@ -57,7 +58,7 @@ class BudgetExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BohrSpec:
+class BohrSpec(Wired):
     """Exact description of a Bohr set: frequencies, width ``eps``, radius ``M``.
 
     ``eps >= 1/2`` or ``M < 1`` mark the description as ``degenerate`` (the torus
@@ -100,13 +101,7 @@ class BohrSpec:
         return BohrSpec(self.theta, c * self.eps, c * self.M)
 
     def as_dict(self) -> dict:
-        return {
-            "theta": [rational_pair(t) for t in self.theta],
-            "eps": rational_pair(self.eps),
-            "M": rational_pair(self.M),
-            "dim": self.dim,
-            "degenerate": self.degenerate,
-        }
+        return {**super().as_dict(), "dim": self.dim, "degenerate": self.degenerate}
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +314,20 @@ def chunk_rows(width: int) -> int:
     return max(1, _CHUNK_ENTRIES // width)
 
 
+def require_int64(what: str, *parts: tuple[int, int]) -> None:
+    """Raise ``ValueError`` unless ``x_1``, ``x_1 + x_2``, ... all fit int64
+    for every ``x_i`` in the ``i``-th ``(lo, hi)`` range.
+
+    Checked in Python integers, so a kernel that forms these sums left to
+    right in int64 never wraps: a wrapped point could land on the support.
+    """
+    lo = hi = 0
+    for part_lo, part_hi in parts:
+        lo, hi = lo + part_lo, hi + part_hi
+        if lo < _INT64_MIN or hi > _INT64_MAX:
+            raise ValueError(f"{what} sums reach [{lo}, {hi}], outside int64")
+
+
 def translate_counts(
     subset: np.ndarray,
     ambient: np.ndarray,
@@ -357,7 +366,7 @@ def translate_counts(
 
 
 @dataclass(frozen=True)
-class RegularityCertificate:
+class RegularityCertificate(Wired):
     """Outcome of the two-sided dilation-stability check.
 
     The check asks, for every ``c`` with ``|c| <= window`` drawn from the
@@ -384,20 +393,9 @@ class RegularityCertificate:
     witness_side: Optional[str] = None
 
     def as_dict(self) -> dict:
-        out = {
-            "spec": self.spec.as_dict(),
-            "window": rational_pair(self.window),
-            "verdict": self.verdict,
-            "base_size": self.base_size,
-            "num_checked": self.num_checked,
-            "max_negative_gap": rational_pair(self.max_negative_gap),
-            "size_at_minus_window": self.size_at_minus_window,
-            "size_at_plus_window": self.size_at_plus_window,
-        }
-        if self.witness_c is not None:
-            out["witness_c"] = rational_pair(self.witness_c)
-            out["witness_size"] = self.witness_size
-            out["witness_side"] = self.witness_side
+        out = super().as_dict()
+        if self.witness_c is None:
+            del out["witness_c"], out["witness_size"], out["witness_side"]
         return out
 
 
@@ -478,7 +476,7 @@ def regularity_certificate(
 
 
 @dataclass(frozen=True)
-class DilationSearch:
+class DilationSearch(Wired):
     """Result of scanning ``[lo, hi]`` for a dilation with a true certificate."""
 
     found: bool
@@ -488,14 +486,9 @@ class DilationSearch:
     reason: str = ""
 
     def as_dict(self) -> dict:
-        out = {
-            "found": self.found,
-            "tried": [rational_pair(c) for c in self.tried],
-            "reason": self.reason,
-        }
-        if self.found:
-            out["c"] = rational_pair(self.c)
-            out["certificate"] = self.certificate.as_dict()
+        out = super().as_dict()
+        if not self.found:
+            del out["c"], out["certificate"]
         return out
 
 

@@ -280,9 +280,14 @@ def _emit_set(elements: np.ndarray, args, header: str) -> None:
     sys.stdout.write(text)
 
 
+def _extent(arr: np.ndarray) -> int:
+    """``max(|x|, 1)`` over a sorted set, from its ends in Python ints
+    (``np.abs`` wraps at -2^63); 1 for the empty set."""
+    return max(-int(arr[0]), int(arr[-1]), 1) if arr.size else 1
+
+
 def _standard_base(arr: np.ndarray) -> BohrSet:
-    extent = int(np.max(np.abs(arr))) if arr.size else 1
-    spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(max(extent, 1)))
+    spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(_extent(arr)))
     return BohrSet.from_spec(spec)
 
 
@@ -361,7 +366,6 @@ def _cmd_patterns(args) -> int:
     # dichotomy sweep: one classification per input set
     table = ConstantTable.for_mode(args.mode, read_constants_file(args.constants))
     rows = []
-    limits = EngineLimits()
     stopped = False
     for path in args.set:
         arr = read_set_file(path)
@@ -369,7 +373,7 @@ def _cmd_patterns(args) -> int:
         delta = exact_density(arr, base.elements)
         if delta == 0:
             raise CLIError(f"{path}: set is empty inside the standard base")
-        plan = plan_inner_dilations(base.spec, args.s, table, delta, limits)
+        plan = plan_inner_dilations(base.spec, args.s, table, delta)
         if plan is None:
             raise CLIError(f"{path}: no regular inner dilations found", EXIT_BUDGET)
         inner_sets, searches = plan
@@ -415,10 +419,9 @@ def _cmd_increment(args) -> int:
     if arr.size == 0:
         raise CLIError(f"{args.set}: empty set")
     overrides = read_constants_file(args.constants)
-    extent = int(np.max(np.abs(arr)))
     limits = EngineLimits(count_budget=args.budget, grid=args.grid)
     try:
-        result = run(arr, max(extent, 1), args.s, mode=args.mode,
+        result = run(arr, _extent(arr), args.s, mode=args.mode,
                      overrides=overrides, limits=limits)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc

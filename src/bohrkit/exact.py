@@ -2,15 +2,15 @@
 
 Everything that decides membership, compares thresholds, or certifies an
 inequality runs on ``fractions.Fraction``. Floats appear only in measured
-numeric summaries, never in decisions.
+numeric summaries, never in decisions. A result's report form is its fields,
+each through :func:`wire` (:class:`Wired`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
-from typing import Union
-
-Rational = Fraction
+from typing import Any, Union
 
 RationalLike = Union[int, str, Fraction, tuple, list]
 
@@ -41,6 +41,29 @@ def as_rational(x: RationalLike) -> Fraction:
 def rational_pair(x: Fraction) -> list[int]:
     """Canonical ``[numerator, denominator]`` wire form, denominator > 0."""
     return [x.numerator, x.denominator]
+
+
+def wire(x: Any) -> Any:
+    """Report form of one value: a ``Fraction`` as :func:`rational_pair`, a
+    tuple or list as the list of its items' forms, an object with ``as_dict``
+    as that dict, anything else (dicts included) as it is."""
+    if isinstance(x, Fraction):
+        return rational_pair(x)
+    if isinstance(x, (tuple, list)):
+        return [wire(v) for v in x]
+    if hasattr(x, "as_dict"):
+        return x.as_dict()
+    return x
+
+
+class Wired:
+    """Mixin for result dataclasses whose report form is their fields:
+    ``as_dict`` maps each field name to :func:`wire` of its value, in field
+    order. A subclass with extra or dropped keys overrides ``as_dict`` and
+    edits ``super().as_dict()``."""
+
+    def as_dict(self) -> dict:
+        return {f.name: wire(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
 
 def torus_distance(x: Fraction) -> Fraction:

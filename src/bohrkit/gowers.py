@@ -65,13 +65,13 @@ from .bohr import (
     certificates,
     chunk_rows,
     infer_dilation,
+    require_int64,
     sorted_distinct,
     sorted_lookup,
 )
-from .exact import RationalLike, as_rational, rational_pair
+from .exact import RationalLike, Wired, as_rational
 from .functions import BoundedFunction
 
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _gather_cube(
@@ -111,20 +111,6 @@ def _extent(x: np.ndarray) -> tuple[int, int]:
     return int(x.min()), int(x.max())
 
 
-def _require_int64(what: str, *parts: tuple[int, int]) -> None:
-    """Raise ``ValueError`` unless ``x_1``, ``x_1 + x_2``, ... all fit int64
-    for every ``x_i`` in the ``i``-th ``(lo, hi)`` range.
-
-    Checked in Python integers, so a kernel that forms these sums left to
-    right in int64 never wraps: a wrapped point could land on the support.
-    """
-    lo = hi = 0
-    for part_lo, part_hi in parts:
-        lo, hi = lo + part_lo, hi + part_hi
-        if lo < _INT64_MIN or hi > _INT64_MAX:
-            raise ValueError(f"{what} sums reach [{lo}, {hi}], outside int64")
-
-
 def u2_fourth_direct(
     f: BoundedFunction,
     base: ElementsLike,
@@ -149,7 +135,7 @@ def u2_fourth_direct(
     cost = a.size * n1.size * n2.size**2
     if cost > budget:
         raise BudgetExceeded(f"direct route needs {cost} operations, budget {budget}")
-    _require_int64("direct route", _extent(a), _extent(n1), _extent(n2))
+    require_int64("direct route", _extent(a), _extent(n1), _extent(n2))
     vals = np.empty(a.size, dtype=np.float64)
     step = chunk_rows(max(n1.size * n2.size, n2.size**2))
     for s in range(0, a.size, step):
@@ -199,8 +185,8 @@ def u2_fourth_correlation(
     lo1, hi1 = _extent(n1)
     d_ext = (lo1 - hi1, hi1 - lo1)  # the extremes of N1 - N1
     # every sum either side forms: a + n1 (+ d) + n2, and d + n2
-    _require_int64("correlation route", _extent(a), (lo1, hi1), d_ext, _extent(n2))
-    _require_int64("correlation route", d_ext, _extent(n2))
+    require_int64("correlation route", _extent(a), (lo1, hi1), d_ext, _extent(n2))
+    require_int64("correlation route", d_ext, _extent(n2))
     diffs = n1[None, :] - n1[:, None]  # diffs[i, j] = n1_j - n1_i
     d = sorted_distinct(diffs)
     didx = sorted_lookup(d, diffs)[0]
@@ -234,20 +220,14 @@ def u2_norm(
 
 
 @dataclass(frozen=True)
-class U2Report:
+class U2Report(Wired):
     fourth_direct: float
     fourth_correlation: float
     norm: float
     agreement: float
 
     def as_dict(self) -> dict:
-        return {
-            "fourth_direct": self.fourth_direct,
-            "fourth_correlation": self.fourth_correlation,
-            "norm": self.norm,
-            "agreement": self.agreement,
-            "tolerance": 1e-9,
-        }
+        return {**super().as_dict(), "tolerance": 1e-9}
 
 
 def u2_report(
@@ -367,7 +347,7 @@ def local_fourier_scan(
     cost = _scan_units(a.size, grid)
     if cost > budget:
         raise BudgetExceeded(f"fourier scan needs {cost} units, budget {budget}")
-    _require_int64("fourier scan", _extent(a), (lo, hi))
+    require_int64("fourier scan", _extent(a), (lo, hi))
 
     _, vals, arg = zip(*fourier_grid_maxima(f, a, n, grid, budget=budget))
     err = math.pi * maxn / grid
@@ -398,7 +378,7 @@ def inverse_average(
 
 
 @dataclass(frozen=True)
-class InverseCheck:
+class InverseCheck(Wired):
     """Outcome of checking the large-norm => large-Fourier-energy implication.
 
     ``status`` is one of ``pass`` (grid average already clears the
@@ -422,22 +402,7 @@ class InverseCheck:
     grid: int
 
     def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "reasons": list(self.reasons),
-            "eta": rational_pair(self.eta),
-            "c1": rational_pair(self.c1) if self.c1 is not None else None,
-            "c2": rational_pair(self.c2) if self.c2 is not None else None,
-            "norm": self.norm,
-            "fourth_direct": self.fourth_direct,
-            "fourth_correlation": self.fourth_correlation,
-            "inverse_avg": self.inverse_avg,
-            "threshold": rational_pair(self.threshold),
-            "certified_error": self.certified_error,
-            "slack": self.slack,
-            "grid": self.grid,
-            "tolerance": 1e-9,
-        }
+        return {**super().as_dict(), "tolerance": 1e-9}
 
 
 def check_inverse_theorem(

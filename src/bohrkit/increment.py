@@ -47,7 +47,7 @@ from .bohr import (
     spec_from_dict,
     translate_counts,
 )
-from .exact import RationalLike, as_rational, rational_pair
+from .exact import RationalLike, Wired, as_rational, rational_pair, wire
 from .functions import BoundedFunction
 from .gowers import fourier_grid_maxima, inverse_average
 from .patterns import (
@@ -187,7 +187,7 @@ class ConstantTable:
 
 
 @dataclass(frozen=True)
-class IncrementOutcome:
+class IncrementOutcome(Wired):
     """Result of hunting a density increment through the windowed scan.
 
     ``status``: ``translate`` (a plain translate of the inner set already
@@ -224,23 +224,9 @@ class IncrementOutcome:
         return self.delta_after - self.delta_before
 
     def as_dict(self) -> dict:
-        out = {
-            "status": self.status,
-            "unmet": list(self.unmet),
-            "delta_before": rational_pair(self.delta_before),
-            "grid_used": self.grid_used,
-            "a_star": self.a_star,
-            "translate": self.translate,
-            "y": rational_pair(self.y) if self.y is not None else None,
-            "new_spec": self.new_spec.as_dict() if self.new_spec else None,
-            "delta_after": (
-                rational_pair(self.delta_after) if self.delta_after is not None else None
-            ),
-            "scan_value": self.scan_value,
-            "inverse_avg": self.inverse_avg,
-            "guaranteed_bound": self.guaranteed_bound,
-            "bound_asserted": self.bound_asserted,
-        }
+        out = super().as_dict()
+        del out["new_set"]
+        out["new_spec"] = wire(self.new_spec)
         return out
 
 
@@ -466,9 +452,9 @@ class StepRecord:
             "step": self.step,
             "case": self.case,
             "d": self.d,
-            "delta": rational_pair(self.delta),
-            "eps": rational_pair(self.spec.eps),
-            "M": rational_pair(self.spec.M),
+            "delta": wire(self.delta),
+            "eps": wire(self.spec.eps),
+            "M": wire(self.spec.M),
             "spec": self.spec.as_dict(),
             "mult": self.mult,
             "offset": self.offset,
@@ -480,23 +466,13 @@ _EXIT_CODES = {"found": 0, "exhausted": 1, "limit": 3, "violation": 3}
 
 
 @dataclass(frozen=True)
-class RunResult:
+class RunResult(Wired):
     status: str  # found | exhausted | limit | violation
     exit_code: int
     reason: str
     config: Optional[Configuration]
     steps: tuple[StepRecord, ...]
     final: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "exit_code": self.exit_code,
-            "reason": self.reason,
-            "config": self.config.as_dict() if self.config else None,
-            "steps": [r.as_dict() for r in self.steps],
-            "final": self.final,
-        }
 
 
 @dataclass(frozen=True)
@@ -544,7 +520,6 @@ def plan_inner_dilations(
     s: int,
     table: ConstantTable,
     delta: Fraction,
-    limits: EngineLimits,
 ) -> Optional[tuple[list[BohrSet], list[dict]]]:
     """Regular nested dilates targeting the table rates, each set carrying
     the certificate its dilation search found, and their notes; None when stuck."""
@@ -633,7 +608,7 @@ def run(
             if Fraction(spec.dim) > table.d_max(s, delta):
                 return finish("limit", "printed dimension cap exceeded")
 
-        chain = plan_inner_dilations(spec, s, table, delta, limits)
+        chain = plan_inner_dilations(spec, s, table, delta)
         if chain is None:
             return finish("limit", "no regular dilation found for the chain")
         inner_sets, chain_notes = chain

@@ -32,8 +32,10 @@ The counting operator for a family of bounded functions ``f_ij`` is
               prod_{i <= j} f_ij(n_i + n_j + a)
 
 evaluated by a dense ``einsum(..., optimize=False)`` contraction with
-explicit work budgets. For the indicator of a set the same bitset walk gives
-the tuple count as an exact integer, a sum of mask popcounts.
+explicit work budgets, in chunks of :func:`bohrkit.bohr.chunk_rows`, after
+checking that every sum it forms fits int64. For the indicator of a set the
+same bitset walk gives the tuple count as an exact integer, a sum of mask
+popcounts.
 
 Finders never report a false "none": exceeding a work budget yields
 status "inconclusive" with the work spent.
@@ -55,13 +57,15 @@ from .bohr import (
     ElementsLike,
     as_elements,
     certificates,
+    chunk_rows,
     exact_density,
     infer_dilation,
+    require_int64,
     sorted_distinct,
     sorted_lookup,
     translate_counts,
 )
-from .exact import rational_pair
+from .exact import Wired, rational_pair
 from .functions import BoundedFunction
 from .gowers import u2_fourth_correlation
 
@@ -114,7 +118,7 @@ def verify_configuration(subset: np.ndarray, config: Configuration, s: int) -> b
 
 
 @dataclass(frozen=True)
-class FinderResult:
+class FinderResult(Wired):
     """Outcome of a configuration search.
 
     ``status`` is ``found`` (with a verified witness), ``none`` (the search
@@ -129,14 +133,9 @@ class FinderResult:
     mode: str
 
     def as_dict(self) -> dict:
-        out = {
-            "status": self.status,
-            "work": self.work,
-            "budget": self.budget,
-            "mode": self.mode,
-        }
-        if self.config is not None:
-            out["config"] = self.config.as_dict()
+        out = super().as_dict()
+        if self.config is None:
+            del out["config"]
         return out
 
 
@@ -495,8 +494,12 @@ def count_T_s(
 ) -> complex:
     """Average of ``prod_{i<=j} f_ij(n_i + n_j + a)`` over the tuple space.
 
-    Dense contraction, chunked over the base axis; chunking cannot change any
-    per-base value, and the final mean runs over the full base-indexed array.
+    Dense contraction, chunked over the base axis by
+    :func:`bohrkit.bohr.chunk_rows` of the widest per-row operand, an
+    ``N_i x N_j`` grid with ``i < j``; chunking cannot change any per-base
+    value, and the final mean runs over the full base-indexed array. Before
+    anything is allocated, every sum ``a + 2 n_i`` and ``a + n_i + n_j`` is
+    checked to fit int64: a wrapped sum could land on the support.
     """
     a, ns, cost = _tuple_space(base, inners, budget)
     s = len(ns)
@@ -506,12 +509,12 @@ def count_T_s(
         family = FunctionFamily.uniform(family, s)
     if family.s != s:
         raise ValueError("family arity does not match the inner sets")
-    sizes = [x.size for x in ns]
-
-    pair_mem = max(
-        sizes[i] * sizes[j] for i in range(s) for j in range(i, s)
-    )
-    step = max(1, 2**21 // pair_mem)
+    a_ext = (int(a.min()), int(a.max()))
+    ext = [(int(x.min()), int(x.max())) for x in ns]
+    for i in range(s):
+        for j in range(i, s):
+            require_int64("counting", a_ext, ext[i], ext[j])
+    step = chunk_rows(max(x.size * y.size for i, x in enumerate(ns) for y in ns[i + 1 :]))
     subs = []
     for i in range(s):
         subs.append("a" + _EINSUM_LETTERS[i])
@@ -617,7 +620,7 @@ def check_von_neumann(
 
 
 @dataclass(frozen=True)
-class CountingBoundReport:
+class CountingBoundReport(Wired):
     """Configuration-freeness forces the indicator count to be tiny."""
 
     freeness: FinderResult
@@ -625,15 +628,6 @@ class CountingBoundReport:
     t_value: Optional[Fraction]
     bound: Fraction
     holds: Optional[bool]
-
-    def as_dict(self) -> dict:
-        return {
-            "freeness": self.freeness.as_dict(),
-            "count": self.count,
-            "t_value": rational_pair(self.t_value) if self.t_value is not None else None,
-            "bound": rational_pair(self.bound),
-            "holds": self.holds,
-        }
 
 
 def check_counting_bound(
@@ -665,7 +659,7 @@ def check_counting_bound(
 
 
 @dataclass(frozen=True)
-class DichotomyOutcome:
+class DichotomyOutcome(Wired):
     """Which branch fired, with enough recorded data to recheck it.
 
     ``kind`` is one of ``small-bohr``, ``local-increment``, ``large-u2``,
@@ -679,15 +673,6 @@ class DichotomyOutcome:
     delta: Fraction
     unmet: tuple[str, ...]
     data: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "s": self.s,
-            "delta": rational_pair(self.delta),
-            "unmet": list(self.unmet),
-            "data": self.data,
-        }
 
 
 def smallness_bound(s: int, delta: Fraction) -> Fraction:

@@ -11,6 +11,11 @@ count, dict construction order, or numpy scalar types:
 - numpy scalars and arrays are converted to plain Python values,
 - no timestamps, hostnames, or other environment data are ever included.
 
+A result object enters as its ``as_dict``. Most results take that from one
+field rule, :class:`bohrkit.exact.Wired`: each dataclass field through
+:func:`bohrkit.exact.wire`, so rationals are already ``[num, den]`` pairs
+and tuples lists before the walk starts.
+
 Emitting a report is one :func:`normalize` walk and one indented writer.
 The writer takes only the normalized types and gives exactly the text of
 ``json.dumps(value, sort_keys=True, indent=2)``, which the tests keep as

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .bohr import ElementsLike, as_elements, sorted_distinct
-from .exact import RationalLike, as_rational, rational_pair
+from .exact import RationalLike, Wired, as_rational, rational_pair
 from .patterns import (
     Configuration,
     FinderResult,
@@ -125,7 +125,7 @@ def check_freiman_isomorphic(fm: FreimanMap) -> bool:
 
 
 @dataclass(frozen=True)
-class EmbedResult:
+class EmbedResult(Wired):
     """A verified embedding, or the reason there is none.
 
     ``status`` is ``ok`` (``map`` passed :func:`check_freiman_isomorphic`) or
@@ -143,20 +143,6 @@ class EmbedResult:
     c_embed: int
     seed: int
     reason: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "map": self.map.as_dict() if self.map else None,
-            "k_declared": rational_pair(self.k_declared),
-            "diff_size": self.diff_size,
-            "domain_size": self.domain_size,
-            "kept_size": self.kept_size,
-            "attempts": self.attempts,
-            "c_embed": self.c_embed,
-            "seed": self.seed,
-            "reason": self.reason,
-        }
 
 
 def _is_prime(n: int) -> bool:
@@ -292,7 +278,7 @@ def find_sumfree_subset(
 
 
 @dataclass(frozen=True)
-class EmbeddingSearch:
+class EmbeddingSearch(Wired):
     """Configuration search result with the route that produced it."""
 
     status: str  # found | none | inconclusive
@@ -301,16 +287,6 @@ class EmbeddingSearch:
     measured_k: Fraction
     embed: Optional[EmbedResult]
     finder: Optional[FinderResult]
-
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "config": self.config.as_dict() if self.config else None,
-            "route": self.route,
-            "measured_k": rational_pair(self.measured_k),
-            "embed": self.embed.as_dict() if self.embed else None,
-            "finder": self.finder.as_dict() if self.finder else None,
-        }
 
 
 def find_configuration_via_embedding(

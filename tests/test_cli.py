@@ -308,6 +308,21 @@ def test_increment_run_trace_matches_steps(tmp_path):
         json.loads(line)  # each line is standalone JSON
 
 
+def test_extent_of_a_set_holding_int64_min(tmp_path):
+    # |-2^63| does not fit int64, so the extent is read in Python ints: the
+    # window M = 2^63 holds all four points and stops at the enumeration
+    # budget, where a wrapped extent shrank it to M = 3 and dropped a point
+    path = write_set(tmp_path / "z.txt", [-(2**63), 1, 2, 3])
+    proc = run_cli("increment", "run", "--set", path, "--s", "2")
+    assert proc.returncode == 3, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "limit" and report["steps"] == []
+    assert report["final"]["set_size"] == 4
+    assert "enumeration budget" in report["reason"]
+    proc = run_cli("patterns", "dichotomy", "--set", path)
+    assert proc.returncode == 3 and "budget" in proc.stderr
+
+
 def test_out_file_matches_stdout(tmp_path):
     spec = write_spec(tmp_path / "s.json", [(1, 1)], (1, 2), (30, 1))
     out = tmp_path / "report.json"

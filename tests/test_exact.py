@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
-from bohrkit.exact import as_rational, floor_frac, rational_pair, torus_distance
+from bohrkit.exact import (
+    Wired,
+    as_rational,
+    floor_frac,
+    rational_pair,
+    torus_distance,
+    wire,
+)
 
 
 def test_as_rational_accepts_int_str_fraction_pairs():
@@ -27,6 +36,36 @@ def test_as_rational_rejects_floats_and_bools():
 def test_rational_pair_is_reduced():
     assert rational_pair(Fraction(6, 4)) == [3, 2]
     assert rational_pair(Fraction(-6, 4)) == [-3, 2]
+
+
+def test_wire_rule():
+    assert wire(Fraction(6, 4)) == [3, 2]
+    assert wire((Fraction(1, 2), (3, [Fraction(-2)]))) == [[1, 2], [3, [[-2, 1]]]]
+    assert wire(()) == []
+    raw = {"x": Fraction(1, 2)}
+    assert wire(raw) is raw  # dicts pass as they are
+    assert wire(None) is None and wire("a") == "a" and wire(2.5) == 2.5
+
+
+@dataclass(frozen=True)
+class _Leaf(Wired):
+    q: Fraction
+    tags: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class _Node(Wired):
+    leaf: _Leaf
+    kids: tuple[_Leaf, ...]
+    missing: Optional[_Leaf] = None
+
+
+def test_wired_maps_each_field_in_order():
+    leaf = _Leaf(Fraction(1, 3), ("a",))
+    out = _Node(leaf, (leaf,)).as_dict()
+    leaf_form = {"q": [1, 3], "tags": ["a"]}
+    assert out == {"leaf": leaf_form, "kids": [leaf_form], "missing": None}
+    assert list(out) == ["leaf", "kids", "missing"]
 
 
 def test_torus_distance_basics():

@@ -7,7 +7,8 @@ top-level imports bind. Every module, the package ``__init__`` included,
 must leave ``np.isin`` and ``np.intersect1d`` alone: each membership question
 on a sorted array goes through ``bohr.sorted_lookup``. No module calls
 ``json.dumps`` with an ``indent``: indented report text has one writer,
-``reports.canonical_json``. Every library function
+``reports.canonical_json``. No ``as_dict`` body calls ``rational_pair``:
+a result's report form goes through ``exact.wire``. Every library function
 the bench harness traces (``bench/spans.py``, ``TARGETS``) must still exist
 under the name the harness patches, so a rename cannot silently drop a span.
 The settable values of the public API are counted and pinned, so a new knob
@@ -90,14 +91,29 @@ def set_op_calls(tree: ast.Module) -> list[str]:
     ]
 
 
+def _call_name(node: ast.Call) -> str | None:
+    return getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+
+
 def indented_dumps(tree: ast.Module) -> list[str]:
     """Calls of ``dumps`` (``json.dumps`` by any alias) given an ``indent``."""
     return [
         f"line {node.lineno}: dumps"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "dumps"
+        and _call_name(node) == "dumps"
         and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+
+
+def pairs_in_as_dict(tree: ast.Module) -> list[str]:
+    """Calls of ``rational_pair`` (by any module alias) inside ``as_dict`` bodies."""
+    return [
+        f"line {node.lineno}: rational_pair"
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "as_dict"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and _call_name(node) == "rational_pair"
     ]
 
 
@@ -119,6 +135,11 @@ def test_no_numpy_set_membership(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_one_indented_json_writer(path):
     assert indented_dumps(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_report_forms_go_through_wire(path):
+    assert pairs_in_as_dict(_tree(path)) == []
 
 
 def traced_targets(tree: ast.Module) -> list[tuple[str, str]]:
@@ -188,6 +209,10 @@ def test_checks_catch_what_they_look_for():
         "t = json.dumps(v, sort_keys=True, indent=2)\n"
         "u = dumps(v, indent=None)\n"
         "w = json.dumps(v, separators=(',', ':'))\n"
+        "class R:\n"
+        "    def as_dict(self):\n"
+        "        return {'x': rational_pair(self.x), 'y': exact.rational_pair(self.y)}\n"
+        "v = rational_pair(q)\n"
     )
     assert private_imports(tree) == ["line 3: _elements", "line 4: _count_leq"]
     assert unused_imports(tree) == [
@@ -198,3 +223,4 @@ def test_checks_catch_what_they_look_for():
     ]
     assert set_op_calls(tree) == ["line 6: isin", "line 7: intersect1d"]
     assert indented_dumps(tree) == ["line 8: dumps", "line 9: dumps"]
+    assert pairs_in_as_dict(tree) == ["line 13: rational_pair", "line 13: rational_pair"]

@@ -385,7 +385,7 @@ def test_chain_past_one_is_not_planned():
     subset = behrend_set(3000)
     table = ConstantTable.practical({"x1": Fraction(4)})
     spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(3000))
-    assert plan_inner_dilations(spec, 2, table, Fraction(1, 10), EngineLimits()) is None
+    assert plan_inner_dilations(spec, 2, table, Fraction(1, 10)) is None
     result = run(subset, 3000, 2, mode="practical", overrides={"x1": Fraction(4)})
     assert (result.status, result.reason) == ("limit", "no regular dilation found for the chain")
 

@@ -576,6 +576,32 @@ def test_count_t3_matches_loop():
     assert abs(got - expect) < 1e-12
 
 
+def test_count_T_s_memory_stays_chunked():
+    # at 2^21 entries per chunk the whole base went in one chunk: 44.5 MB
+    rng = np.random.default_rng(35)
+    support = np.arange(-2100, 2101)
+    f = BoundedFunction(support, np.exp(2j * np.pi * rng.random(support.size)))
+    base, n1, n2 = np.arange(-2000, 2001), np.arange(-10, 11), np.arange(-5, 6)
+    tracemalloc.start()
+    try:
+        count_T_s(f, base, [n1, n2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_count_T_s_refuses_sums_past_int64():
+    # base + 2 n_1 lies past 2^63 - 1, so off the support: the true count is
+    # 0, and a wrapped sum would read 1; the U2 routes refuse these inputs
+    # too, so the von Neumann check must stop at the count, before them
+    f = BoundedFunction(np.arange(-(2**63), -(2**63) + 8), np.ones(8))
+    base, inners = np.array([2**63 - 1]), [np.array([1, 2]), np.array([1, 2])]
+    for check in (count_T_s, check_von_neumann):
+        with pytest.raises(ValueError, match="^counting sums .* outside int64"):
+            check(f, base, inners)
+
+
 def test_count_patterns_exact_integrality():
     subset = np.arange(0, 30, 3)
     base = np.arange(-5, 6)

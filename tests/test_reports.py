@@ -20,14 +20,25 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bohrkit.bohr import (
+    BohrSet,
     BohrSpec,
+    DilationSearch,
+    RegularityCertificate,
     enumerate_bohr,
     find_regular_alpha,
     regularity_certificate,
 )
 from bohrkit.cli import main, read_spec_file
-from bohrkit.increment import run
-from bohrkit.patterns import behrend_set
+from bohrkit.gowers import InverseCheck, U2Report
+from bohrkit.increment import IncrementOutcome, RunResult, StepRecord, run
+from bohrkit.patterns import (
+    Configuration,
+    CountingBoundReport,
+    DichotomyOutcome,
+    FinderResult,
+    behrend_set,
+)
+from bohrkit.sumfree import EmbeddingSearch, EmbedResult, FreimanMap
 from bohrkit.reports import (
     canonical_json,
     canonical_json_line,
@@ -302,3 +313,117 @@ def test_write_trace_jsonl(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 2
     assert parse_report(lines[1]) == {"step": 1, "v": [1, 3]}
+
+
+# ---------------------------------------------------------------------------
+# result report forms: each class's as_dict pinned to literal values, on
+# both branches of every optional field (the key sets and the list, not
+# tuple, containers matter to readers of the Python values, not only the
+# normalized bytes)
+# ---------------------------------------------------------------------------
+
+F = Fraction
+SPEC = BohrSpec((F(1, 3), F(2, 7)), F(1, 5), F(20))
+CERT = RegularityCertificate(SPEC, F(1, 40), True, 9, 4, F(1, 80), 7, 11)
+CONFIG = Configuration(3, (0, 2))
+FOUND = FinderResult("found", CONFIG, 12, 100, "restricted")
+NONE = FinderResult("none", None, 40, 100, "extent")
+EMBED = EmbedResult("ok", FreimanMap(np.array([1, 2, 5]), 11, np.array([3, 6, 4]), 3),
+                    F(5, 2), 5, 3, 3, 2, 4, 7)
+STEP = StepRecord(0, "small-bohr", 1, F(3, 10), BohrSpec((F(1),), F(1, 2), F(9)), 2, -1,
+                  {"chain": [{"c": [1, 4]}]})
+
+SPEC_D = {"theta": [[1, 3], [2, 7]], "eps": [1, 5], "M": [20, 1], "dim": 2,
+          "degenerate": False}
+CERT_D = {"spec": SPEC_D, "window": [1, 40], "verdict": True, "base_size": 9,
+          "num_checked": 4, "max_negative_gap": [1, 80], "size_at_minus_window": 7,
+          "size_at_plus_window": 11}
+CONFIG_D = {"a": 3, "ns": [0, 2], "elements": [3, 5, 7]}
+FOUND_D = {"status": "found", "work": 12, "budget": 100, "mode": "restricted",
+           "config": CONFIG_D}
+NONE_D = {"status": "none", "work": 40, "budget": 100, "mode": "extent"}
+EMBED_D = {"status": "ok", "map": {"modulus": 11, "multiplier": 3,
+                                   "pairs": [[1, 3], [2, 6], [5, 4]]},
+           "k_declared": [5, 2], "diff_size": 5, "domain_size": 3, "kept_size": 3,
+           "attempts": 2, "c_embed": 4, "seed": 7, "reason": ""}
+
+REPORT_FORMS = [
+    (SPEC, SPEC_D),
+    (BohrSpec((F(1),), F(1, 2), F(3, 2)),
+     {"theta": [[1, 1]], "eps": [1, 2], "M": [3, 2], "dim": 1, "degenerate": True}),
+    (CERT, CERT_D),
+    (RegularityCertificate(SPEC, F(1, 40), False, 9, 4, F(1, 80), 7, 11, F(-1, 40), 5,
+                           "minus"),
+     {**CERT_D, "verdict": False, "witness_c": [-1, 40], "witness_size": 5,
+      "witness_side": "minus"}),
+    (DilationSearch(True, F(1, 2), CERT, (F(1), F(1, 2))),
+     {"found": True, "tried": [[1, 1], [1, 2]], "reason": "", "c": [1, 2],
+      "certificate": CERT_D}),
+    (DilationSearch(False, None, None, (F(1),), "window exhausted"),
+     {"found": False, "tried": [[1, 1]], "reason": "window exhausted"}),
+    (U2Report(0.25, 0.2500000001, 0.7071, 1e-10),
+     {"fourth_direct": 0.25, "fourth_correlation": 0.2500000001, "norm": 0.7071,
+      "agreement": 1e-10, "tolerance": 1e-09}),
+    (InverseCheck("pass", (), F(1, 2), F(1, 4), F(1, 8), 0.75, 0.3, 0.3, 0.5, F(1, 64),
+                  0.01, 0.02, 64),
+     {"status": "pass", "reasons": [], "eta": [1, 2], "c1": [1, 4], "c2": [1, 8],
+      "norm": 0.75, "fourth_direct": 0.3, "fourth_correlation": 0.3, "inverse_avg": 0.5,
+      "threshold": [1, 64], "certified_error": 0.01, "slack": 0.02, "grid": 64,
+      "tolerance": 1e-09}),
+    (InverseCheck("hypothesis-not-met", ("c1 too large",), F(1, 2), None, None, 0.75, 0.3,
+                  0.3, None, F(1, 64), None, None, 64),
+     {"status": "hypothesis-not-met", "reasons": ["c1 too large"], "eta": [1, 2],
+      "c1": None, "c2": None, "norm": 0.75, "fourth_direct": 0.3,
+      "fourth_correlation": 0.3, "inverse_avg": None, "threshold": [1, 64],
+      "certified_error": None, "slack": None, "grid": 64, "tolerance": 1e-09}),
+    (IncrementOutcome("no-witness", (), F(1, 3), 512),
+     {"status": "no-witness", "unmet": [], "delta_before": [1, 3], "grid_used": 512,
+      "a_star": None, "translate": None, "y": None, "new_spec": None,
+      "delta_after": None, "scan_value": None, "inverse_avg": None,
+      "guaranteed_bound": None, "bound_asserted": False}),
+    (IncrementOutcome("refined", ("eps",), F(1, 3), 1024, 4, -2, F(3, 17),
+                      BohrSet(SPEC, np.array([-3, 0, 3])), F(2, 3), 0.4, 0.2, 0.1, True),
+     {"status": "refined", "unmet": ["eps"], "delta_before": [1, 3], "grid_used": 1024,
+      "a_star": 4, "translate": -2, "y": [3, 17], "new_spec": SPEC_D,
+      "delta_after": [2, 3], "scan_value": 0.4, "inverse_avg": 0.2,
+      "guaranteed_bound": 0.1, "bound_asserted": True}),
+    (FOUND, FOUND_D),
+    (NONE, NONE_D),
+    (CountingBoundReport(NONE, 6, F(6, 250), F(4, 5), True),
+     {"freeness": NONE_D, "count": 6, "t_value": [3, 125], "bound": [4, 5],
+      "holds": True}),
+    (CountingBoundReport(FOUND, None, None, F(4, 5), None),
+     {"freeness": FOUND_D, "count": None, "t_value": None, "bound": [4, 5],
+      "holds": None}),
+    (DichotomyOutcome("small-bohr", 2, F(1, 4), ("c1",), {"small": {"size": 1}}),
+     {"kind": "small-bohr", "s": 2, "delta": [1, 4], "unmet": ["c1"],
+      "data": {"small": {"size": 1}}}),
+    (RunResult("found", 0, "configuration found", CONFIG, (STEP,), {"d": 1, "set_size": 4}),
+     {"status": "found", "exit_code": 0, "reason": "configuration found",
+      "config": CONFIG_D,
+      "steps": [{"step": 0, "case": "small-bohr", "d": 1, "delta": [3, 10],
+                 "eps": [1, 2], "M": [9, 1],
+                 "spec": {"theta": [[1, 1]], "eps": [1, 2], "M": [9, 1], "dim": 1,
+                          "degenerate": True},
+                 "mult": 2, "offset": -1, "certificate": {"chain": [{"c": [1, 4]}]}}],
+      "final": {"d": 1, "set_size": 4}}),
+    (RunResult("limit", 3, "step cap 0 reached", None, (), {}),
+     {"status": "limit", "exit_code": 3, "reason": "step cap 0 reached", "config": None,
+      "steps": [], "final": {}}),
+    (EMBED, EMBED_D),
+    (EmbedResult("failed", None, F(5, 2), 5, 3, 3, 9, 4, 7, "no prime"),
+     {**EMBED_D, "status": "failed", "map": None, "attempts": 9, "reason": "no prime"}),
+    (EmbeddingSearch("found", CONFIG, "embedded", F(5, 2), EMBED, FOUND),
+     {"status": "found", "config": CONFIG_D, "route": "embedded", "measured_k": [5, 2],
+      "embed": EMBED_D, "finder": FOUND_D}),
+    (EmbeddingSearch("none", None, "none", F(5, 2), None, None),
+     {"status": "none", "config": None, "route": "none", "measured_k": [5, 2],
+      "embed": None, "finder": None}),
+]
+
+
+@pytest.mark.parametrize(
+    "result, expected", REPORT_FORMS, ids=[type(r).__name__ for r, _ in REPORT_FORMS]
+)
+def test_result_report_forms_are_pinned(result, expected):
+    assert result.as_dict() == expected
