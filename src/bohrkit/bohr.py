@@ -303,7 +303,8 @@ def exact_density(subset: np.ndarray, ambient: np.ndarray) -> Fraction:
     """``|subset ∩ ambient| / |ambient|`` exactly; the intersection counts distinct values."""
     if ambient.size == 0:
         raise ValueError("ambient set is empty")
-    hit = sorted_lookup(sorted_distinct(subset), sorted_distinct(ambient))[1]
+    ambient = sorted_distinct(ambient)
+    hit = sorted_lookup(sorted_distinct(subset), ambient)[1]
     return Fraction(int(np.count_nonzero(hit)), int(ambient.size))
 
 

@@ -321,13 +321,13 @@ def _cmd_bohr(args) -> int:
 
 
 def _cmd_u2(args) -> int:
+    if len(args.spec) > 3:
+        raise CLIError("at most three --spec files: base, inner, inner")
     arr = read_set_file(args.set)
     sets = _specs_to_sets(args.spec, args.budget)
     base = sets[0]
     inner1 = sets[1] if len(sets) > 1 else base
     inner2 = sets[2] if len(sets) > 2 else inner1
-    if len(sets) > 3:
-        raise CLIError("at most three --spec files: base, inner, inner")
     if args.action == "compute":
         f = BoundedFunction.indicator(arr)
         rep = u2_report(f, base, inner1, inner2, budget=args.budget)

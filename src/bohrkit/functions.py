@@ -86,50 +86,3 @@ class BoundedFunction:
         if self.support.size == 0:
             return hit.astype(np.complex128)  # all zero
         return np.where(hit, self.values[idx], 0.0 + 0.0j)
-
-    def mean_on(self, points: np.ndarray) -> complex:
-        """Average of the function over the given points."""
-        pts = np.asarray(points, dtype=np.int64)
-        if pts.size == 0:
-            raise ValueError("cannot average over an empty set")
-        return complex(np.mean(self.gather(pts)))
-
-    def scaled(self, factor: complex) -> "BoundedFunction":
-        if abs(factor) > 1 + _BOUND_TOL:
-            raise ValueError("scaling factor must have modulus at most 1")
-        return BoundedFunction(self.support, self.values * factor)
-
-
-def read_values_file(path: str) -> BoundedFunction:
-    """Parse a whitespace table ``n re [im]`` (one point per line, # comments)."""
-    ns: list[int] = []
-    vals: list[complex] = []
-    first_line: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'n re [im]', got {len(parts)} fields"
-                )
-            try:
-                n = int(parts[0])
-                re = float(parts[1])
-                im = float(parts[2]) if len(parts) == 3 else 0.0
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if n in first_line:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate support point {n} "
-                    f"(first at line {first_line[n]})"
-                )
-            first_line[n] = lineno
-            ns.append(n)
-            vals.append(complex(re, im))
-    order = np.argsort(np.asarray(ns, dtype=np.int64), kind="stable")
-    support = np.asarray(ns, dtype=np.int64)[order]
-    values = np.asarray(vals, dtype=np.complex128)[order]
-    return BoundedFunction(support, values)

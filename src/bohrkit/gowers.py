@@ -207,18 +207,6 @@ def u2_fourth_correlation(
     return float(np.mean(vals))
 
 
-def u2_norm(
-    f: BoundedFunction,
-    base: ElementsLike,
-    inner1: ElementsLike,
-    inner2: ElementsLike,
-    *,
-    budget: int = 5 * 10**8,
-) -> float:
-    """Local U2 norm, evaluated through the correlation route."""
-    return u2_fourth_correlation(f, base, inner1, inner2, budget=budget) ** 0.25
-
-
 @dataclass(frozen=True)
 class U2Report(Wired):
     fourth_direct: float

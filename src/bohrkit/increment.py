@@ -83,31 +83,22 @@ class ConstantTable:
     ``(s, d, delta)``. ``practical`` swaps the contraction rates for fixed
     fractions that let desk-size instances move. The scan thresholds, shared
     by both modes, live in :mod:`bohrkit.patterns` (``smallness_bound``,
-    ``increment_factor``, ``u2_threshold``). Every override is recorded and
-    surfaces in reports.
+    ``increment_factor``, ``u2_threshold``). Overrides act on the table
+    only: no run report, step record, dichotomy row or trace records them, so
+    a report alone does not say which practical constants produced it.
     """
 
     mode: str
     overrides: dict
 
     @classmethod
-    def faithful(cls) -> "ConstantTable":
-        return cls("faithful", {})
-
-    @classmethod
     def for_mode(cls, mode: str, overrides: Optional[dict] = None) -> "ConstantTable":
         """The table of ``mode``; only ``practical`` takes overrides (an empty
         dict overrides nothing, so ``faithful`` accepts it)."""
-        if mode == "practical":
-            return cls.practical(overrides)
-        if mode != "faithful":
+        if mode not in ("faithful", "practical"):
             raise ValueError("mode must be faithful or practical")
-        if overrides:
+        if mode == "faithful" and overrides:
             raise ValueError("faithful mode takes no overrides")
-        return cls.faithful()
-
-    @classmethod
-    def practical(cls, overrides: Optional[dict] = None) -> "ConstantTable":
         clean: dict = {}
         for name, value in (overrides or {}).items():
             if name not in _OVERRIDABLE:
@@ -116,7 +107,7 @@ class ConstantTable:
                 )
             if value is not None:
                 clean[name] = as_rational(value)
-        return cls("practical", clean)
+        return cls(mode, clean)
 
     def _pick(self, name: str, faithful_value: Fraction) -> Fraction:
         if self.mode == "faithful":
@@ -154,23 +145,7 @@ class ConstantTable:
             return Fraction(0)
         return self.overrides.get("min_increment", _PRACTICAL_DEFAULTS["min_increment"])
 
-    # printed bookkeeping quantities, reproduced for reporting only
-
-    @staticmethod
-    def inverse_bound(s: int, delta: Fraction) -> Fraction:
-        return Fraction(1, 2**46) * Fraction(1, s**16) * delta ** (4 * s * (s + 1))
-
-    @staticmethod
-    def increment_translate(s: int, delta: Fraction) -> Fraction:
-        return Fraction(1, 2**54) * Fraction(1, s**16) * delta ** (4 * s * (s + 1))
-
-    @staticmethod
-    def increment_refined(s: int, delta: Fraction) -> Fraction:
-        return Fraction(1, 2**28) * Fraction(1, s**8) * delta ** (2 * s * (s + 1))
-
-    @staticmethod
-    def shrink(s: int, d: int, delta: Fraction) -> Fraction:
-        return Fraction(1, s ** (100 * s)) * Fraction(1, d**s) * delta ** (10 * s**3)
+    # caps on a faithful run: at most k_max steps, dimension at most d_max
 
     @staticmethod
     def k_max(s: int, delta: Fraction) -> Fraction:

@@ -450,18 +450,6 @@ class FunctionFamily:
     def uniform(cls, f: BoundedFunction, s: int) -> "FunctionFamily":
         return cls(s, {(i, j): f for i in range(1, s + 1) for j in range(i, s + 1)})
 
-    @classmethod
-    def with_overrides(
-        cls, f: BoundedFunction, s: int, overrides: dict
-    ) -> "FunctionFamily":
-        fam = dict(cls.uniform(f, s).table)
-        for key, g in overrides.items():
-            i, j = key
-            if not (1 <= i <= j <= s):
-                raise ValueError(f"bad family index {key}")
-            fam[(i, j)] = g
-        return cls(s, fam)
-
     def get(self, i: int, j: int) -> BoundedFunction:
         return self.table[(i, j)]
 

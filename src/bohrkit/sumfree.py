@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .bohr import ElementsLike, as_elements, sorted_distinct
-from .exact import RationalLike, Wired, as_rational, rational_pair
+from .exact import RationalLike, Wired, as_rational
 from .patterns import (
     Configuration,
     FinderResult,
@@ -333,23 +333,3 @@ def find_configuration_via_embedding(
 
     direct = find_configuration(arr, h, budget=budget)
     return EmbeddingSearch(direct.status, direct.config, "direct", measured_k, emb, direct)
-
-
-def threshold_report(x: ElementsLike, y: ElementsLike, h: int) -> dict:
-    """Record the pipeline's size thresholds without asserting them.
-
-    The printed entry condition compares ``|X|`` against ``h^{-29} |Y|`` and
-    against a doubly exponential floor; the floor is far beyond desk scale,
-    so both comparisons are reported as data, never enforced.
-    """
-    xs = sorted_distinct(x)
-    ys = sorted_distinct(y)
-    upper = Fraction(int(ys.size), h**29)
-    return {
-        "x_size": int(xs.size),
-        "y_size": int(ys.size),
-        "h": h,
-        "upper": rational_pair(upper),
-        "upper_holds": bool(Fraction(int(xs.size)) <= upper),
-        "floor_note": "doubly exponential lower threshold; out of desk range",
-    }

@@ -352,6 +352,11 @@ def test_exact_density():
     assert exact_density(subset, ambient) == Fraction(3, 21)
 
 
+def test_exact_density_counts_a_repeated_ambient_value_once():
+    assert exact_density(np.array([1]), np.array([1, 1])) == 1
+    assert exact_density(np.array([2, 5]), np.array([5, 2, 5, 7])) == Fraction(2, 3)
+
+
 # ---------------------------------------------------------------------------
 # regularity
 # ---------------------------------------------------------------------------

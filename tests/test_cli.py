@@ -88,6 +88,16 @@ def test_non_integer_set_value_reports_line(tmp_path):
     assert ":2:" in proc.stderr
 
 
+def test_u2_spec_count_checked_before_any_file_is_read(tmp_path):
+    path = write_set(tmp_path / "z.txt", range(1, 21))
+    spec = write_spec(tmp_path / "s.json", [(1, 1)], (1, 2), (10, 1))
+    missing = str(tmp_path / "missing.json")
+    proc = run_cli("u2", "compute", "--set", path,
+                   "--spec", spec, "--spec", spec, "--spec", spec, "--spec", missing)
+    assert proc.returncode == 2
+    assert "at most three --spec files" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # bohr group
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Bounded functions on integer supports: constructors, gather, file parsing."""
+"""Bounded functions on integer supports: constructors and gather."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bohrkit.functions import BoundedFunction, read_values_file
+from bohrkit.functions import BoundedFunction
 
 
 def test_indicator_gather():
@@ -51,31 +51,3 @@ def test_balanced_indicator_exact_density():
     on = f.gather(ambient)
     assert abs(on.sum()) < 1e-12
     assert abs(on[0] - (1 - 0.4)) < 1e-15
-
-
-def test_mean_on():
-    f = BoundedFunction.indicator(np.array([2, 4]))
-    assert abs(f.mean_on(np.array([1, 2, 3, 4])) - 0.5) < 1e-15
-
-
-def test_read_values_file(tmp_path):
-    p = tmp_path / "f.txt"
-    p.write_text("# header\n0 1.0\n1 0.5 -0.5\n\n2 -1\n")
-    f = read_values_file(str(p))
-    assert f.support.tolist() == [0, 1, 2]
-    assert f.values[1] == 0.5 - 0.5j
-    assert f.values[2] == -1
-
-
-def test_read_values_file_duplicate(tmp_path):
-    p = tmp_path / "f.txt"
-    p.write_text("0 1\n0 1\n")
-    with pytest.raises(ValueError, match=r":2:"):
-        read_values_file(str(p))
-
-
-def test_read_values_file_parse_error(tmp_path):
-    p = tmp_path / "f.txt"
-    p.write_text("0 huh\n")
-    with pytest.raises(ValueError, match=r":1:"):
-        read_values_file(str(p))

@@ -34,7 +34,6 @@ from bohrkit.gowers import (
     local_fourier_scan,
     u2_fourth_correlation,
     u2_fourth_direct,
-    u2_norm,
     u2_report,
 )
 
@@ -193,7 +192,7 @@ def test_character_norm_is_one():
         base = np.arange(-10, 11)
         n1 = np.arange(-5, 6)
         n2 = np.arange(-5, 6)
-        norm = u2_norm(f, base, n1, n2)
+        norm = u2_fourth_correlation(f, base, n1, n2) ** 0.25
         assert abs(norm - 1.0) < 1e-9
 
 
@@ -314,7 +313,7 @@ def _pinned_chunked():
 
 def test_correlation_route_bits_are_pinned():
     # values computed while the direct route was the literal contraction;
-    # the correlation route (and with it u2_norm, check_von_neumann and
+    # the correlation route (and with it u2_report, check_von_neumann and
     # dichotomy) must not move by one bit
     assert u2_fourth_correlation(*_pinned_small()).hex() == "0x1.c13e6e2c649eap-5"
     assert u2_fourth_correlation(*_pinned_chunked()).hex() == "0x1.a3e60bd500860p-8"
@@ -626,7 +625,7 @@ def test_inverse_check_passes_on_trivial_inners():
     support = base.elements
     values = np.array([rng.uniform(0.5, 1.0) + 0j for _ in support])
     f = BoundedFunction(support, values)
-    norm = u2_norm(f, base.elements, inner1.elements, inner2.elements)
+    norm = u2_fourth_correlation(f, base.elements, inner1.elements, inner2.elements) ** 0.25
     check = check_inverse_theorem(f, base, inner1, inner2, Fraction(norm), grid=8)
     assert check.status == "pass"
     assert check.norm >= float(check.eta) - 1e-9

@@ -11,8 +11,11 @@ on a sorted array goes through ``bohr.sorted_lookup``. No module calls
 a result's report form goes through ``exact.wire``. Every library function
 the bench harness traces (``bench/spans.py``, ``TARGETS``) must still exist
 under the name the harness patches, so a rename cannot silently drop a span.
-The settable values of the public API are counted and pinned, so a new knob
-has to move the pin in its own diff.
+Every public function and public method of a public class in ``src/bohrkit``
+needs a caller outside ``tests/`` (another library module, its own module
+outside its own body, or the bench harness), unless ``TEST_ONLY_ALLOWED``
+names it with a reason. The settable values of the public API are counted and
+pinned, so a new knob has to move the pin in its own diff.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import bohrkit
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bohrkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 _SET_OPS = ("isin", "intersect1d")
 
 
@@ -142,6 +146,109 @@ def test_report_forms_go_through_wire(path):
     assert pairs_in_as_dict(_tree(path)) == []
 
 
+def package_exports(tree: ast.Module) -> dict[str, str]:
+    """Each name the package ``__init__`` imports, mapped to its module."""
+    return {
+        alias.asname or alias.name: node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+
+
+def public_definitions(module: str, tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """Public top-level functions (``module.f``) and public methods of public
+    top-level classes (``module.C.m``), keyed by qualified name."""
+    defs: dict[str, ast.FunctionDef] = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            defs[f"{module}.{node.name}"] = node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    defs[f"{module}.{node.name}.{item.name}"] = item
+    return defs
+
+
+def references(
+    tree: ast.Module, exports: dict[str, str], own: str = "", skip: ast.AST | None = None
+) -> set[str]:
+    """What ``tree`` refers to outside ``skip``: ``module.f`` for a bohrkit
+    function reached through an import, a module alias, a package attribute or,
+    in module ``own``, its bare name; ``.attr`` for every attribute name."""
+    names = {
+        node.name: f"{own}.{node.name}"
+        for node in tree.body
+        if own and isinstance(node, ast.FunctionDef)
+    }
+    modules: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and _is_bohrkit(node)):
+            continue
+        # the module read from: "gowers" for ``.gowers`` or ``bohrkit.gowers``,
+        # "" for the package
+        source = (node.module or "") if node.level else node.module.partition(".")[2]
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if source:
+                names[local] = f"{source}.{alias.name}"
+            elif alias.name in exports:
+                names[local] = f"{exports[alias.name]}.{alias.name}"
+            else:
+                modules[local] = alias.name
+    refs: set[str] = set()
+    stack: list[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Name) and node.id in names:
+            refs.add(names[node.id])
+        elif isinstance(node, ast.Attribute):
+            refs.add("." + node.attr)
+            base = getattr(node.value, "id", None)
+            if base in modules:
+                refs.add(f"{modules[base]}.{node.attr}")
+            elif node.attr in exports:
+                refs.add(f"{exports[node.attr]}.{node.attr}")
+    return refs
+
+
+def uncalled_public_names(
+    modules: dict[str, ast.Module], others: list[ast.Module], exports: dict[str, str]
+) -> list[str]:
+    """Public definitions of ``modules`` that no other module, no tree of
+    ``others`` and no code of their own module outside their own body refers to."""
+    outside = {name: references(tree, exports) for name, tree in modules.items()}
+    shared = set().union(*(references(tree, exports) for tree in others))
+    uncalled = []
+    for module, tree in modules.items():
+        seen = shared.union(*(refs for name, refs in outside.items() if name != module))
+        for name, node in public_definitions(module, tree).items():
+            key = name if name.count(".") == 1 else "." + node.name
+            if key not in seen and key not in references(tree, exports, module, node):
+                uncalled.append(name)
+    return sorted(uncalled)
+
+
+# Public names that only tests call, kept on purpose.
+TEST_ONLY_ALLOWED = {
+    "patterns.check_counting_bound": "the paper's counting lemma, a documented entry point",
+    "patterns.count_three_aps_direct": "the independent oracle for the FFT three-AP count",
+    "exact.torus_distance": "the literal Bohr-membership oracle of the tests",
+}
+
+
+def test_no_test_only_public_names():
+    exports = package_exports(_tree(SRC / "__init__.py"))
+    modules = {path.stem: _tree(path) for path in MODULES}
+    uncalled = uncalled_public_names(modules, [_tree(path) for path in BENCH], exports)
+    unexpected = [name for name in uncalled if name not in TEST_ONLY_ALLOWED]
+    stale = sorted(set(TEST_ONLY_ALLOWED) - set(uncalled))
+    assert (unexpected, stale) == ([], [])
+
+
 def traced_targets(tree: ast.Module) -> list[tuple[str, str]]:
     """The ``(module, attribute)`` pairs that open each entry of ``TARGETS``."""
     (value,) = [
@@ -194,7 +301,7 @@ def settable_values() -> dict[str, int]:
 def test_settable_values():
     counts = settable_values()
     assert counts["EngineLimits fields"] == 4
-    assert sum(counts.values()) == 43, counts
+    assert sum(counts.values()) == 41, counts
 
 
 def test_checks_catch_what_they_look_for():
@@ -224,3 +331,31 @@ def test_checks_catch_what_they_look_for():
     assert set_op_calls(tree) == ["line 6: isin", "line 7: intersect1d"]
     assert indented_dumps(tree) == ["line 8: dumps", "line 9: dumps"]
     assert pairs_in_as_dict(tree) == ["line 13: rational_pair", "line 13: rational_pair"]
+    # only_tested is imported by a test alone, which the detector never reads
+    lib = ast.parse(
+        "def only_tested():\n"
+        "    return only_tested()\n"
+        "def shared():\n"
+        "    pass\n"
+        "def helper():\n"
+        "    pass\n"
+        "def torus_distance(x):\n"
+        "    pass\n"
+        "def exported():\n"
+        "    pass\n"
+        "class Table:\n"
+        "    def lonely(self):\n"
+        "        return self.lonely()\n"
+        "    def read(self):\n"
+        "        pass\n"
+        "x = helper()\n"
+    )
+    other = ast.parse("from .lib import shared\nshared()\n")
+    bench = ast.parse(
+        "from oracles import torus_distance\ntorus_distance(0)\nbk.exported()\nt.read()\n"
+    )
+    assert uncalled_public_names({"lib": lib, "other": other}, [bench], {"exported": "lib"}) == [
+        "lib.Table.lonely",
+        "lib.only_tested",
+        "lib.torus_distance",
+    ]

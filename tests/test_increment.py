@@ -58,10 +58,6 @@ def faithful_oracle(s: int, d: int, delta: Fraction) -> dict:
         "smallness": 32 * s * s * delta ** (-b),
         "u2_threshold": delta**b / (32 * s * s),
         "case2_factor": 1 + Fraction(1, 8 * s * s),
-        "inverse_bound": (Fraction(1, 2**23) / s**8 * delta ** (2 * s * (s + 1))) ** 2,
-        "increment_translate": Fraction(1, 2**54) / s**16 * delta ** (4 * s * (s + 1)),
-        "increment_refined": Fraction(1, 2**28) / s**8 * delta ** (2 * s * (s + 1)),
-        "shrink": Fraction(1, s ** (100 * s)) / d**s * delta ** (10 * s**3),
         "k_max": Fraction(2**55) * s**16 * delta ** (-4 * s * (s + 1)),
         "d_max": Fraction(2**29) * s**8 * delta ** (-2 * s * (s + 1)),
     }
@@ -69,7 +65,7 @@ def faithful_oracle(s: int, d: int, delta: Fraction) -> dict:
 
 def test_faithful_matches_independent_evaluation():
     rng = random.Random(41)
-    t = ConstantTable.faithful()
+    t = ConstantTable.for_mode("faithful")
     for _ in range(20):
         s = rng.randint(2, 4)
         d = rng.randint(1, 5)
@@ -82,16 +78,12 @@ def test_faithful_matches_independent_evaluation():
         assert smallness_bound(s, delta) == oracle["smallness"]
         assert u2_threshold(s, delta) == oracle["u2_threshold"]
         assert increment_factor(s) == oracle["case2_factor"]
-        assert t.inverse_bound(s, delta) == oracle["inverse_bound"]
-        assert t.increment_translate(s, delta) == oracle["increment_translate"]
-        assert t.increment_refined(s, delta) == oracle["increment_refined"]
-        assert t.shrink(s, d, delta) == oracle["shrink"]
         assert t.k_max(s, delta) == oracle["k_max"]
         assert t.d_max(s, delta) == oracle["d_max"]
 
 
 def test_faithful_spot_value():
-    t = ConstantTable.faithful()
+    t = ConstantTable.for_mode("faithful")
     assert t.x1(2, 1, Fraction(1, 2)) == Fraction(1, 2**145)
     assert t.eta(2, Fraction(1, 2)) == Fraction(1, 2**43)
     assert smallness_bound(2, Fraction(1, 2)) == 1024
@@ -99,25 +91,27 @@ def test_faithful_spot_value():
 
 
 def test_practical_defaults_and_overrides():
-    p = ConstantTable.practical()
+    p = ConstantTable.for_mode("practical")
     assert p.x1(2, 1, Fraction(1, 2)) == Fraction(1, 160)
     assert p.x_rest(2, 1, Fraction(1, 2)) == Fraction(1, 8)
     assert p.eta(2, Fraction(1, 2)) == Fraction(1, 4)
     assert p.min_increment() == Fraction(1, 10**6)
-    q = ConstantTable.practical({"eta": Fraction(1, 8)})
+    q = ConstantTable.for_mode("practical", {"eta": Fraction(1, 8)})
     assert q.eta(3, Fraction(1, 3)) == Fraction(1, 8)
 
 
 def test_practical_rejects_unknown_override():
     with pytest.raises(ValueError, match="unknown constant"):
-        ConstantTable.practical({"bogus": Fraction(1)})
+        ConstantTable.for_mode("practical", {"bogus": Fraction(1)})
 
 
 def test_faithful_rejects_overrides():
     with pytest.raises(ValueError):
         run(np.arange(1, 10), 10, mode="faithful", overrides={"eta": Fraction(1, 2)})
     # an empty table of overrides names no constant
-    assert ConstantTable.for_mode("faithful", {}) == ConstantTable.faithful()
+    assert ConstantTable.for_mode("faithful", {}) == ConstantTable("faithful", {})
+    with pytest.raises(ValueError, match="mode must be faithful or practical"):
+        ConstantTable.for_mode("exact")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +377,7 @@ def test_run_certifies_and_enumerates_each_spec_once(monkeypatch):
 def test_chain_past_one_is_not_planned():
     # practical x1 = 4 searches [2, 4]: a dilate that grows is not nested
     subset = behrend_set(3000)
-    table = ConstantTable.practical({"x1": Fraction(4)})
+    table = ConstantTable.for_mode("practical", {"x1": Fraction(4)})
     spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(3000))
     assert plan_inner_dilations(spec, 2, table, Fraction(1, 10)) is None
     result = run(subset, 3000, 2, mode="practical", overrides={"x1": Fraction(4)})

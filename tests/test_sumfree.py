@@ -37,7 +37,6 @@ from bohrkit.sumfree import (
     find_sumfree_subset,
     is_sumfree_with_respect_to,
     ruzsa_embed,
-    threshold_report,
 )
 
 # ---------------------------------------------------------------------------
@@ -501,9 +500,3 @@ def test_embedding_search_tiny_input():
     res = find_configuration_via_embedding(np.array([3, 9]), 3)
     assert res.status == "none"
     assert res.route == "direct"
-
-
-def test_threshold_report_records_without_asserting():
-    rep = threshold_report([1, 2, 3], np.arange(10**4), 2)
-    assert rep["upper_holds"] is False  # recorded, never enforced
-    assert rep["x_size"] == 3 and rep["y_size"] == 10**4
