@@ -52,6 +52,11 @@ class BudgetExceeded(RuntimeError):
     """A computation would exceed its configured enumeration or work budget."""
 
 
+# default budgets, read by every signature, ``EngineLimits`` and the CLI
+ENUM_LIMIT = 10**7  # candidates one Bohr-set enumeration may scan
+COUNT_BUDGET = 5 * 10**8  # operations of a count, contraction or scan
+
+
 # ---------------------------------------------------------------------------
 # specs
 # ---------------------------------------------------------------------------
@@ -194,7 +199,7 @@ def _drop_repeats(arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_bohr(spec: BohrSpec, *, enum_limit: int = 10**7) -> np.ndarray:
+def enumerate_bohr(spec: BohrSpec, *, enum_limit: int = ENUM_LIMIT) -> np.ndarray:
     """All members of the Bohr set, ascending int64.
 
     Candidates are ``|n| <= floor(M)``; ``0`` is always a member. Raises
@@ -458,7 +463,7 @@ def _certify(
 
 
 def regularity_certificate(
-    spec: BohrSpec, *, enum_limit: int = 10**7
+    spec: BohrSpec, *, enum_limit: int = ENUM_LIMIT
 ) -> RegularityCertificate:
     """Certify or refute dilation stability of ``spec`` on its window.
 
@@ -508,7 +513,7 @@ def find_regular_dilation(
     hi: RationalLike,
     *,
     max_candidates: int = 64,
-    enum_limit: int = 10**7,
+    enum_limit: int = ENUM_LIMIT,
 ) -> DilationSearch:
     """First dilation ``c`` in ``[lo, hi]`` whose dilate certifies regular.
 
@@ -548,7 +553,7 @@ def find_regular_dilation(
     )
 
 
-def find_regular_alpha(spec: BohrSpec, *, enum_limit: int = 10**7) -> DilationSearch:
+def find_regular_alpha(spec: BohrSpec, *, enum_limit: int = ENUM_LIMIT) -> DilationSearch:
     """Scan ``[1/2, 1]`` for a regular dilation of ``spec``."""
     return find_regular_dilation(spec, Fraction(1, 2), Fraction(1), enum_limit=enum_limit)
 

@@ -25,14 +25,18 @@ output regardless of thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bohr import (
+    COUNT_BUDGET,
+    ENUM_LIMIT,
     BohrSet,
     BohrSpec,
     BudgetExceeded,
@@ -45,9 +49,10 @@ from .bohr import (
 )
 from .exact import as_rational, rational_pair
 from .functions import BoundedFunction
-from .gowers import check_inverse_theorem, u2_report
+from .gowers import FOURIER_GRID, check_inverse_theorem, u2_report
 from .increment import ConstantTable, EngineLimits, plan_inner_dilations, run
 from .patterns import (
+    WORD_BUDGET,
     PreconditionError,
     behrend_set,
     count_configurations,
@@ -55,14 +60,22 @@ from .patterns import (
     find_configuration,
     random_set,
 )
-from .reports import canonical_json, emit_report, write_trace
-from .sumfree import find_configuration_via_embedding, is_sumfree_with_respect_to, ruzsa_embed
+from .reports import emit_report, write_trace
+from .sumfree import (
+    EMBED_RETRIES,
+    find_configuration_via_embedding,
+    is_sumfree_with_respect_to,
+    ruzsa_embed,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
+
+# a search's status -> exit code, for ``patterns find`` and ``sumfree find-config``
+_SEARCH_EXIT = {"found": EXIT_OK, "none": EXIT_NEGATIVE, "inconclusive": EXIT_BUDGET}
 
 
 class CLIError(Exception):
@@ -74,7 +87,7 @@ class CLIError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# file ingestion
+# file ingestion and emission
 # ---------------------------------------------------------------------------
 
 
@@ -95,6 +108,8 @@ def read_set_file(path: str) -> np.ndarray:
             value = int(text)
         except ValueError as exc:
             raise CLIError(f"{path}:{lineno}: not an integer: {text!r}") from exc
+        if not -(2**63) <= value < 2**63:
+            raise CLIError(f"{path}:{lineno}: {value} does not fit a signed 64-bit integer")
         if value in seen:
             raise CLIError(
                 f"{path}:{lineno}: duplicate value {value} (first at line {seen[value]})"
@@ -104,15 +119,19 @@ def read_set_file(path: str) -> np.ndarray:
     return np.asarray(sorted(out), dtype=np.int64)
 
 
-def read_spec_file(path: str) -> BohrSpec:
-    """JSON Bohr description: ``{"theta": [...], "eps": ..., "M": ...}``."""
+def _read_json(path: str, kind: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise CLIError(f"cannot read spec file {path}: {exc}") from exc
+        raise CLIError(f"cannot read {kind} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CLIError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def read_spec_file(path: str) -> BohrSpec:
+    """JSON Bohr description: ``{"theta": [...], "eps": ..., "M": ...}``."""
+    payload = _read_json(path, "spec")
     try:
         return spec_from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
@@ -122,13 +141,7 @@ def read_spec_file(path: str) -> BohrSpec:
 def read_constants_file(path: Optional[str]) -> Optional[dict]:
     if path is None:
         return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise CLIError(f"cannot read constants file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CLIError(f"{path}: invalid JSON: {exc}") from exc
+    payload = _read_json(path, "constants")
     if not isinstance(payload, dict):
         raise CLIError(f"{path}: constants file must hold a JSON object")
     try:
@@ -137,16 +150,67 @@ def read_constants_file(path: Optional[str]) -> Optional[dict]:
         raise CLIError(f"{path}: constants must be exact rationals: {exc}") from exc
 
 
+@contextmanager
+def _writing(path: Optional[str]):
+    """Map a failed write of ``path`` to the I/O exit code."""
+    try:
+        yield
+    except OSError as exc:
+        raise CLIError(f"cannot write {path}: {exc}", EXIT_IO) from exc
+
+
+def _emit(report, args) -> None:
+    with _writing(args.out):
+        text = emit_report(report, path=args.out, fmt=args.format or "json")
+    sys.stdout.write(text)
+
+
+def _emit_set(elements: np.ndarray, args, header: str) -> None:
+    if args.format is not None:
+        _emit({"size": int(elements.size), "elements": elements.tolist()}, args)
+        return
+    text = "\n".join([f"# {header}", *map(str, elements.tolist())]) + "\n"
+    if args.out:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="FILE", help="write the report here as well")
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="report format (default json)")
+def _flag(name: str, **options) -> argparse.ArgumentParser:
+    """A parser holding the one flag ``name``, for subcommands to take as a parent."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(name, **options)
+    return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The whole parser tree, built on the first call and then reused."""
+    fmt = _flag("--format", choices=("json", "csv"), default=None,
+                help="report format (default json)")
+    report = [_flag("--out", metavar="FILE", help="write the report here as well"), fmt]
+    spec = _flag("--spec", metavar="FILE", required=True)
+    specs = _flag("--spec", metavar="FILE", action="append", required=True,
+                  help="base Bohr description; repeat for inner sets")
+    one_set = _flag("--set", metavar="FILE", required=True)
+    s_needed = _flag("--s", type=int, required=True)
+    s_two = _flag("--s", type=int, default=2)
+    seed = _flag("--seed", type=int, default=0)
+    mode = [_flag("--mode", choices=("faithful", "practical"), default="practical"),
+            _flag("--constants", metavar="FILE")]
+    grid = _flag("--grid", type=int, default=FOURIER_GRID,
+                 help="Fourier grid size (default %(default)s)")
+    enum_budget = _flag("--budget", type=int, default=ENUM_LIMIT,
+                        help="enumeration candidates (default %(default)s)")
+    count_budget = _flag("--budget", type=int, default=COUNT_BUDGET,
+                         help="operations (default %(default)s)")
+    word_budget = _flag("--budget", type=int, default=WORD_BUDGET,
+                        help="64-bit words read (default %(default)s)")
 
     top = argparse.ArgumentParser(
         prog="bohrkit",
@@ -155,129 +219,61 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     groups = top.add_subparsers(dest="group", required=True, metavar="GROUP")
 
-    bohr = groups.add_parser("bohr", help="enumerate and certify Bohr sets")
-    bohr_sub = bohr.add_subparsers(dest="action", required=True, metavar="ACTION")
-    p = bohr_sub.add_parser("enum", parents=[common], help="list the elements")
-    p.add_argument("--spec", metavar="FILE", required=True)
-    p.add_argument("--budget", type=int, default=10**7)
-    p = bohr_sub.add_parser("regular", parents=[common], help="regularity certificate")
-    p.add_argument("--spec", metavar="FILE", required=True)
-    p.add_argument("--budget", type=int, default=10**7)
-    p = bohr_sub.add_parser("find-alpha", parents=[common],
-                            help="regular width multiplier in [1/2, 1]")
-    p.add_argument("--spec", metavar="FILE", required=True)
-    p.add_argument("--budget", type=int, default=10**7)
+    def group(name: str, text: str):
+        return groups.add_parser(name, help=text).add_subparsers(
+            dest="action", required=True, metavar="ACTION")
 
-    u2 = groups.add_parser("u2", help="local uniformity norms")
-    u2_sub = u2.add_subparsers(dest="action", required=True, metavar="ACTION")
-    p = u2_sub.add_parser("compute", parents=[common],
-                          help="both norm routes for a set indicator")
-    p.add_argument("--set", metavar="FILE", required=True)
-    p.add_argument("--spec", metavar="FILE", action="append", required=True,
-                   help="base Bohr description; repeat for inner sets")
-    p.add_argument("--budget", type=int, default=5 * 10**8)
-    p = u2_sub.add_parser("inverse-check", parents=[common],
-                          help="large norm forces large Fourier energy")
-    p.add_argument("--set", metavar="FILE", required=True)
-    p.add_argument("--spec", metavar="FILE", action="append", required=True,
-                   help="base Bohr description; repeat for inner sets")
-    p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--budget", type=int, default=5 * 10**8)
+    bohr = group("bohr", "enumerate and certify Bohr sets")
+    for action, text in (("enum", "list the elements"),
+                         ("regular", "regularity certificate"),
+                         ("find-alpha", "regular width multiplier in [1/2, 1]")):
+        bohr.add_parser(action, parents=[*report, spec, enum_budget], help=text)
 
-    patterns = groups.add_parser("patterns", help="configuration search and counting")
-    pat_sub = patterns.add_subparsers(dest="action", required=True, metavar="ACTION")
-    p = pat_sub.add_parser("find", parents=[common], help="first configuration in a set")
-    p.add_argument("--set", metavar="FILE", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**8)
-    p = pat_sub.add_parser("count", parents=[common],
-                           help="exhaustive configuration count in a set")
-    p.add_argument("--set", metavar="FILE", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**8)
-    p = pat_sub.add_parser("dichotomy", parents=[common],
-                           help="case classification for each input set")
-    p.add_argument("--set", metavar="FILE", action="append", required=True,
-                   help="input set; repeat for a sweep")
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--mode", choices=("faithful", "practical"), default="practical")
-    p.add_argument("--constants", metavar="FILE")
-    p.add_argument("--budget", type=int, default=5 * 10**8)
+    u2 = group("u2", "local uniformity norms")
+    u2.add_parser("compute", parents=[*report, one_set, specs, count_budget],
+                  help="both norm routes for a set indicator")
+    u2.add_parser("inverse-check", parents=[*report, one_set, specs, grid, count_budget],
+                  help="large norm forces large Fourier energy")
 
-    gen = groups.add_parser("gen", help="deterministic test set generators")
-    gen_sub = gen.add_subparsers(dest="action", required=True, metavar="ACTION")
-    p = gen_sub.add_parser("behrend", parents=[common],
-                           help="3-progression-free subset of [1, N]")
+    patterns = group("patterns", "configuration search and counting")
+    for action, text in (("find", "first configuration in a set"),
+                         ("count", "exhaustive configuration count in a set")):
+        patterns.add_parser(action, parents=[*report, one_set, s_needed, word_budget], help=text)
+    sweep = _flag("--set", metavar="FILE", action="append", required=True,
+                  help="input set; repeat for a sweep")
+    patterns.add_parser("dichotomy", parents=[*report, sweep, s_two, *mode, count_budget],
+                        help="case classification for each input set")
+
+    gen = group("gen", "deterministic test set generators")
+    p = gen.add_parser("behrend", parents=report, help="3-progression-free subset of [1, N]")
     p.add_argument("n", type=int, metavar="N")
-    p = gen_sub.add_parser("random", parents=[common],
-                           help="each of 1..N kept with probability DENSITY")
+    p = gen.add_parser("random", parents=[*report, seed],
+                       help="each of 1..N kept with probability DENSITY")
     p.add_argument("n", type=int, metavar="N")
-    p.add_argument("density", metavar="DENSITY",
-                   help="rational in (0, 1], for example 3/10")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("density", metavar="DENSITY", help="rational in (0, 1], for example 3/10")
 
-    inc = groups.add_parser("increment", help="density increment engine")
-    inc_sub = inc.add_subparsers(dest="action", required=True, metavar="ACTION")
-    p = inc_sub.add_parser("run", parents=[common], help="iterate until a terminal state")
-    p.add_argument("--set", metavar="FILE", required=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--mode", choices=("faithful", "practical"), default="practical")
-    p.add_argument("--constants", metavar="FILE")
-    p.add_argument("--budget", type=int, default=5 * 10**8)
-    p.add_argument("--grid", type=int, default=512)
+    trace = _flag("--out", metavar="FILE", help="write the JSONL step trace here")
+    group("increment", "density increment engine").add_parser(
+        "run", parents=[trace, fmt, one_set, s_two, *mode, count_budget, grid],
+        help="iterate until a terminal state")
 
-    sumfree = groups.add_parser("sumfree", help="sumfree subsets and embeddings")
-    sf_sub = sumfree.add_subparsers(dest="action", required=True, metavar="ACTION")
-    p = sf_sub.add_parser("check", parents=[common],
-                          help="pair sums of the first set avoid the second")
-    p.add_argument("--set", metavar="FILE", action="append", required=True,
-                   help="Z, then optionally W (default W = Z)")
-    p = sf_sub.add_parser("embed", parents=[common],
-                          help="verified compression into a prime cyclic group")
-    p.add_argument("--set", metavar="FILE", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=64, help="attempt budget")
-    p = sf_sub.add_parser("find-config", parents=[common],
-                          help="configuration search through the embedding")
-    p.add_argument("--set", metavar="FILE", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**8)
-    p.add_argument("--seed", type=int, default=0)
-
+    sumfree = group("sumfree", "sumfree subsets and embeddings")
+    pair = _flag("--set", metavar="FILE", action="append", required=True,
+                 help="Z, then optionally W (default W = Z)")
+    sumfree.add_parser("check", parents=[*report, pair],
+                       help="pair sums of the first set avoid the second")
+    retries = _flag("--budget", type=int, default=EMBED_RETRIES,
+                    help="attempt budget (default %(default)s)")
+    sumfree.add_parser("embed", parents=[*report, one_set, seed, retries],
+                       help="verified compression into a prime cyclic group")
+    sumfree.add_parser("find-config", parents=[*report, one_set, s_needed, word_budget, seed],
+                       help="configuration search through the embedding")
     return top
 
 
-def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    return _build_parser().parse_args(list(argv))
-
-
 # ---------------------------------------------------------------------------
-# emission helpers
+# subcommand bodies
 # ---------------------------------------------------------------------------
-
-
-def _emit(report, args, *, default_format: str = "json") -> None:
-    fmt = args.format or default_format
-    try:
-        text = emit_report(report, path=args.out, fmt=fmt)
-    except OSError as exc:
-        raise CLIError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
-    sys.stdout.write(text)
-
-
-def _emit_set(elements: np.ndarray, args, header: str) -> None:
-    if args.format is not None:
-        _emit({"size": int(elements.size), "elements": elements.tolist()}, args)
-        return
-    lines = [f"# {header}", *map(str, elements.tolist())]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CLIError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
-    sys.stdout.write(text)
 
 
 def _extent(arr: np.ndarray) -> int:
@@ -289,19 +285,6 @@ def _extent(arr: np.ndarray) -> int:
 def _standard_base(arr: np.ndarray) -> BohrSet:
     spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(_extent(arr)))
     return BohrSet.from_spec(spec)
-
-
-def _specs_to_sets(paths: list[str], budget: int) -> list[BohrSet]:
-    out = []
-    for path in paths:
-        spec = read_spec_file(path)
-        out.append(BohrSet(spec, enumerate_bohr(spec, enum_limit=budget)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# subcommand bodies
-# ---------------------------------------------------------------------------
 
 
 def _cmd_bohr(args) -> int:
@@ -324,7 +307,10 @@ def _cmd_u2(args) -> int:
     if len(args.spec) > 3:
         raise CLIError("at most three --spec files: base, inner, inner")
     arr = read_set_file(args.set)
-    sets = _specs_to_sets(args.spec, args.budget)
+    sets = []
+    for path in args.spec:
+        spec = read_spec_file(path)
+        sets.append(BohrSet(spec, enumerate_bohr(spec, enum_limit=args.budget)))
     base = sets[0]
     inner1 = sets[1] if len(sets) > 1 else base
     inner2 = sets[2] if len(sets) > 2 else inner1
@@ -352,15 +338,10 @@ def _cmd_patterns(args) -> int:
             report["a"] = res.config.a
             report["ns"] = list(res.config.ns)
         _emit(report, args)
-        if res.status == "found":
-            return EXIT_OK
-        return EXIT_NEGATIVE if res.status == "none" else EXIT_BUDGET
+        return _SEARCH_EXIT[res.status]
     if args.action == "count":
         arr = read_set_file(args.set)
-        try:
-            count = count_configurations(arr, args.s, budget=args.budget)
-        except BudgetExceeded as exc:
-            raise CLIError(str(exc), EXIT_BUDGET) from exc
+        count = count_configurations(arr, args.s, budget=args.budget)
         _emit({"count": count, "s": args.s, "size": int(arr.size)}, args)
         return EXIT_OK if count > 0 else EXIT_NEGATIVE
     # dichotomy sweep: one classification per input set
@@ -420,24 +401,15 @@ def _cmd_increment(args) -> int:
         raise CLIError(f"{args.set}: empty set")
     overrides = read_constants_file(args.constants)
     limits = EngineLimits(count_budget=args.budget, grid=args.grid)
-    try:
-        result = run(arr, _extent(arr), args.s, mode=args.mode,
-                     overrides=overrides, limits=limits)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    result = run(arr, _extent(arr), args.s, mode=args.mode, overrides=overrides, limits=limits)
     if args.out:
-        try:
+        with _writing(args.out):
             write_trace([r.as_dict() for r in result.steps], args.out)
-        except OSError as exc:
-            raise CLIError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
     summary = result.as_dict()
-    fmt = args.format or "json"
-    if fmt == "csv":
-        flat = {k: v for k, v in summary.items() if k != "steps"}
-        flat["num_steps"] = len(result.steps)
-        sys.stdout.write(emit_report(flat, fmt="csv"))
-    else:
-        sys.stdout.write(canonical_json(summary))
+    if args.format == "csv":
+        summary = {k: v for k, v in summary.items() if k != "steps"}
+        summary["num_steps"] = len(result.steps)
+    sys.stdout.write(emit_report(summary, fmt=args.format or "json"))
     return result.exit_code
 
 
@@ -464,9 +436,7 @@ def _cmd_sumfree(args) -> int:
         arr, args.s, budget=args.budget, seed=args.seed
     )
     _emit(res.as_dict(), args)
-    if res.status == "found":
-        return EXIT_OK
-    return EXIT_NEGATIVE if res.status == "none" else EXIT_BUDGET
+    return _SEARCH_EXIT[res.status]
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +455,7 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.group](args)
     except CLIError as exc:

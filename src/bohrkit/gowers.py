@@ -58,6 +58,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .bohr import (
+    COUNT_BUDGET,
     BohrSet,
     BudgetExceeded,
     ElementsLike,
@@ -72,6 +73,7 @@ from .bohr import (
 from .exact import RationalLike, Wired, as_rational
 from .functions import BoundedFunction
 
+FOURIER_GRID = 512  # default points of a Fourier scan's frequency grid
 
 
 def _gather_cube(
@@ -117,7 +119,7 @@ def u2_fourth_direct(
     inner1: ElementsLike,
     inner2: ElementsLike,
     *,
-    budget: int = 5 * 10**8,
+    budget: int = COUNT_BUDGET,
 ) -> float:
     """Fourth power via the ``N1``-first square.
 
@@ -151,7 +153,7 @@ def u2_fourth_correlation(
     inner1: ElementsLike,
     inner2: ElementsLike,
     *,
-    budget: int = 5 * 10**8,
+    budget: int = COUNT_BUDGET,
 ) -> float:
     """Fourth power via the ``N2``-first square: pair correlations, squared.
 
@@ -224,7 +226,7 @@ def u2_report(
     inner1: ElementsLike,
     inner2: ElementsLike,
     *,
-    budget: int = 5 * 10**8,
+    budget: int = COUNT_BUDGET,
 ) -> U2Report:
     """Both routes side by side, with their absolute disagreement."""
     fd = u2_fourth_direct(f, base, inner1, inner2, budget=budget)
@@ -313,7 +315,7 @@ def local_fourier_scan(
     inner: ElementsLike,
     grid: int,
     *,
-    budget: int = 5 * 10**8,
+    budget: int = COUNT_BUDGET,
 ) -> FourierScan:
     """Grid scan of the windowed exponential sum for every base point.
 
@@ -353,7 +355,7 @@ def inverse_average(
     inner: ElementsLike,
     grid: int,
     *,
-    budget: int = 5 * 10**8,
+    budget: int = COUNT_BUDGET,
 ) -> float:
     """``E_a (grid max)^2``: a certified lower bound for ``E_a sup^2``."""
     scan = local_fourier_scan(f, base, inner, grid, budget=budget)
@@ -400,8 +402,8 @@ def check_inverse_theorem(
     inner2: BohrSet,
     eta: RationalLike,
     *,
-    grid: int = 512,
-    budget: int = 5 * 10**8,
+    grid: int = FOURIER_GRID,
+    budget: int = COUNT_BUDGET,
 ) -> InverseCheck:
     """Check that a large local U2 norm forces large averaged Fourier energy.
 

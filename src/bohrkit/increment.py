@@ -32,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .bohr import (
+    COUNT_BUDGET,
     BohrSet,
     BohrSpec,
     BudgetExceeded,
@@ -49,8 +50,9 @@ from .bohr import (
 )
 from .exact import RationalLike, Wired, as_rational, rational_pair, wire
 from .functions import BoundedFunction
-from .gowers import fourier_grid_maxima, inverse_average
+from .gowers import FOURIER_GRID, fourier_grid_maxima, inverse_average
 from .patterns import (
+    WORD_BUDGET,
     Configuration,
     PreconditionError,
     dichotomy,
@@ -72,7 +74,7 @@ _PRACTICAL_DEFAULTS = {
     "min_increment": Fraction(1, 10**6),
 }
 
-_OVERRIDABLE = ("x1", "x_rest", "c_prime", "eta", "min_increment")
+_OVERRIDABLE = tuple(_PRACTICAL_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,7 @@ class ConstantTable:
         )
 
     def min_increment(self) -> Fraction:
-        if self.mode == "faithful":
-            return Fraction(0)
-        return self.overrides.get("min_increment", _PRACTICAL_DEFAULTS["min_increment"])
+        return self._pick("min_increment", Fraction(0))
 
     # caps on a faithful run: at most k_max steps, dimension at most d_max
 
@@ -215,9 +215,9 @@ def fourier_increment(
     c_prime: RationalLike,
     eta: RationalLike,
     *,
-    grid: int = 512,
+    grid: int = FOURIER_GRID,
     enforce: bool = True,
-    budget: int = 5 * 10**8,
+    budget: int = COUNT_BUDGET,
 ) -> IncrementOutcome:
     """Find a translate (possibly of a refined Bohr set) where the subset is denser.
 
@@ -401,12 +401,14 @@ def fourier_increment(
 # ---------------------------------------------------------------------------
 
 
+_MAX_STEPS = 32  # a run that takes this many steps stops at ``limit``
+
+
 @dataclass(frozen=True)
 class EngineLimits:
-    max_steps: int = 32
-    count_budget: int = 5 * 10**8
-    finder_budget: int = 10**8
-    grid: int = 512
+    count_budget: int = COUNT_BUDGET
+    finder_budget: int = WORD_BUDGET
+    grid: int = FOURIER_GRID
 
 
 @dataclass(frozen=True)
@@ -566,7 +568,7 @@ def run(
             StepRecord(step, case, spec.dim, delta, spec, state.mult, state.offset, payload)
         )
 
-    for step in range(limits.max_steps):
+    for step in range(_MAX_STEPS):
         if ambient is None:
             try:
                 ambient = BohrSet.from_spec(state.spec)
@@ -624,9 +626,10 @@ def run(
             return finish("limit", f"dichotomy precondition failed: {exc}")
         except BudgetExceeded as exc:
             return finish("limit", f"dichotomy budget: {exc}")
+        payload = {"dichotomy": out.as_dict(), "chain": chain_notes}
 
         if out.kind == "small-bohr":
-            record(step, "small-bohr", delta, {"dichotomy": out.as_dict(), "chain": chain_notes})
+            record(step, "small-bohr", delta, payload)
             return finish("exhausted", "innermost Bohr set certified small")
 
         if out.kind == "local-increment":
@@ -638,9 +641,7 @@ def run(
                 return finish("limit", "local increment failed recheck")
             if new_delta < delta * increment_factor(s):
                 return finish("limit", "local increment below the required factor")
-            record(
-                step, "local-increment", delta, {"dichotomy": out.as_dict(), "chain": chain_notes}
-            )
+            record(step, "local-increment", delta, payload)
             state, ambient = moved, target
             continue
 
@@ -669,26 +670,19 @@ def run(
             moved = state.translated(inc.translate, inc.new_set)
             if Fraction(int(moved.work.size), inc.new_set.size) != inc.delta_after:
                 return finish("limit", "fourier increment failed recheck")
-            record(
-                step, f"fourier-{inc.status}", delta,
-                {
-                    "dichotomy": out.as_dict(),
-                    "increment": inc.as_dict(),
-                    "chain": chain_notes,
-                },
-            )
+            record(step, f"fourier-{inc.status}", delta, {**payload, "increment": inc.as_dict()})
             state, ambient = moved, inc.new_set
             continue
 
         # violation / no-case
-        record(step, out.kind, delta, {"dichotomy": out.as_dict(), "chain": chain_notes})
+        record(step, out.kind, delta, payload)
         if out.kind == "violation":
             return finish(
                 "violation", "all dichotomy branches clean under certified preconditions"
             )
         return finish("limit", "no dichotomy branch fired (preconditions unmet)")
 
-    return finish("limit", f"step cap {limits.max_steps} reached")
+    return finish("limit", f"step cap {_MAX_STEPS} reached")
 
 
 # ---------------------------------------------------------------------------

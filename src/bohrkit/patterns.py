@@ -52,6 +52,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .bohr import (
+    COUNT_BUDGET,
     BohrSet,
     BudgetExceeded,
     ElementsLike,
@@ -70,6 +71,7 @@ from .functions import BoundedFunction
 from .gowers import u2_fourth_correlation
 
 _EINSUM_LETTERS = "ijklmn"
+WORD_BUDGET = 10**8  # default 64-bit words a configuration search may read
 
 
 class PreconditionError(ValueError):
@@ -147,7 +149,7 @@ def _extent_elements(subset: ElementsLike, s: int) -> np.ndarray:
 
 
 def find_configuration(
-    subset: ElementsLike, s: int, *, budget: int = 10**8
+    subset: ElementsLike, s: int, *, budget: int = WORD_BUDGET
 ) -> FinderResult:
     """Lexicographically first s-configuration in ``subset``, extent search.
 
@@ -172,7 +174,7 @@ def find_configuration(
     return FinderResult("found", cfg, kernel.work, budget, "extent")
 
 
-def count_configurations(subset: ElementsLike, s: int, *, budget: int = 10**8) -> int:
+def count_configurations(subset: ElementsLike, s: int, *, budget: int = WORD_BUDGET) -> int:
     """Exhaustive count of distinct s-configurations inside the set.
 
     Counts extent tuples ``x_1 < ... < x_s`` (same parity, all pairwise
@@ -400,7 +402,7 @@ def find_configuration_restricted(
     base: ElementsLike,
     inners: Sequence[ElementsLike],
     *,
-    budget: int = 10**8,
+    budget: int = WORD_BUDGET,
 ) -> FinderResult:
     """First s-configuration with ``a`` in the base and ``n_i`` in ``inners[i]``.
 
@@ -478,7 +480,7 @@ def count_T_s(
     base: ElementsLike,
     inners: Sequence[ElementsLike],
     *,
-    budget: int = 5 * 10**8,
+    budget: int = COUNT_BUDGET,
 ) -> complex:
     """Average of ``prod_{i<=j} f_ij(n_i + n_j + a)`` over the tuple space.
 
@@ -532,7 +534,7 @@ def count_patterns_exact(
     base: ElementsLike,
     inners: Sequence[ElementsLike],
     *,
-    budget: int = 5 * 10**8,
+    budget: int = COUNT_BUDGET,
 ) -> tuple[int, Fraction]:
     """Exact tuple count and density for the indicator of ``subset``.
 
@@ -583,7 +585,7 @@ def check_von_neumann(
     base: ElementsLike,
     inners: Sequence[ElementsLike],
     *,
-    budget: int = 5 * 10**8,
+    budget: int = COUNT_BUDGET,
 ) -> VonNeumannReport:
     """Check ``|T_s| <= min_{i<j} ||f_ij||_{U2(base, N_i, N_j)}``.
 
@@ -623,7 +625,7 @@ def check_counting_bound(
     base: ElementsLike,
     inners: Sequence[ElementsLike],
     *,
-    budget: int = 5 * 10**8,
+    budget: int = COUNT_BUDGET,
 ) -> CountingBoundReport:
     """If no configuration lives on the restricted domain, ``T_s(1_A) <= s^2/|N_s|``.
 
@@ -684,7 +686,7 @@ def dichotomy(
     inner_sets: Sequence[BohrSet],
     *,
     enforce: bool = True,
-    budget: int = 5 * 10**8,
+    budget: int = COUNT_BUDGET,
     freeness: Optional[FinderResult] = None,
 ) -> DichotomyOutcome:
     """Run the four-way case scan for a configuration-free dense subset.

@@ -39,6 +39,7 @@ from .patterns import (
     Configuration,
     FinderResult,
     PreconditionError,
+    WORD_BUDGET,
     ShiftedAndKernel,
     find_configuration,
     verify_configuration,
@@ -173,6 +174,7 @@ def _popular_half_interval(residues: np.ndarray, p: int) -> np.ndarray:
     return (residues - best_start) % p < length
 
 
+EMBED_RETRIES = 64  # default attempts of one embedding
 _C_EMBED = 8  # moduli reach up to _C_EMBED * k * |a|; reports record it as c_embed
 
 
@@ -180,7 +182,7 @@ def ruzsa_embed(
     a: ElementsLike,
     k: RationalLike,
     *,
-    retries: int = 64,
+    retries: int = EMBED_RETRIES,
     seed: int = 0,
 ) -> EmbedResult:
     """Embed at least half of ``a`` into a prime cyclic group, verified.
@@ -244,7 +246,7 @@ def ruzsa_embed(
 
 
 def find_sumfree_subset(
-    a: ElementsLike, h: int, *, budget: int = 10**8
+    a: ElementsLike, h: int, *, budget: int = WORD_BUDGET
 ) -> Optional[np.ndarray]:
     """Lexicographically first ``B`` of size ``h``, sumfree with respect to ``a``.
 
@@ -293,7 +295,7 @@ def find_configuration_via_embedding(
     y3: ElementsLike,
     h: int,
     *,
-    budget: int = 10**8,
+    budget: int = WORD_BUDGET,
     seed: int = 0,
 ) -> EmbeddingSearch:
     """Search for an h-configuration, compressing through a verified embedding.

@@ -1,11 +1,13 @@
 """End-to-end command-line battery run through subprocesses.
 
 Exercises exit codes, input diagnostics with line numbers, report formats,
-and the byte-determinism of emitted JSON.
+the byte-determinism of emitted JSON, and the defaults and help the parser
+gives each flag.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 import sys
@@ -13,9 +15,27 @@ import sys
 import numpy as np
 import pytest
 
+from bohrkit import cli
+from bohrkit.bohr import (
+    COUNT_BUDGET,
+    ENUM_LIMIT,
+    enumerate_bohr,
+    find_regular_alpha,
+    regularity_certificate,
+)
 from bohrkit.cli import read_set_file
-from bohrkit.patterns import behrend_set, count_configurations, random_set
+from bohrkit.gowers import FOURIER_GRID, check_inverse_theorem, u2_report
+from bohrkit.increment import EngineLimits, fourier_increment
+from bohrkit.patterns import (
+    WORD_BUDGET,
+    behrend_set,
+    count_configurations,
+    dichotomy,
+    find_configuration,
+    random_set,
+)
 from bohrkit.reports import canonical_json
+from bohrkit.sumfree import EMBED_RETRIES, find_configuration_via_embedding, ruzsa_embed
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -86,6 +106,17 @@ def test_non_integer_set_value_reports_line(tmp_path):
     proc = run_cli("patterns", "find", "--set", str(path), "--s", "2")
     assert proc.returncode == 2
     assert ":2:" in proc.stderr
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+def test_set_value_outside_int64_reports_line(tmp_path, value):
+    path = tmp_path / "big.txt"
+    path.write_text(f"1\n{value}\n")
+    proc = run_cli("patterns", "find", "--set", str(path), "--s", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: {path}:2: {value} does not fit a signed 64-bit integer\n"
+    )
 
 
 def test_u2_spec_count_checked_before_any_file_is_read(tmp_path):
@@ -346,3 +377,77 @@ def test_json_reports_byte_deterministic(tmp_path):
     first = run_cli("patterns", "find", "--set", path, "--s", "2")
     second = run_cli("patterns", "find", "--set", path, "--s", "2")
     assert first.stdout == second.stdout
+
+
+# ---------------------------------------------------------------------------
+# the parser: defaults, help, and one build per process
+# ---------------------------------------------------------------------------
+
+
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
+# (command, flag, the named constant, the default of the parameter it feeds)
+FLAG_DEFAULTS = [
+    ("bohr enum --spec f", "budget", ENUM_LIMIT, _default(enumerate_bohr, "enum_limit")),
+    ("bohr regular --spec f", "budget", ENUM_LIMIT,
+     _default(regularity_certificate, "enum_limit")),
+    ("bohr find-alpha --spec f", "budget", ENUM_LIMIT, _default(find_regular_alpha, "enum_limit")),
+    ("u2 compute --set f --spec f", "budget", COUNT_BUDGET, _default(u2_report, "budget")),
+    ("u2 inverse-check --set f --spec f", "budget", COUNT_BUDGET,
+     _default(check_inverse_theorem, "budget")),
+    ("u2 inverse-check --set f --spec f", "grid", FOURIER_GRID,
+     _default(check_inverse_theorem, "grid")),
+    ("patterns find --set f --s 2", "budget", WORD_BUDGET, _default(find_configuration, "budget")),
+    ("patterns count --set f --s 2", "budget", WORD_BUDGET,
+     _default(count_configurations, "budget")),
+    ("patterns dichotomy --set f", "budget", COUNT_BUDGET, _default(dichotomy, "budget")),
+    ("increment run --set f", "budget", COUNT_BUDGET, EngineLimits().count_budget),
+    ("increment run --set f", "grid", FOURIER_GRID, EngineLimits().grid),
+    ("sumfree embed --set f", "budget", EMBED_RETRIES, _default(ruzsa_embed, "retries")),
+    ("sumfree find-config --set f --s 2", "budget", WORD_BUDGET,
+     _default(find_configuration_via_embedding, "budget")),
+]
+
+
+@pytest.mark.parametrize("command, flag, constant, fed", FLAG_DEFAULTS)
+def test_flag_default_is_the_library_constant(command, flag, constant, fed):
+    args = cli._parser().parse_args(command.split())
+    assert getattr(args, flag) == constant == fed
+
+
+def test_engine_defaults_are_the_library_constants():
+    assert EngineLimits() == EngineLimits(COUNT_BUDGET, WORD_BUDGET, FOURIER_GRID)
+    assert _default(fourier_increment, "grid") == FOURIER_GRID
+    assert _default(fourier_increment, "budget") == COUNT_BUDGET
+
+
+def test_increment_run_help_names_the_trace():
+    # its --out is the JSONL step trace, not a copy of the report
+    proc = run_cli("increment", "run", "--help")
+    assert proc.returncode == 0
+    assert "write the JSONL step trace here" in proc.stdout
+    assert "write the report here as well" not in proc.stdout
+    assert "write the report here as well" in run_cli("bohr", "enum", "--help").stdout
+
+
+def test_parser_built_once_per_process():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(self)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from bohrkit import cli\n"
+        "assert built == [], 'import built a parser'\n"
+        "assert cli.main(['gen', 'behrend', '10']) == 0\n"
+        "first = len(built)\n"
+        "assert cli.main(['gen', 'random', '10', '1/2']) == 0\n"
+        "assert first > 0 and len(built) == first, (first, len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -300,8 +300,8 @@ def settable_values() -> dict[str, int]:
 
 def test_settable_values():
     counts = settable_values()
-    assert counts["EngineLimits fields"] == 4
-    assert sum(counts.values()) == 41, counts
+    assert counts["EngineLimits fields"] == 3
+    assert sum(counts.values()) == 40, counts
 
 
 def test_checks_catch_what_they_look_for():

@@ -23,7 +23,6 @@ from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded, enumerate_bohr
 from bohrkit.exact import torus_distance
 from bohrkit.increment import (
     ConstantTable,
-    EngineLimits,
     RunResult,
     StepRecord,
     fourier_increment,
@@ -397,10 +396,11 @@ def test_run_faithful_terminates_step_one():
     assert recheck_run(evens, 1000, result) == []
 
 
-def test_run_step_cap_limit():
+def test_run_step_cap_limit(monkeypatch):
+    monkeypatch.setattr(increment, "_MAX_STEPS", 0)
     subset = random_set(500, 0.4, 3)
-    result = run(subset, 500, 2, mode="practical", limits=EngineLimits(max_steps=0))
-    assert result.status == "limit"
+    result = run(subset, 500, 2, mode="practical")
+    assert (result.status, result.reason) == ("limit", "step cap 0 reached")
     assert result.exit_code == 3
 
 
