@@ -47,7 +47,7 @@ from .bohr import (
     sorted_distinct,
     spec_from_dict,
 )
-from .exact import as_rational, rational_pair
+from .exact import as_rational, wire
 from .functions import BoundedFunction
 from .gowers import FOURIER_GRID, check_inverse_theorem, u2_report
 from .increment import ConstantTable, EngineLimits, plan_inner_dilations, run
@@ -370,9 +370,9 @@ def _cmd_patterns(args) -> int:
         rows.append({
             "set": path,
             "base_size": base.size,
-            "delta": rational_pair(delta),
-            "inner_cs": [note["c"] for note in searches],
-            "inner_searches": searches,
+            "delta": wire(delta),
+            "inner_cs": [wire(link.c) for link in searches],
+            "inner_searches": wire(searches),
             "outcome": outcome,
         })
     _emit(rows if len(rows) > 1 else rows[0], args)
@@ -380,9 +380,9 @@ def _cmd_patterns(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.n < 1:
+        raise CLIError("N must be positive")
     if args.action == "behrend":
-        if args.n < 1:
-            raise CLIError("N must be positive")
         elements = behrend_set(args.n)
         _emit_set(elements, args, f"3-progression-free subset of [1, {args.n}]")
         return EXIT_OK

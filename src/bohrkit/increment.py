@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -45,15 +46,16 @@ from .bohr import (
     regularity_certificate,
     sorted_distinct,
     sorted_lookup,
-    spec_from_dict,
     translate_counts,
 )
-from .exact import RationalLike, Wired, as_rational, rational_pair, wire
+from .exact import RationalLike, Wired, as_rational, wire
 from .functions import BoundedFunction
 from .gowers import FOURIER_GRID, fourier_grid_maxima, inverse_average
 from .patterns import (
     WORD_BUDGET,
     Configuration,
+    DichotomyOutcome,
+    FinderResult,
     PreconditionError,
     dichotomy,
     find_configuration_restricted,
@@ -411,24 +413,79 @@ class EngineLimits:
     grid: int = FOURIER_GRID
 
 
+class ChainLink:
+    """One planned inner dilate ``N_i = c * N_{i-1}`` (``i = index``): the
+    factor the regular-dilation search found for the ``target`` rate after
+    trying ``tried`` factors, and ``|N_i|``. A slotted class, not a frozen
+    dataclass: a dataclass costs about fifty more objects per import of the
+    package."""
+
+    __slots__ = ("index", "c", "target", "size", "tried")
+
+    def __init__(self, index: int, c: Fraction, target: Fraction, size: int, tried: int):
+        self.index, self.c, self.target, self.size, self.tried = index, c, target, size, tried
+
+    def as_dict(self) -> dict:
+        return {name: wire(getattr(self, name)) for name in self.__slots__}
+
+
 @dataclass(frozen=True)
 class StepRecord:
-    """One accepted engine step with enough data to recheck it externally."""
+    """One accepted engine step: where it ran and what it measured and chose.
+
+    The step ran on the ambient ``spec`` at density ``delta``, with the map
+    ``original = mult * x + offset`` back to the input and the planned
+    ``chain``. Its evidence is the restricted ``finder`` result that found a
+    configuration, or the ``dichotomy`` outcome, with the Fourier
+    ``increment`` a large norm was turned into. ``case`` is read off the
+    evidence and the report's ``d`` off the spec; :attr:`payload` is the
+    evidence's report form.
+    """
 
     step: int
-    case: str
-    d: int
     delta: Fraction
     spec: BohrSpec
     mult: int
     offset: int
-    payload: dict
+    chain: tuple[ChainLink, ...] = ()
+    finder: Optional[FinderResult] = None
+    dichotomy: Optional[DichotomyOutcome] = None
+    increment: Optional[IncrementOutcome] = None
+
+    @property
+    def case(self) -> str:
+        if self.increment is not None:
+            return f"fourier-{self.increment.status}"
+        if self.dichotomy is not None:
+            return self.dichotomy.kind
+        return "config"
+
+    @property
+    def config_original(self) -> Optional[Configuration]:
+        """The finder's configuration mapped back to the input's coordinates."""
+        cfg = self.finder.config if self.finder is not None else None
+        if cfg is None:
+            return None
+        m = self.mult
+        return Configuration(m * cfg.a + self.offset, tuple(m * n for n in cfg.ns))
+
+    @property
+    def payload(self) -> dict:
+        """The certificate: the report form of the chain and the evidence."""
+        out = {"chain": wire(self.chain)} if self.chain else {}
+        if self.finder is not None:
+            out["config"] = wire(self.finder.config)
+            out["config_original"] = wire(self.config_original)
+        for name in ("finder", "dichotomy", "increment"):
+            if getattr(self, name) is not None:
+                out[name] = wire(getattr(self, name))
+        return out
 
     def as_dict(self) -> dict:
         return {
             "step": self.step,
             "case": self.case,
-            "d": self.d,
+            "d": self.spec.dim,
             "delta": wire(self.delta),
             "eps": wire(self.spec.eps),
             "M": wire(self.spec.M),
@@ -497,11 +554,11 @@ def plan_inner_dilations(
     s: int,
     table: ConstantTable,
     delta: Fraction,
-) -> Optional[tuple[list[BohrSet], list[dict]]]:
+) -> Optional[tuple[list[BohrSet], tuple[ChainLink, ...]]]:
     """Regular nested dilates targeting the table rates, each set carrying
-    the certificate its dilation search found, and their notes; None when stuck."""
+    the certificate its dilation search found, and their links; None when stuck."""
     sets: list[BohrSet] = []
-    notes: list[dict] = []
+    links: list[ChainLink] = []
     current = spec
     for i in range(1, s + 1):
         d = current.dim
@@ -512,16 +569,8 @@ def plan_inner_dilations(
         current = current.dilate(search.c)
         elements = enumerate_bohr(current)
         sets.append(BohrSet(current, elements, search.certificate))
-        notes.append(
-            {
-                "index": i,
-                "c": rational_pair(search.c),
-                "target": rational_pair(target),
-                "size": sets[-1].size,
-                "tried": len(search.tried),
-            }
-        )
-    return sets, notes
+        links.append(ChainLink(i, search.c, target, sets[-1].size, len(search.tried)))
+    return sets, tuple(links)
 
 
 def run(
@@ -562,12 +611,6 @@ def run(
         }
         return RunResult(status, _EXIT_CODES[status], reason, cfg, tuple(records), final)
 
-    def record(step: int, case: str, delta: Fraction, payload: dict) -> None:
-        spec = state.spec
-        records.append(
-            StepRecord(step, case, spec.dim, delta, spec, state.mult, state.offset, payload)
-        )
-
     for step in range(_MAX_STEPS):
         if ambient is None:
             try:
@@ -588,28 +631,18 @@ def run(
         chain = plan_inner_dilations(spec, s, table, delta)
         if chain is None:
             return finish("limit", "no regular dilation found for the chain")
-        inner_sets, chain_notes = chain
+        inner_sets, links = chain
+        record = partial(StepRecord, step, delta, spec, state.mult, state.offset, links)
 
         freeness = find_configuration_restricted(
             work, ambient, inner_sets, budget=limits.finder_budget
         )
         if freeness.status == "found":
-            cfg = freeness.config
-            cfg_orig = Configuration(
-                state.mult * cfg.a + state.offset, tuple(state.mult * n for n in cfg.ns)
-            )
-            if not verify_configuration(subset, cfg_orig, s):
+            rec = record(finder=freeness)
+            if not verify_configuration(subset, rec.config_original, s):
                 return finish("limit", "transported configuration failed verification")
-            record(
-                step, "config", delta,
-                {
-                    "config": cfg.as_dict(),
-                    "config_original": cfg_orig.as_dict(),
-                    "finder": freeness.as_dict(),
-                    "chain": chain_notes,
-                },
-            )
-            return finish("found", "configuration found", cfg_orig)
+            records.append(rec)
+            return finish("found", "configuration found", rec.config_original)
         if freeness.status == "inconclusive":
             return finish("limit", "freeness search inconclusive within budget")
 
@@ -626,28 +659,25 @@ def run(
             return finish("limit", f"dichotomy precondition failed: {exc}")
         except BudgetExceeded as exc:
             return finish("limit", f"dichotomy budget: {exc}")
-        payload = {"dichotomy": out.as_dict(), "chain": chain_notes}
 
         if out.kind == "small-bohr":
-            record(step, "small-bohr", delta, payload)
+            records.append(record(dichotomy=out))
             return finish("exhausted", "innermost Bohr set certified small")
 
         if out.kind == "local-increment":
-            info = out.data["increment"]
-            target = inner_sets[info["inner_index"] - 1]
-            moved = state.doubled(info["a"], target)
+            target = inner_sets[out.inner_index - 1]
+            moved = state.doubled(out.a, target)
             new_delta = Fraction(int(moved.work.size), target.size)
-            if [new_delta.numerator, new_delta.denominator] != info["new_density"]:
+            if new_delta != out.new_density:
                 return finish("limit", "local increment failed recheck")
             if new_delta < delta * increment_factor(s):
                 return finish("limit", "local increment below the required factor")
-            record(step, "local-increment", delta, payload)
+            records.append(record(dichotomy=out))
             state, ambient = moved, target
             continue
 
         if out.kind == "large-u2":
-            pair = out.data["large_u2"]["pair"]
-            j = pair[1]
+            _, j = out.scanned_pairs[-1]
             inner = inner_sets[j - 1]
             try:
                 inc = fourier_increment(
@@ -670,12 +700,12 @@ def run(
             moved = state.translated(inc.translate, inc.new_set)
             if Fraction(int(moved.work.size), inc.new_set.size) != inc.delta_after:
                 return finish("limit", "fourier increment failed recheck")
-            record(step, f"fourier-{inc.status}", delta, {**payload, "increment": inc.as_dict()})
+            records.append(record(dichotomy=out, increment=inc))
             state, ambient = moved, inc.new_set
             continue
 
         # violation / no-case
-        record(step, out.kind, delta, payload)
+        records.append(record(dichotomy=out))
         if out.kind == "violation":
             return finish(
                 "violation", "all dichotomy branches clean under certified preconditions"
@@ -694,18 +724,17 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     """Independently re-verify every accepted step of a run from its records.
 
     Replays the state transforms and re-measures each step's claim on freshly
-    enumerated sets. A ``small-bohr`` record is re-derived rather than
-    re-read: the inner chain is rebuilt from the recorded dilation factors,
-    every inner set is certified regular and recounted, the smallness
-    threshold is recomputed from ``(s, delta)``, and the restricted freeness
-    search is run again with the recorded finder budget. A ``fourier-*``
-    record must name a refinement of the ambient spec (the ambient
-    frequencies first, then any adjoined ones, with ``eps`` and ``M`` shrunk
-    by one common ratio in (0, 1)) whose translate ``t0 + new_ambient`` lies
-    inside the ambient set, and its density is re-measured. The terminal
-    status is never read on trust: it must follow from the record the replay
-    ends on (see :func:`_status_problems`). Returns the list of discrepancies
-    (empty means the whole trace rechecks).
+    enumerated sets. A ``local-increment`` record's doubled translate must lie
+    in the ambient set and reach the required density, re-measured. A
+    ``fourier-*`` record must name a refinement of the ambient spec (the
+    ambient frequencies first, then any adjoined ones, with ``eps`` and ``M``
+    shrunk by one common ratio in (0, 1)) whose translate ``t0 +
+    new_ambient`` lies inside the ambient set, and its density is
+    re-measured. A terminal dichotomy record is re-derived rather than
+    re-read (see :func:`_terminal_problems`). The terminal status is never
+    read on trust: it must follow from the record the replay ends on (see
+    :func:`_status_problems`). Returns the list of discrepancies (empty means
+    the whole trace rechecks).
     """
     problems: list[str] = []
     state = _State.start(subset, N)
@@ -728,58 +757,37 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
                 f"step {rec.step}: recorded density {rec.delta} remeasures {delta}"
             )
             break
-        pay = rec.payload
-        if rec.case == "config":
-            cfg = Configuration(
-                pay["config_original"]["a"], tuple(pay["config_original"]["ns"])
+        dich = rec.dichotomy
+        if dich is not None and (dich.s, dich.delta) != (len(rec.chain), delta):
+            problems.append(
+                f"step {rec.step}: dichotomy (s, delta) = ({dich.s}, {dich.delta}) differs"
+                " from the chain and the density of the step"
             )
-            if not verify_configuration(subset, cfg, len(cfg.ns)):
+            break
+        if rec.case == "config":
+            cfg = rec.config_original
+            if cfg is None or not verify_configuration(subset, cfg, cfg.s):
                 problems.append(f"step {rec.step}: configuration not in the input set")
             break
-        if rec.case == "small-bohr":
-            data = pay["dichotomy"]["data"]
-            s_arity = pay["dichotomy"]["s"]
-            if len(pay["chain"]) != s_arity:
-                problems.append(f"step {rec.step}: chain length differs from s = {s_arity}")
-                break
-            inner_sets = [BohrSet.from_spec(sp) for sp in _chain_specs(spec, pay["chain"])[1:]]
-            for i, bs in enumerate(inner_sets, start=1):
-                cert = regularity_certificate(bs.spec)
-                if not cert.verdict:
-                    problems.append(
-                        f"step {rec.step}: inner{i} not regular (witness c = {cert.witness_c})"
-                    )
-            sizes = [b.size for b in inner_sets]
-            if data["inner_sizes"] != sizes or data["small"]["size"] != sizes[-1]:
-                problems.append(f"step {rec.step}: inner sizes recount as {sizes}")
-            thr = smallness_bound(s_arity, delta)
-            if data["small"]["threshold"] != rational_pair(thr):
-                problems.append(f"step {rec.step}: smallness threshold recomputes as {thr}")
-            if Fraction(sizes[-1]) > thr:
-                problems.append(f"step {rec.step}: innermost set is not small")
-            freeness = find_configuration_restricted(
-                state.work, ambient, inner_sets, budget=data["freeness"]["budget"]
-            )
-            if freeness.status != "none":
-                problems.append(
-                    f"step {rec.step}: freeness search reruns as {freeness.status}"
-                )
-            break
         if rec.case == "local-increment":
-            info = pay["dichotomy"]["data"]["increment"]
-            a = info["a"]
-            inner_spec = _chain_specs(spec, pay["chain"][: info["inner_index"]])[-1]
-            inner = BohrSet.from_spec(inner_spec)
-            if not bool(np.all(membership_mask(spec, a + 2 * inner.elements))):
+            if dich.a is None:
+                problems.append(f"step {rec.step}: local-increment record without its witness")
+                break
+            inner = BohrSet.from_spec(_chain_specs(spec, rec.chain[: dich.inner_index])[-1])
+            if not bool(np.all(membership_mask(spec, dich.a + 2 * inner.elements))):
                 problems.append(f"step {rec.step}: doubled translate leaves the base")
-            state = state.doubled(a, inner)
-            if Fraction(int(state.work.size), inner.size) != Fraction(*info["new_density"]):
+            state = state.doubled(dich.a, inner)
+            got = Fraction(int(state.work.size), inner.size)
+            if got != dich.new_density:
                 problems.append(f"step {rec.step}: increment density fails recheck")
+            if got < delta * increment_factor(dich.s):
+                problems.append(f"step {rec.step}: increment below the required factor")
             continue
         if rec.case.startswith("fourier-"):
-            info = pay["increment"]
-            t0 = info["translate"]
-            new_spec = spec_from_dict(info["new_spec"])
+            t0, new_spec = rec.increment.translate, rec.increment.new_spec
+            if new_spec is None:
+                problems.append(f"step {rec.step}: {rec.case} record names no new set")
+                break
             prefix = BohrSpec(new_spec.theta[: spec.dim], new_spec.eps, new_spec.M)
             ratio = infer_dilation(prefix, spec)
             if ratio is None or not 0 < ratio < 1:
@@ -791,23 +799,61 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
                 problems.append(f"step {rec.step}: refined translate leaves the ambient set")
             state = state.translated(t0, new_ambient)
             got = Fraction(int(state.work.size), new_ambient.size)
-            if got != Fraction(*info["delta_after"]):
+            if got != rec.increment.delta_after:
                 problems.append(f"step {rec.step}: fourier density fails recheck")
             if got <= delta:
                 problems.append(f"step {rec.step}: fourier step did not gain density")
             continue
-        # violation / no-case are terminal records with nothing to replay
+        problems += _terminal_problems(rec, state.work, ambient)
         break
     trailing = len(result.steps) - replayed
     return problems + _status_problems(result, last, trailing, state)
 
 
-def _chain_specs(spec: BohrSpec, notes: list[dict]) -> list[BohrSpec]:
-    """``spec`` followed by the chain its notes' dilation factors rebuild."""
+def _chain_specs(spec: BohrSpec, links: tuple[ChainLink, ...]) -> list[BohrSpec]:
+    """``spec`` followed by the chain its links' dilation factors rebuild."""
     specs = [spec]
-    for note in notes:
-        specs.append(specs[-1].dilate(Fraction(*note["c"])))
+    for link in links:
+        specs.append(specs[-1].dilate(link.c))
     return specs
+
+
+def _terminal_problems(rec: StepRecord, work: np.ndarray, ambient: BohrSet) -> list[str]:
+    """Re-derive a ``small-bohr``, ``violation`` or ``no-case`` record on the
+    replayed set ``work``.
+
+    The inner chain is rebuilt from the recorded dilation factors and
+    recounted, and its innermost set must be small for ``small-bohr`` and
+    larger than the smallness threshold otherwise (else branch 1 would have
+    fired); the threshold is recomputed from ``(s, delta)``. A ``small-bohr``
+    or ``violation`` claim rests on certified preconditions, so every inner
+    set is certified regular and the restricted freeness search is run again
+    with the recorded finder budget. A ``no-case`` record claims nothing
+    about them: an uncertified chain is its legitimate reason.
+    """
+    dich, step = rec.dichotomy, rec.step
+    problems = []
+    inner_sets = [BohrSet.from_spec(sp) for sp in _chain_specs(rec.spec, rec.chain)[1:]]
+    sizes = tuple(b.size for b in inner_sets)
+    if dich.inner_sizes != sizes:
+        problems.append(f"step {step}: inner sizes recount as {list(sizes)}")
+    small = Fraction(sizes[-1]) <= smallness_bound(dich.s, rec.delta)
+    if rec.case == "small-bohr" and not small:
+        problems.append(f"step {step}: innermost set is not small")
+    elif rec.case != "small-bohr" and small:
+        problems.append(f"step {step}: innermost set is small, so branch 1 fires")
+    if rec.case in ("small-bohr", "violation"):
+        for i, bs in enumerate(inner_sets, start=1):
+            cert = regularity_certificate(bs.spec)
+            if not cert.verdict:
+                problems.append(
+                    f"step {step}: inner{i} not regular (witness c = {cert.witness_c})"
+                )
+        budget = dich.freeness.budget
+        freeness = find_configuration_restricted(work, ambient, inner_sets, budget=budget)
+        if freeness.status != "none":
+            problems.append(f"step {step}: freeness search reruns as {freeness.status}")
+    return problems
 
 
 def _status_problems(
@@ -844,8 +890,8 @@ def _status_problems(
                 " or an empty replayed set"
             )
     elif status == "found":
-        pay = last.payload["config_original"] if case == "config" else None
-        if pay is None or Configuration(pay["a"], tuple(pay["ns"])) != result.config:
+        cfg = last.config_original if case == "config" else None
+        if cfg is None or cfg != result.config:
             problems.append("status found without a final config record naming the result")
     elif status == "violation" and case != "violation":
         problems.append("status violation without a final violation record")

@@ -43,6 +43,7 @@ status "inconclusive" with the work spent.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -66,7 +67,7 @@ from .bohr import (
     sorted_lookup,
     translate_counts,
 )
-from .exact import Wired, rational_pair
+from .exact import Wired, wire
 from .functions import BoundedFunction
 from .gowers import u2_fourth_correlation
 
@@ -649,20 +650,65 @@ def check_counting_bound(
 
 
 @dataclass(frozen=True)
-class DichotomyOutcome(Wired):
-    """Which branch fired, with enough recorded data to recheck it.
+class DichotomyOutcome:
+    """Which branch fired, with what the scan measured on the way.
 
     ``kind`` is one of ``small-bohr``, ``local-increment``, ``large-u2``,
     ``violation`` (every branch scanned clean *and* every precondition was
     certified) or ``no-case`` (branches clean but some precondition was not
-    certified, so nothing is claimed).
+    certified, so nothing is claimed). ``freeness`` is the restricted search
+    the preconditions read and ``inner_sizes`` the sizes ``|N_i|``. Branch
+    2's witness is the base point ``a`` whose doubled translate ``a + 2 N_i``
+    (``i = inner_index``) lies in the base and holds the subset at
+    ``new_density``; ``norms`` are the balanced U2 norms of
+    :attr:`scanned_pairs`, in scan order. No threshold is stored: the report
+    form derives each from ``(s, delta)``.
     """
 
     kind: str
     s: int
     delta: Fraction
     unmet: tuple[str, ...]
-    data: dict
+    freeness: FinderResult
+    inner_sizes: tuple[int, ...]
+    inner_index: Optional[int] = None
+    a: Optional[int] = None
+    new_density: Optional[Fraction] = None
+    norms: tuple[float, ...] = ()
+
+    @property
+    def scanned_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs ``(i, j)``, ``i < j``, whose norms were scanned; for
+        ``large-u2`` the last is the large one."""
+        return tuple(itertools.combinations(range(1, self.s + 1), 2))[: len(self.norms)]
+
+    def as_dict(self) -> dict:
+        s, delta = self.s, self.delta
+        data = {"freeness": wire(self.freeness), "inner_sizes": wire(self.inner_sizes)}
+        if self.kind == "small-bohr":
+            threshold = wire(smallness_bound(s, delta))
+            data["small"] = {"size": self.inner_sizes[-1], "threshold": threshold}
+        elif self.kind == "local-increment":
+            data["increment"] = {
+                "inner_index": self.inner_index,
+                "a": self.a,
+                "new_density": wire(self.new_density),
+                "required": wire(delta * increment_factor(s)),
+            }
+        else:
+            norms = {f"{i},{j}": v for (i, j), v in zip(self.scanned_pairs, self.norms)}
+            threshold = wire(u2_threshold(s, delta))
+            if self.kind == "large-u2":
+                data["large_u2"] = {
+                    "pair": list(self.scanned_pairs[-1]),
+                    "norm": self.norms[-1],
+                    "threshold": threshold,
+                    "norms_scanned": norms,
+                }
+            else:
+                data.update(norms_scanned=norms, u2_threshold=threshold)
+        out = {"kind": self.kind, "s": s, "delta": wire(delta), "unmet": wire(self.unmet)}
+        return {**out, "data": data}
 
 
 def smallness_bound(s: int, delta: Fraction) -> Fraction:
@@ -733,16 +779,13 @@ def dichotomy(
     if unmet and enforce:
         raise PreconditionError("; ".join(unmet))
 
-    data: dict = {"freeness": freeness.as_dict(), "inner_sizes": [b.size for b in inner_sets]}
+    def outcome(kind: str, **evidence) -> DichotomyOutcome:
+        sizes = tuple(b.size for b in inner_sets)
+        return DichotomyOutcome(kind, s, delta, tuple(unmet), freeness, sizes, **evidence)
 
     # branch 1: the innermost set is already small
-    small_rhs = smallness_bound(s, delta)
-    if Fraction(inner_sets[-1].size) <= small_rhs:
-        data["small"] = {
-            "size": inner_sets[-1].size,
-            "threshold": rational_pair(small_rhs),
-        }
-        return DichotomyOutcome("small-bohr", s, delta, tuple(unmet), data)
+    if Fraction(inner_sets[-1].size) <= smallness_bound(s, delta):
+        return outcome("small-bohr")
 
     # branch 2: the first base point whose doubled translate a + 2 N_i sits
     # inside the base and carries density at least `required`
@@ -756,38 +799,23 @@ def dichotomy(
             hit = np.nonzero(inside & (counts >= need))[0]
             if hit.size:
                 k = int(hit[0])
-                data["increment"] = {
-                    "inner_index": i,
-                    "a": int(chunk[k]),
-                    "new_density": rational_pair(Fraction(int(counts[k]), bs.size)),
-                    "required": rational_pair(required),
-                }
-                return DichotomyOutcome("local-increment", s, delta, tuple(unmet), data)
+                density = Fraction(int(counts[k]), bs.size)
+                return outcome(
+                    "local-increment", inner_index=i, a=int(chunk[k]), new_density=density
+                )
 
     # branch 3: some pairwise balanced norm is large
     balanced, _ = BoundedFunction.balanced_indicator(subset_arr, base.elements)
-    threshold = u2_threshold(s, delta)
-    norms: dict = {}
-    for i in range(1, s + 1):
-        for j in range(i + 1, s + 1):
-            fourth = u2_fourth_correlation(
-                balanced, base, inner_sets[i - 1], inner_sets[j - 1], budget=budget
-            )
-            norm = fourth**0.25
-            norms[f"{i},{j}"] = norm
-            if norm >= float(threshold):
-                data["large_u2"] = {
-                    "pair": [i, j],
-                    "norm": norm,
-                    "threshold": rational_pair(threshold),
-                    "norms_scanned": norms,
-                }
-                return DichotomyOutcome("large-u2", s, delta, tuple(unmet), data)
-    data["norms_scanned"] = norms
-    data["u2_threshold"] = rational_pair(threshold)
-
-    kind = "violation" if not unmet else "no-case"
-    return DichotomyOutcome(kind, s, delta, tuple(unmet), data)
+    threshold = float(u2_threshold(s, delta))
+    norms: list[float] = []
+    for i, j in itertools.combinations(range(1, s + 1), 2):
+        fourth = u2_fourth_correlation(
+            balanced, base, inner_sets[i - 1], inner_sets[j - 1], budget=budget
+        )
+        norms.append(fourth**0.25)
+        if norms[-1] >= threshold:
+            return outcome("large-u2", norms=tuple(norms))
+    return outcome("violation" if not unmet else "no-case", norms=tuple(norms))
 
 
 # ---------------------------------------------------------------------------

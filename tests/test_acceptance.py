@@ -352,8 +352,8 @@ def test_criterion_09_dichotomy_cases_and_counting_bound():
         assert out.kind in ("small-bohr", "local-increment", "large-u2")
         assert out.unmet == ()
         if out.kind == "small-bohr":
-            small = out.data["small"]
-            assert small["size"] == out.data["inner_sizes"][-1]
+            small = out.as_dict()["data"]["small"]
+            assert small["size"] == out.inner_sizes[-1]
             assert Fraction(*small["threshold"]) == Fraction(128) / out.delta**3
             assert Fraction(small["size"]) <= Fraction(*small["threshold"])
         bound = check_counting_bound(subset, base, [window, window])

@@ -292,6 +292,14 @@ def test_gen_rejects_bad_density():
     assert run_cli("gen", "random", "100", "abc").returncode == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_gen_rejects_n_below_one(n, capsys):
+    assert cli.main(["gen", "behrend", n]) == 2
+    assert cli.main(["gen", "random", n, "1/2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("N must be positive") == 2
+
+
 # ---------------------------------------------------------------------------
 # u2 and sumfree groups
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ top-level imports bind. Every module, the package ``__init__`` included,
 must leave ``np.isin`` and ``np.intersect1d`` alone: each membership question
 on a sorted array goes through ``bohr.sorted_lookup``. No module calls
 ``json.dumps`` with an ``indent``: indented report text has one writer,
-``reports.canonical_json``. No ``as_dict`` body calls ``rational_pair``:
-a result's report form goes through ``exact.wire``. Every library function
+``reports.canonical_json``. Only ``exact.wire`` calls ``rational_pair``:
+a result's report form goes through ``wire``, and the engine keeps its
+evidence as values until then. Every library function
 the bench harness traces (``bench/spans.py``, ``TARGETS``) must still exist
 under the name the harness patches, so a rename cannot silently drop a span.
 Every public function and public method of a public class in ``src/bohrkit``
@@ -110,15 +111,14 @@ def indented_dumps(tree: ast.Module) -> list[str]:
     ]
 
 
-def pairs_in_as_dict(tree: ast.Module) -> list[str]:
-    """Calls of ``rational_pair`` (by any module alias) inside ``as_dict`` bodies."""
-    return [
-        f"line {node.lineno}: rational_pair"
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and fn.name == "as_dict"
-        for node in ast.walk(fn)
+def pair_calls(tree: ast.Module) -> list[str]:
+    """Calls of ``rational_pair`` (by any module alias), in line order."""
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
         if isinstance(node, ast.Call) and _call_name(node) == "rational_pair"
-    ]
+    )
+    return [f"line {line}: rational_pair" for line in lines]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -143,7 +143,7 @@ def test_one_indented_json_writer(path):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_report_forms_go_through_wire(path):
-    assert pairs_in_as_dict(_tree(path)) == []
+    assert pair_calls(_tree(path)) == [] or path.name == "exact.py"
 
 
 def package_exports(tree: ast.Module) -> dict[str, str]:
@@ -320,6 +320,8 @@ def test_checks_catch_what_they_look_for():
         "    def as_dict(self):\n"
         "        return {'x': rational_pair(self.x), 'y': exact.rational_pair(self.y)}\n"
         "v = rational_pair(q)\n"
+        "def record(q):\n"
+        "    return {'q': rational_pair(q)}\n"
     )
     assert private_imports(tree) == ["line 3: _elements", "line 4: _count_leq"]
     assert unused_imports(tree) == [
@@ -330,7 +332,12 @@ def test_checks_catch_what_they_look_for():
     ]
     assert set_op_calls(tree) == ["line 6: isin", "line 7: intersect1d"]
     assert indented_dumps(tree) == ["line 8: dumps", "line 9: dumps"]
-    assert pairs_in_as_dict(tree) == ["line 13: rational_pair", "line 13: rational_pair"]
+    assert pair_calls(tree) == [
+        "line 13: rational_pair",
+        "line 13: rational_pair",
+        "line 14: rational_pair",
+        "line 16: rational_pair",
+    ]
     # only_tested is imported by a test alone, which the detector never reads
     lib = ast.parse(
         "def only_tested():\n"

@@ -8,7 +8,6 @@ a literal loop oracle; engine runs against exact replays.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import random
 from fractions import Fraction
@@ -22,6 +21,7 @@ from bohrkit import bohr, increment
 from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded, enumerate_bohr
 from bohrkit.exact import torus_distance
 from bohrkit.increment import (
+    ChainLink,
     ConstantTable,
     RunResult,
     StepRecord,
@@ -391,8 +391,7 @@ def test_run_faithful_terminates_step_one():
     assert len(result.steps) == 1
     assert result.steps[0].case == "small-bohr"
     # the faithful dilation chain pins both inner sets to {0}
-    dich = result.steps[0].payload["dichotomy"]
-    assert dich["data"]["inner_sizes"] == [1, 1]
+    assert result.steps[0].dichotomy.inner_sizes == (1, 1)
     assert recheck_run(evens, 1000, result) == []
 
 
@@ -420,22 +419,56 @@ def _behrend_small_bohr_run():
     return subset, result
 
 
+def _forge_last(result: RunResult, dichotomy=None, **fields) -> RunResult:
+    """``result`` with its last record's ``fields`` replaced, and the fields
+    of its dichotomy outcome named in ``dichotomy``."""
+    rec = result.steps[-1]
+    if dichotomy:
+        fields["dichotomy"] = dataclasses.replace(rec.dichotomy, **dichotomy)
+    forged = dataclasses.replace(rec, **fields)
+    return dataclasses.replace(result, steps=result.steps[:-1] + (forged,))
+
+
 @pytest.mark.parametrize(
     "field, value, complaint",
-    [("inner_sizes", [7, 1], "inner sizes recount"),
-     ("threshold", [10**9, 1], "smallness threshold recomputes")],
+    [("inner_sizes", (7, 1), "inner sizes recount"),
+     ("delta", Fraction(1, 2), "dichotomy (s, delta) = (2, 1/2) differs")],
 )
 def test_recheck_rederives_forged_small_bohr(field, value, complaint):
+    # the forged record stays self-consistent: its innermost size is still
+    # below the threshold its report derives from (s, delta)
     subset, result = _behrend_small_bohr_run()
-    forged = copy.deepcopy(result)
-    data = forged.steps[-1].payload["dichotomy"]["data"]
-    # the forged record stays self-consistent: size <= threshold still reads true
-    if field == "inner_sizes":
-        data["inner_sizes"] = value
-    else:
-        data["small"]["threshold"] = value
+    forged = _forge_last(result, dichotomy={field: value})
     problems = recheck_run(subset, 3000, forged)
     assert len(problems) == 1 and complaint in problems[0]
+
+
+def test_small_bohr_record_derives_its_threshold():
+    # the small entry of the report is derived, so no record can drop it
+    # or carry another threshold
+    _, result = _behrend_small_bohr_run()
+    dich = result.steps[-1].dichotomy
+    small = dich.as_dict()["data"]["small"]
+    assert small["size"] == dich.inner_sizes[-1]
+    assert Fraction(*small["threshold"]) == smallness_bound(2, dich.delta)
+    with pytest.raises(TypeError):
+        dataclasses.replace(dich, small=None)
+
+
+@pytest.mark.parametrize(
+    "kind, status, code", [("violation", "violation", 3), ("no-case", "limit", 3)]
+)
+def test_recheck_rederives_relabelled_small_bohr(kind, status, code):
+    # the real chain certifies and the freeness search reruns clean, but its
+    # innermost set is small: branch 1 fires before any other case is reached
+    subset, result = _behrend_small_bohr_run()
+    forged = dataclasses.replace(
+        _forge_last(result, dichotomy={"kind": kind}), status=status, exit_code=code
+    )
+    assert forged.steps[-1].case == kind
+    assert recheck_run(subset, 3000, forged) == [
+        f"step {result.steps[-1].step}: innermost set is small, so branch 1 fires"
+    ]
 
 
 def test_recheck_certifies_the_small_bohr_chain():
@@ -443,11 +476,12 @@ def test_recheck_certifies_the_small_bohr_chain():
     # on N = 3000): size 3, with every recorded size and the threshold still
     # consistent, but not regular
     subset, result = _behrend_small_bohr_run()
-    forged = copy.deepcopy(result)
-    pay = forged.steps[-1].payload
-    pay["chain"][1]["c"] = [398, 1875]
-    pay["dichotomy"]["data"]["inner_sizes"] = [19, 3]
-    pay["dichotomy"]["data"]["small"]["size"] = 3
+    first, second = result.steps[-1].chain
+    forged = _forge_last(
+        result,
+        chain=(first, ChainLink(2, Fraction(398, 1875), second.target, 3, second.tried)),
+        dichotomy={"inner_sizes": (19, 3)},
+    )
     assert recheck_run(subset, 3000, forged) == [
         f"step {result.steps[-1].step}: inner2 not regular (witness c = 1/199)"
     ]
@@ -476,10 +510,7 @@ def _parity_fourier_run():
         evens, base, inner, Fraction(1, 8), Fraction(48, 100),
         grid=1204, enforce=False,
     )
-    rec = StepRecord(
-        0, "fourier-refined", 1, out.delta_before, base.spec, 1, 0,
-        {"increment": out.as_dict()},
-    )
+    rec = StepRecord(0, out.delta_before, base.spec, 1, 0, increment=out)
     return evens, RunResult("limit", 3, "hand-built", None, (rec,), {})
 
 
@@ -496,16 +527,17 @@ def _evens_local_increment_run():
     inner = BohrSet.from_spec(base.spec.dilate(Fraction(1, 4)))
     out = dichotomy(evens, base, [inner, inner], enforce=False)
     assert out.kind == "local-increment"
-    rec = StepRecord(
-        0, "local-increment", 1, out.delta, base.spec, 1, 0,
-        {"dichotomy": out.as_dict(), "chain": [{"c": [1, 4]}, {"c": [1, 1]}]},
+    links = (
+        ChainLink(1, Fraction(1, 4), Fraction(1, 4), inner.size, 1),
+        ChainLink(2, Fraction(1), Fraction(1), inner.size, 1),
     )
+    rec = StepRecord(0, out.delta, base.spec, 1, 0, links, dichotomy=out)
     return evens, RunResult("limit", 3, "hand-built", None, (rec,), {})
 
 
 def test_recheck_accepts_hand_built_local_increment_record():
     evens, result = _evens_local_increment_run()
-    assert result.steps[0].payload["dichotomy"]["data"]["increment"]["new_density"] == [1, 1]
+    assert result.steps[0].dichotomy.new_density == 1
     assert recheck_run(evens, 2500, result) == []
 
 
@@ -514,35 +546,32 @@ def test_recheck_accepts_hand_built_local_increment_record():
     [
         # a + 2 N_1 = [2, 2502] pokes out of the base; its density 1250/1251 is
         # re-measured, so only the containment check can object
-        ({"a": 1252, "new_density": [1250, 1251]}, "doubled translate leaves the base"),
-        ({"new_density": [1, 2]}, "increment density fails recheck"),
+        ({"a": 1252, "new_density": Fraction(1250, 1251)}, "doubled translate leaves the base"),
+        ({"new_density": Fraction(1, 2)}, "increment density fails recheck"),
     ],
     ids=["translate-leaves-base", "forged-density"],
 )
 def test_recheck_rederives_forged_local_increment_record(forged, complaint):
     evens, result = _evens_local_increment_run()
-    forgery = copy.deepcopy(result)
-    forgery.steps[0].payload["dichotomy"]["data"]["increment"].update(forged)
-    problems = recheck_run(evens, 2500, forgery)
+    problems = recheck_run(evens, 2500, _forge_last(result, dichotomy=forged))
     assert len(problems) == 1 and complaint in problems[0]
 
 
-def _forge_translate(info, evens):
+def _forge_translate(evens):
     # a translate that pokes out of [-1800, 1800], with its density claim
     # re-measured so that only the containment check can object
-    info["translate"] = -1800
     refined = BohrSet.from_spec(BohrSpec(
         (Fraction(1), Fraction(1, 2)), Fraction(1, 96), Fraction(75, 2)
     ))
     shifted = evens + 1800
     got = Fraction(int(np.isin(shifted, refined.elements).sum()), refined.size)
-    info["delta_after"] = [got.numerator, got.denominator]
+    return {"translate": -1800, "delta_after": got}
 
 
 def _forge_spec(theta, eps):
-    def forge(info, evens):
+    def forge(evens):
         # the same integer set as the true refined spec, so the density holds
-        info["new_spec"] = BohrSpec(theta, eps, Fraction(75, 2)).as_dict()
+        return {"new_set": BohrSet.from_spec(BohrSpec(theta, eps, Fraction(75, 2)))}
     return forge
 
 
@@ -555,10 +584,215 @@ def _forge_spec(theta, eps):
 )
 def test_recheck_rederives_forged_fourier_record(forge, complaint):
     evens, result = _parity_fourier_run()
-    forged = copy.deepcopy(result)
-    forge(forged.steps[0].payload["increment"], evens)
-    problems = recheck_run(evens, 1800, forged)
+    inc = dataclasses.replace(result.steps[0].increment, **forge(evens))
+    problems = recheck_run(evens, 1800, _forge_last(result, increment=inc))
     assert len(problems) == 1 and complaint in problems[0]
+
+
+def _step_of_case(case: str) -> StepRecord:
+    """A real record of each case ``run`` reaches, and the two hand-built ones."""
+    if case == "config":
+        return run(random_set(2000, 0.3, 7), 2000, 2, mode="practical").steps[-1]
+    if case == "small-bohr":
+        return _behrend_small_bohr_run()[1].steps[-1]
+    if case == "local-increment":
+        return _evens_local_increment_run()[1].steps[0]
+    return _parity_fourier_run()[1].steps[0]
+
+
+# report forms of real records, pinned as literals: the trace and the run
+# report carry these bytes, whatever form the records keep their evidence in
+STEP_FORMS = {
+    "config": {
+        "M": [2000, 1],
+        "case": "config",
+        "certificate": {
+            "chain": [
+                {"c": [1, 320], "index": 1, "size": 13, "target": [1, 160], "tried": 1},
+                {"c": [1, 16], "index": 2, "size": 1, "target": [1, 8], "tried": 1},
+            ],
+            "config": {"a": 2, "elements": [2, 7, 12], "ns": [5, 0]},
+            "config_original": {"a": 2, "elements": [2, 7, 12], "ns": [5, 0]},
+            "finder": {
+                "budget": 100000000,
+                "config": {"a": 2, "elements": [2, 7, 12], "ns": [5, 0]},
+                "mode": "restricted",
+                "status": "found",
+                "work": 192,
+            },
+        },
+        "d": 1,
+        "delta": [648, 4001],
+        "eps": [1, 2],
+        "mult": 1,
+        "offset": 0,
+        "spec": {
+            "M": [2000, 1],
+            "degenerate": True,
+            "dim": 1,
+            "eps": [1, 2],
+            "theta": [[1, 1]],
+        },
+        "step": 0,
+    },
+    "small-bohr": {
+        "M": [3000, 1],
+        "case": "small-bohr",
+        "certificate": {
+            "chain": [
+                {"c": [1, 320], "index": 1, "size": 19, "target": [1, 160], "tried": 1},
+                {"c": [1, 16], "index": 2, "size": 1, "target": [1, 8], "tried": 1},
+            ],
+            "dichotomy": {
+                "data": {
+                    "freeness": {
+                        "budget": 100000000,
+                        "mode": "restricted",
+                        "status": "none",
+                        "work": 2113,
+                    },
+                    "inner_sizes": [19, 1],
+                    "small": {"size": 1, "threshold": [3457728288016, 29791]},
+                },
+                "delta": [62, 6001],
+                "kind": "small-bohr",
+                "s": 2,
+                "unmet": ["c1 = 1/320 exceeds smallness bound 961/115238403200"],
+            },
+        },
+        "d": 1,
+        "delta": [62, 6001],
+        "eps": [1, 2],
+        "mult": 1,
+        "offset": 0,
+        "spec": {
+            "M": [3000, 1],
+            "degenerate": True,
+            "dim": 1,
+            "eps": [1, 2],
+            "theta": [[1, 1]],
+        },
+        "step": 0,
+    },
+    "local-increment": {
+        "M": [2500, 1],
+        "case": "local-increment",
+        "certificate": {
+            "chain": [
+                {"c": [1, 4], "index": 1, "size": 1251, "target": [1, 4], "tried": 1},
+                {"c": [1, 1], "index": 2, "size": 1251, "target": [1, 1], "tried": 1},
+            ],
+            "dichotomy": {
+                "data": {
+                    "freeness": {
+                        "budget": 100000000,
+                        "config": {
+                            "a": -2500,
+                            "elements": [-2500, -2498, -2496],
+                            "ns": [0, 2],
+                        },
+                        "mode": "restricted",
+                        "status": "found",
+                        "work": 7201492,
+                    },
+                    "increment": {
+                        "a": -1250,
+                        "inner_index": 1,
+                        "new_density": [1, 1],
+                        "required": [27511, 53344],
+                    },
+                    "inner_sizes": [1251, 1251],
+                },
+                "delta": [2501, 5001],
+                "kind": "local-increment",
+                "s": 2,
+                "unmet": [
+                    "c1 = 1/4 exceeds smallness bound 6255001/320128012800",
+                    "subset is not configuration-free on the restricted domain",
+                ],
+            },
+        },
+        "d": 1,
+        "delta": [2501, 5001],
+        "eps": [1, 2],
+        "mult": 1,
+        "offset": 0,
+        "spec": {
+            "M": [2500, 1],
+            "degenerate": True,
+            "dim": 1,
+            "eps": [1, 2],
+            "theta": [[1, 1]],
+        },
+        "step": 0,
+    },
+    "fourier-refined": {
+        "M": [1800, 1],
+        "case": "fourier-refined",
+        "certificate": {
+            "increment": {
+                "a_star": -1500,
+                "bound_asserted": False,
+                "delta_after": [1, 1],
+                "delta_before": [1801, 3601],
+                "grid_used": 1204,
+                "guaranteed_bound": None,
+                "inverse_avg": None,
+                "new_spec": {
+                    "M": [75, 2],
+                    "degenerate": False,
+                    "dim": 2,
+                    "eps": [1, 96],
+                    "theta": [[1, 1], [1, 2]],
+                },
+                "scan_value": 0.4999997689678546,
+                "status": "refined",
+                "translate": -1764,
+                "unmet": [
+                    "c1 = 1/6 exceeds eta^3/(2^15 d) = 27/8000000",
+                    "c_prime = 1/8 exceeds eta/(2^13 d) = 3/51200",
+                ],
+                "y": [1, 2],
+            },
+        },
+        "d": 1,
+        "delta": [1801, 3601],
+        "eps": [1, 2],
+        "mult": 1,
+        "offset": 0,
+        "spec": {
+            "M": [1800, 1],
+            "degenerate": True,
+            "dim": 1,
+            "eps": [1, 2],
+            "theta": [[1, 1]],
+        },
+        "step": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_FORMS))
+def test_step_record_report_forms_are_pinned(case):
+    rec = _step_of_case(case)
+    assert rec.case == case
+    assert rec.as_dict() == STEP_FORMS[case]
+
+
+def test_recheck_reports_records_missing_their_witness():
+    # a relabelled outcome holds none of the evidence its new case moves on
+    subset, result = _behrend_small_bohr_run()
+    forged = dataclasses.replace(
+        _forge_last(result, dichotomy={"kind": "local-increment"}), status="limit", exit_code=3
+    )
+    assert recheck_run(subset, 3000, forged) == [
+        f"step {result.steps[-1].step}: local-increment record without its witness"
+    ]
+    evens, result = _parity_fourier_run()
+    inc = dataclasses.replace(result.steps[0].increment, status="no-witness", new_set=None)
+    assert recheck_run(evens, 1800, _forge_last(result, increment=inc)) == [
+        "step 0: fourier-no-witness record names no new set"
+    ]
 
 
 _NO_EXHAUSTION = "status exhausted without a final small-bohr record or an empty replayed set"

@@ -42,6 +42,7 @@ from bohrkit.patterns import (
     find_configuration_restricted,
     random_set,
     smallness_bound,
+    u2_threshold,
     verify_configuration,
 )
 
@@ -707,7 +708,7 @@ def test_dichotomy_small_bohr_on_sparse_set():
     chain = _chain(base, [Fraction(1, 320), Fraction(1, 16)])
     out = dichotomy(subset, base, chain, enforce=False)
     assert out.kind == "small-bohr"
-    assert "small" in out.data
+    assert Fraction(out.inner_sizes[-1]) <= smallness_bound(2, out.delta)
 
 
 def test_dichotomy_enforce_raises_on_unmet():
@@ -724,10 +725,9 @@ def test_dichotomy_local_increment_branch():
     evens = base.elements[base.elements % 2 == 0]
     out = dichotomy(evens, base, _chain(base, [Fraction(1, 4), Fraction(1)]), enforce=False)
     assert out.kind == "local-increment"
-    info = out.data["increment"]
-    assert info["new_density"] == [1, 1]
+    assert out.new_density == 1
     # recheck the recorded translate by direct counting
-    a = info["a"]
+    a = out.a
     inner = BohrSet.from_spec(base.spec.dilate(Fraction(1, 4)))
     translate = a + 2 * inner.elements
     assert np.all(np.isin(translate, base.elements))
@@ -751,7 +751,7 @@ def test_dichotomy_local_increment_at_exactly_the_required_density():
     subset = e[~((e >= -20) & (e <= 0) & (e % 2 == 0))]
     out = dichotomy(subset, base, [inner, inner], enforce=False)
     assert out.kind == "local-increment"
-    assert out.data["increment"] == {
+    assert out.as_dict()["data"]["increment"] == {
         "inner_index": 1, "a": -17, "new_density": [1, 1], "required": [1, 1]
     }
 
@@ -788,10 +788,9 @@ def test_dichotomy_local_increment_pick_is_the_literal_rule(m, density, seed):
     if pick is None:
         assert out.kind != "local-increment"
     else:
-        info = out.data["increment"]
         assert out.kind == "local-increment"
-        assert (info["inner_index"], info["a"]) == (pick["inner_index"], pick["a"])
-        assert Fraction(*info["new_density"]) == pick["new_density"]
+        assert (out.inner_index, out.a) == (pick["inner_index"], pick["a"])
+        assert out.new_density == pick["new_density"]
 
 
 def test_dichotomy_large_u2_branch():
@@ -802,8 +801,8 @@ def test_dichotomy_large_u2_branch():
     subset = arr[np.mod(arr, 15) != 0]
     out = dichotomy(subset, base, [base, base], enforce=False, budget=10**9)
     assert out.kind == "large-u2"
-    info = out.data["large_u2"]
-    assert info["norm"] >= Fraction(*info["threshold"])
+    assert out.scanned_pairs == ((1, 2),)
+    assert out.norms[-1] >= u2_threshold(2, out.delta)
 
 
 def test_dichotomy_no_case_when_nothing_fires():
@@ -812,6 +811,126 @@ def test_dichotomy_no_case_when_nothing_fires():
     out = dichotomy(base.elements, base, [base, base], enforce=False)
     assert out.kind == "no-case"
     assert out.unmet  # honest: preconditions were not certified
+
+
+def _dichotomy_of_kind(kind: str):
+    """The outcomes of the branch tests above, one of each kind."""
+    if kind == "small-bohr":
+        base = _interval_base(1000)
+        chain = _chain(base, [Fraction(1, 320), Fraction(1, 16)])
+        return dichotomy(behrend_set(1000), base, chain, enforce=False)
+    if kind == "local-increment":
+        base = _interval_base(181)
+        inner = BohrSet.from_spec(base.spec.dilate(Fraction(82, 181)))
+        e = base.elements
+        subset = e[~((e >= -20) & (e <= 0) & (e % 2 == 0))]
+        return dichotomy(subset, base, [inner, inner], enforce=False)
+    if kind == "large-u2":
+        base = _interval_base(79)
+        subset = base.elements[np.mod(base.elements, 15) != 0]
+        return dichotomy(subset, base, [base, base], enforce=False, budget=10**9)
+    base = _interval_base(64)
+    return dichotomy(base.elements, base, [base, base], enforce=False)
+
+
+# report forms of real outcomes, pinned as literals: the thresholds the
+# report derives from (s, delta) must give these bytes
+DICHOTOMY_FORMS = {
+    "small-bohr": {
+        "data": {
+            "freeness": {
+                "budget": 100000000,
+                "mode": "restricted",
+                "status": "none",
+                "work": 272,
+            },
+            "inner_sizes": [7, 1],
+            "small": {"size": 1, "threshold": [128192096016, 4913]},
+        },
+        "delta": [34, 2001],
+        "kind": "small-bohr",
+        "s": 2,
+        "unmet": ["c1 = 1/320 exceeds smallness bound 289/12812803200"],
+    },
+    "local-increment": {
+        "data": {
+            "freeness": {
+                "budget": 100000000,
+                "config": {"a": -181, "elements": [-181, -180, -179], "ns": [0, 1]},
+                "mode": "restricted",
+                "status": "found",
+                "work": 19596,
+            },
+            "increment": {
+                "a": -17,
+                "inner_index": 1,
+                "new_density": [1, 1],
+                "required": [1, 1],
+            },
+            "inner_sizes": [165, 165],
+        },
+        "delta": [32, 33],
+        "kind": "local-increment",
+        "s": 2,
+        "unmet": [
+            "c1 = 82/181 exceeds smallness bound 2/27225",
+            "subset is not configuration-free on the restricted domain",
+        ],
+    },
+    "large-u2": {
+        "data": {
+            "freeness": {
+                "budget": 100000000,
+                "config": {"a": -79, "elements": [-79, -78, -77], "ns": [0, 1]},
+                "mode": "restricted",
+                "status": "found",
+                "work": 14621,
+            },
+            "inner_sizes": [159, 159],
+            "large_u2": {
+                "norm": 0.09747567604524247,
+                "norms_scanned": {"1,2": 0.09747567604524247},
+                "pair": [1, 2],
+                "threshold": [50653, 8039358],
+            },
+        },
+        "delta": [148, 159],
+        "kind": "large-u2",
+        "s": 2,
+        "unmet": [
+            "c1 = 1 exceeds smallness bound 1369/20224800",
+            "subset is not configuration-free on the restricted domain",
+        ],
+    },
+    "no-case": {
+        "data": {
+            "freeness": {
+                "budget": 100000000,
+                "config": {"a": -64, "elements": [-64, -63, -62], "ns": [0, 1]},
+                "mode": "restricted",
+                "status": "found",
+                "work": 8213,
+            },
+            "inner_sizes": [129, 129],
+            "norms_scanned": {"1,2": 0.0},
+            "u2_threshold": [1, 128],
+        },
+        "delta": [1, 1],
+        "kind": "no-case",
+        "s": 2,
+        "unmet": [
+            "c1 = 1 exceeds smallness bound 1/12800",
+            "subset is not configuration-free on the restricted domain",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", list(DICHOTOMY_FORMS))
+def test_dichotomy_report_forms_are_pinned(kind):
+    out = _dichotomy_of_kind(kind)
+    assert out.kind == kind
+    assert out.as_dict() == DICHOTOMY_FORMS[kind]
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from bohrkit.bohr import (
 )
 from bohrkit.cli import main, read_spec_file
 from bohrkit.gowers import InverseCheck, U2Report
-from bohrkit.increment import IncrementOutcome, RunResult, StepRecord, run
+from bohrkit.increment import ChainLink, IncrementOutcome, RunResult, StepRecord, run
 from bohrkit.patterns import (
     Configuration,
     CountingBoundReport,
@@ -330,8 +330,10 @@ FOUND = FinderResult("found", CONFIG, 12, 100, "restricted")
 NONE = FinderResult("none", None, 40, 100, "extent")
 EMBED = EmbedResult("ok", FreimanMap(np.array([1, 2, 5]), 11, np.array([3, 6, 4]), 3),
                     F(5, 2), 5, 3, 3, 2, 4, 7)
-STEP = StepRecord(0, "small-bohr", 1, F(3, 10), BohrSpec((F(1),), F(1, 2), F(9)), 2, -1,
-                  {"chain": [{"c": [1, 4]}]})
+DICH = DichotomyOutcome("small-bohr", 2, F(1, 4), ("c1",), NONE, (3, 1))
+LINK = ChainLink(1, F(1, 4), F(1, 2), 3, 2)
+WINDOW = BohrSpec((F(1),), F(1, 2), F(9))
+STEP = StepRecord(0, F(3, 10), WINDOW, 2, -1, (LINK,), dichotomy=DICH)
 
 SPEC_D = {"theta": [[1, 3], [2, 7]], "eps": [1, 5], "M": [20, 1], "dim": 2,
           "degenerate": False}
@@ -342,6 +344,14 @@ CONFIG_D = {"a": 3, "ns": [0, 2], "elements": [3, 5, 7]}
 FOUND_D = {"status": "found", "work": 12, "budget": 100, "mode": "restricted",
            "config": CONFIG_D}
 NONE_D = {"status": "none", "work": 40, "budget": 100, "mode": "extent"}
+DICH_D = {"kind": "small-bohr", "s": 2, "delta": [1, 4], "unmet": ["c1"],
+          "data": {"freeness": NONE_D, "inner_sizes": [3, 1],
+                   "small": {"size": 1, "threshold": [8192, 1]}}}
+LINK_D = {"index": 1, "c": [1, 4], "target": [1, 2], "size": 3, "tried": 2}
+WINDOW_D = {"theta": [[1, 1]], "eps": [1, 2], "M": [9, 1], "dim": 1, "degenerate": True}
+STEP_D = {"step": 0, "case": "small-bohr", "d": 1, "delta": [3, 10], "eps": [1, 2],
+          "M": [9, 1], "spec": WINDOW_D, "mult": 2, "offset": -1,
+          "certificate": {"chain": [LINK_D], "dichotomy": DICH_D}}
 EMBED_D = {"status": "ok", "map": {"modulus": 11, "multiplier": 3,
                                    "pairs": [[1, 3], [2, 6], [5, 4]]},
            "k_declared": [5, 2], "diff_size": 5, "domain_size": 3, "kept_size": 3,
@@ -395,18 +405,15 @@ REPORT_FORMS = [
     (CountingBoundReport(FOUND, None, None, F(4, 5), None),
      {"freeness": FOUND_D, "count": None, "t_value": None, "bound": [4, 5],
       "holds": None}),
-    (DichotomyOutcome("small-bohr", 2, F(1, 4), ("c1",), {"small": {"size": 1}}),
-     {"kind": "small-bohr", "s": 2, "delta": [1, 4], "unmet": ["c1"],
-      "data": {"small": {"size": 1}}}),
+    (DICH, DICH_D),
+    (LINK, LINK_D),
+    (StepRecord(0, F(3, 10), WINDOW, 2, -1, (LINK,), finder=FOUND),
+     {**STEP_D, "case": "config",
+      "certificate": {"chain": [LINK_D], "config": CONFIG_D, "finder": FOUND_D,
+                      "config_original": {"a": 5, "ns": [0, 4], "elements": [5, 9, 13]}}}),
     (RunResult("found", 0, "configuration found", CONFIG, (STEP,), {"d": 1, "set_size": 4}),
      {"status": "found", "exit_code": 0, "reason": "configuration found",
-      "config": CONFIG_D,
-      "steps": [{"step": 0, "case": "small-bohr", "d": 1, "delta": [3, 10],
-                 "eps": [1, 2], "M": [9, 1],
-                 "spec": {"theta": [[1, 1]], "eps": [1, 2], "M": [9, 1], "dim": 1,
-                          "degenerate": True},
-                 "mult": 2, "offset": -1, "certificate": {"chain": [{"c": [1, 4]}]}}],
-      "final": {"d": 1, "set_size": 4}}),
+      "config": CONFIG_D, "steps": [STEP_D], "final": {"d": 1, "set_size": 4}}),
     (RunResult("limit", 3, "step cap 0 reached", None, (), {}),
      {"status": "limit", "exit_code": 3, "reason": "step cap 0 reached", "config": None,
       "steps": [], "final": {}}),
@@ -427,3 +434,31 @@ REPORT_FORMS = [
 )
 def test_result_report_forms_are_pinned(result, expected):
     assert result.as_dict() == expected
+
+
+# the dichotomy's other branches: each threshold derives from (s, delta), and
+# the scanned pairs from s and the number of norms
+BRANCH_FORMS = [
+    (DichotomyOutcome("local-increment", 2, F(1, 4), (), NONE, (3, 3),
+                      inner_index=2, a=-6, new_density=F(2, 3)),
+     {**DICH_D, "kind": "local-increment", "unmet": [],
+      "data": {"freeness": NONE_D, "inner_sizes": [3, 3],
+               "increment": {"inner_index": 2, "a": -6, "new_density": [2, 3],
+                             "required": [33, 128]}}}),
+    (DichotomyOutcome("large-u2", 3, F(1, 4), (), NONE, (9, 5, 3), norms=(0.01, 0.5)),
+     {**DICH_D, "kind": "large-u2", "s": 3, "unmet": [],
+      "data": {"freeness": NONE_D, "inner_sizes": [9, 5, 3],
+               "large_u2": {"pair": [1, 3], "norm": 0.5, "threshold": [1, 1179648],
+                            "norms_scanned": {"1,2": 0.01, "1,3": 0.5}}}}),
+    (DichotomyOutcome("violation", 2, F(1, 4), (), NONE, (3, 3), norms=(0.01,)),
+     {**DICH_D, "kind": "violation", "unmet": [],
+      "data": {"freeness": NONE_D, "inner_sizes": [3, 3], "norms_scanned": {"1,2": 0.01},
+               "u2_threshold": [1, 8192]}}),
+]
+
+
+@pytest.mark.parametrize(
+    "outcome, expected", BRANCH_FORMS, ids=[o.kind for o, _ in BRANCH_FORMS]
+)
+def test_dichotomy_branch_report_forms_are_pinned(outcome, expected):
+    assert outcome.as_dict() == expected
