@@ -507,19 +507,21 @@ def certificates(sets: Sequence[BohrSet]) -> list[RegularityCertificate]:
     return [known[bs.spec] for bs in sets]
 
 
+_MAX_CANDIDATES = 64  # dilations the regular-dilation search tries at most
+
+
 def find_regular_dilation(
     spec: BohrSpec,
     lo: RationalLike,
     hi: RationalLike,
     *,
-    max_candidates: int = 64,
     enum_limit: int = ENUM_LIMIT,
 ) -> DilationSearch:
     """First dilation ``c`` in ``[lo, hi]`` whose dilate certifies regular.
 
     Candidates are ``lo``, then midpoints between consecutive distinct entry
     dilations ``alpha(n)`` falling in ``(lo, hi)`` (with ``lo`` and ``hi`` as
-    virtual neighbors), then ``hi``, ascending, capped at ``max_candidates``.
+    virtual neighbors), then ``hi``, ascending, capped at ``_MAX_CANDIDATES``.
     Midpoints keep the dilated boundary as far as possible from any element's
     entry threshold, which is where certificates fail.
 
@@ -534,11 +536,11 @@ def find_regular_dilation(
     keys, B = _key_index(spec, floor_frac((1 + w) * hi * spec.M), enum_limit)
 
     # keys with lo < alpha < hi; [lo] + midpoints + [hi] is strictly ascending
-    # when lo < hi, so max_candidates candidates need no more of them than that
+    # when lo < hi, so the capped candidates need no more of them than the cap
     inside = _distinct_keys(keys, floor_frac(lo * B), -floor_frac(-hi * B) - 1)
-    vals = [lo] + [Fraction(k, B) for k in inside[:max_candidates]] + [hi]
+    vals = [lo] + [Fraction(k, B) for k in inside[:_MAX_CANDIDATES]] + [hi]
     mids = [(a + b) / 2 for a, b in zip(vals, vals[1:])]
-    candidates = ([lo] + mids + [hi] if lo < hi else [lo])[:max_candidates]
+    candidates = ([lo] + mids + [hi] if lo < hi else [lo])[:_MAX_CANDIDATES]
 
     for i, c in enumerate(candidates):
         cert = _certify(spec.dilate(c), keys, B, c)

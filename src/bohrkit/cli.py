@@ -44,12 +44,11 @@ from .bohr import (
     exact_density,
     find_regular_alpha,
     regularity_certificate,
-    sorted_distinct,
     spec_from_dict,
 )
 from .exact import as_rational, wire
 from .functions import BoundedFunction
-from .gowers import FOURIER_GRID, check_inverse_theorem, u2_report
+from .gowers import FOURIER_GRID, check_inverse_theorem, u2_fourth_correlation, u2_report
 from .increment import ConstantTable, EngineLimits, plan_inner_dilations, run
 from .patterns import (
     WORD_BUDGET,
@@ -63,6 +62,7 @@ from .patterns import (
 from .reports import emit_report, write_trace
 from .sumfree import (
     EMBED_RETRIES,
+    difference_size,
     find_configuration_via_embedding,
     is_sumfree_with_respect_to,
     ruzsa_embed,
@@ -307,10 +307,7 @@ def _cmd_u2(args) -> int:
     if len(args.spec) > 3:
         raise CLIError("at most three --spec files: base, inner, inner")
     arr = read_set_file(args.set)
-    sets = []
-    for path in args.spec:
-        spec = read_spec_file(path)
-        sets.append(BohrSet(spec, enumerate_bohr(spec, enum_limit=args.budget)))
+    sets = [BohrSet.from_spec(read_spec_file(path)) for path in args.spec]
     base = sets[0]
     inner1 = sets[1] if len(sets) > 1 else base
     inner2 = sets[2] if len(sets) > 2 else inner1
@@ -320,8 +317,8 @@ def _cmd_u2(args) -> int:
         _emit(rep.as_dict(), args)
         return EXIT_OK
     f, _delta = BoundedFunction.balanced_indicator(arr, base.elements)
-    rep = u2_report(f, base, inner1, inner2, budget=args.budget)
-    eta = Fraction(rep.norm) if rep.norm > 0 else Fraction(1, 10**6)
+    norm = u2_fourth_correlation(f, base, inner1, inner2, budget=args.budget) ** 0.25
+    eta = Fraction(norm) if norm > 0 else Fraction(1, 10**6)
     check = check_inverse_theorem(
         f, base, inner1, inner2, eta, grid=args.grid, budget=args.budget
     )
@@ -426,8 +423,7 @@ def _cmd_sumfree(args) -> int:
         arr = read_set_file(args.set)
         if arr.size == 0:
             raise CLIError(f"{args.set}: empty set")
-        diffs = sorted_distinct(arr[:, None] - arr[None, :])
-        k = Fraction(int(diffs.size), int(arr.size))
+        k = Fraction(difference_size(arr), int(arr.size))
         res = ruzsa_embed(arr, k, retries=args.budget, seed=args.seed)
         _emit(res.as_dict(), args)
         return EXIT_OK if res.status == "ok" else EXIT_BUDGET

@@ -14,7 +14,8 @@ State bookkeeping: the ambient set is always a genuine Bohr set in *current*
 coordinates, and an affine map ``original = mult * x + offset`` links current
 coordinates to the input set. One private engine state holds the current set,
 the ambient spec and that map, and :func:`run` and :func:`recheck_run` move it
-through the same two transitions. The doubled translate ``a + 2 * target``
+through one checked function, so ``run`` accepts no move that the recheck
+rejects. The doubled translate ``a + 2 * target``
 renormalizes ``x -> (x - a) / 2`` (``mult`` doubles); the translate ``t +
 target`` of the Fourier step subtracts ``t``. Either way the new ambient set
 is ``target`` itself (for the Fourier step, the set the scan enumerated) and
@@ -534,19 +535,50 @@ class _State:
         window = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(N))
         return cls(arr[(arr >= -N) & (arr <= N)], window)
 
-    def doubled(self, a: int, target: BohrSet) -> "_State":
-        """The doubled translate ``a + 2 * target``, renormalized by ``x -> (x - a) / 2``."""
-        return self._moved(a, 2, target)
-
-    def translated(self, t: int, target: BohrSet) -> "_State":
-        """The translate ``t + target``, moved back by ``t``."""
-        return self._moved(t, 1, target)
-
     def _moved(self, shift: int, scale: int, target: BohrSet) -> "_State":
         idx, hit = sorted_lookup(self.work, shift + scale * target.elements)
         mult, offset = self.mult, self.offset
         kept = self.work[idx[hit]]
         return _State((kept - shift) // scale, target.spec, mult * scale, offset + mult * shift)
+
+
+def _checked_move(state: _State, rec: StepRecord, target: BohrSet) -> tuple[_State, list[str]]:
+    """The state after the transition ``rec`` claims onto ``target``, and
+    every complaint against it; :func:`run` and :func:`recheck_run` accept
+    each move only through here.
+
+    A ``local-increment`` record moves to the doubled translate ``a + 2 *
+    target``, renormalized by ``x -> (x - a) / 2``, and must gain the factor
+    ``increment_factor(s)``. A ``fourier-*`` record moves to the translate
+    ``t + target``, moved back by ``t``. Its ``target`` must refine the
+    ambient spec (the ambient frequencies first, then any adjoined ones,
+    with ``eps`` and ``M`` shrunk by one common ratio in (0, 1)), and the
+    density must rise. Either way the translate must lie in the ambient set
+    and the re-measured density must equal the record's claim.
+    """
+    spec, step, dich, inc = state.spec, rec.step, rec.dichotomy, rec.increment
+    problems = []
+    if inc is None:
+        shift, scale, claim, name = dich.a, 2, dich.new_density, "increment"
+        outside = "doubled translate leaves the base"
+    else:
+        shift, scale, claim, name = inc.translate, 1, inc.delta_after, "fourier"
+        outside = "refined translate leaves the ambient set"
+        new = target.spec
+        ratio = infer_dilation(BohrSpec(new.theta[: spec.dim], new.eps, new.M), spec)
+        if ratio is None or not 0 < ratio < 1:
+            problems.append(f"step {step}: new spec is not a refinement of the ambient spec")
+    if not bool(np.all(membership_mask(spec, shift + scale * target.elements))):
+        problems.append(f"step {step}: {outside}")
+    moved = state._moved(shift, scale, target)
+    got = Fraction(int(moved.work.size), target.size)
+    if got != claim:
+        problems.append(f"step {step}: {name} density fails recheck")
+    if inc is None and got < rec.delta * increment_factor(dich.s):
+        problems.append(f"step {step}: increment below the required factor")
+    elif inc is not None and got <= rec.delta:
+        problems.append(f"step {step}: fourier step did not gain density")
+    return moved, problems
 
 
 def plan_inner_dilations(
@@ -664,26 +696,13 @@ def run(
             records.append(record(dichotomy=out))
             return finish("exhausted", "innermost Bohr set certified small")
 
-        if out.kind == "local-increment":
-            target = inner_sets[out.inner_index - 1]
-            moved = state.doubled(out.a, target)
-            new_delta = Fraction(int(moved.work.size), target.size)
-            if new_delta != out.new_density:
-                return finish("limit", "local increment failed recheck")
-            if new_delta < delta * increment_factor(s):
-                return finish("limit", "local increment below the required factor")
-            records.append(record(dichotomy=out))
-            state, ambient = moved, target
-            continue
-
         if out.kind == "large-u2":
             _, j = out.scanned_pairs[-1]
-            inner = inner_sets[j - 1]
             try:
                 inc = fourier_increment(
                     work,
                     ambient,
-                    inner,
+                    inner_sets[j - 1],
                     table.c_prime(s, spec.dim, delta),
                     table.eta(s, delta),
                     grid=limits.grid,
@@ -694,23 +713,24 @@ def run(
                 return finish("limit", f"fourier scan budget: {exc}")
             if inc.status in ("no-witness", "hypothesis-not-met"):
                 return finish("limit", f"fourier increment: {inc.status}")
-            gain = inc.increment
-            if gain is None or gain <= 0 or gain < table.min_increment():
+            if inc.increment < table.min_increment():
                 return finish("limit", "fourier witness gain below acceptance")
-            moved = state.translated(inc.translate, inc.new_set)
-            if Fraction(int(moved.work.size), inc.new_set.size) != inc.delta_after:
-                return finish("limit", "fourier increment failed recheck")
-            records.append(record(dichotomy=out, increment=inc))
-            state, ambient = moved, inc.new_set
-            continue
+            rec, target = record(dichotomy=out, increment=inc), inc.new_set
+        elif out.kind == "local-increment":
+            rec, target = record(dichotomy=out), inner_sets[out.inner_index - 1]
+        else:  # violation / no-case
+            records.append(record(dichotomy=out))
+            if out.kind == "violation":
+                return finish(
+                    "violation", "all dichotomy branches clean under certified preconditions"
+                )
+            return finish("limit", "no dichotomy branch fired (preconditions unmet)")
 
-        # violation / no-case
-        records.append(record(dichotomy=out))
-        if out.kind == "violation":
-            return finish(
-                "violation", "all dichotomy branches clean under certified preconditions"
-            )
-        return finish("limit", "no dichotomy branch fired (preconditions unmet)")
+        moved, problems = _checked_move(state, rec, target)
+        if problems:
+            return finish("limit", "transition rejected: " + "; ".join(problems))
+        records.append(rec)
+        state, ambient = moved, target
 
     return finish("limit", f"step cap {_MAX_STEPS} reached")
 
@@ -724,17 +744,13 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     """Independently re-verify every accepted step of a run from its records.
 
     Replays the state transforms and re-measures each step's claim on freshly
-    enumerated sets. A ``local-increment`` record's doubled translate must lie
-    in the ambient set and reach the required density, re-measured. A
-    ``fourier-*`` record must name a refinement of the ambient spec (the
-    ambient frequencies first, then any adjoined ones, with ``eps`` and ``M``
-    shrunk by one common ratio in (0, 1)) whose translate ``t0 +
-    new_ambient`` lies inside the ambient set, and its density is
-    re-measured. A terminal dichotomy record is re-derived rather than
-    re-read (see :func:`_terminal_problems`). The terminal status is never
-    read on trust: it must follow from the record the replay ends on (see
-    :func:`_status_problems`). Returns the list of discrepancies (empty means
-    the whole trace rechecks).
+    enumerated sets. A ``local-increment`` or ``fourier-*`` record's target
+    is rebuilt from the record, and the move is checked by the rule ``run``
+    accepted it by (see :func:`_checked_move`). A terminal dichotomy record
+    is re-derived rather than re-read (see :func:`_terminal_problems`). The
+    terminal status is never read on trust: it must follow from the record
+    the replay ends on (see :func:`_status_problems`). Returns the list of
+    discrepancies (empty means the whole trace rechecks).
     """
     problems: list[str] = []
     state = _State.start(subset, N)
@@ -773,39 +789,17 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
             if dich.a is None:
                 problems.append(f"step {rec.step}: local-increment record without its witness")
                 break
-            inner = BohrSet.from_spec(_chain_specs(spec, rec.chain[: dich.inner_index])[-1])
-            if not bool(np.all(membership_mask(spec, dich.a + 2 * inner.elements))):
-                problems.append(f"step {rec.step}: doubled translate leaves the base")
-            state = state.doubled(dich.a, inner)
-            got = Fraction(int(state.work.size), inner.size)
-            if got != dich.new_density:
-                problems.append(f"step {rec.step}: increment density fails recheck")
-            if got < delta * increment_factor(dich.s):
-                problems.append(f"step {rec.step}: increment below the required factor")
-            continue
-        if rec.case.startswith("fourier-"):
-            t0, new_spec = rec.increment.translate, rec.increment.new_spec
-            if new_spec is None:
+            target = BohrSet.from_spec(_chain_specs(spec, rec.chain[: dich.inner_index])[-1])
+        elif rec.case.startswith("fourier-"):
+            if rec.increment.new_spec is None:
                 problems.append(f"step {rec.step}: {rec.case} record names no new set")
                 break
-            prefix = BohrSpec(new_spec.theta[: spec.dim], new_spec.eps, new_spec.M)
-            ratio = infer_dilation(prefix, spec)
-            if ratio is None or not 0 < ratio < 1:
-                problems.append(
-                    f"step {rec.step}: new spec is not a refinement of the ambient spec"
-                )
-            new_ambient = BohrSet.from_spec(new_spec)
-            if not bool(np.all(membership_mask(spec, t0 + new_ambient.elements))):
-                problems.append(f"step {rec.step}: refined translate leaves the ambient set")
-            state = state.translated(t0, new_ambient)
-            got = Fraction(int(state.work.size), new_ambient.size)
-            if got != rec.increment.delta_after:
-                problems.append(f"step {rec.step}: fourier density fails recheck")
-            if got <= delta:
-                problems.append(f"step {rec.step}: fourier step did not gain density")
-            continue
-        problems += _terminal_problems(rec, state.work, ambient)
-        break
+            target = BohrSet.from_spec(rec.increment.new_spec)
+        else:
+            problems += _terminal_problems(rec, state.work, ambient)
+            break
+        state, complaints = _checked_move(state, rec, target)
+        problems += complaints
     trailing = len(result.steps) - replayed
     return problems + _status_problems(result, last, trailing, state)
 

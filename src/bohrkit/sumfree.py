@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bohr import ElementsLike, as_elements, sorted_distinct
+from .bohr import ElementsLike, as_elements, require_int64, sorted_distinct
 from .exact import RationalLike, Wired, as_rational
 from .patterns import (
     Configuration,
@@ -77,7 +77,7 @@ class FreimanMap:
         images = np.asarray(self.images, dtype=np.int64)
         if domain.shape != images.shape or domain.ndim != 1:
             raise ValueError("domain and images must be aligned 1-d arrays")
-        if domain.size and np.any(np.diff(domain) <= 0):
+        if np.any(domain[1:] <= domain[:-1]):  # compared, not subtracted: no wrap
             raise ValueError("domain must be strictly increasing")
         if sorted_distinct(images).size != images.size:
             raise ValueError("map must be injective on its domain")
@@ -110,8 +110,13 @@ def check_freiman_isomorphic(fm: FreimanMap) -> bool:
     values. One ``lexsort`` by ``(D, I)`` puts each ``D`` class in a run: the
     first count holds iff ``I`` is constant on every run, and then the second
     iff the runs' ``I`` values are distinct. ``O(n^2 log n)`` time and
-    ``O(n^2)`` memory for ``n`` domain points, in integers only.
+    ``O(n^2)`` memory for ``n`` domain points, in integers only. A pair sum
+    outside int64 raises ``ValueError`` rather than wrap.
     """
+    for what, values in (("domain pair", fm.domain), ("image pair", fm.images)):
+        if values.size:
+            ends = (int(values.min()), int(values.max()))
+            require_int64(what, ends, ends)
     iu, ju = np.triu_indices(fm.domain.size)
     dom_sums = fm.domain[iu] + fm.domain[ju]
     img_sums = (fm.images[iu] + fm.images[ju]) % fm.modulus
@@ -123,6 +128,14 @@ def check_freiman_isomorphic(fm: FreimanMap) -> bool:
         return False  # one domain sum, two image sums
     run_imgs = np.concatenate((img_sorted[:1], img_sorted[1:][~same_dom]))
     return sorted_distinct(run_imgs).size == run_imgs.size
+
+
+def difference_size(arr: np.ndarray) -> int:
+    """``|A - A|`` of a sorted distinct array; ``ValueError`` when a
+    difference leaves int64 (it would wrap onto another)."""
+    if arr.size:
+        require_int64("difference", (int(arr[0]), int(arr[-1])), (-int(arr[-1]), -int(arr[0])))
+    return int(sorted_distinct(arr[:, None] - arr[None, :]).size)
 
 
 @dataclass(frozen=True)
@@ -198,10 +211,10 @@ def ruzsa_embed(
     if n == 0:
         raise ValueError("cannot embed an empty set")
     k = as_rational(k)
-    diffs = sorted_distinct(arr[:, None] - arr[None, :])
-    if diffs.size > k * n:
+    diff_size = difference_size(arr)
+    if diff_size > k * n:
         raise PreconditionError(
-            f"difference set has {diffs.size} elements, exceeding K|A| = {k * n}"
+            f"difference set has {diff_size} elements, exceeding K|A| = {k * n}"
         )
     cap_frac = _C_EMBED * k * n
     cap = int(cap_frac) if cap_frac == int(cap_frac) else int(cap_frac) + 1
@@ -231,11 +244,11 @@ def ruzsa_embed(
             fm = FreimanMap(dom, p, img, multiplier=lam)
             if check_freiman_isomorphic(fm):
                 return EmbedResult(
-                    "ok", fm, k, int(diffs.size), n, int(dom.size),
+                    "ok", fm, k, diff_size, n, int(dom.size),
                     attempts, _C_EMBED, seed,
                 )
     return EmbedResult(
-        "failed", None, k, int(diffs.size), n, 0, attempts, _C_EMBED, seed,
+        "failed", None, k, diff_size, n, 0, attempts, _C_EMBED, seed,
         reason=f"no verified map among {attempts} attempts with modulus <= {cap}",
     )
 
@@ -310,8 +323,7 @@ def find_configuration_via_embedding(
     arr = sorted_distinct(y3)
     if arr.size == 0:
         raise ValueError("empty input set")
-    diffs = sorted_distinct(arr[:, None] - arr[None, :])
-    measured_k = Fraction(int(diffs.size), int(arr.size))
+    measured_k = Fraction(difference_size(arr), int(arr.size))
 
     emb = ruzsa_embed(arr, measured_k, seed=seed)
     if emb.status == "ok":

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bohrkit import bohr
 from bohrkit.bohr import (
     BohrSet,
     BohrSpec,
@@ -484,9 +485,10 @@ _NEAR_PARITY = BohrSpec((Fraction(_BIG // 2, _BIG),), Fraction(499, 500), Fracti
 @example((_NEAR_PARITY, Fraction(1, 2), Fraction(3, 4), 2))
 def test_find_regular_dilation_matches_oracle(inputs):
     spec, lo, hi, k = inputs
-    assert find_regular_dilation(spec, lo, hi, max_candidates=k) == dilation_search_oracle(
-        spec, lo, hi, max_candidates=k
-    )
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body, so no fixture
+        mp.setattr(bohr, "_MAX_CANDIDATES", k)
+        found = find_regular_dilation(spec, lo, hi)
+    assert found == dilation_search_oracle(spec, lo, hi, max_candidates=k)
 
 
 def test_find_regular_dilation_budget_edge():

@@ -315,6 +315,16 @@ def test_u2_compute_routes_agree(tmp_path):
     assert abs(report["fourth_direct"] - report["norm"] ** 4) < 1e-9
 
 
+def test_u2_budget_counts_operations_only(tmp_path):
+    # the spec files are enumerated under the default enumeration limit, so
+    # --budget stops the first U2 route, not the width-20 candidate window
+    path = write_set(tmp_path / "e.txt", range(-20, 21, 2))
+    spec = write_spec(tmp_path / "s.json", [(1, 1)], (1, 2), (20, 1))
+    proc = run_cli("u2", "compute", "--set", path, "--spec", spec, "--budget", "10")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "direct route needs" in proc.stderr and "candidate window" not in proc.stderr
+
+
 def test_sumfree_check_exit_codes(tmp_path):
     z = write_set(tmp_path / "z.txt", [1, 2])
     w3 = write_set(tmp_path / "w3.txt", [3])
@@ -330,6 +340,16 @@ def test_sumfree_embed(tmp_path):
     report = json.loads(proc.stdout)
     assert report["status"] == "ok"
     assert report["kept_size"] * 2 >= 20
+
+
+@pytest.mark.parametrize("values", [[-(2**62), 2**62], [-(2**62), 0, 2**62]],
+                         ids=["two-points", "three-points"])
+def test_sumfree_embed_refuses_wrapped_differences(tmp_path, values):
+    # 2^62 - (-2^62) wraps in int64: the two points once read as unsorted,
+    # and the three were embedded with |A - A| = 4 where it is 5
+    proc = run_cli("sumfree", "embed", "--set", write_set(tmp_path / "a.txt", values))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "difference sums reach" in proc.stderr and "outside int64" in proc.stderr
 
 
 def test_sumfree_find_config(tmp_path):

@@ -301,7 +301,7 @@ def settable_values() -> dict[str, int]:
 def test_settable_values():
     counts = settable_values()
     assert counts["EngineLimits fields"] == 3
-    assert sum(counts.values()) == 40, counts
+    assert sum(counts.values()) == 39, counts
 
 
 def test_checks_catch_what_they_look_for():

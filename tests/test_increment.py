@@ -9,6 +9,7 @@ a literal loop oracle; engine runs against exact replays.
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bohrkit import bohr, increment
+from bohrkit import bohr, increment, patterns
 from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded, enumerate_bohr
 from bohrkit.exact import torus_distance
 from bohrkit.increment import (
@@ -40,6 +41,7 @@ from bohrkit.patterns import (
     u2_threshold,
     verify_configuration,
 )
+from bohrkit.reports import emit_report
 
 # ---------------------------------------------------------------------------
 # independent constant evaluation
@@ -309,7 +311,7 @@ def test_state_transitions_match_loop_oracle(chain):
     subset, N, moves = chain
     state = increment._State.start(np.array(subset, dtype=np.int64), N)
     for kind, shift, target in moves:
-        state = getattr(state, kind)(shift, target)
+        state = state._moved(shift, 2 if kind == "doubled" else 1, target)
         assert state.spec == target.spec
     held = transition_oracle(subset, N, moves)
     assert state.work.tolist() == sorted(held)
@@ -587,6 +589,118 @@ def test_recheck_rederives_forged_fourier_record(forge, complaint):
     inc = dataclasses.replace(result.steps[0].increment, **forge(evens))
     problems = recheck_run(evens, 1800, _forge_last(result, increment=inc))
     assert len(problems) == 1 and complaint in problems[0]
+
+
+# ---------------------------------------------------------------------------
+# the engine's own transitions
+# ---------------------------------------------------------------------------
+
+
+def _forced_thresholds(monkeypatch, factor=None):
+    """No set is small, and with ``factor`` no local increment is large
+    enough: ``increment`` imports both thresholds by name, so patch both."""
+    for module in (patterns, increment):
+        monkeypatch.setattr(module, "smallness_bound", lambda s, delta: Fraction(0))
+        if factor is not None:
+            monkeypatch.setattr(module, "increment_factor", lambda s: Fraction(factor))
+
+
+# canonical reports of the two transition runs, written compactly
+_LOCAL_RUN = (
+    '{"config":null,"exit_code":3,"final":{"d":1,"mult":4,"offset":14,"set_size":1},'
+    '"reason":"no dichotomy branch fired (preconditions unmet)","status":"limit",'
+    '"steps":[{"M":[1000,1],"case":"local-increment","certificate":{"chain":[{"c":[1,'
+    '320],"index":1,"size":7,"target":[1,160],"tried":1},{"c":[1,16],"index":2,"size":1,'
+    '"target":[1,8],"tried":1}],"dichotomy":{"data":{"freeness":{"budget":100000000,'
+    '"mode":"restricted","status":"none","work":272},"increment":{"a":8,"inner_index":1,'
+    '"new_density":[1,7],"required":[187,10672]},"inner_sizes":[7,1]},"delta":[34,2001],'
+    '"kind":"local-increment","s":2,'
+    '"unmet":["c1 = 1/320 exceeds smallness bound 289/12812803200"]}},"d":1,"delta":[34,'
+    '2001],"eps":[1,2],"mult":1,"offset":0,"spec":{"M":[1000,1],"degenerate":true,'
+    '"dim":1,"eps":[1,2],"theta":[[1,1]]},"step":0},{"M":[25,8],"case":"local-increment",'
+    '"certificate":{"chain":[{"c":[1,320],"index":1,"size":1,"target":[1,160],"tried":1},'
+    '{"c":[1,16],"index":2,"size":1,"target":[1,8],"tried":1}],'
+    '"dichotomy":{"data":{"freeness":{"budget":100000000,"mode":"restricted",'
+    '"status":"none","work":3},"increment":{"a":3,"inner_index":1,"new_density":[1,1],'
+    '"required":[33,224]},"inner_sizes":[1,1]},"delta":[1,7],"kind":"local-increment",'
+    '"s":2,"unmet":["c1 = 1/320 exceeds smallness bound 1/627200"]}},"d":1,"delta":[1,7],'
+    '"eps":[1,640],"mult":2,"offset":8,"spec":{"M":[25,8],"degenerate":false,"dim":1,'
+    '"eps":[1,640],"theta":[[1,1]]},"step":1},{"M":[5,512],"case":"no-case",'
+    '"certificate":{"chain":[{"c":[1,320],"index":1,"size":1,"target":[1,160],"tried":1},'
+    '{"c":[1,16],"index":2,"size":1,"target":[1,8],"tried":1}],'
+    '"dichotomy":{"data":{"freeness":{"budget":100000000,"mode":"restricted",'
+    '"status":"none","work":3},"inner_sizes":[1,1],"norms_scanned":{"1,2":0.0},'
+    '"u2_threshold":[1,128]},"delta":[1,1],"kind":"no-case","s":2,'
+    '"unmet":["c1 = 1/320 exceeds smallness bound 1/12800"]}},"d":1,"delta":[1,1],'
+    '"eps":[1,204800],"mult":4,"offset":14,"spec":{"M":[5,512],"degenerate":true,"dim":1,'
+    '"eps":[1,204800],"theta":[[1,1]]},"step":2}]}'
+)
+
+_FOURIER_RUN = (
+    '{"config":null,"exit_code":3,"final":{"d":1,"mult":1,"offset":14,"set_size":1},'
+    '"reason":"no dichotomy branch fired (preconditions unmet)","status":"limit",'
+    '"steps":[{"M":[300,1],"case":"fourier-translate","certificate":{"chain":[{"c":[1,'
+    '320],"index":1,"size":1,"target":[1,160],"tried":1},{"c":[1,16],"index":2,"size":1,'
+    '"target":[1,8],"tried":1}],"dichotomy":{"data":{"freeness":{"budget":100000000,'
+    '"mode":"restricted","status":"none","work":15},"inner_sizes":[1,1],'
+    '"large_u2":{"norm":0.393183236324,"norms_scanned":{"1,2":0.393183236324},"pair":[1,'
+    '2],"threshold":[32,217081801]}},"delta":[16,601],"kind":"large-u2","s":2,'
+    '"unmet":["c1 = 1/320 exceeds smallness bound 1/18060050"]},"increment":{"a_star":14,'
+    '"bound_asserted":false,"delta_after":[1,1],"delta_before":[16,601],"grid_used":512,'
+    '"guaranteed_bound":null,"inverse_avg":null,"new_spec":{"M":[15,256],'
+    '"degenerate":true,"dim":1,"eps":[1,10240],"theta":[[1,1]]},'
+    '"scan_value":0.973377703827,"status":"translate","translate":14,'
+    '"unmet":["c1 = 1/5120 exceeds eta^3/(2^15 d) = 1/2097152",'
+    '"c_prime = 1/8 exceeds eta/(2^13 d) = 1/32768"],"y":null}},"d":1,"delta":[16,601],'
+    '"eps":[1,2],"mult":1,"offset":0,"spec":{"M":[300,1],"degenerate":true,"dim":1,'
+    '"eps":[1,2],"theta":[[1,1]]},"step":0},{"M":[15,256],"case":"no-case",'
+    '"certificate":{"chain":[{"c":[1,320],"index":1,"size":1,"target":[1,160],"tried":1},'
+    '{"c":[1,16],"index":2,"size":1,"target":[1,8],"tried":1}],'
+    '"dichotomy":{"data":{"freeness":{"budget":100000000,"mode":"restricted",'
+    '"status":"none","work":3},"inner_sizes":[1,1],"norms_scanned":{"1,2":0.0},'
+    '"u2_threshold":[1,128]},"delta":[1,1],"kind":"no-case","s":2,'
+    '"unmet":["c1 = 1/320 exceeds smallness bound 1/12800"]}},"d":1,"delta":[1,1],'
+    '"eps":[1,10240],"mult":1,"offset":14,"spec":{"M":[15,256],"degenerate":true,"dim":1,'
+    '"eps":[1,10240],"theta":[[1,1]]},"step":1}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "N, factor, cases, report",
+    [(1000, None, ["local-increment", "local-increment", "no-case"], _LOCAL_RUN),
+     (300, 100, ["fourier-translate", "no-case"], _FOURIER_RUN)],
+    ids=["local-increment", "fourier"],
+)
+def test_run_takes_both_transitions(monkeypatch, N, factor, cases, report):
+    _forced_thresholds(monkeypatch, factor)
+    subset = behrend_set(N)
+    result = run(subset, N, 2, mode="practical")
+    assert [r.case for r in result.steps] == cases
+    assert recheck_run(subset, N, result) == []
+    canonical = json.loads(emit_report(result.as_dict()))
+    assert json.dumps(canonical, sort_keys=True, separators=(",", ":")) == report
+
+
+def test_run_rejects_a_move_recheck_rejects(monkeypatch):
+    # a forged outcome whose doubled translate a + 2 N_1 = [992, 1004] pokes
+    # out of the window [-1000, 1000], with its density claim re-measured so
+    # that only the containment check can object
+    subset, real = behrend_set(1000), dichotomy
+    members = set(subset.tolist())
+
+    def forged(work, ambient, inner_sets, **kwargs):
+        out = real(work, ambient, inner_sets, **kwargs)
+        monkeypatch.setattr(increment, "dichotomy", real)  # forge the first step only
+        n1, a = inner_sets[0].elements.tolist(), 998
+        got = Fraction(sum(a + 2 * n in members for n in n1), len(n1))
+        assert n1 == list(range(-3, 4)) and got > out.delta * increment_factor(2)
+        forged_fields = {"kind": "local-increment", "inner_index": 1, "a": a, "new_density": got}
+        return dataclasses.replace(out, **forged_fields)
+
+    monkeypatch.setattr(increment, "dichotomy", forged)
+    result = run(subset, 1000, 2, mode="practical")
+    assert (result.status, result.steps) == ("limit", ())
+    assert result.reason == "transition rejected: step 0: doubled translate leaves the base"
 
 
 def _step_of_case(case: str) -> StepRecord:

@@ -33,6 +33,7 @@ from bohrkit.patterns import (
 from bohrkit.sumfree import (
     FreimanMap,
     check_freiman_isomorphic,
+    difference_size,
     find_configuration_via_embedding,
     find_sumfree_subset,
     is_sumfree_with_respect_to,
@@ -263,6 +264,34 @@ def test_freiman_map_validation():
         FreimanMap(np.array([1, 0]), 5, np.array([0, 1]))  # unsorted domain
     with pytest.raises(ValueError):
         FreimanMap(np.array([0]), 5, np.array([7]))  # image out of range
+
+
+def test_freiman_map_orders_wide_domains():
+    # 2^62 - (-2^62) wraps in int64, so the order is compared, not subtracted
+    fm = FreimanMap(np.array([-(2**62), 2**62]), 7, np.array([0, 1]))
+    assert fm.domain.tolist() == [-(2**62), 2**62]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        FreimanMap(np.array([2**62, -(2**62)]), 7, np.array([0, 1]))
+
+
+def test_freiman_check_refuses_wrapped_pair_sums():
+    # 2 * 2^62 wraps onto 2 * (-2^62): a genuine 2-isomorphism once read as none
+    with pytest.raises(ValueError, match="domain pair sums .* outside int64"):
+        check_freiman_isomorphic(FreimanMap([-(2**62), 0, 2**62], 7, [0, 1, 2]))
+    with pytest.raises(ValueError, match="image pair sums .* outside int64"):
+        check_freiman_isomorphic(FreimanMap([0, 1], 2**63 - 1, [0, 2**62]))
+    assert check_freiman_isomorphic(FreimanMap([-(2**61), 0, 2**61], 7, [0, 1, 2])) is True
+
+
+def test_difference_size_refuses_int64_wrap():
+    # {-2^62, 0, 2^62} has |A - A| = 5, but 2^62 - (-2^62) wraps onto -2^63
+    wide = np.array([-(2**62), 0, 2**62])
+    assert difference_size(np.array([-(2**62), 0, 2**62 - 1])) == 7
+    assert difference_size(np.arange(1, 21)) == 39
+    for call in (difference_size, lambda a: ruzsa_embed(a, 5),
+                 lambda a: find_configuration_via_embedding(a, 2)):
+        with pytest.raises(ValueError, match="difference sums .* outside int64"):
+            call(wide)
 
 
 def test_freiman_map_round_trip():
