@@ -19,8 +19,9 @@ Design principles:
     alpha_Lambda(n) / c``, so one sorted key array over the widest window
     answers the size of every dilate, every certificate and every candidate
     of a dilation search with ``searchsorted``,
-  * regularity certificates evaluate the two-sided size bound at every
-    membership breakpoint inside the window plus the window endpoints and 0;
+  * regularity certificates evaluate the two-sided size bound, in integers,
+    at every membership breakpoint inside the window plus the window
+    endpoints and 0;
     on the positive side this is equivalent to the for-all-real-dilation
     statement (sizes are step functions jumping exactly at breakpoints, and
     both bounds are tightest at the left end of each constant piece); on the
@@ -384,6 +385,12 @@ class RegularityCertificate(Wired):
     points in ``[-window, 0]``; for real ``c`` between checked points on the
     negative side the lower bound holds with an extra ``100 d`` times that
     gap of slack. On the positive side the checked points are exhaustive.
+
+    Each ``c`` is checked in integers (see :func:`_certify`): with
+    ``m = 100 d`` it is held as ``c = (TN - SN)/SN`` for integers ``TN`` and
+    ``SN > 0``, and it passes when
+    ``base (SN - m |TN - SN|) <= size SN <= base (SN + m |TN - SN|)``. Only
+    ``window``, ``max_negative_gap`` and ``witness_c`` are rationals.
     """
 
     spec: BohrSpec
@@ -413,49 +420,70 @@ def _certify(
     Entry dilations scale as ``alpha_{c Lambda}(n) = alpha_Lambda(n) / c``, so
     ``n in (1+x) * spec  <=>  K(n) <= B c (1+x)``: every size is one count
     against the same sorted keys, which must cover ``|n| <= (1+w) c M``.
+
+    The check runs in integers. With ``B c = P/Q`` and ``m = 100 d``, a point
+    ``x`` is held as ``TN`` with ``x = (TN - SN)/SN`` and ``SN = P m``: the
+    breakpoint of key ``k`` is ``TN = k Q m``, and ``-w``, ``0`` and ``w`` are
+    ``P (m-1)``, ``P m`` and ``P (m+1)``, merged in by value. The size at a
+    breakpoint is the rank of its key's last occurrence in the sorted keys,
+    and a point fails the lower or the upper bound when
+
+        size SN < base (SN - m |TN - SN|)   or   size SN > base (SN + m |TN - SN|).
+
+    These are int64 when the largest product fits, else exact Python
+    integers; only the witness ``c`` and the largest negative gap are
+    rationals.
     """
-    d = spec.dim
-    w = Fraction(1, 100 * d)
+    m = 100 * spec.dim
     scale = B * c
+    P, Q = scale.numerator, scale.denominator
+    SN = P * m
 
-    def size(x: Fraction) -> int:
-        return _count_leq(keys, floor_frac(scale * (1 + x)))
-
-    base_size = size(Fraction(0))
+    base_size = _count_leq(keys, P // Q)
     if base_size == 0:
         raise ValueError("Bohr set is empty; 0 should always be a member")
 
-    lo_key = -floor_frac(-scale * (1 - w))  # ceil: keys from here on have x >= -w
-    cs: set[Fraction] = {-w, Fraction(0), w}
-    cs.update(
-        k / scale - 1
-        for k in _distinct_keys(keys, lo_key - 1, floor_frac(scale * (1 + w)))
-    )
+    lo_key = -(-P * (m - 1) // (Q * m))  # ceil: keys from here on have x >= -w
+    hi_key = P * (m + 1) // (Q * m)  # floor: keys up to here have x <= w
+    first, size_plus = _count_leq(keys, lo_key - 1), _count_leq(keys, hi_key)
+    size_minus = _count_leq(keys, P * (m - 1) // (Q * m))
+    run = keys[first:size_plus]
+    # the last occurrence of each distinct key: its rank is the size there
+    ends = np.flatnonzero(np.append(run[1:] != run[:-1], run.size > 0))
 
-    checked = sorted(cs)
+    # every product below is at most |keys| * 2 P (m+1)
+    dtype = object if keys.size * 2 * P * (m + 1) >= _INT64_SAFE else np.int64
+    tn = run[ends].astype(dtype) * (Q * m)
+    sizes = (ends + (first + 1)).astype(dtype)
+    # -w before every breakpoint, 0 among them, w after; a point that is
+    # also a breakpoint sits next to it and is kept once
+    at = int(np.searchsorted(tn, SN))
+    tn = np.concatenate(([P * (m - 1)], tn[:at], [SN], tn[at:], [P * (m + 1)]))
+    sizes = np.concatenate(([size_minus], sizes[:at], [base_size], sizes[at:], [size_plus]))
+    keep = np.append(True, tn[1:] != tn[:-1])
+    tn, sizes = tn[keep], sizes[keep]
+
+    dev = m * np.abs(tn - SN)
+    lower = sizes * SN < base_size * (SN - dev)
+    upper = sizes * SN > base_size * (SN + dev)
+    failed = np.flatnonzero(lower | upper)
     witness_c = witness_size = witness_side = None
-    for x in checked:
-        sz = size(x)
-        dev = 100 * d * abs(x)
-        # lower: size >= base * (1 - dev); upper: size <= base * (1 + dev)
-        if sz < base_size * (1 - dev):
-            witness_c, witness_size, witness_side = x, sz, "lower"
-            break
-        if sz > base_size * (1 + dev):
-            witness_c, witness_size, witness_side = x, sz, "upper"
-            break
+    if failed.size:
+        i = failed[0]
+        witness_c = Fraction(int(tn[i]) - SN, SN)
+        witness_size = int(sizes[i])
+        witness_side = "lower" if lower[i] else "upper"
 
-    neg = [x for x in checked if x <= 0]
-    gaps = [b - a for a, b in zip(neg, neg[1:])]
+    neg = tn[tn <= SN]  # -w and 0 at least
     return RegularityCertificate(
         spec=spec,
-        window=w,
+        window=Fraction(1, m),
         verdict=witness_c is None,
         base_size=base_size,
-        num_checked=len(checked),
-        max_negative_gap=max(gaps) if gaps else w,
-        size_at_minus_window=size(-w),
-        size_at_plus_window=size(w),
+        num_checked=int(tn.size),
+        max_negative_gap=Fraction(int(np.diff(neg).max()), SN),
+        size_at_minus_window=size_minus,
+        size_at_plus_window=size_plus,
         witness_c=witness_c,
         witness_size=witness_size,
         witness_side=witness_side,

@@ -789,6 +789,12 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
             if dich.a is None:
                 problems.append(f"step {rec.step}: local-increment record without its witness")
                 break
+            if dich.inner_index not in range(1, len(rec.chain) + 1):
+                problems.append(
+                    f"step {rec.step}: inner index {dich.inner_index} outside the chain"
+                    f" of {len(rec.chain)} links"
+                )
+                break
             target = BohrSet.from_spec(_chain_specs(spec, rec.chain[: dich.inner_index])[-1])
         elif rec.case.startswith("fourier-"):
             if rec.increment.new_spec is None:

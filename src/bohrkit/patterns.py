@@ -72,6 +72,7 @@ from .functions import BoundedFunction
 from .gowers import u2_fourth_correlation
 
 _EINSUM_LETTERS = "ijklmn"
+_INT64 = np.iinfo(np.int64)
 WORD_BUDGET = 10**8  # default 64-bit words a configuration search may read
 
 
@@ -116,8 +117,10 @@ def verify_configuration(subset: np.ndarray, config: Configuration, s: int) -> b
     """All sums in the set, offsets distinct, arity as requested."""
     if config.s != s:
         return False
-    members = set(int(x) for x in np.asarray(subset).tolist())
-    return all(v in members for v in config.elements())
+    sums = config.elements()  # ascending
+    if sums and not (_INT64.min <= sums[0] and sums[-1] <= _INT64.max):
+        return False  # a sum outside int64 is in no int64 set
+    return bool(np.all(sorted_lookup(sorted_distinct(subset), sums)[1]))
 
 
 @dataclass(frozen=True)

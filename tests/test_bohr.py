@@ -506,6 +506,95 @@ def test_find_regular_dilation_budget_edge():
         find_regular_dilation(huge, lo, hi, enum_limit=window - 1)
 
 
+@st.composite
+def dilate_inputs(draw):
+    """A spec and a dilation ``c``: the midpoint ``(k1 + k2) / (2B)`` of two
+    consecutive distinct keys, as the dilation search forms its candidates,
+    or ``k / (B (1 + x))``, which makes ``x`` in ``-w``, ``0``, ``w`` itself a
+    breakpoint of the dilate. With ``x = 0`` and the least key past ``B``,
+    the first non-members sit on the dilate's boundary, which is where lower
+    witnesses come from. One denominator in four is ``2^61 - 1``."""
+    qs = st.one_of(st.integers(1, 12), st.integers(1, 40), st.integers(1, 40), st.just(_BIG))
+    theta = []
+    for q in draw(st.lists(qs, min_size=1, max_size=3)):
+        theta.append(Fraction(draw(st.integers(min_value=1, max_value=q)), q))
+    # past 100 d, an interval holds keys between B c (1 - w) and B c
+    M = Fraction(draw(st.one_of(st.integers(5, 60), st.integers(100, 200))),
+                 draw(st.sampled_from([1, 2, 3])))
+    # eps at or just below a tie ||n theta|| = j / q puts many keys together
+    q0 = draw(st.sampled_from([t.denominator for t in theta if t.denominator < _BIG] or [2]))
+    tie = Fraction(draw(st.integers(1, max(q0 // 2, 1))), q0)
+    eps = draw(st.one_of(
+        st.fractions(Fraction(1, 50), Fraction(1, 2), max_denominator=60),
+        st.integers(0, 9).map(lambda t: tie * (1 - Fraction(t, 1000))),
+        st.integers(_BIG // 100, _BIG // 2).map(lambda e: Fraction(e, _BIG)),
+    ))
+    spec = BohrSpec(tuple(theta), eps, M)
+    keys, B = bohr._key_index(spec, int(M), 10**7)
+    alphas = sorted({int(k) for k in keys if 0 < k <= 2 * B})
+    w = Fraction(1, 100 * spec.dim)
+    if len(alphas) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(alphas) - 2))
+        c = Fraction(alphas[i] + alphas[i + 1], 2 * B)
+    else:
+        past = [k for k in alphas if k > B]
+        k = past[0] if past and draw(st.booleans()) else draw(st.sampled_from(alphas or [B]))
+        x = draw(st.sampled_from([-w, Fraction(0), w]))
+        c = Fraction(k, B) / (1 + x)
+    return spec, c, draw(st.sampled_from([0, 0, 3]))
+
+
+_ALL_SIDES = BohrSpec((Fraction(1, 2),), Fraction(499, 1000), Fraction(50))
+_INTERVAL = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(50))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dilate_inputs())
+@example((_ALL_SIDES, Fraction(1), 0))  # upper witness
+@example((_ALL_SIDES, Fraction(500, 499), 0))  # lower witness: the odds sit on the boundary
+@example((_INTERVAL, Fraction(100, 99), 3))  # -w is the breakpoint of |n| = 50
+@example((_INTERVAL, Fraction(100, 101), 0))  # w is the breakpoint of |n| = 50
+@example((_INTERVAL, Fraction(3), 0))  # |n| = 149 is the least key past B c (1 - w)
+@example((BohrSpec((Fraction(_BIG // 2, _BIG),), Fraction(1, 3), Fraction(40)), Fraction(1, 2), 0))
+def test_certificate_of_a_dilate_matches_oracle(inputs):
+    # certified from the undilated spec's keys, over the window the dilate
+    # needs or a few candidates more, as find_regular_dilation does
+    spec, c, extra = inputs
+    w = Fraction(1, 100 * spec.dim)
+    keys, B = bohr._key_index(spec, int((1 + w) * c * spec.M) + extra, 10**7)
+    dilate = spec.dilate(c)
+    assert bohr._certify(dilate, keys, B, c) == certificate_oracle(dilate)
+
+
+def test_certificate_builds_no_fraction_per_breakpoint(monkeypatch):
+    # d = 1 and w = 1/100: the interval [-M, M] has a breakpoint at every
+    # |n| in [0.99 M, 1.01 M], 61 of them for M = 3000 and 601 for M = 30000
+    made = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    def fractions_made(M: int) -> int:
+        spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(M))
+        made.clear()
+        cert = regularity_certificate(spec)
+        assert cert.num_checked == M // 50 + 1 and cert.verdict
+        return len(made)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic bypasses __new__ from 3.12 on
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counted_coprime(cls, *args):
+            made.append(cls)
+            return coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    assert 0 < fractions_made(3000) == fractions_made(30000)
+
+
 def test_bohr_set_wrapper():
     spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(10))
     bs = BohrSet.from_spec(spec)

@@ -559,6 +559,14 @@ def test_recheck_rederives_forged_local_increment_record(forged, complaint):
     assert len(problems) == 1 and complaint in problems[0]
 
 
+@pytest.mark.parametrize("index", [0, 3, 7])
+def test_recheck_refuses_an_inner_index_off_the_chain(index):
+    # rec.chain[:index] clips silently: the move would be replayed on N_0 or N_2
+    evens, result = _evens_local_increment_run()
+    problems = recheck_run(evens, 2500, _forge_last(result, dichotomy={"inner_index": index}))
+    assert problems == [f"step 0: inner index {index} outside the chain of 2 links"]
+
+
 def _forge_translate(evens):
     # a translate that pokes out of [-1800, 1800], with its density claim
     # re-measured so that only the containment check can object

@@ -291,6 +291,39 @@ def test_verify_configuration():
     assert not verify_configuration(np.array([1, 2, 4]), Configuration(1, (0, 1)), 2)
 
 
+_I64_LO, _I64_HI = -(2**63), 2**63 - 1
+
+
+@st.composite
+def verify_inputs(draw):
+    """A configuration, its sums, some left out, among other int64s, with
+    repeats, unsorted; ``a`` near either int64 end puts sums past it."""
+    s = draw(st.integers(1, 4))
+    ns = tuple(draw(st.lists(st.integers(-6, 6), min_size=s, max_size=s, unique=True)))
+    a = draw(st.one_of(
+        st.integers(-30, 30), st.integers(_I64_HI - 15, _I64_HI), st.integers(_I64_LO, _I64_LO + 15)
+    ))
+    config = Configuration(a, ns)
+    sums = [v for v in config.elements() if _I64_LO <= v <= _I64_HI]
+    left_out = draw(st.sets(st.sampled_from(sums), max_size=1)) if sums else set()
+    others = draw(st.lists(st.integers(_I64_LO, _I64_HI), max_size=4))
+    values = [v for v in sums if v not in left_out] + others
+    values += draw(st.lists(st.sampled_from(values), max_size=4)) if values else []
+    subset = np.array(draw(st.permutations(values)), dtype=np.int64)
+    return subset, config, draw(st.sampled_from([s, s, s + 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(verify_inputs())
+@example((np.array([2**63 - 3, 2**63 - 1]), Configuration(2**63 - 3, (0, 2)), 2))  # 2^63 + 1
+@example((np.array([-(2**63)]), Configuration(-(2**63), (-1, 0)), 2))  # -2^63 - 2
+def test_verify_configuration_matches_set_oracle(inputs):
+    subset, config, s = inputs
+    members = set(subset.tolist())
+    expect = config.s == s and all(v in members for v in config.elements())
+    assert verify_configuration(subset, config, s) == expect
+
+
 def test_finder_frozen_examples():
     res = find_configuration(np.array([1, 2, 3]), 2)
     assert res.status == "found"
