@@ -451,8 +451,8 @@ def _certify(
     # the last occurrence of each distinct key: its rank is the size there
     ends = np.flatnonzero(np.append(run[1:] != run[:-1], run.size > 0))
 
-    # every product below is at most |keys| * 2 P (m+1)
-    dtype = object if keys.size * 2 * P * (m + 1) >= _INT64_SAFE else np.int64
+    # every product and factor below is at most max(|keys| * 2 P (m+1), Q m)
+    dtype = object if max(keys.size * 2 * P * (m + 1), Q * m) >= _INT64_SAFE else np.int64
     tn = run[ends].astype(dtype) * (Q * m)
     sizes = (ends + (first + 1)).astype(dtype)
     # -w before every breakpoint, 0 among them, w after; a point that is

@@ -26,7 +26,7 @@ through the same map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -61,13 +61,14 @@ from .patterns import (
     dichotomy,
     find_configuration_restricted,
     increment_factor,
-    smallness_bound,
     verify_configuration,
 )
 
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------
+
+_INCREMENT_STATUSES = ("translate", "refined", "no-witness", "hypothesis-not-met")
 
 _PRACTICAL_DEFAULTS = {
     "x1": Fraction(1, 160),
@@ -120,30 +121,16 @@ class ConstantTable:
         return self.overrides.get(name, _PRACTICAL_DEFAULTS[name])
 
     def x1(self, s: int, d: int, delta: Fraction) -> Fraction:
-        return self._pick(
-            "x1",
-            Fraction(1, 2**85) * Fraction(1, s**24) * Fraction(1, d)
-            * delta ** (6 * s * (s + 1)),
-        )
+        return self._pick("x1", Fraction(1, 2**85 * s**24 * d) * delta ** (6 * s * (s + 1)))
 
     def x_rest(self, s: int, d: int, delta: Fraction) -> Fraction:
-        return self._pick(
-            "x_rest",
-            Fraction(1, 2**20) * Fraction(1, s**4) * Fraction(1, d)
-            * delta ** (s * (s + 1)),
-        )
+        return self._pick("x_rest", Fraction(1, 2**20 * s**4 * d) * delta ** (s * (s + 1)))
 
     def c_prime(self, s: int, d: int, delta: Fraction) -> Fraction:
-        return self._pick(
-            "c_prime",
-            Fraction(1, 2**37) * Fraction(1, s**8) * Fraction(1, d)
-            * delta ** (2 * s * (s + 1)),
-        )
+        return self._pick("c_prime", Fraction(1, 2**37 * s**8 * d) * delta ** (2 * s * (s + 1)))
 
     def eta(self, s: int, delta: Fraction) -> Fraction:
-        return self._pick(
-            "eta", Fraction(1, 2**23) * Fraction(1, s**8) * delta ** (2 * s * (s + 1))
-        )
+        return self._pick("eta", Fraction(1, 2**23 * s**8) * delta ** (2 * s * (s + 1)))
 
     def min_increment(self) -> Fraction:
         return self._pick("min_increment", Fraction(0))
@@ -174,7 +161,8 @@ class IncrementOutcome(Wired):
     including grid refinements), or ``hypothesis-not-met`` (enforced
     hypotheses failed; nothing was scanned). ``new_set`` is the Bohr set
     whose translate carries the increment, as the scan enumerated it: the
-    inner set itself for ``translate``, the refined set for ``refined``.
+    inner set itself for ``translate``, the refined set for ``refined``; it,
+    ``translate`` and ``delta_after`` are set for these two statuses only.
     """
 
     status: str
@@ -190,6 +178,13 @@ class IncrementOutcome(Wired):
     inverse_avg: Optional[float] = None
     guaranteed_bound: Optional[float] = None
     bound_asserted: bool = False
+
+    def __post_init__(self) -> None:
+        if self.status not in _INCREMENT_STATUSES:
+            raise ValueError(f"unknown increment status {self.status!r}")
+        moved = self.status in _INCREMENT_STATUSES[:2]
+        if any((v is not None) != moved for v in (self.new_set, self.translate, self.delta_after)):
+            raise ValueError("new_set, translate and delta_after come with a translate or refined")
 
     @property
     def new_spec(self) -> Optional[BohrSpec]:
@@ -440,7 +435,8 @@ class StepRecord:
     configuration, or the ``dichotomy`` outcome, with the Fourier
     ``increment`` a large norm was turned into. ``case`` is read off the
     evidence and the report's ``d`` off the spec; :attr:`payload` is the
-    evidence's report form.
+    evidence's report form. Data it holds twice must agree at construction
+    (``ValueError`` otherwise).
     """
 
     step: int
@@ -452,6 +448,28 @@ class StepRecord:
     finder: Optional[FinderResult] = None
     dichotomy: Optional[DichotomyOutcome] = None
     increment: Optional[IncrementOutcome] = None
+
+    def __post_init__(self) -> None:
+        chain, finder, dich, inc = self.chain, self.finder, self.dichotomy, self.increment
+        new = inc.new_spec if inc else None
+        if [link.index for link in chain] != list(range(1, len(chain) + 1)):
+            raise ValueError("chain links are not numbered 1, 2, ...")
+        if finder and (dich or inc or (finder.status, finder.mode) != ("found", "restricted")):
+            raise ValueError("a finder record holds one restricted find and nothing else")
+        if finder and finder.config.s != len(chain):
+            raise ValueError(f"a configuration of arity {finder.config.s} on {len(chain)} links")
+        if dich and (dich.s, dich.delta) != (len(chain), self.delta):
+            raise ValueError(
+                f"dichotomy (s, delta) = ({dich.s}, {dich.delta}) differs from the step"
+            )
+        if dich and dich.inner_sizes != tuple(link.size for link in chain):
+            raise ValueError(f"inner sizes {list(dich.inner_sizes)} are not the link sizes")
+        if dich and (dich.kind == "large-u2") != (inc is not None):
+            raise ValueError(f"a {dich.kind} dichotomy with{'' if inc else 'out'} an increment")
+        if inc and inc.delta_before != self.delta:
+            raise ValueError(f"increment from {inc.delta_before}, not the step's density")
+        if inc and (new is None or (inc.status == "refined") != (new.dim > self.spec.dim)):
+            raise ValueError("an increment moves, refined exactly when it adds a frequency")
 
     @property
     def case(self) -> str:
@@ -502,12 +520,33 @@ _EXIT_CODES = {"found": 0, "exhausted": 1, "limit": 3, "violation": 3}
 
 @dataclass(frozen=True)
 class RunResult(Wired):
-    status: str  # found | exhausted | limit | violation
-    exit_code: int
+    """How a run ended (``status`` found, exhausted, limit or violation, and
+    why), its records numbered from 0, and its ``final`` state (``mult``,
+    ``offset``, ``d``, ``set_size``). The report's ``exit_code`` and
+    ``config`` are derived: the status's code, and for ``found`` the last
+    record's configuration in input coordinates."""
+
+    status: str
     reason: str
-    config: Optional[Configuration]
     steps: tuple[StepRecord, ...]
     final: dict
+
+    def __post_init__(self) -> None:
+        if self.status not in _EXIT_CODES:
+            raise ValueError(f"unknown status {self.status!r}")
+        if [rec.step for rec in self.steps] != list(range(len(self.steps))):
+            raise ValueError("records are not numbered 0, 1, ...")
+
+    @property
+    def exit_code(self) -> int:
+        return _EXIT_CODES[self.status]
+
+    @property
+    def config(self) -> Optional[Configuration]:
+        return self.steps[-1].config_original if self.status == "found" and self.steps else None
+
+    def as_dict(self) -> dict:
+        return {**super().as_dict(), "exit_code": self.exit_code, "config": wire(self.config)}
 
 
 @dataclass(frozen=True)
@@ -534,6 +573,10 @@ class _State:
         arr = sorted_distinct(subset)
         window = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(N))
         return cls(arr[(arr >= -N) & (arr <= N)], window)
+
+    def final(self) -> dict:
+        """The ``final`` entry of a run's result."""
+        return dict(mult=self.mult, offset=self.offset, d=self.spec.dim, set_size=self.work.size)
 
     def _moved(self, shift: int, scale: int, target: BohrSet) -> "_State":
         idx, hit = sorted_lookup(self.work, shift + scale * target.elements)
@@ -634,14 +677,8 @@ def run(
     ambient: Optional[BohrSet] = None  # a transition carries its set over
     records: list[StepRecord] = []
 
-    def finish(status: str, reason: str, cfg=None) -> RunResult:
-        final = {
-            "mult": state.mult,
-            "offset": state.offset,
-            "d": state.spec.dim,
-            "set_size": int(state.work.size),
-        }
-        return RunResult(status, _EXIT_CODES[status], reason, cfg, tuple(records), final)
+    def finish(status: str, reason: str) -> RunResult:
+        return RunResult(status, reason, tuple(records), state.final())
 
     for step in range(_MAX_STEPS):
         if ambient is None:
@@ -666,15 +703,14 @@ def run(
         inner_sets, links = chain
         record = partial(StepRecord, step, delta, spec, state.mult, state.offset, links)
 
-        freeness = find_configuration_restricted(
-            work, ambient, inner_sets, budget=limits.finder_budget
-        )
+        budget = limits.finder_budget
+        freeness = find_configuration_restricted(work, ambient, inner_sets, budget=budget)
         if freeness.status == "found":
             rec = record(finder=freeness)
             if not verify_configuration(subset, rec.config_original, s):
                 return finish("limit", "transported configuration failed verification")
             records.append(rec)
-            return finish("found", "configuration found", rec.config_original)
+            return finish("found", "configuration found")
         if freeness.status == "inconclusive":
             return finish("limit", "freeness search inconclusive within budget")
 
@@ -744,21 +780,21 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     """Independently re-verify every accepted step of a run from its records.
 
     Replays the state transforms and re-measures each step's claim on freshly
-    enumerated sets. A ``local-increment`` or ``fourier-*`` record's target
-    is rebuilt from the record, and the move is checked by the rule ``run``
-    accepted it by (see :func:`_checked_move`). A terminal dichotomy record
-    is re-derived rather than re-read (see :func:`_terminal_problems`). The
-    terminal status is never read on trust: it must follow from the record
-    the replay ends on (see :func:`_status_problems`). Returns the list of
-    discrepancies (empty means the whole trace rechecks).
+    enumerated sets. Each record's chain is rebuilt and recounted, and its
+    dichotomy, if any, is run again and must equal the record's (see
+    :func:`_rederived`). A ``config`` record's configuration is checked in
+    the input; a ``local-increment`` or ``fourier-*`` move by the rule
+    ``run`` accepted it by (see :func:`_checked_move`). The ``final`` state
+    must be the replay's, and the status must follow from the record the
+    replay ends on (see :func:`_status_problems`); ``exit_code`` and
+    ``config`` are derived from these. Returns the list of discrepancies
+    (empty means the whole trace rechecks).
     """
     problems: list[str] = []
     state = _State.start(subset, N)
     last: Optional[StepRecord] = None
-    replayed = 0
-
     for rec in result.steps:
-        last, replayed = rec, replayed + 1
+        last = rec
         spec = state.spec
         if rec.spec != spec:
             problems.append(f"step {rec.step}: ambient spec drifted")
@@ -769,130 +805,84 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
         ambient = BohrSet.from_spec(spec)
         delta = exact_density(state.work, ambient.elements)
         if delta != rec.delta:
-            problems.append(
-                f"step {rec.step}: recorded density {rec.delta} remeasures {delta}"
-            )
+            problems.append(f"step {rec.step}: recorded density {rec.delta} remeasures {delta}")
             break
-        dich = rec.dichotomy
-        if dich is not None and (dich.s, dich.delta) != (len(rec.chain), delta):
-            problems.append(
-                f"step {rec.step}: dichotomy (s, delta) = ({dich.s}, {dich.delta}) differs"
-                " from the chain and the density of the step"
-            )
+        inner_sets, complaints = _rederived(rec, state.work, ambient)
+        if complaints:
+            problems += complaints
             break
         if rec.case == "config":
             cfg = rec.config_original
-            if cfg is None or not verify_configuration(subset, cfg, cfg.s):
+            if not verify_configuration(subset, cfg, cfg.s):
                 problems.append(f"step {rec.step}: configuration not in the input set")
             break
         if rec.case == "local-increment":
-            if dich.a is None:
-                problems.append(f"step {rec.step}: local-increment record without its witness")
-                break
-            if dich.inner_index not in range(1, len(rec.chain) + 1):
-                problems.append(
-                    f"step {rec.step}: inner index {dich.inner_index} outside the chain"
-                    f" of {len(rec.chain)} links"
-                )
-                break
-            target = BohrSet.from_spec(_chain_specs(spec, rec.chain[: dich.inner_index])[-1])
-        elif rec.case.startswith("fourier-"):
-            if rec.increment.new_spec is None:
-                problems.append(f"step {rec.step}: {rec.case} record names no new set")
-                break
+            target = inner_sets[rec.dichotomy.inner_index - 1]
+        elif rec.increment is not None:
             target = BohrSet.from_spec(rec.increment.new_spec)
         else:
-            problems += _terminal_problems(rec, state.work, ambient)
-            break
+            break  # a terminal dichotomy record, re-derived above
         state, complaints = _checked_move(state, rec, target)
         problems += complaints
-    trailing = len(result.steps) - replayed
-    return problems + _status_problems(result, last, trailing, state)
+    final = state.final()
+    if not problems and result.final != final:
+        keys = sorted(k for k in {**final, **result.final} if result.final.get(k) != final.get(k))
+        problems.append(f"final state differs from the replay in {', '.join(keys)}")
+    return problems + _status_problems(result, last, state)
 
 
-def _chain_specs(spec: BohrSpec, links: tuple[ChainLink, ...]) -> list[BohrSpec]:
-    """``spec`` followed by the chain its links' dilation factors rebuild."""
-    specs = [spec]
-    for link in links:
-        specs.append(specs[-1].dilate(link.c))
-    return specs
-
-
-def _terminal_problems(rec: StepRecord, work: np.ndarray, ambient: BohrSet) -> list[str]:
-    """Re-derive a ``small-bohr``, ``violation`` or ``no-case`` record on the
-    replayed set ``work``.
-
-    The inner chain is rebuilt from the recorded dilation factors and
-    recounted, and its innermost set must be small for ``small-bohr`` and
-    larger than the smallness threshold otherwise (else branch 1 would have
-    fired); the threshold is recomputed from ``(s, delta)``. A ``small-bohr``
-    or ``violation`` claim rests on certified preconditions, so every inner
-    set is certified regular and the restricted freeness search is run again
-    with the recorded finder budget. A ``no-case`` record claims nothing
-    about them: an uncertified chain is its legitimate reason.
-    """
+def _rederived(
+    rec: StepRecord, work: np.ndarray, ambient: BohrSet
+) -> tuple[list[BohrSet], list[str]]:
+    """The chain of ``rec`` rebuilt from its factors and recounted, and every
+    complaint against it and the dichotomy, rerun on it after the freeness
+    search at the recorded budget. A ``small-bohr`` or ``violation`` claim
+    rests on certified preconditions, so its inner sets must certify regular.
+    A chain or dichotomy that cannot rerun (a factor out of range, a budget
+    passed) is a complaint, not an error."""
     dich, step = rec.dichotomy, rec.step
-    problems = []
-    inner_sets = [BohrSet.from_spec(sp) for sp in _chain_specs(rec.spec, rec.chain)[1:]]
-    sizes = tuple(b.size for b in inner_sets)
-    if dich.inner_sizes != sizes:
-        problems.append(f"step {step}: inner sizes recount as {list(sizes)}")
-    small = Fraction(sizes[-1]) <= smallness_bound(dich.s, rec.delta)
-    if rec.case == "small-bohr" and not small:
-        problems.append(f"step {step}: innermost set is not small")
-    elif rec.case != "small-bohr" and small:
-        problems.append(f"step {step}: innermost set is small, so branch 1 fires")
-    if rec.case in ("small-bohr", "violation"):
-        for i, bs in enumerate(inner_sets, start=1):
-            cert = regularity_certificate(bs.spec)
-            if not cert.verdict:
-                problems.append(
-                    f"step {step}: inner{i} not regular (witness c = {cert.witness_c})"
-                )
+    try:
+        inner_sets, spec = [], rec.spec
+        for link in rec.chain:  # certified only where a dichotomy reruns on them
+            spec = spec.dilate(link.c)
+            cert = regularity_certificate(spec) if dich else None
+            inner_sets.append(BohrSet(spec, enumerate_bohr(spec), cert))
+        sizes = [bs.size for bs in inner_sets]
+        if sizes != [link.size for link in rec.chain]:
+            return inner_sets, [f"step {step}: inner sizes recount as {sizes}"]
+        if dich is None:
+            return inner_sets, []
         budget = dich.freeness.budget
         freeness = find_configuration_restricted(work, ambient, inner_sets, budget=budget)
-        if freeness.status != "none":
-            problems.append(f"step {step}: freeness search reruns as {freeness.status}")
-    return problems
+        out = dichotomy(work, ambient, inner_sets, enforce=False, freeness=freeness)
+    except (BudgetExceeded, ValueError) as exc:
+        return [], [f"step {step}: chain and dichotomy do not rerun: {exc}"]
+    differ = [f.name for f in fields(out) if getattr(out, f.name) != getattr(dich, f.name)]
+    if differ:
+        return inner_sets, [f"step {step}: dichotomy reruns with a different {', '.join(differ)}"]
+    return inner_sets, [
+        f"step {step}: inner{i} not regular (witness c = {bs.certificate.witness_c})"
+        for i, bs in enumerate(inner_sets, start=1)
+        if dich.kind in ("small-bohr", "violation") and not bs.certificate.verdict
+    ]
 
 
-def _status_problems(
-    result: RunResult,
-    last: Optional[StepRecord],
-    trailing: int,
-    state: _State,
-) -> list[str]:
-    """Check the claimed status against the replay that ended on ``last``.
-
-    ``trailing`` records follow ``last`` unreplayed; ``state`` is the replay
-    after the last record that moves it. ``exhausted`` needs a final
-    ``small-bohr`` record or a replayed set that is empty on the ambient
-    set; ``found`` needs a final ``config`` record naming ``result.config``;
-    ``violation`` needs a final ``violation`` record; ``limit`` claims
-    nothing. The exit code must be the status's own.
-    """
-    status = result.status
-    if status not in _EXIT_CODES:
-        return [f"unknown status {status!r}"]
-    problems = []
-    if result.exit_code != _EXIT_CODES[status]:
-        problems.append(f"exit code {result.exit_code} does not match status {status}")
+def _status_problems(result: RunResult, last: Optional[StepRecord], state: _State) -> list[str]:
+    """The claimed status against the replay that ended on ``last`` (``state``
+    is the replay after the last record that moves it): no record follows a
+    terminal ``last``; ``exhausted`` needs a final ``small-bohr`` record or an
+    empty replayed set, ``found`` a final ``config`` record and ``violation``
+    a final ``violation`` record; ``limit`` claims nothing."""
     case = last.case if last is not None else None
     moved = case is None or case == "local-increment" or case.startswith("fourier-")
-    if not moved and trailing:
-        return problems + [f"step {last.step}: records follow the terminal {case} record"]
-    if status == "exhausted":
-        if case != "small-bohr" and exact_density(
-            state.work, BohrSet.from_spec(state.spec).elements
-        ):
-            problems.append(
-                "status exhausted without a final small-bohr record"
-                " or an empty replayed set"
-            )
-    elif status == "found":
-        cfg = last.config_original if case == "config" else None
-        if cfg is None or cfg != result.config:
-            problems.append("status found without a final config record naming the result")
+    if not moved and last.step + 1 < len(result.steps):
+        return [f"step {last.step}: records follow the terminal {case} record"]
+    status = result.status
+    if status == "exhausted" and case != "small-bohr":
+        if exact_density(state.work, BohrSet.from_spec(state.spec).elements):
+            return ["status exhausted without a final small-bohr record or an empty replayed set"]
+    elif status == "found" and case != "config":
+        return ["status found without a final config record naming the result"]
     elif status == "violation" and case != "violation":
-        problems.append("status violation without a final violation record")
-    return problems
+        return ["status violation without a final violation record"]
+    return []

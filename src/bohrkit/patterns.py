@@ -74,6 +74,9 @@ from .gowers import u2_fourth_correlation
 _EINSUM_LETTERS = "ijklmn"
 _INT64 = np.iinfo(np.int64)
 WORD_BUDGET = 10**8  # default 64-bit words a configuration search may read
+_FINDER_STATUSES = ("found", "none", "inconclusive")  # vocabularies checked on construction
+_FINDER_MODES = ("extent", "restricted")
+_DICHOTOMY_KINDS = ("small-bohr", "local-increment", "large-u2", "violation", "no-case")
 
 
 class PreconditionError(ValueError):
@@ -102,12 +105,7 @@ class Configuration:
 
     def elements(self) -> list[int]:
         """Sorted distinct values ``n_i + n_j + a`` over ``i <= j``."""
-        vals = {
-            self.ns[i] + self.ns[j] + self.a
-            for i in range(self.s)
-            for j in range(i, self.s)
-        }
-        return sorted(vals)
+        return sorted({self.a + x + y for i, x in enumerate(self.ns) for y in self.ns[i:]})
 
     def as_dict(self) -> dict:
         return {"a": self.a, "ns": list(self.ns), "elements": self.elements()}
@@ -127,9 +125,10 @@ def verify_configuration(subset: np.ndarray, config: Configuration, s: int) -> b
 class FinderResult(Wired):
     """Outcome of a configuration search.
 
-    ``status`` is ``found`` (with a verified witness), ``none`` (the search
-    space was exhausted), or ``inconclusive`` (budget ran out; never treated
-    as freeness).
+    ``status`` is ``found`` (with a verified witness, and only then a
+    ``config``), ``none`` (the search space was exhausted), or
+    ``inconclusive`` (budget ran out; never treated as freeness). ``mode``
+    is ``extent`` or ``restricted``.
     """
 
     status: str
@@ -137,6 +136,11 @@ class FinderResult(Wired):
     work: int
     budget: int
     mode: str
+
+    def __post_init__(self) -> None:
+        known = self.status in _FINDER_STATUSES and self.mode in _FINDER_MODES
+        if not known or (self.config is None) == (self.status == "found"):
+            raise ValueError(f"finder result {self.status!r} ({self.mode}), config {self.config}")
 
     def as_dict(self) -> dict:
         out = super().as_dict()
@@ -679,6 +683,10 @@ class DichotomyOutcome:
     new_density: Optional[Fraction] = None
     norms: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.kind not in _DICHOTOMY_KINDS:
+            raise ValueError(f"unknown dichotomy kind {self.kind!r}")
+
     @property
     def scanned_pairs(self) -> tuple[tuple[int, int], ...]:
         """The pairs ``(i, j)``, ``i < j``, whose norms were scanned; for
@@ -742,16 +750,17 @@ def dichotomy(
 
     ``inner_sets`` is the nested chain ``N_1 = c_1 * base``, ``N_i = c_i *
     N_{i-1}`` with each ``c_i`` in ``(0, 1]`` (``ValueError`` otherwise).
-    Preconditions (freeness on the restricted domain, the smallness bound on
-    ``c_1``, regularity of the base and every inner set, certified only for
-    sets that carry no certificate) are checked first; with ``enforce`` they
-    must all hold, otherwise the scan still runs and the unmet list is
-    recorded; without ``freeness`` the restricted finder runs at its default
-    budget. Branches are scanned in a fixed order: small innermost set,
-    local density increment on a doubled translate, large balanced U2 norm.
-    If no branch fires the outcome is ``violation`` only when every
-    precondition was certified. ``budget`` meters each branch-2 translate
-    scan (:func:`bohrkit.bohr.translate_counts`) and each U2 evaluation.
+    Preconditions (freeness on the restricted domain, ``c_1 <= delta^s /
+    (3200 d s^2)``, regularity of the base and every inner set, certified
+    only for sets that carry no certificate) are checked first; with
+    ``enforce`` they must all hold, otherwise the scan still runs and the
+    unmet list is recorded; without ``freeness`` the restricted finder runs
+    at its default budget. Branches are scanned in a fixed order: small
+    innermost set, local density increment on a doubled translate, large
+    balanced U2 norm. If no branch fires the outcome is ``violation`` only
+    when every precondition was certified. ``budget`` meters each branch-2
+    translate scan (:func:`bohrkit.bohr.translate_counts`) and each U2
+    evaluation.
     """
     s = len(inner_sets)
     if s < 2:
@@ -768,7 +777,7 @@ def dichotomy(
     unmet: list[str] = []
     c1_bound = delta**s / (3200 * base.spec.dim * s * s)
     if cs[0] > c1_bound:
-        unmet.append(f"c1 = {cs[0]} exceeds smallness bound {c1_bound}")
+        unmet.append(f"c1 = {cs[0]} exceeds delta^s/(3200 d s^2) = {c1_bound}")
     names = ["base"] + [f"inner{i + 1}" for i in range(s)]
     for name, cert in zip(names, certificates(chain)):
         if not cert.verdict:

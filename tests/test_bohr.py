@@ -566,6 +566,15 @@ def test_certificate_of_a_dilate_matches_oracle(inputs):
     assert bohr._certify(dilate, keys, B, c) == certificate_oracle(dilate)
 
 
+def test_tiny_dilate_certifies_in_exact_integers():
+    # c = 2^-80 on [-232, 232] leaves only the key 0 in the window, and the
+    # factor Q m of its breakpoints is far past int64
+    spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(232))
+    search = find_regular_dilation(spec, Fraction(1, 2**80), Fraction(1, 2**79))
+    assert (search.found, search.c) == (True, Fraction(1, 2**80))
+    assert search.certificate == certificate_oracle(spec.dilate(search.c))
+
+
 def test_certificate_builds_no_fraction_per_breakpoint(monkeypatch):
     # d = 1 and w = 1/100: the interval [-M, M] has a breakpoint at every
     # |n| in [0.99 M, 1.01 M], 61 of them for M = 3000 and 601 for M = 30000

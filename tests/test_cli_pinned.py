@@ -158,11 +158,11 @@ EXPECTED = {
     "patterns-count": (0, "e5bcbc67aeb6ca23", None),
     "patterns-count-csv": (0, "8a380c1221f4e42c", None),
     "patterns-count-budget": (3, "e3b0c44298fc1c14", None),
-    "patterns-dichotomy": (0, "7924a62e1c32823d", None),
-    "patterns-dichotomy-csv": (0, "62ef2dd6b47b8b10", None),
+    "patterns-dichotomy": (0, "cd262248a3868dbb", None),
+    "patterns-dichotomy-csv": (0, "cb8c41637094cb39", None),
     "patterns-dichotomy-faithful": (0, "332d8b84b6d54118", None),
-    "patterns-dichotomy-constants": (0, "9e94e13edd27a33d", None),
-    "patterns-dichotomy-out": (0, "f67c6cfabf54b31c", "f67c6cfabf54b31c"),
+    "patterns-dichotomy-constants": (0, "61b76caa866b41da", None),
+    "patterns-dichotomy-out": (0, "70274c8f21840cb2", "70274c8f21840cb2"),
     "gen-behrend": (0, "61a9c154f97266e0", None),
     "gen-behrend-json": (0, "4bb123bc0178abb4", None),
     "gen-behrend-csv": (0, "f4ae6de3bcaa0845", None),
@@ -173,7 +173,7 @@ EXPECTED = {
     "increment-run-csv": (0, "32a042f07282ec6c", None),
     "increment-run-trace": (0, "ff5a033d72be9e3d", "069864f0c921102f"),
     "increment-run-faithful": (1, "ce39e90743f0b664", None),
-    "increment-run-constants": (1, "2abe49befaffa342", "92a737aa209ba2f2"),
+    "increment-run-constants": (1, "4e8c6c6a7bc8f111", "f8dd85f5db53dcd5"),
     "increment-run-budget": (3, "fb06a005d1e5b9e8", None),
     "sumfree-check": (0, "f3e0a96018bdde43", None),
     "sumfree-check-no": (1, "b427cfe2b0281ff2", None),

@@ -16,14 +16,16 @@ Every public function and public method of a public class in ``src/bohrkit``
 needs a caller outside ``tests/`` (another library module, its own module
 outside its own body, or the bench harness), unless ``TEST_ONLY_ALLOWED``
 names it with a reason. The settable values of the public API are counted and
-pinned, so a new knob has to move the pin in its own diff.
+pinned, so a new knob has to move the pin in its own diff. Every mutant in
+``tests/mutants.py`` must still find its ``old`` text exactly once, and the
+tests it names must exist.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -366,3 +368,24 @@ def test_checks_catch_what_they_look_for():
         "lib.only_tested",
         "lib.torus_distance",
     ]
+
+
+def test_mutant_anchors_occur_once():
+    """Every mutant's ``old`` text occurs once in its file, and each test it
+    names exists."""
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tests" / "mutants.py")
+    catalogue = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(catalogue)
+    faults = []
+    for mutant in catalogue.MUTANTS:
+        if (SRC / mutant["file"]).read_text().count(mutant["old"]) != 1 or (
+            mutant["old"] == mutant["new"]
+        ):
+            faults.append(f"{mutant['file']}: {mutant['old']!r}")
+        for node in mutant["kills"]:
+            path, _, name = node.partition("::")
+            tree = _tree(ROOT / path)
+            defined = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+            if name.partition("[")[0] not in defined:
+                faults.append(f"{mutant['file']}: no test {node}")
+    assert catalogue.MUTANTS and faults == []

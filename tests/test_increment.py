@@ -3,7 +3,8 @@
 The faithful constant table is checked against an independent big-rational
 evaluator written from the same printed formulas; the Fourier step against a
 fully hand-derived parity example; the engine state's two transitions against
-a literal loop oracle; engine runs against exact replays.
+a literal loop oracle; engine runs against exact replays, and the replay
+against a census that forges every leaf of real step records.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from bohrkit.exact import torus_distance
 from bohrkit.increment import (
     ChainLink,
     ConstantTable,
+    IncrementOutcome,
     RunResult,
     StepRecord,
     fourier_increment,
@@ -431,17 +434,36 @@ def _forge_last(result: RunResult, dichotomy=None, **fields) -> RunResult:
     return dataclasses.replace(result, steps=result.steps[:-1] + (forged,))
 
 
+def _objections(subset, N: int, forge) -> list[str]:
+    """What ``recheck_run`` reports on the result ``forge`` builds, or the
+    ``ValueError`` that refuses to build it."""
+    try:
+        forged = forge()
+    except ValueError as exc:
+        return [f"refused at construction: {exc}"]
+    return recheck_run(subset, N, forged)
+
+
+def _resized(chain, sizes):
+    return tuple(ChainLink(k.index, k.c, k.target, n, k.tried) for k, n in zip(chain, sizes))
+
+
 @pytest.mark.parametrize(
     "field, value, complaint",
     [("inner_sizes", (7, 1), "inner sizes recount"),
      ("delta", Fraction(1, 2), "dichotomy (s, delta) = (2, 1/2) differs")],
 )
 def test_recheck_rederives_forged_small_bohr(field, value, complaint):
-    # the forged record stays self-consistent: its innermost size is still
-    # below the threshold its report derives from (s, delta)
+    # sizes forged in the links and the dichotomy alike are recounted; an
+    # (s, delta) that disagrees with the step is refused when it is built.
+    # Either way the innermost size stays below the threshold the report
+    # derives from (s, delta)
     subset, result = _behrend_small_bohr_run()
-    forged = _forge_last(result, dichotomy={field: value})
-    problems = recheck_run(subset, 3000, forged)
+    chain = result.steps[-1].chain
+    links = {"chain": _resized(chain, value)} if field == "inner_sizes" else {}
+    problems = _objections(
+        subset, 3000, lambda: _forge_last(result, dichotomy={field: value}, **links)
+    )
     assert len(problems) == 1 and complaint in problems[0]
 
 
@@ -464,28 +486,31 @@ def test_recheck_rederives_relabelled_small_bohr(kind, status, code):
     # the real chain certifies and the freeness search reruns clean, but its
     # innermost set is small: branch 1 fires before any other case is reached
     subset, result = _behrend_small_bohr_run()
-    forged = dataclasses.replace(
-        _forge_last(result, dichotomy={"kind": kind}), status=status, exit_code=code
-    )
-    assert forged.steps[-1].case == kind
+    forged = dataclasses.replace(_forge_last(result, dichotomy={"kind": kind}), status=status)
+    assert forged.steps[-1].case == kind and forged.exit_code == code
     assert recheck_run(subset, 3000, forged) == [
-        f"step {result.steps[-1].step}: innermost set is small, so branch 1 fires"
+        f"step {result.steps[-1].step}: dichotomy reruns with a different kind"
     ]
 
 
 def test_recheck_certifies_the_small_bohr_chain():
     # the innermost set becomes M = 199/100 (c_2 = 398/1875 after c_1 = 1/320
-    # on N = 3000): size 3, with every recorded size and the threshold still
-    # consistent, but not regular
+    # on N = 3000): size 3 and not regular. The record holds the outcome the
+    # dichotomy gives on that chain, so it reruns equal, and admits the
+    # irregular set in its unmet list; a small-bohr claim still needs it regular
     subset, result = _behrend_small_bohr_run()
-    first, second = result.steps[-1].chain
-    forged = _forge_last(
-        result,
-        chain=(first, ChainLink(2, Fraction(398, 1875), second.target, 3, second.tried)),
-        dichotomy={"inner_sizes": (19, 3)},
+    rec = result.steps[-1]
+    first, second = rec.chain
+    chain = (first, ChainLink(2, Fraction(398, 1875), second.target, 3, second.tried))
+    inner = [BohrSet.from_spec(rec.spec.dilate(first.c))]
+    inner.append(BohrSet.from_spec(inner[0].spec.dilate(chain[1].c)))
+    out = dichotomy(subset, BohrSet.from_spec(rec.spec), inner, enforce=False)
+    assert out.kind == "small-bohr" and "inner2 not regular (witness c = 1/199)" in out.unmet
+    forged = dataclasses.replace(
+        result, steps=(dataclasses.replace(rec, chain=chain, dichotomy=out),)
     )
     assert recheck_run(subset, 3000, forged) == [
-        f"step {result.steps[-1].step}: inner2 not regular (witness c = 1/199)"
+        f"step {rec.step}: inner2 not regular (witness c = 1/199)"
     ]
 
 
@@ -498,7 +523,7 @@ def test_recheck_reruns_freeness_for_small_bohr():
     other = np.sort(np.concatenate([subset[3:], [x, x + 1, x + 2]]))
     assert other.size == subset.size
     assert recheck_run(other, 3000, result) == [
-        f"step {result.steps[-1].step}: freeness search reruns as found"
+        f"step {result.steps[-1].step}: dichotomy reruns with a different unmet, freeness"
     ]
 
 
@@ -513,7 +538,8 @@ def _parity_fourier_run():
         grid=1204, enforce=False,
     )
     rec = StepRecord(0, out.delta_before, base.spec, 1, 0, increment=out)
-    return evens, RunResult("limit", 3, "hand-built", None, (rec,), {})
+    final = {"mult": 1, "offset": -1764, "d": 2, "set_size": 37}
+    return evens, RunResult("limit", "hand-built", (rec,), final)
 
 
 def test_recheck_accepts_hand_built_fourier_record():
@@ -534,7 +560,8 @@ def _evens_local_increment_run():
         ChainLink(2, Fraction(1), Fraction(1), inner.size, 1),
     )
     rec = StepRecord(0, out.delta, base.spec, 1, 0, links, dichotomy=out)
-    return evens, RunResult("limit", 3, "hand-built", None, (rec,), {})
+    final = {"mult": 2, "offset": -1250, "d": 1, "set_size": 1251}
+    return evens, RunResult("limit", "hand-built", (rec,), final)
 
 
 def test_recheck_accepts_hand_built_local_increment_record():
@@ -546,10 +573,10 @@ def test_recheck_accepts_hand_built_local_increment_record():
 @pytest.mark.parametrize(
     "forged, complaint",
     [
-        # a + 2 N_1 = [2, 2502] pokes out of the base; its density 1250/1251 is
-        # re-measured, so only the containment check can object
-        ({"a": 1252, "new_density": Fraction(1250, 1251)}, "doubled translate leaves the base"),
-        ({"new_density": Fraction(1, 2)}, "increment density fails recheck"),
+        # a + 2 N_1 = [2, 2502] pokes out of the base, at the density 1250/1251
+        # it holds there; the rerun picks the first contained translate
+        ({"a": 1252, "new_density": Fraction(1250, 1251)}, "with a different a, new_density"),
+        ({"new_density": Fraction(1, 2)}, "with a different new_density"),
     ],
     ids=["translate-leaves-base", "forged-density"],
 )
@@ -561,10 +588,10 @@ def test_recheck_rederives_forged_local_increment_record(forged, complaint):
 
 @pytest.mark.parametrize("index", [0, 3, 7])
 def test_recheck_refuses_an_inner_index_off_the_chain(index):
-    # rec.chain[:index] clips silently: the move would be replayed on N_0 or N_2
+    # an index off the chain would replay the move on N_0 or past the chain
     evens, result = _evens_local_increment_run()
     problems = recheck_run(evens, 2500, _forge_last(result, dichotomy={"inner_index": index}))
-    assert problems == [f"step 0: inner index {index} outside the chain of 2 links"]
+    assert problems == ["step 0: dichotomy reruns with a different inner_index"]
 
 
 def _forge_translate(evens):
@@ -588,14 +615,16 @@ def _forge_spec(theta, eps):
 @pytest.mark.parametrize(
     "forge, complaint",
     [(_forge_translate, "refined translate leaves the ambient set"),
-     (_forge_spec((Fraction(1, 2),), Fraction(1, 96)), "not a refinement"),
+     # a refined record must add a frequency: one that drops the ambient
+     # frequency for another is refused when it is built
+     (_forge_spec((Fraction(1, 2),), Fraction(1, 96)), "refined exactly when it adds"),
      (_forge_spec((Fraction(1), Fraction(1, 2)), Fraction(1, 48)), "not a refinement")],
     ids=["shifted-translate", "dropped-frequency", "uneven-shrink"],
 )
 def test_recheck_rederives_forged_fourier_record(forge, complaint):
     evens, result = _parity_fourier_run()
     inc = dataclasses.replace(result.steps[0].increment, **forge(evens))
-    problems = recheck_run(evens, 1800, _forge_last(result, increment=inc))
+    problems = _objections(evens, 1800, lambda: _forge_last(result, increment=inc))
     assert len(problems) == 1 and complaint in problems[0]
 
 
@@ -606,9 +635,9 @@ def test_recheck_rederives_forged_fourier_record(forge, complaint):
 
 def _forced_thresholds(monkeypatch, factor=None):
     """No set is small, and with ``factor`` no local increment is large
-    enough: ``increment`` imports both thresholds by name, so patch both."""
+    enough: ``increment`` imports the factor by name, so patch it there too."""
+    monkeypatch.setattr(patterns, "smallness_bound", lambda s, delta: Fraction(0))
     for module in (patterns, increment):
-        monkeypatch.setattr(module, "smallness_bound", lambda s, delta: Fraction(0))
         if factor is not None:
             monkeypatch.setattr(module, "increment_factor", lambda s: Fraction(factor))
 
@@ -623,7 +652,7 @@ _LOCAL_RUN = (
     '"mode":"restricted","status":"none","work":272},"increment":{"a":8,"inner_index":1,'
     '"new_density":[1,7],"required":[187,10672]},"inner_sizes":[7,1]},"delta":[34,2001],'
     '"kind":"local-increment","s":2,'
-    '"unmet":["c1 = 1/320 exceeds smallness bound 289/12812803200"]}},"d":1,"delta":[34,'
+    '"unmet":["c1 = 1/320 exceeds delta^s/(3200 d s^2) = 289/12812803200"]}},"d":1,"delta":[34,'
     '2001],"eps":[1,2],"mult":1,"offset":0,"spec":{"M":[1000,1],"degenerate":true,'
     '"dim":1,"eps":[1,2],"theta":[[1,1]]},"step":0},{"M":[25,8],"case":"local-increment",'
     '"certificate":{"chain":[{"c":[1,320],"index":1,"size":1,"target":[1,160],"tried":1},'
@@ -631,7 +660,7 @@ _LOCAL_RUN = (
     '"dichotomy":{"data":{"freeness":{"budget":100000000,"mode":"restricted",'
     '"status":"none","work":3},"increment":{"a":3,"inner_index":1,"new_density":[1,1],'
     '"required":[33,224]},"inner_sizes":[1,1]},"delta":[1,7],"kind":"local-increment",'
-    '"s":2,"unmet":["c1 = 1/320 exceeds smallness bound 1/627200"]}},"d":1,"delta":[1,7],'
+    '"s":2,"unmet":["c1 = 1/320 exceeds delta^s/(3200 d s^2) = 1/627200"]}},"d":1,"delta":[1,7],'
     '"eps":[1,640],"mult":2,"offset":8,"spec":{"M":[25,8],"degenerate":false,"dim":1,'
     '"eps":[1,640],"theta":[[1,1]]},"step":1},{"M":[5,512],"case":"no-case",'
     '"certificate":{"chain":[{"c":[1,320],"index":1,"size":1,"target":[1,160],"tried":1},'
@@ -639,7 +668,7 @@ _LOCAL_RUN = (
     '"dichotomy":{"data":{"freeness":{"budget":100000000,"mode":"restricted",'
     '"status":"none","work":3},"inner_sizes":[1,1],"norms_scanned":{"1,2":0.0},'
     '"u2_threshold":[1,128]},"delta":[1,1],"kind":"no-case","s":2,'
-    '"unmet":["c1 = 1/320 exceeds smallness bound 1/12800"]}},"d":1,"delta":[1,1],'
+    '"unmet":["c1 = 1/320 exceeds delta^s/(3200 d s^2) = 1/12800"]}},"d":1,"delta":[1,1],'
     '"eps":[1,204800],"mult":4,"offset":14,"spec":{"M":[5,512],"degenerate":true,"dim":1,'
     '"eps":[1,204800],"theta":[[1,1]]},"step":2}]}'
 )
@@ -653,7 +682,7 @@ _FOURIER_RUN = (
     '"mode":"restricted","status":"none","work":15},"inner_sizes":[1,1],'
     '"large_u2":{"norm":0.393183236324,"norms_scanned":{"1,2":0.393183236324},"pair":[1,'
     '2],"threshold":[32,217081801]}},"delta":[16,601],"kind":"large-u2","s":2,'
-    '"unmet":["c1 = 1/320 exceeds smallness bound 1/18060050"]},"increment":{"a_star":14,'
+    '"unmet":["c1 = 1/320 exceeds delta^s/(3200 d s^2) = 1/18060050"]},"increment":{"a_star":14,'
     '"bound_asserted":false,"delta_after":[1,1],"delta_before":[16,601],"grid_used":512,'
     '"guaranteed_bound":null,"inverse_avg":null,"new_spec":{"M":[15,256],'
     '"degenerate":true,"dim":1,"eps":[1,10240],"theta":[[1,1]]},'
@@ -667,7 +696,7 @@ _FOURIER_RUN = (
     '"dichotomy":{"data":{"freeness":{"budget":100000000,"mode":"restricted",'
     '"status":"none","work":3},"inner_sizes":[1,1],"norms_scanned":{"1,2":0.0},'
     '"u2_threshold":[1,128]},"delta":[1,1],"kind":"no-case","s":2,'
-    '"unmet":["c1 = 1/320 exceeds smallness bound 1/12800"]}},"d":1,"delta":[1,1],'
+    '"unmet":["c1 = 1/320 exceeds delta^s/(3200 d s^2) = 1/12800"]}},"d":1,"delta":[1,1],'
     '"eps":[1,10240],"mult":1,"offset":14,"spec":{"M":[15,256],"degenerate":true,"dim":1,'
     '"eps":[1,10240],"theta":[[1,1]]},"step":1}]}'
 )
@@ -779,7 +808,7 @@ STEP_FORMS = {
                 "delta": [62, 6001],
                 "kind": "small-bohr",
                 "s": 2,
-                "unmet": ["c1 = 1/320 exceeds smallness bound 961/115238403200"],
+                "unmet": ["c1 = 1/320 exceeds delta^s/(3200 d s^2) = 961/115238403200"],
             },
         },
         "d": 1,
@@ -829,7 +858,7 @@ STEP_FORMS = {
                 "kind": "local-increment",
                 "s": 2,
                 "unmet": [
-                    "c1 = 1/4 exceeds smallness bound 6255001/320128012800",
+                    "c1 = 1/4 exceeds delta^s/(3200 d s^2) = 6255001/320128012800",
                     "subset is not configuration-free on the restricted domain",
                 ],
             },
@@ -905,15 +934,18 @@ def test_recheck_reports_records_missing_their_witness():
     # a relabelled outcome holds none of the evidence its new case moves on
     subset, result = _behrend_small_bohr_run()
     forged = dataclasses.replace(
-        _forge_last(result, dichotomy={"kind": "local-increment"}), status="limit", exit_code=3
+        _forge_last(result, dichotomy={"kind": "local-increment"}), status="limit"
     )
     assert recheck_run(subset, 3000, forged) == [
-        f"step {result.steps[-1].step}: local-increment record without its witness"
+        f"step {result.steps[-1].step}: dichotomy reruns with a different kind"
     ]
     evens, result = _parity_fourier_run()
-    inc = dataclasses.replace(result.steps[0].increment, status="no-witness", new_set=None)
-    assert recheck_run(evens, 1800, _forge_last(result, increment=inc)) == [
-        "step 0: fourier-no-witness record names no new set"
+    inc = dataclasses.replace(
+        result.steps[0].increment,
+        status="no-witness", new_set=None, translate=None, delta_after=None,
+    )
+    assert _objections(evens, 1800, lambda: _forge_last(result, increment=inc)) == [
+        "refused at construction: an increment moves, refined exactly when it adds a frequency"
     ]
 
 
@@ -923,33 +955,38 @@ _NO_FOUND = "status found without a final config record naming the result"
 
 def test_recheck_derives_exhaustion_of_an_empty_trace():
     # a trace with no records proves exhaustion only when the set misses [-N, N]
-    forged = RunResult("exhausted", 1, "forged", None, (), {})
-    assert recheck_run(random_set(2000, 0.3, 7), 2000, forged) == [_NO_EXHAUSTION]
-    assert recheck_run(np.array([-2500, 2001]), 2000, forged) == []
+    def forged(size):
+        final = {"mult": 1, "offset": 0, "d": 1, "set_size": size}
+        return RunResult("exhausted", "forged", (), final)
+
+    assert recheck_run(random_set(2000, 0.3, 7), 2000, forged(648)) == [_NO_EXHAUSTION]
+    assert recheck_run(np.array([-2500, 2001]), 2000, forged(0)) == []
     real = run(np.array([-2500, 2001]), 2000, 2, mode="practical")
     assert (real.status, real.steps) == ("exhausted", ())
 
 
 def _forge_found(result):
+    """Each forgery of a found run: a builder and the problems its result
+    rechecks with, or the error that refuses to build it."""
+    rec = result.steps[-1]
+    other = Configuration(rec.finder.config.a + 1, rec.finder.config.ns)
+    trailing = dataclasses.replace(rec, step=rec.step + 1)
     return {
         "relabelled-exhausted": (
-            dataclasses.replace(result, status="exhausted", exit_code=1, config=None),
-            [_NO_EXHAUSTION],
+            lambda: dataclasses.replace(result, status="exhausted"), [_NO_EXHAUSTION]
         ),
+        # the result names the configuration of its last record: forging it
+        # means forging the record
         "other-config": (
-            dataclasses.replace(
-                result, config=Configuration(result.config.a + 1, result.config.ns)
-            ),
-            [_NO_FOUND],
+            lambda: _forge_last(result, finder=dataclasses.replace(rec.finder, config=other)),
+            [f"step {rec.step}: configuration not in the input set"],
         ),
-        "no-config": (dataclasses.replace(result, config=None), [_NO_FOUND]),
-        "exit-code": (
-            dataclasses.replace(result, exit_code=1),
-            ["exit code 1 does not match status found"],
-        ),
+        # the config and the exit code are derived, so neither can be set
+        "no-config": (lambda: dataclasses.replace(result, config=None), TypeError),
+        "exit-code": (lambda: dataclasses.replace(result, exit_code=1), TypeError),
         "trailing-record": (
-            dataclasses.replace(result, steps=result.steps + result.steps[-1:]),
-            [f"step {result.steps[-1].step}: records follow the terminal config record"],
+            lambda: dataclasses.replace(result, steps=result.steps + (trailing,)),
+            [f"step {rec.step}: records follow the terminal config record"],
         ),
     }
 
@@ -962,8 +999,13 @@ def test_recheck_derives_status_of_found_run(forgery):
     subset = random_set(2000, 0.3, 7)
     result = run(subset, 2000, 2, mode="practical")
     assert result.status == "found" and result.steps[-1].case == "config"
-    forged, problems = _forge_found(result)[forgery]
-    assert recheck_run(subset, 2000, forged) == problems
+    assert result.config == result.steps[-1].config_original
+    forge, expected = _forge_found(result)[forgery]
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            forge()
+    else:
+        assert recheck_run(subset, 2000, forge()) == expected
 
 
 @pytest.mark.parametrize(
@@ -973,10 +1015,205 @@ def test_recheck_derives_status_of_found_run(forgery):
 )
 def test_recheck_derives_status_of_small_bohr_run(status, code, problems):
     subset, result = _behrend_small_bohr_run()
-    forged = dataclasses.replace(result, status=status, exit_code=code)
+    forged = dataclasses.replace(result, status=status)
+    assert (forged.exit_code, forged.config) == (code, None)
     assert recheck_run(subset, 3000, forged) == problems
 
 
 def test_run_rejects_bad_mode():
     with pytest.raises(ValueError):
         run(np.arange(1, 5), 5, mode="sloppy")
+
+
+def test_config_record_arity_is_the_chain_length():
+    # the first two offsets of a found 3-configuration make a 2-configuration
+    # whose sums lie in the input too: only the record's arity can object
+    subset = random_set(3000, 0.5, 3)
+    overrides = {"x1": Fraction(1, 4), "x_rest": Fraction(1, 2)}
+    result = run(subset, 3000, 3, mode="practical", overrides=overrides)
+    assert result.status == "found" and recheck_run(subset, 3000, result) == []
+    rec = result.steps[-1]
+    cfg = rec.finder.config
+    short = dataclasses.replace(rec.finder, config=Configuration(cfg.a, cfg.ns[:2]))
+    assert verify_configuration(subset, Configuration(cfg.a, cfg.ns[:2]), 2)
+    with pytest.raises(ValueError, match="arity 2 on 3 links"):
+        _forge_last(result, finder=short)
+
+
+def test_recheck_recounts_a_config_records_chain():
+    subset = random_set(2000, 0.3, 7)
+    result = run(subset, 2000, 2, mode="practical")
+    forged = _forge_last(result, chain=_resized(result.steps[-1].chain, (14, 1)))
+    assert recheck_run(subset, 2000, forged) == ["step 0: inner sizes recount as [13, 1]"]
+
+
+@pytest.mark.parametrize("key", ["mult", "offset", "d", "set_size"])
+def test_recheck_compares_the_final_state(monkeypatch, key):
+    # the local-increment transition run ends away from the identity map
+    _forced_thresholds(monkeypatch)
+    subset = behrend_set(1000)
+    result = run(subset, 1000, 2, mode="practical")
+    assert result.final == {"mult": 4, "offset": 14, "d": 1, "set_size": 1}
+    forged = dataclasses.replace(result, final={**result.final, key: result.final[key] + 1})
+    assert recheck_run(subset, 1000, forged) == [f"final state differs from the replay in {key}"]
+
+
+def test_increment_and_run_vocabularies_are_closed():
+    with pytest.raises(ValueError, match="unknown increment status"):
+        IncrementOutcome("no-witnessx", (), Fraction(1, 3), 512)
+    with pytest.raises(ValueError, match="come with a translate or refined"):
+        IncrementOutcome("no-witness", (), Fraction(1, 3), 512, translate=4)
+    with pytest.raises(ValueError, match="come with a translate or refined"):
+        IncrementOutcome("translate", (), Fraction(1, 3), 512, translate=4)
+    with pytest.raises(ValueError, match="unknown status"):
+        RunResult("stalled", "", (), {})
+    _, result = _behrend_small_bohr_run()
+    with pytest.raises(ValueError, match="not numbered 0, 1"):
+        dataclasses.replace(result, steps=result.steps * 2)
+
+
+# ---------------------------------------------------------------------------
+# the forgery census: every leaf of every record is re-derived or refused
+# ---------------------------------------------------------------------------
+
+# leaves that no recheck reads, keyed by their paths (record fields joined by
+# dots, list positions dropped), each group with the reason it is report-only
+REPORT_ONLY = {
+    ("chain.target",): "the table's rate for the dilation search; no record holds the"
+    " practical overrides that set it",
+    ("chain.tried",): "the dilation search's effort against that rate",
+    ("chain.c",): "read through the set it rebuilds, which is recounted, certified and"
+    " rerun on; every factor small enough to rebuild {0} from {0} rebuilds the same set,"
+    " and only the search's rate tells them apart",
+    ("finder.work", "finder.budget"): "a config record's search effort, not a claim: its"
+    " configuration is checked in the input itself",
+    ("dichotomy.freeness.budget",): "the freeness rerun's allowance, read from the record:"
+    " any budget above the recorded work walks the same",
+    (
+        "increment.a_star", "increment.y", "increment.scan_value", "increment.grid_used",
+        "increment.inverse_avg", "increment.guaranteed_bound", "increment.bound_asserted",
+        "increment.unmet",
+    ): "the Fourier scan's witness, which needs the table's c_prime and eta to rerun",
+    ("reason",): "free text",
+}
+
+# fields whose None means "no such record", not a value to forge
+_ABSENT_RECORDS = {"finder", "dichotomy", "increment", "config", "new_spec"}
+
+
+def _parts(value):
+    """The named parts of a record value, or None for a leaf; a Fourier
+    increment's ``new_set`` is walked as the ``new_spec`` its report carries."""
+    if isinstance(value, IncrementOutcome):
+        out = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        del out["new_set"]
+        return {**out, "new_spec": value.new_spec}
+    if dataclasses.is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, ChainLink):
+        return {name: getattr(value, name) for name in ChainLink.__slots__}
+    if isinstance(value, tuple):
+        return dict(enumerate(value))
+    if isinstance(value, dict):
+        return dict(value)
+    return None
+
+
+def _with_part(value, key, part):
+    """``value`` rebuilt with one part replaced, through its constructor."""
+    if isinstance(value, IncrementOutcome) and key == "new_spec":
+        return dataclasses.replace(value, new_set=BohrSet.from_spec(part))
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{key: part})
+    if isinstance(value, ChainLink):
+        return ChainLink(**{**_parts(value), key: part})
+    if isinstance(value, tuple):
+        return value[:key] + (part,) + value[key + 1:]
+    return {**value, key: part}
+
+
+def _perturbed(leaf):
+    """Another value of the leaf's kind: a bool flipped, a ``Fraction``
+    doubled (1/7 for 0), a number plus 1, a string suffixed, None set to 1."""
+    if isinstance(leaf, bool):
+        return not leaf
+    if isinstance(leaf, Fraction):
+        return leaf * 2 if leaf else Fraction(1, 7)
+    if isinstance(leaf, (int, float)):
+        return leaf + 1
+    if isinstance(leaf, str):
+        return leaf + "x"
+    assert leaf is None
+    return 1
+
+
+def _forgeries(value, path=()):
+    """``(path, build)`` for each leaf: ``build()`` makes ``value`` with that
+    leaf perturbed, rebuilding every record on the way up."""
+    parts = _parts(value)
+    if parts is None:
+        yield path, lambda: _perturbed(value)
+        return
+    for key, part in parts.items():
+        if part is None and key in _ABSENT_RECORDS:
+            continue
+        for sub, build in _forgeries(part, (*path, key)):
+            yield sub, lambda build=build, key=key: _with_part(value, key, build())
+
+
+def _census_runs():
+    """``(name, subset, N, make, force)`` for the runs of :func:`_step_of_case`
+    and the two transition runs: ``make()`` builds the result once ``force``,
+    when there is one, has patched the thresholds the run needs."""
+    found = random_set(2000, 0.3, 7)
+    yield "config", found, 2000, partial(run, found, 2000, 2, mode="practical"), None
+    behrend = behrend_set(3000)
+    yield "small-bohr", behrend, 3000, lambda: _behrend_small_bohr_run()[1], None
+    evens = _evens_local_increment_run()[0]
+    yield "local-increment", evens, 2500, lambda: _evens_local_increment_run()[1], None
+    parity = _parity_fourier_run()[0]
+    yield "fourier-refined", parity, 1800, lambda: _parity_fourier_run()[1], None
+    for name, N, factor in [("local-transitions", 1000, None), ("fourier-transition", 300, 100)]:
+        subset = behrend_set(N)
+        make = partial(run, subset, N, 2, mode="practical")
+        yield name, subset, N, make, partial(_forced_thresholds, factor=factor)
+
+
+def test_forgery_census(monkeypatch):
+    report_only = {path: key for key in REPORT_ONLY for path in key}
+    accepted, used = [], set()
+    for name, subset, N, make, force in _census_runs():
+        with monkeypatch.context() as patch:
+            if force is not None:
+                force(patch)
+            result = make()
+            assert recheck_run(subset, N, result) == [], name
+            for path, build in _forgeries(result):
+                leaf = ".".join(k for k in path if isinstance(k, str) and k != "steps")
+                if _objections(subset, N, build):
+                    continue
+                if leaf in report_only:
+                    used.add(report_only[leaf])
+                else:
+                    accepted.append(f"{name}: {'.'.join(map(str, path))}")
+    stale = [key for key in REPORT_ONLY if key not in used]
+    assert (accepted, stale) == ([], [])
+    assert len(REPORT_ONLY) <= 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["random", "behrend"]),
+    st.integers(200, 3000),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["practical", "faithful"]),
+    st.integers(0, 10**6),
+)
+@example("random", 232, 2, "faithful", 0)  # a faithful chain factor Q m past int64
+@example("behrend", 3000, 3, "practical", 0)
+def test_real_runs_recheck_clean(kind, N, s, mode, seed):
+    # the dichotomy rerun must reproduce every record run makes, whatever it
+    # ends in: a false alarm here would fail the engine's own runs
+    subset = random_set(N, 0.3, seed) if kind == "random" else behrend_set(N)
+    result = run(subset, N, s, mode=mode)
+    assert recheck_run(subset, N, result) == []

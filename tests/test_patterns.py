@@ -25,6 +25,7 @@ from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded, ElementsLike, as_ele
 from bohrkit.functions import BoundedFunction
 from bohrkit.patterns import (
     Configuration,
+    DichotomyOutcome,
     FinderResult,
     FunctionFamily,
     PreconditionError,
@@ -883,7 +884,7 @@ DICHOTOMY_FORMS = {
         "delta": [34, 2001],
         "kind": "small-bohr",
         "s": 2,
-        "unmet": ["c1 = 1/320 exceeds smallness bound 289/12812803200"],
+        "unmet": ["c1 = 1/320 exceeds delta^s/(3200 d s^2) = 289/12812803200"],
     },
     "local-increment": {
         "data": {
@@ -906,7 +907,7 @@ DICHOTOMY_FORMS = {
         "kind": "local-increment",
         "s": 2,
         "unmet": [
-            "c1 = 82/181 exceeds smallness bound 2/27225",
+            "c1 = 82/181 exceeds delta^s/(3200 d s^2) = 2/27225",
             "subset is not configuration-free on the restricted domain",
         ],
     },
@@ -931,7 +932,7 @@ DICHOTOMY_FORMS = {
         "kind": "large-u2",
         "s": 2,
         "unmet": [
-            "c1 = 1 exceeds smallness bound 1369/20224800",
+            "c1 = 1 exceeds delta^s/(3200 d s^2) = 1369/20224800",
             "subset is not configuration-free on the restricted domain",
         ],
     },
@@ -952,7 +953,7 @@ DICHOTOMY_FORMS = {
         "kind": "no-case",
         "s": 2,
         "unmet": [
-            "c1 = 1 exceeds smallness bound 1/12800",
+            "c1 = 1 exceeds delta^s/(3200 d s^2) = 1/12800",
             "subset is not configuration-free on the restricted domain",
         ],
     },
@@ -982,3 +983,20 @@ def test_dichotomy_rejects_a_chain_that_is_not_nested(inner):
     chain = [BohrSet.from_spec(spec) for spec in inner(base)]
     with pytest.raises(ValueError, match="nested chain"):
         dichotomy(base.elements[::3], base, chain, enforce=False)
+
+
+def test_finder_and_dichotomy_vocabularies_are_closed():
+    cfg = Configuration(0, (1, 2))
+    FinderResult("found", cfg, 3, 10, "restricted")
+    for status, config, mode in [
+        ("nonex", None, "restricted"),  # an unknown status
+        ("none", None, "walk"),  # an unknown mode
+        ("found", None, "extent"),  # found without its configuration
+        ("none", cfg, "restricted"),  # a configuration with a negative verdict
+        ("inconclusive", cfg, "extent"),
+    ]:
+        with pytest.raises(ValueError, match="finder result"):
+            FinderResult(status, config, 3, 10, mode)
+    none = FinderResult("none", None, 3, 10, "restricted")
+    with pytest.raises(ValueError, match="unknown dichotomy kind"):
+        DichotomyOutcome("no-casex", 2, Fraction(1, 2), (), none, (3, 1))

@@ -332,8 +332,10 @@ EMBED = EmbedResult("ok", FreimanMap(np.array([1, 2, 5]), 11, np.array([3, 6, 4]
                     F(5, 2), 5, 3, 3, 2, 4, 7)
 DICH = DichotomyOutcome("small-bohr", 2, F(1, 4), ("c1",), NONE, (3, 1))
 LINK = ChainLink(1, F(1, 4), F(1, 2), 3, 2)
+LINK2 = ChainLink(2, F(1, 8), F(1, 4), 1, 1)
 WINDOW = BohrSpec((F(1),), F(1, 2), F(9))
-STEP = StepRecord(0, F(3, 10), WINDOW, 2, -1, (LINK,), dichotomy=DICH)
+STEP = StepRecord(0, F(1, 4), WINDOW, 2, -1, (LINK, LINK2), dichotomy=DICH)
+CONFIG_STEP = StepRecord(0, F(1, 4), WINDOW, 2, -1, (LINK, LINK2), finder=FOUND)
 
 SPEC_D = {"theta": [[1, 3], [2, 7]], "eps": [1, 5], "M": [20, 1], "dim": 2,
           "degenerate": False}
@@ -348,10 +350,15 @@ DICH_D = {"kind": "small-bohr", "s": 2, "delta": [1, 4], "unmet": ["c1"],
           "data": {"freeness": NONE_D, "inner_sizes": [3, 1],
                    "small": {"size": 1, "threshold": [8192, 1]}}}
 LINK_D = {"index": 1, "c": [1, 4], "target": [1, 2], "size": 3, "tried": 2}
+LINK2_D = {"index": 2, "c": [1, 8], "target": [1, 4], "size": 1, "tried": 1}
 WINDOW_D = {"theta": [[1, 1]], "eps": [1, 2], "M": [9, 1], "dim": 1, "degenerate": True}
-STEP_D = {"step": 0, "case": "small-bohr", "d": 1, "delta": [3, 10], "eps": [1, 2],
+STEP_D = {"step": 0, "case": "small-bohr", "d": 1, "delta": [1, 4], "eps": [1, 2],
           "M": [9, 1], "spec": WINDOW_D, "mult": 2, "offset": -1,
-          "certificate": {"chain": [LINK_D], "dichotomy": DICH_D}}
+          "certificate": {"chain": [LINK_D, LINK2_D], "dichotomy": DICH_D}}
+CONFIG_ORIGINAL_D = {"a": 5, "ns": [0, 4], "elements": [5, 9, 13]}
+CONFIG_STEP_D = {**STEP_D, "case": "config",
+                 "certificate": {"chain": [LINK_D, LINK2_D], "config": CONFIG_D,
+                                 "finder": FOUND_D, "config_original": CONFIG_ORIGINAL_D}}
 EMBED_D = {"status": "ok", "map": {"modulus": 11, "multiplier": 3,
                                    "pairs": [[1, 3], [2, 6], [5, 4]]},
            "k_declared": [5, 2], "diff_size": 5, "domain_size": 3, "kept_size": 3,
@@ -407,14 +414,11 @@ REPORT_FORMS = [
       "holds": None}),
     (DICH, DICH_D),
     (LINK, LINK_D),
-    (StepRecord(0, F(3, 10), WINDOW, 2, -1, (LINK,), finder=FOUND),
-     {**STEP_D, "case": "config",
-      "certificate": {"chain": [LINK_D], "config": CONFIG_D, "finder": FOUND_D,
-                      "config_original": {"a": 5, "ns": [0, 4], "elements": [5, 9, 13]}}}),
-    (RunResult("found", 0, "configuration found", CONFIG, (STEP,), {"d": 1, "set_size": 4}),
+    (CONFIG_STEP, CONFIG_STEP_D),
+    (RunResult("found", "configuration found", (CONFIG_STEP,), {"d": 1, "set_size": 4}),
      {"status": "found", "exit_code": 0, "reason": "configuration found",
-      "config": CONFIG_D, "steps": [STEP_D], "final": {"d": 1, "set_size": 4}}),
-    (RunResult("limit", 3, "step cap 0 reached", None, (), {}),
+      "config": CONFIG_ORIGINAL_D, "steps": [CONFIG_STEP_D], "final": {"d": 1, "set_size": 4}}),
+    (RunResult("limit", "step cap 0 reached", (), {}),
      {"status": "limit", "exit_code": 3, "reason": "step cap 0 reached", "config": None,
       "steps": [], "final": {}}),
     (EMBED, EMBED_D),
