@@ -16,16 +16,18 @@ and never merged:
     ``E_a E_{k,l} | E_i T[a,i,k] conj T[a,i,l] |^2``, cost ``|A| L1 L2^2``.
 
 The ``N2``-first square at ``(a, i, j)`` depends only on the pair
-``(a + n1_i, n1_j - n1_i)``. Where ``A + N1`` is barely bigger than ``A``
-(windows, intervals, Bohr sets) few pairs are distinct, so for each chunk of
-base points the correlation route fills a pair table over the distinct
-``P = chunk + N1`` and ``D = N1 - N1`` when ``|P| |D| < rows L1^2`` and
-contracts the cube otherwise; the budget ``|A| L1^2 L2`` stays an upper
-bound on the products either computes. The choice is made from the input
-sizes alone, and the table's entries are computed by the same contraction,
-division and square as the cube's, so the result equals the cube
-contraction bit for bit whichever runs. The direct route stays the literal
-``N1``-first contraction.
+``(a + n1_i, n1_j - n1_i)``, and the ``N1``-first square at ``(a, k, l)``
+only on ``(a + n2_k, n2_l - n2_k)``. Where ``A + N`` is barely bigger than
+``A`` (windows, intervals, Bohr sets) few pairs are distinct, so for each
+chunk of base points each route fills a pair table over the distinct
+``P = chunk + N`` and ``D = N - N`` (``N = N1`` for the correlation route,
+``N2`` for the direct one) when ``|P| |D| < rows L^2`` and contracts the
+cube otherwise; each route's budget stays an upper bound on the products
+either branch computes. The choice is made from the input sizes alone, and
+the table's entries are computed by the same contraction, division and
+square as the cube's, so each route equals its own cube contraction bit for
+bit whichever runs. The two tables are written apart, so a fault in one
+shows as a disagreement between the routes.
 
 Each square is a two-operand ``einsum(..., optimize=False)`` followed by a
 square, so results are bitwise reproducible across thread counts, and both
@@ -124,10 +126,16 @@ def u2_fourth_direct(
     """Fourth power via the ``N1``-first square.
 
     ``E_a E_{k,l} |E_i T[a,i,k] conj T[a,i,l]|^2`` with
-    ``T[a,i,k] = f(a + n1_i + n2_k)``: an ``L2 x L2`` correlation matrix per
-    base point, summed over ``N1``, then squared. The cost ``|A| L1 L2^2``
-    (one unit per multiply-add) is checked against ``budget`` before
-    anything is allocated.
+    ``T[a,i,k] = f(a + n1_i + n2_k)``. The square at ``(a, k, l)`` depends
+    only on ``(p, d) = (a + n2_k, n2_l - n2_k)``, so per chunk of base points
+    the route fills the pair table
+    ``S[p, d] = |E_i f(p + n1_i) conj f(p + d + n1_i)|^2`` over the distinct
+    ``P2 = chunk + N2`` and ``D2 = N2 - N2`` when ``|P2| |D2| < rows L2^2``,
+    and contracts the cube ``einsum("aik,ail->akl")`` otherwise; either way
+    the sum over ``i`` runs in the same order, so the bits are the cube's.
+    The cost ``|A| L1 L2^2`` (one unit per multiply-add), an upper bound on
+    both, and the int64 fit of every sum ``a + n1 + n2`` and
+    ``a + n2 + d2 + n1`` are checked before anything is allocated.
     """
     a = as_elements(base)
     n1 = as_elements(inner1)
@@ -137,13 +145,41 @@ def u2_fourth_direct(
     cost = a.size * n1.size * n2.size**2
     if cost > budget:
         raise BudgetExceeded(f"direct route needs {cost} operations, budget {budget}")
-    require_int64("direct route", _extent(a), _extent(n1), _extent(n2))
+    lo2, hi2 = _extent(n2)
+    d_ext = (lo2 - hi2, hi2 - lo2)  # the extremes of N2 - N2
+    # the cube forms a + n1 + n2; the table a + n2 (+ d) + n1, and d + n1
+    require_int64("direct route", _extent(a), _extent(n1), (lo2, hi2))
+    require_int64("direct route", _extent(a), (lo2, hi2), d_ext, _extent(n1))
+    require_int64("direct route", d_ext, _extent(n1))
+    diffs = n2[None, :] - n2[:, None]  # diffs[k, l] = n2_l - n2_k
+    d = sorted_distinct(diffs)
+    didx = sorted_lookup(d, diffs)[0]
     vals = np.empty(a.size, dtype=np.float64)
     step = chunk_rows(max(n1.size * n2.size, n2.size**2))
     for s in range(0, a.size, step):
-        t = _gather_cube(f, a[s : s + step], n1, n2)
-        m = np.einsum("aik,ail->akl", t, t.conj(), optimize=False) / n1.size
-        vals[s : s + step] = (m.real**2 + m.imag**2).mean(axis=(1, 2))
+        chunk = a[s : s + step]
+        starts = chunk[:, None] + n2[None, :]
+        p = sorted_distinct(starts)
+        if p.size * d.size < chunk.size * n2.size**2:
+            # S[r, c] over sub-chunks of P2, f looked up once per distinct d + n1
+            offsets = d[:, None] + n1[None, :]
+            q = sorted_distinct(offsets)
+            qidx = sorted_lookup(q, offsets)[0]
+            table = np.empty((p.size, d.size), dtype=np.float64)
+            sub = chunk_rows(d.size * n1.size)
+            for r in range(0, p.size, sub):
+                ps = p[r : r + sub]
+                x = f.gather(ps[:, None] + n1[None, :])
+                y = f.gather(ps[:, None] + q[None, :]).conj()[:, qidx]
+                m = np.einsum("ri,rci->rc", x, y, optimize=False) / n1.size
+                table[r : r + sub] = m.real**2 + m.imag**2
+            pidx = sorted_lookup(p, starts)[0]
+            sq = table.take(pidx[:, :, None] * d.size + didx)
+        else:
+            t = _gather_cube(f, chunk, n1, n2)
+            m = np.einsum("aik,ail->akl", t, t.conj(), optimize=False) / n1.size
+            sq = m.real**2 + m.imag**2
+        vals[s : s + step] = sq.mean(axis=(1, 2))
     return float(np.mean(vals))
 
 

@@ -5,12 +5,26 @@ which must occur there exactly once, becomes ``new``. ``kills`` lists the
 pytest node ids that fail once the patch is applied, and ``drops`` says what
 the mutant takes away. pytest does not collect this module (its name does
 not start with ``test_``); ``tests/test_hygiene.py`` checks every anchor, so
-a refactor that moves the patched code must move its mutant too. A runner
-that applies each patch to a copy of ``src`` and runs the named tests is
-not written yet.
+a refactor that moves the patched code must move its mutant too.
+
+Run as a script, ``python tests/mutants.py [FILTER]``, it applies each entry
+(or each whose ``drops`` contains ``FILTER``) to a fresh copy of ``src``,
+``tests`` and ``bench`` in a temporary directory, runs the entry's ``kills``
+there with pytest, and prints a JSON summary: the killed and surviving
+mutants, and for each killed one the named tests that still passed. It exits
+nonzero when a mutant survives.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 MUTANTS = [
     {
@@ -60,4 +74,108 @@ MUTANTS = [
         "new": "        known = self.mode in _FINDER_MODES\n",
         "kills": ["tests/test_patterns.py::test_finder_and_dichotomy_vocabularies_are_closed"],
     },
+    {
+        "file": "functions.py",
+        "drops": "the exact offset of a run support's padded array",
+        "old": "            padded_lo = int(support[0]) - left\n",
+        "new": "            padded_lo = int(support[0]) - left + 1\n",
+        "kills": [
+            "tests/test_functions.py::test_gather_matches_dict_lookup",
+            "tests/test_gowers.py::test_direct_route_bits_are_pinned",
+        ],
+    },
+    {
+        "file": "functions.py",
+        "drops": "the zero pad right of a run support",
+        "old": "    return int(support[0] > _INT64_MIN), int(support[-1] < _INT64_MAX)\n",
+        "new": "    return int(support[0] > _INT64_MIN), 0\n",
+        "kills": ["tests/test_functions.py::test_gather_matches_dict_lookup"],
+    },
+    {
+        "file": "functions.py",
+        "drops": "the zero check of a padded array the constructor adopts",
+        "old": "                and not padded[:left].any()\n",
+        "new": "",
+        "kills": ["tests/test_functions.py::test_run_constructors_write_into_the_padded_array"],
+    },
+    {
+        "file": "gowers.py",
+        "drops": "the conjugate in the direct route's pair table",
+        "old": "                y = f.gather(ps[:, None] + q[None, :]).conj()[:, qidx]\n",
+        "new": "                y = f.gather(ps[:, None] + q[None, :])[:, qidx]\n",
+        "kills": ["tests/test_gowers.py::test_direct_route_equals_cube_bit_for_bit"],
+    },
+    {
+        "file": "gowers.py",
+        "drops": "the direct route's choice of the smaller of table and cube",
+        "old": "        if p.size * d.size < chunk.size * n2.size**2:\n",
+        "new": "        if p.size * d.size >= chunk.size * n2.size**2:\n",
+        "kills": ["tests/test_gowers.py::test_direct_route_picks_the_smaller_side"],
+    },
+    {
+        "file": "gowers.py",
+        "drops": "the int64 check of the direct table's sums a + n2 + d2 + n1",
+        "old": "    require_int64(\"direct route\", _extent(a), (lo2, hi2), d_ext, _extent(n1))\n",
+        "new": "",
+        "kills": ["tests/test_gowers.py::test_direct_table_sums_past_int64_are_refused"],
+    },
 ]
+
+
+def _failed(report: Path) -> tuple[int, set[str]]:
+    """The number of test cases in a pytest junit report, and the node ids
+    of those that failed or raised."""
+    cases = list(ET.parse(report).iter("testcase"))
+    failed = {
+        case.get("classname", "").replace(".", "/") + ".py::" + case.get("name", "")
+        for case in cases
+        if case.find("failure") is not None or case.find("error") is not None
+    }
+    return len(cases), failed
+
+
+def run_mutant(root: Path, mutant: dict) -> dict:
+    """Apply ``mutant`` to a fresh copy of the sources and run its ``kills``."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        work = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", "out")
+        for part in ("src", "tests", "bench"):
+            shutil.copytree(root / part, work / part, ignore=skip)
+        shutil.copy(root / "pyproject.toml", work / "pyproject.toml")
+        target = work / "src" / "bohrkit" / mutant["file"]
+        text = target.read_text()
+        if text.count(mutant["old"]) != 1:
+            return {"status": "stale", "why": "anchor does not occur exactly once"}
+        target.write_text(text.replace(mutant["old"], mutant["new"]))
+        env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+        report = work / "report.xml"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"--junitxml={report}", *mutant["kills"]],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+        ran, failed = _failed(report) if report.exists() else (0, set())
+    if proc.returncode not in (0, 1) or ran != len(mutant["kills"]):
+        why = f"pytest exit {proc.returncode}, {ran} of {len(mutant['kills'])} tests ran"
+        return {"status": "error", "why": why}
+    passed = [node for node in mutant["kills"] if node not in failed]
+    return {"status": "survived" if len(passed) == ran else "killed", "passed": passed}
+
+
+def main(argv: list[str]) -> int:
+    root = Path(__file__).resolve().parent.parent
+    chosen = [m for m in MUTANTS if not argv or argv[0] in m["drops"]]
+    summary: dict = {"killed": [], "survived": [], "error": [], "stale": []}
+    for mutant in chosen:
+        result = run_mutant(root, mutant)
+        status = result.pop("status")
+        if not result.get("passed"):
+            result.pop("passed", None)
+        summary[status].append({"file": mutant["file"], "drops": mutant["drops"], **result})
+    summary["counts"] = {k: len(v) for k, v in summary.items()}
+    print(json.dumps(summary, indent=2))
+    return 0 if len(summary["killed"]) == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

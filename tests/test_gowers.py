@@ -97,6 +97,35 @@ def u2_cube_oracle(f, base, n1, n2) -> float:
     return float(np.mean(vals))
 
 
+def searchsorted_gather(f, points) -> np.ndarray:
+    """``f`` at ``points`` by a plain binary search of its support."""
+    pts = np.asarray(points, dtype=np.int64)
+    if f.support.size == 0:
+        return np.zeros(pts.shape, dtype=np.complex128)
+    idx = np.minimum(np.searchsorted(f.support, pts), f.support.size - 1)
+    return np.where(f.support[idx] == pts, f.values[idx], 0j)
+
+
+def u2_direct_cube_oracle(f, base, n1, n2) -> float:
+    """The direct route as a cube contraction, chunk by chunk.
+
+    ``E_a E_{k,l} |E_i T[a,i,k] conj T[a,i,l]|^2`` with one
+    ``einsum("aik,ail->akl")`` over each chunk of base points: the kernel
+    the direct pair table replaced. Values are looked up with
+    ``np.searchsorted``, not ``f.gather``. The library must equal it bit
+    for bit.
+    """
+    a, n1, n2 = (np.asarray(x, dtype=np.int64) for x in (base, n1, n2))
+    vals = np.empty(a.size, dtype=np.float64)
+    step = max(1, 2**18 // max(n1.size * n2.size, n2.size**2))
+    for s in range(0, a.size, step):
+        pts = a[s : s + step, None, None] + n1[None, :, None] + n2[None, None, :]
+        t = searchsorted_gather(f, pts)
+        m = np.einsum("aik,ail->akl", t, t.conj(), optimize=False) / n1.size
+        vals[s : s + step] = (m.real**2 + m.imag**2).mean(axis=(1, 2))
+    return float(np.mean(vals))
+
+
 def scan_oracle(f, base, inner, grid):
     """Direct exponential sums: max_k |E_n f(a+n) e(n k / grid)|."""
     lookup = {int(n): complex(v) for n, v in zip(f.support, f.values)}
@@ -312,9 +341,9 @@ def _pinned_chunked():
 
 
 def test_correlation_route_bits_are_pinned():
-    # values computed while the direct route was the literal contraction;
-    # the correlation route (and with it u2_report, check_von_neumann and
-    # dichotomy) must not move by one bit
+    # values computed while both routes contracted the cube; the correlation
+    # route (and with it u2_report, check_von_neumann and dichotomy) must
+    # not move by one bit
     assert u2_fourth_correlation(*_pinned_small()).hex() == "0x1.c13e6e2c649eap-5"
     assert u2_fourth_correlation(*_pinned_chunked()).hex() == "0x1.a3e60bd500860p-8"
 
@@ -431,6 +460,84 @@ def test_correlation_route_picks_the_smaller_side(monkeypatch):
     calls.clear()
     u2_fourth_correlation(*_unstructured())
     assert calls and set(calls) == {"aik,ajk->aij"}
+
+
+def test_direct_route_bits_are_pinned():
+    # values computed while the direct route was the literal N1-first cube
+    # contraction; its pair table must not move them by one bit
+    assert u2_fourth_direct(*_pinned_small()).hex() == "0x1.c13e6e2c649eap-5"
+    assert u2_fourth_direct(*_pinned_chunked()).hex() == "0x1.a3e60bd50085ep-8"
+
+
+@settings(max_examples=60, deadline=None)
+@given(correlation_cases(), st.booleans())
+@example(_pinned_small(), False)
+@example(_pinned_chunked(), True)
+@example(_corr_case(8, False, range(-3, 9715), range(-1, 2), range(-4, 5)), True)
+@example(_corr_case(9, False, range(-100, 101), [0, 3, -2, 5, 1], range(-7, 8)), False)
+@example(_unstructured(10, 300), True)
+def test_direct_route_equals_cube_bit_for_bit(case, swap):
+    # swapped, the structured offsets of a case become N2, the side the
+    # direct route builds its pair table over
+    f, base, n1, n2 = case
+    if swap:
+        n1, n2 = n2, n1
+    got = u2_fourth_direct(f, base, n1, n2, budget=10**12)
+    assert got == u2_direct_cube_oracle(f, base, n1, n2)
+
+
+def test_direct_route_picks_the_smaller_side(monkeypatch):
+    calls = _einsum_calls(monkeypatch)
+    f, base, n1, n2 = _pinned_chunked()  # a 4001-point interval at 31 x 9
+    u2_fourth_direct(f, base, n1, n2)
+    assert calls and set(calls) == {"ri,rci->rc"}
+    calls.clear()
+    f, base, n1, n2 = _unstructured()  # N2 a window, but A + N2 barely repeats
+    u2_fourth_direct(f, base, n1, n2)
+    assert calls and set(calls) == {"aik,ail->akl"}
+
+
+def test_direct_route_memory_stays_chunked():
+    # a table over all of A + N2 would hold 100031 x 61 floats, 49 MB
+    f, _, n1, n2 = _pinned_chunked()
+    base = np.arange(-50000, 50001)
+    tracemalloc.start()
+    try:
+        u2_fourth_direct(f, base, n2, n1, budget=10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_direct_route_memory_stays_chunked_on_unstructured_n2():
+    # N2 - N2 has about L2^2 = 160000 distinct values, so every chunk takes
+    # the cube; the offsets D2 + N1 alone would hold 10^7 int64, 80 MB
+    rng = np.random.default_rng(22)
+    n2 = rng.choice(10**9, size=400, replace=False)
+    n1 = np.arange(64)
+    f = BoundedFunction.character(Fraction(1, 7), 0, 2000)
+    tracemalloc.start()
+    try:
+        u2_fourth_direct(f, [0], n1, n2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_direct_table_sums_past_int64_are_refused():
+    # the direct table forms a + n2 + (n2' - n2) + n1 and (n2' - n2) + n1,
+    # past int64 here though every a + n1 + n2 fits
+    f = BoundedFunction(np.arange(-(2**63), -(2**63) + 8), np.ones(8))
+    cases = [
+        ([2**62 - 1], [0], [0, 2**62]),  # a + n2 + d2 reaches 2^63 + 2^62 - 1
+        ([-(2**62)], [2**63 - 2**60], [0, 2**61]),  # only d2 + n1 leaves int64
+    ]
+    for base, n1, n2 in cases:
+        with pytest.raises(ValueError, match="direct route"):
+            u2_fourth_direct(f, base, n1, n2)
+        assert u2_fourth_correlation(f, base, n1, n2) == 0.0
 
 
 def test_correlation_route_memory_stays_chunked():
