@@ -205,8 +205,13 @@ def enumerate_bohr(spec: BohrSpec, *, enum_limit: int = ENUM_LIMIT) -> np.ndarra
 
     Candidates are ``|n| <= floor(M)``; ``0`` is always a member. Raises
     :class:`BudgetExceeded` when the candidate window exceeds ``enum_limit``.
+    When every frequency is 1 no torus constraint applies, so the set is the
+    candidate window itself, returned without computing a key; ``enum_limit``
+    refuses an oversized window all the same.
     """
     ns = _window(floor_frac(spec.M), enum_limit)
+    if all(t == 1 for t in spec.theta):
+        return ns
     keys, B = _entry_keys(spec, ns, run=True)
     return ns[keys <= B]
 
@@ -306,11 +311,18 @@ def sorted_lookup(values: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_density(subset: np.ndarray, ambient: np.ndarray) -> Fraction:
-    """``|subset ∩ ambient| / |ambient|`` exactly; the intersection counts distinct values."""
+    """``|subset ∩ ambient| / |ambient|`` exactly; the intersection counts distinct values.
+
+    Both inputs are made sorted and distinct, and the smaller is looked up in
+    the larger: the count is the same either way, and the lookup then costs
+    ``min(|subset|, |ambient|)`` points, each answered by arithmetic when the
+    larger side is a run (a window) and by a binary search otherwise.
+    """
     if ambient.size == 0:
         raise ValueError("ambient set is empty")
-    ambient = sorted_distinct(ambient)
-    hit = sorted_lookup(sorted_distinct(subset), ambient)[1]
+    ambient, subset = sorted_distinct(ambient), sorted_distinct(subset)
+    small, large = (subset, ambient) if subset.size <= ambient.size else (ambient, subset)
+    hit = sorted_lookup(large, small)[1]
     return Fraction(int(np.count_nonzero(hit)), int(ambient.size))
 
 

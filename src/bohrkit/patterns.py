@@ -202,12 +202,17 @@ def _words(bits: int) -> int:
 
 
 def _pack(positions: np.ndarray) -> int:
-    """Python-int bitset with bit ``p`` set for each (distinct) position."""
+    """Python-int bitset with bit ``p`` set for each non-negative position.
+
+    The bits are set in one boolean array over ``[0, max]`` and packed with
+    bit ``p`` at bit ``p % 8`` of byte ``p // 8``, so the temporary holds one
+    byte per bit of span; the kernel charges the words it writes separately.
+    """
     if positions.size == 0:
         return 0
-    buf = np.zeros(int(positions.max()) // 8 + 1, dtype=np.uint8)
-    np.bitwise_or.at(buf, positions >> 3, np.left_shift(1, positions & 7).astype(np.uint8))
-    return int.from_bytes(buf.tobytes(), "little")
+    bits = np.zeros(int(positions.max()) + 1, dtype=bool)
+    bits[positions] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 class ShiftedAndKernel:

@@ -119,6 +119,34 @@ MUTANTS = [
         "new": "",
         "kills": ["tests/test_gowers.py::test_direct_table_sums_past_int64_are_refused"],
     },
+    {
+        "file": "bohr.py",
+        "drops": "the keys of a spec that mixes frequency 1 with another",
+        "old": "    if all(t == 1 for t in spec.theta):\n",
+        "new": "    if any(t == 1 for t in spec.theta):\n",
+        "kills": ["tests/test_bohr.py::test_enumeration_matches_oracle_random"],
+    },
+    {
+        "file": "patterns.py",
+        "drops": "the bit order of a packed bitset",
+        "old": 'np.packbits(bits, bitorder="little")',
+        "new": 'np.packbits(bits, bitorder="big")',
+        "kills": [
+            "tests/test_patterns.py::test_pack_matches_literal_shifts",
+            "tests/test_increment.py::test_run_practical_finds_configuration",
+        ],
+    },
+    {
+        "file": "bohr.py",
+        "drops": "the ambient set as the denominator of a density",
+        "old": "    return Fraction(int(np.count_nonzero(hit)), int(ambient.size))\n",
+        "new": "    return Fraction(int(np.count_nonzero(hit)), int(large.size))\n",
+        "kills": [
+            "tests/test_bohr.py::test_exact_density_matches_set_oracle",
+            "tests/test_bohr.py::test_exact_density_looks_the_smaller_side_up",
+            "tests/test_increment.py::test_fourier_increment_translate_pick_is_the_literal_rule",
+        ],
+    },
 ]
 
 

@@ -194,11 +194,24 @@ def test_frozen_example_tiny():
     assert enumerate_bohr(spec).tolist() == [0]
 
 
+# Frequency-1 specs, whose set is the candidate window itself: integral,
+# fractional and sub-unit M, a tiny eps and a vacuous one; then a spec that
+# mixes in a frequency other than 1 and so needs its keys.
+_WINDOW_SPECS = [
+    BohrSpec((Fraction(1),), Fraction(1, 3), Fraction(40)),
+    BohrSpec((Fraction(1), Fraction(1)), Fraction(1, 5), Fraction(81, 2)),
+    BohrSpec((Fraction(1),), Fraction(1, 4), Fraction(2, 3)),
+    BohrSpec((Fraction(1),), Fraction(1, 2**150), Fraction(17)),
+    BohrSpec((Fraction(1), Fraction(1)), Fraction(1, 2), Fraction(9)),
+    BohrSpec((Fraction(1),), Fraction(7, 4), Fraction(5)),
+    BohrSpec((Fraction(1), Fraction(2, 7)), Fraction(1, 5), Fraction(30)),
+]
+
+
 def test_enumeration_matches_oracle_random():
     rng = random.Random(7)
-    for _ in range(60):
-        spec = random_spec(rng, max_m=60)
-        assert enumerate_bohr(spec).tolist() == enumerate_oracle(spec)
+    for spec in _WINDOW_SPECS + [random_spec(rng, max_m=60) for _ in range(60)]:
+        assert enumerate_bohr(spec).tolist() == enumerate_oracle(spec), spec
 
 
 def test_membership_mask_matches_oracle():
@@ -746,6 +759,56 @@ def test_sorted_distinct_matches_unique(arr):
     assert got.tolist() == np.unique(arr).tolist()
     assert not np.shares_memory(got, arr)  # a fresh array, even when nothing moved
     assert np.array_equal(arr, before)
+
+
+@st.composite
+def density_inputs(draw):
+    """Unsorted int64 arrays with repeats: an ambient set, a run or scattered
+    values, and a subset drawn partly outside it, with fewer or more distinct
+    values than the ambient set."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(-20, 20))
+        ambient = list(range(lo, lo + draw(st.integers(1, 25))))
+    else:
+        ambient = draw(st.lists(st.one_of(st.integers(-20, 20), _INT64), min_size=1, max_size=25))
+    ambient = draw(st.permutations(ambient + ambient[: draw(st.integers(0, 3))]))
+    subset = draw(st.lists(st.one_of(st.integers(-30, 30), _INT64), max_size=60))
+    return np.array(subset, dtype=np.int64), np.array(ambient, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(density_inputs())
+@example((_EMPTY, np.array([3, 1, 3])))
+@example((np.array([9, 5, 5, -40, 2, 9]), np.array([2, 9, 2])))  # the subset is larger
+@example((np.array([_INT64_MAX, 0, _INT64_MIN]), np.arange(-3, 4)))
+def test_exact_density_matches_set_oracle(inputs):
+    subset, ambient = inputs
+    members = set(ambient.tolist())
+    expect = Fraction(len(members & set(subset.tolist())), len(members))
+    assert exact_density(subset, ambient) == expect
+
+
+def test_exact_density_looks_the_smaller_side_up(monkeypatch):
+    # a lookup of every ambient point gives the same density at window cost
+    looked_up = []
+
+    def counted(values, points):
+        looked_up.append(np.asarray(points).size)
+        return sorted_lookup(values, points)
+
+    monkeypatch.setattr(bohr, "sorted_lookup", counted)
+    window, sparse = np.arange(-1000, 1001), np.array([7, -3, 7, 5000, 12])
+    cases = [
+        (sparse, window, Fraction(3, 2001)),
+        (window, sparse, Fraction(3, 4)),
+        (window[::-1], window, Fraction(1)),
+        (_EMPTY, window, Fraction(0)),
+    ]
+    for subset, ambient, density in cases:
+        looked_up.clear()
+        assert exact_density(subset, ambient) == density
+        distinct = min(np.unique(subset).size, np.unique(ambient).size)
+        assert looked_up == [distinct]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import no underscore name from another bohrkit module (a private helper that
 two modules need belongs under a public name) and must use every name its
 top-level imports bind. Every module, the package ``__init__`` included,
 must leave ``np.isin`` and ``np.intersect1d`` alone: each membership question
-on a sorted array goes through ``bohr.sorted_lookup``. No module calls
+on a sorted array goes through ``bohr.sorted_lookup``. No module scatters
+element by element through a ufunc's ``at`` (``np.bitwise_or.at`` and the
+like): a kernel builds its array in one vectorized pass. No module calls
 ``json.dumps`` with an ``indent``: indented report text has one writer,
 ``reports.canonical_json``. Only ``exact.wire`` calls ``rational_pair``:
 a result's report form goes through ``wire``, and the engine keeps its
@@ -29,6 +31,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bohrkit
@@ -98,6 +101,19 @@ def set_op_calls(tree: ast.Module) -> list[str]:
     ]
 
 
+def ufunc_at_calls(tree: ast.Module) -> list[str]:
+    """References to ``<module>.<ufunc>.at``, such as ``np.add.at``."""
+    return [
+        f"line {node.lineno}: {node.value.attr}.at"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "at"
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+        and isinstance(getattr(np, node.value.attr, None), np.ufunc)
+    ]
+
+
 def _call_name(node: ast.Call) -> str | None:
     return getattr(node.func, "attr", None) or getattr(node.func, "id", None)
 
@@ -136,6 +152,11 @@ def test_no_unused_top_level_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_numpy_set_membership(path):
     assert set_op_calls(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_ufunc_scatter(path):
+    assert ufunc_at_calls(_tree(path)) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -324,6 +345,9 @@ def test_checks_catch_what_they_look_for():
         "v = rational_pair(q)\n"
         "def record(q):\n"
         "    return {'q': rational_pair(q)}\n"
+        "np.bitwise_or.at(buf, i, v)\n"
+        "numpy.add.at(buf, i, 1)\n"
+        "df.at[0, 'x'] = arr.at\n"
     )
     assert private_imports(tree) == ["line 3: _elements", "line 4: _count_leq"]
     assert unused_imports(tree) == [
@@ -333,6 +357,7 @@ def test_checks_catch_what_they_look_for():
         "line 4: count",
     ]
     assert set_op_calls(tree) == ["line 6: isin", "line 7: intersect1d"]
+    assert ufunc_at_calls(tree) == ["line 17: bitwise_or.at", "line 18: add.at"]
     assert indented_dumps(tree) == ["line 8: dumps", "line 9: dumps"]
     assert pair_calls(tree) == [
         "line 13: rational_pair",

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bohrkit import patterns
 from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded, ElementsLike, as_elements
 from bohrkit.functions import BoundedFunction
 from bohrkit.patterns import (
@@ -442,6 +443,16 @@ def test_element_walk_matches_replay(xs, k, midpoints, avoid):
     kernel = ShiftedAndKernel(10**8)
     kernel.pack_elements(arr, midpoints=midpoints, avoid=avoid)
     assert (kernel.count_subsets(k), kernel.work) == (total, count_words)
+
+
+def test_pack_matches_literal_shifts():
+    rng = np.random.default_rng(23)
+    cases = [[], [0], [7], [8], [63], [64], [0, 7, 8, 63, 64], [64, 0, 8]]
+    for n, k in [(9, 9), (200, 37), (5000, 300)]:  # random distinct positions
+        cases.append(rng.choice(n, size=k, replace=False).tolist())
+    for positions in cases:
+        bits = patterns._pack(np.array(positions, dtype=np.int64))
+        assert bits == sum(1 << p for p in positions), positions
 
 
 def test_extent_search_work_pinned():
