@@ -7,11 +7,13 @@ which is the convention every averaging kernel in this package relies on:
 sums like ``a + n1 + n2`` may land outside the ambient set and contribute
 nothing.
 
-On a run of consecutive integers the values live once inside an array with
-a zero pad on each side that is not an int64 end, ``values`` a view of its
-interior that the constructors write into. A lookup clips each point into
-the padded range and takes one entry, so a point off the support reads a
-pad; other supports are looked up by :func:`bohrkit.bohr.sorted_lookup`.
+A function owns its arrays: it copies the support and the values once,
+so no later write by the caller reaches them. On a run of consecutive
+integers the values are copied into an array with a zero pad on each side
+that is not an int64 end, and ``values`` is a view of its interior. A
+lookup clips each point into the padded range and takes one entry, so a
+point off the support reads a pad; other supports are looked up by
+:func:`bohrkit.bohr.sorted_lookup`.
 """
 
 from __future__ import annotations
@@ -28,68 +30,44 @@ _BOUND_TOL = 1e-12
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _pads(support: np.ndarray) -> tuple[int, int] | None:
-    """Pad widths ``(left, right)`` on a run support, else None."""
-    if support.size == 0 or int(support[-1]) - int(support[0]) + 1 != support.size:
-        return None
-    return int(support[0] > _INT64_MIN), int(support[-1] < _INT64_MAX)
-
-
-def _padded_values(support: np.ndarray) -> np.ndarray:
-    """Unset values for ``support``, every one for the caller to write; on a
-    run, the interior of its padded array, whose pads are zero."""
-    left, right = _pads(support) or (0, 0)
-    padded = np.empty(left + support.size + right, dtype=np.complex128)
-    padded[:left] = padded[padded.size - right :] = 0
-    return padded[left : left + support.size]
-
-
 @dataclass(frozen=True)
 class BoundedFunction:
-    """A function Z -> C supported on finitely many integers, bounded by 1."""
+    """A function Z -> C supported on finitely many integers, bounded by 1.
+
+    ``support`` and ``values`` are the function's own copies of the arrays
+    it was built from (on a run support, ``values`` is the interior of the
+    zero-padded array that ``gather`` reads)."""
 
     support: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=np.int64)
+        support = np.array(self.support, dtype=np.int64)
         values = np.asarray(self.values, dtype=np.complex128)
         if support.ndim != 1 or values.shape != support.shape:
             raise ValueError("support and values must be aligned 1-d arrays")
-        if support.size and np.any(np.diff(support) <= 0):
+        if np.any(support[1:] <= support[:-1]):
             raise ValueError("support must be strictly increasing")
-        if values.size and float(np.max(np.abs(values))) > 1 + _BOUND_TOL:
+        if not np.all(np.abs(values) <= 1 + _BOUND_TOL):  # NaN fails too
             raise ValueError("values must be bounded by 1 in absolute value")
-        # ``_padded``: on a run support, the values and their pads (else
-        # None), adopted if ``values`` is already its interior with zero
-        # pads; ``_padded_lo``: the integer its first entry stands for
-        padded, padded_lo, pads = None, 0, _pads(support)
-        if pads is not None:
-            (left, right), n, padded = pads, support.size, values.base
-            if not (
-                isinstance(padded, np.ndarray)
-                and padded.dtype == values.dtype
-                and padded.strides == values.strides
-                and padded.shape == (left + n + right,)
-                and values.ctypes.data == padded.ctypes.data + 16 * left
-                and not padded[:left].any()
-                and not padded[left + n :].any()
-            ):
-                interior = _padded_values(support)
-                interior[:] = values
-                values, padded = interior, interior.base
-            padded_lo = int(support[0]) - left
+        # the values, copied once into ``held``; on a run support, with a
+        # zero pad on each side that is not an int64 end, kept as ``_padded``
+        # (else None), its first entry standing for ``_padded_lo``
+        n = support.size
+        run = n > 0 and int(support[-1]) - int(support[0]) + 1 == n
+        left = int(run and support[0] > _INT64_MIN)
+        right = int(run and support[-1] < _INT64_MAX)
+        held = np.zeros(left + n + right, dtype=np.complex128)
+        held[left : left + n] = values
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_padded", padded)
-        object.__setattr__(self, "_padded_lo", padded_lo)
+        object.__setattr__(self, "values", held[left : left + n])
+        object.__setattr__(self, "_padded", held if run else None)
+        object.__setattr__(self, "_padded_lo", int(support[0]) - left if run else 0)
 
     @classmethod
     def indicator(cls, elements: np.ndarray) -> "BoundedFunction":
         elements = sorted_distinct(elements)
-        vals = _padded_values(elements)
-        vals.fill(1)
-        return cls(elements, vals)
+        return cls(elements, np.ones(elements.size, dtype=np.complex128))
 
     @classmethod
     def character(
@@ -104,9 +82,7 @@ class BoundedFunction:
         p, q = freq.numerator % freq.denominator, freq.denominator
         ns = np.arange(lo, hi + 1, dtype=np.int64)
         table = np.exp(2j * np.pi * np.arange(q, dtype=np.float64) / q)
-        vals = _padded_values(ns)
-        table.take((ns % q) * (p % q) % q, out=vals, mode="clip")  # in range
-        return cls(ns, vals)
+        return cls(ns, table[(ns % q) * (p % q) % q])
 
     @classmethod
     def balanced_indicator(
@@ -124,10 +100,7 @@ class BoundedFunction:
             raise ValueError("ambient set is empty")
         inside = sorted_lookup(subset, ambient)[1]
         delta = Fraction(int(np.count_nonzero(inside)), int(ambient.size))
-        vals = _padded_values(ambient)
-        vals[:] = inside
-        vals -= complex(float(delta))
-        return cls(ambient, vals), delta
+        return cls(ambient, inside - complex(float(delta))), delta
 
     def gather(self, points: np.ndarray) -> np.ndarray:
         """Values at ``points`` (any shape), zero off the support: on a run,

@@ -674,18 +674,16 @@ def run(
     limits = limits or EngineLimits()
 
     state = _State.start(subset, N)
-    ambient: Optional[BohrSet] = None  # a transition carries its set over
     records: list[StepRecord] = []
 
     def finish(status: str, reason: str) -> RunResult:
         return RunResult(status, reason, tuple(records), state.final())
 
+    try:
+        ambient = BohrSet.from_spec(state.spec)  # a transition carries its set over
+    except BudgetExceeded as exc:
+        return finish("limit", f"enumeration budget: {exc}")
     for step in range(_MAX_STEPS):
-        if ambient is None:
-            try:
-                ambient = BohrSet.from_spec(state.spec)
-            except BudgetExceeded as exc:
-                return finish("limit", f"enumeration budget: {exc}")
         spec, work = state.spec, state.work
         delta = exact_density(work, ambient.elements)
         if delta == 0:
@@ -780,18 +778,21 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     """Independently re-verify every accepted step of a run from its records.
 
     Replays the state transforms and re-measures each step's claim on freshly
-    enumerated sets. Each record's chain is rebuilt and recounted, and its
-    dichotomy, if any, is run again and must equal the record's (see
-    :func:`_rederived`). A ``config`` record's configuration is checked in
-    the input; a ``local-increment`` or ``fourier-*`` move by the rule
-    ``run`` accepted it by (see :func:`_checked_move`). The ``final`` state
-    must be the replay's, and the status must follow from the record the
-    replay ends on (see :func:`_status_problems`); ``exit_code`` and
-    ``config`` are derived from these. Returns the list of discrepancies
-    (empty means the whole trace rechecks).
+    enumerated sets, each once: the start window, then the set each move
+    lands on, carried over as the next ambient set as in :func:`run`. Each
+    record's chain is rebuilt and recounted, and its dichotomy, if any, is
+    run again and must equal the record's (see :func:`_rederived`). A
+    ``config`` record's configuration is checked in the input; a
+    ``local-increment`` or ``fourier-*`` move by the rule ``run`` accepted it
+    by (see :func:`_checked_move`). The ``final`` state must be the replay's,
+    and the status must follow from the record the replay ends on (see
+    :func:`_status_problems`); ``exit_code`` and ``config`` are derived from
+    these. Returns the list of discrepancies (empty means the whole trace
+    rechecks).
     """
     problems: list[str] = []
     state = _State.start(subset, N)
+    ambient = BohrSet.from_spec(state.spec) if result.steps else None
     last: Optional[StepRecord] = None
     for rec in result.steps:
         last = rec
@@ -802,7 +803,6 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
         if (rec.mult, rec.offset) != (state.mult, state.offset):
             problems.append(f"step {rec.step}: affine map drifted")
             break
-        ambient = BohrSet.from_spec(spec)
         delta = exact_density(state.work, ambient.elements)
         if delta != rec.delta:
             problems.append(f"step {rec.step}: recorded density {rec.delta} remeasures {delta}")
@@ -818,11 +818,13 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
             break
         if rec.case == "local-increment":
             target = inner_sets[rec.dichotomy.inner_index - 1]
-        elif rec.increment is not None:
-            target = BohrSet.from_spec(rec.increment.new_spec)
+        elif rec.increment is not None:  # a fourier-translate's set is a rebuilt inner set
+            new, built = rec.increment.new_spec, {bs.spec: bs for bs in inner_sets}
+            target = built.get(new) or BohrSet.from_spec(new)
         else:
             break  # a terminal dichotomy record, re-derived above
         state, complaints = _checked_move(state, rec, target)
+        ambient = target
         problems += complaints
     final = state.final()
     if not problems and result.final != final:
@@ -879,7 +881,7 @@ def _status_problems(result: RunResult, last: Optional[StepRecord], state: _Stat
         return [f"step {last.step}: records follow the terminal {case} record"]
     status = result.status
     if status == "exhausted" and case != "small-bohr":
-        if exact_density(state.work, BohrSet.from_spec(state.spec).elements):
+        if state.work.size:  # the replayed set lies in its ambient set
             return ["status exhausted without a final small-bohr record or an empty replayed set"]
     elif status == "found" and case != "config":
         return ["status found without a final config record naming the result"]

@@ -77,8 +77,8 @@ MUTANTS = [
     {
         "file": "functions.py",
         "drops": "the exact offset of a run support's padded array",
-        "old": "            padded_lo = int(support[0]) - left\n",
-        "new": "            padded_lo = int(support[0]) - left + 1\n",
+        "old": "int(support[0]) - left if run else 0)",
+        "new": "int(support[0]) - left + 1 if run else 0)",
         "kills": [
             "tests/test_functions.py::test_gather_matches_dict_lookup",
             "tests/test_gowers.py::test_direct_route_bits_are_pinned",
@@ -87,16 +87,60 @@ MUTANTS = [
     {
         "file": "functions.py",
         "drops": "the zero pad right of a run support",
-        "old": "    return int(support[0] > _INT64_MIN), int(support[-1] < _INT64_MAX)\n",
-        "new": "    return int(support[0] > _INT64_MIN), 0\n",
+        "old": "right = int(run and support[-1] < _INT64_MAX)",
+        "new": "right = 0",
         "kills": ["tests/test_functions.py::test_gather_matches_dict_lookup"],
     },
     {
         "file": "functions.py",
-        "drops": "the zero check of a padded array the constructor adopts",
-        "old": "                and not padded[:left].any()\n",
+        "drops": "a function's own copy of its support",
+        "old": "support = np.array(self.support, dtype=np.int64)",
+        "new": "support = np.asarray(self.support, dtype=np.int64)",
+        "kills": ["tests/test_functions.py::test_function_owns_its_arrays"],
+    },
+    {
+        "file": "functions.py",
+        "drops": "the order test of a support by comparison, not subtraction",
+        "old": "np.any(support[1:] <= support[:-1])",
+        "new": "np.any(np.diff(support) <= 0)",
+        "kills": [
+            "tests/test_functions.py::test_support_order_at_the_int64_ends",
+            "tests/test_hygiene.py::test_no_order_test_by_subtraction[functions.py]",
+        ],
+    },
+    {
+        "file": "functions.py",
+        "drops": "the refusal of NaN values",
+        "old": "if not np.all(np.abs(values) <= 1 + _BOUND_TOL):",
+        "new": "if np.any(np.abs(values) > 1 + _BOUND_TOL):",
+        "kills": ["tests/test_functions.py::test_bound_enforced"],
+    },
+    {
+        "file": "increment.py",
+        "drops": "the recheck's hand-over of the set a move was checked on",
+        "old": "        ambient = target\n",
         "new": "",
-        "kills": ["tests/test_functions.py::test_run_constructors_write_into_the_padded_array"],
+        "kills": [
+            "tests/test_increment.py::test_run_takes_both_transitions[local-increment]",
+            "tests/test_increment.py::test_run_takes_both_transitions[fourier]",
+            "tests/test_increment.py::test_recheck_certifies_and_enumerates_each_spec_once[fourier]",
+        ],
+    },
+    {
+        "file": "increment.py",
+        "drops": "the recheck's pick of a rebuilt inner set as a fourier target",
+        "old": "target = built.get(new) or BohrSet.from_spec(new)",
+        "new": "target = BohrSet.from_spec(new)",
+        "kills": [
+            "tests/test_increment.py::test_recheck_certifies_and_enumerates_each_spec_once[fourier]",
+        ],
+    },
+    {
+        "file": "increment.py",
+        "drops": "the emptiness test of the replayed set behind an exhausted status",
+        "old": "        if state.work.size:",
+        "new": "        if not state.work.size:",
+        "kills": ["tests/test_increment.py::test_recheck_derives_exhaustion_of_an_empty_trace"],
     },
     {
         "file": "gowers.py",
@@ -145,6 +189,37 @@ MUTANTS = [
             "tests/test_bohr.py::test_exact_density_matches_set_oracle",
             "tests/test_bohr.py::test_exact_density_looks_the_smaller_side_up",
             "tests/test_increment.py::test_fourier_increment_translate_pick_is_the_literal_rule",
+        ],
+    },
+    {
+        "file": "cli.py",
+        "drops": "the negative exit code of a search that finds nothing",
+        "old": '"none": EXIT_NEGATIVE',
+        "new": '"none": EXIT_OK',
+        "kills": ["tests/test_cli.py::test_patterns_find_none"],
+    },
+    {
+        "file": "exact.py",
+        "drops": "the refusal of a bool as a rational",
+        "old": '    if isinstance(x, bool):\n        raise TypeError("bool is not a rational")\n',
+        "new": "",
+        "kills": ["tests/test_exact.py::test_as_rational_rejects_floats_and_bools"],
+    },
+    {
+        "file": "reports.py",
+        "drops": "the 12-digit rounding of a float in a report",
+        "old": '        return float(f"{obj:.12g}")\n',
+        "new": "        return obj\n",
+        "kills": ["tests/test_reports.py::test_normalize_floats_to_twelve_digits"],
+    },
+    {
+        "file": "sumfree.py",
+        "drops": "the second count of the Freiman check: distinct image sums across runs",
+        "old": "    return sorted_distinct(run_imgs).size == run_imgs.size\n",
+        "new": "    return True\n",
+        "kills": [
+            "tests/test_sumfree.py::test_freiman_frozen_examples",
+            "tests/test_sumfree.py::test_freiman_matches_quadruple_oracle",
         ],
     },
 ]

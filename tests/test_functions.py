@@ -71,34 +71,49 @@ def test_gather_matches_dict_lookup(case):
         assert f._padded is None
 
 
-def test_run_constructors_write_into_the_padded_array():
-    built = [
-        BoundedFunction.character(Fraction(1, 5), -3, 4),
-        BoundedFunction.indicator(np.arange(5)),
-        BoundedFunction.balanced_indicator(np.array([1, 2]), np.arange(5))[0],
-    ]
-    for f in built:
-        assert f.values.base is f._padded  # adopted, not copied a second time
-    # a view with a pad that is not zero is copied, so the pads read zero
-    for pad in (0, 6):
-        buf = np.ones(7, dtype=np.complex128)
-        buf[6 - pad] = 0
-        f = BoundedFunction(np.arange(5), buf[1:6])
-        assert not np.shares_memory(f._padded, buf)
-        assert f.gather(np.array([-1, 0, 4, 5])).tolist() == [0, 1, 1, 0]
+def test_function_owns_its_arrays():
+    # a run support, a non-run support, and the interior of a zero-padded
+    # buffer: later writes by the caller reach none of the function's arrays
     buf = np.zeros(7, dtype=np.complex128)
-    buf[1:6] = 1
-    assert BoundedFunction(np.arange(5), buf[1:6])._padded is buf
+    buf[1:6] = 0.5
+    cases = [
+        (np.arange(5), np.full(5, 0.5 + 0j)),
+        (np.array([0, 2, 3, 7, 9]), np.full(5, 0.5j)),
+        (np.arange(5), buf[1:6]),
+    ]
+    points = np.arange(-2, 12)
+    built = [BoundedFunction(support, values) for support, values in cases]
+    kept = [(f.support.tolist(), f.values.tolist(), f.gather(points).tolist()) for f in built]
+    for support, values in cases:
+        support += 1
+        values[:] = 0.25
+    buf[:] = 0.75
+    got = [(f.support.tolist(), f.values.tolist(), f.gather(points).tolist()) for f in built]
+    assert got == kept
 
 
 def test_bound_enforced():
     with pytest.raises(ValueError):
         BoundedFunction(np.array([0]), np.array([1.5 + 0j]))
+    # NaN fails the bound, in either part, on a run and a scattered support
+    for support in ([0, 1, 2], [0, 2, 5]):
+        for nan in (complex(np.nan, 0), complex(0, np.nan)):
+            with pytest.raises(ValueError, match="bounded by 1"):
+                BoundedFunction(np.array(support), np.array([0, nan, 0]))
 
 
 def test_support_must_increase():
     with pytest.raises(ValueError):
         BoundedFunction(np.array([3, 1]), np.array([1.0 + 0j, 1.0 + 0j]))
+
+
+def test_support_order_at_the_int64_ends():
+    # neighbours are compared, not subtracted: the difference of the ends wraps
+    f = BoundedFunction(np.array([_MIN, _MAX]), np.array([0.5, -0.5j]))
+    points = np.array([_MIN, _MIN + 1, 0, _MAX - 1, _MAX])
+    assert f.gather(points).tolist() == [0.5, 0j, 0j, 0j, -0.5j]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        BoundedFunction(np.array([_MAX, _MIN]), np.array([0.5, 0.5]))
 
 
 def test_character_unit_modulus_and_phase():

@@ -7,7 +7,10 @@ top-level imports bind. Every module, the package ``__init__`` included,
 must leave ``np.isin`` and ``np.intersect1d`` alone: each membership question
 on a sorted array goes through ``bohr.sorted_lookup``. No module scatters
 element by element through a ufunc's ``at`` (``np.bitwise_or.at`` and the
-like): a kernel builds its array in one vectorized pass. No module calls
+like): a kernel builds its array in one vectorized pass. No module tests
+order by subtraction, comparing an ``np.diff(...)`` call: a difference of
+int64 values wraps at the ends, so sortedness compares neighbours
+(``x[1:] > x[:-1]``). No module calls
 ``json.dumps`` with an ``indent``: indented report text has one writer,
 ``reports.canonical_json``. Only ``exact.wire`` calls ``rational_pair``:
 a result's report form goes through ``wire``, and the engine keeps its
@@ -118,6 +121,21 @@ def _call_name(node: ast.Call) -> str | None:
     return getattr(node.func, "attr", None) or getattr(node.func, "id", None)
 
 
+def diff_comparisons(tree: ast.Module) -> list[str]:
+    """Comparisons with a ``diff`` call (``np.diff`` by any alias) as an
+    operand, in line order."""
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(operand, ast.Call) and _call_name(operand) == "diff"
+            for operand in (node.left, *node.comparators)
+        )
+    )
+    return [f"line {line}: diff" for line in lines]
+
+
 def indented_dumps(tree: ast.Module) -> list[str]:
     """Calls of ``dumps`` (``json.dumps`` by any alias) given an ``indent``."""
     return [
@@ -157,6 +175,11 @@ def test_no_numpy_set_membership(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_ufunc_scatter(path):
     assert ufunc_at_calls(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_order_test_by_subtraction(path):
+    assert diff_comparisons(_tree(path)) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -348,6 +371,9 @@ def test_checks_catch_what_they_look_for():
         "np.bitwise_or.at(buf, i, v)\n"
         "numpy.add.at(buf, i, 1)\n"
         "df.at[0, 'x'] = arr.at\n"
+        "bad = np.any(np.diff(support) <= 0)\n"
+        "gap = np.diff(neg).max() if x[1:] > x[:-1] else 0\n"
+        "odd = 1 < diff(y) == 2\n"
     )
     assert private_imports(tree) == ["line 3: _elements", "line 4: _count_leq"]
     assert unused_imports(tree) == [
@@ -358,6 +384,7 @@ def test_checks_catch_what_they_look_for():
     ]
     assert set_op_calls(tree) == ["line 6: isin", "line 7: intersect1d"]
     assert ufunc_at_calls(tree) == ["line 17: bitwise_or.at", "line 18: add.at"]
+    assert diff_comparisons(tree) == ["line 20: diff", "line 22: diff"]
     assert indented_dumps(tree) == ["line 8: dumps", "line 9: dumps"]
     assert pair_calls(tree) == [
         "line 13: rational_pair",

@@ -718,6 +718,36 @@ def test_run_takes_both_transitions(monkeypatch, N, factor, cases, report):
     assert json.dumps(canonical, sort_keys=True, separators=(",", ":")) == report
 
 
+def _logged(monkeypatch, name):
+    """The specs handed to ``bohr.<name>`` from now on, wherever it is read."""
+    log, inner = [], getattr(bohr, name)
+
+    def wrapper(spec, *args, **kwargs):
+        log.append(spec)
+        return inner(spec, *args, **kwargs)
+
+    for module in (bohr, increment):
+        if getattr(module, name, None) is inner:
+            monkeypatch.setattr(module, name, wrapper)
+    return log
+
+
+@pytest.mark.parametrize(
+    "N, factor", [(1000, None), (300, 100)], ids=["local-increment", "fourier"]
+)
+def test_recheck_certifies_and_enumerates_each_spec_once(monkeypatch, N, factor):
+    # a move carries the set it checked on over as the next ambient set, and
+    # a fourier-translate target is the rebuilt inner set it names
+    _forced_thresholds(monkeypatch, factor)
+    subset = behrend_set(N)
+    result = run(subset, N, 2, mode="practical")
+    certified = _logged(monkeypatch, "_certify")
+    enumerated = _logged(monkeypatch, "enumerate_bohr")
+    assert recheck_run(subset, N, result) == []
+    assert len(certified) == len(set(certified))
+    assert len(enumerated) == len(set(enumerated))
+
+
 def test_run_rejects_a_move_recheck_rejects(monkeypatch):
     # a forged outcome whose doubled translate a + 2 N_1 = [992, 1004] pokes
     # out of the window [-1000, 1000], with its density claim re-measured so
