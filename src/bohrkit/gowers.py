@@ -29,6 +29,28 @@ square as the cube's, so each route equals its own cube contraction bit for
 bit whichever runs. The two tables are written apart, so a fault in one
 shows as a disagreement between the routes.
 
+A run is a strictly ascending array of consecutive integers (an interval, a
+window). When the base is a run and the route's table side ``N`` is one,
+``P`` and ``D`` are runs as well, and each route reads that structure
+instead of rebuilding it:
+
+  * ``P = [chunk_0 + n_0, chunk_last + n_last]`` comes by arithmetic, with no
+    sort and no :func:`~bohrkit.bohr.sorted_lookup`;
+  * the square at ``(a, i, j)`` is ``S[a - chunk_0 + i, j - i + L - 1]``, so
+    a chunk's ``(rows, L, L)`` block is one read-only ``as_strided`` view of
+    the table (strides ``|D|``, ``|D| - 1`` and ``1`` entries), copied to a
+    contiguous block before its mean;
+  * consecutive chunks' ``P`` share ``L - 1`` rows, which are carried into
+    the next chunk's table instead of computed again;
+  * when ``D`` and the other inner set are both runs, the looked-up values
+    of ``f`` at ``p + (D + N')`` are spread to the ``(d, n')`` grid by a
+    sliding-window view instead of an index array.
+
+None of this moves a bit: a table row depends only on its ``p``, and each
+``einsum`` and mean receives the same values in the same order as through
+the index arrays. Any other input (a base with a gap or a repeat, an inner
+set that is not a run) is sorted and looked up as before.
+
 Each square is a two-operand ``einsum(..., optimize=False)`` followed by a
 square, so results are bitwise reproducible across thread counts, and both
 routes are means of squared magnitudes, so neither can come out negative.
@@ -58,6 +80,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .bohr import (
     COUNT_BUDGET,
@@ -95,17 +118,21 @@ def _pair_table(
     most 2^18 entries (:func:`bohrkit.bohr.chunk_rows`), with the cube's
     contraction, division and square, so each entry has the bits of the
     cube entry it stands for. ``f`` is looked up once per distinct offset
-    ``d + n2`` and spread to the ``(d, n2)`` grid by index.
+    ``d + n2`` and spread to the ``(d, n2)`` grid: by index, or, when ``d``
+    and ``n2`` are both runs (``qidx[c, k] == c + k``), as a sliding-window
+    view of the looked-up row, which holds the same values in the same order.
     """
     offsets = d[:, None] + n2[None, :]
     q = sorted_distinct(offsets)
     qidx = sorted_lookup(q, offsets)[0]
+    sliding = np.array_equal(qidx, np.arange(d.size)[:, None] + np.arange(n2.size))
     table = np.empty((p.size, d.size), dtype=np.float64)
     step = chunk_rows(d.size * n2.size)
     for s in range(0, p.size, step):
         ps = p[s : s + step]
         x = f.gather(ps[:, None] + n2[None, :])
-        y = f.gather(ps[:, None] + q[None, :]).conj()[:, qidx]
+        g = f.gather(ps[:, None] + q[None, :]).conj()
+        y = sliding_window_view(g, n2.size, axis=1) if sliding else g[:, qidx]
         m = np.einsum("rk,rck->rc", x, y, optimize=False) / n2.size
         table[s : s + step] = m.real**2 + m.imag**2
     return table
@@ -113,6 +140,11 @@ def _pair_table(
 
 def _extent(x: np.ndarray) -> tuple[int, int]:
     return int(x.min()), int(x.max())
+
+
+def _is_run(x: np.ndarray) -> bool:
+    """Whether ``x`` is a run: strictly ascending consecutive integers."""
+    return int(x[-1]) - int(x[0]) + 1 == x.size and bool(np.all(x[1:] > x[:-1]))
 
 
 def u2_fourth_direct(
@@ -133,6 +165,12 @@ def u2_fourth_direct(
     ``P2 = chunk + N2`` and ``D2 = N2 - N2`` when ``|P2| |D2| < rows L2^2``,
     and contracts the cube ``einsum("aik,ail->akl")`` otherwise; either way
     the sum over ``i`` runs in the same order, so the bits are the cube's.
+    On a run base and a window ``N2``, ``P2`` comes by arithmetic, the table
+    is read through a sheared view and carries its last ``L2 - 1`` rows into
+    the next chunk's table; with ``N1`` a window too, the ``(d, n1)`` grid is
+    a sliding view of the looked-up row (see the module docstring). Those
+    reads hand the same values in the same order to the same ``einsum`` and
+    mean, so the bits do not move.
     The cost ``|A| L1 L2^2`` (one unit per multiply-add), an upper bound on
     both, and the int64 fit of every sum ``a + n1 + n2`` and
     ``a + n2 + d2 + n1`` are checked before anything is allocated.
@@ -156,26 +194,51 @@ def u2_fourth_direct(
     didx = sorted_lookup(d, diffs)[0]
     vals = np.empty(a.size, dtype=np.float64)
     step = chunk_rows(max(n1.size * n2.size, n2.size**2))
+    # on a run base and a window N2, P2 and D2 are runs: the chunk's rows of
+    # P2 follow by arithmetic, the last L2 - 1 of them open the next chunk's
+    # table, and the square at (a, k, l) is S[a - a0 + k, l - k + L2 - 1]
+    window = _is_run(a) and _is_run(n2)
+    carry = np.empty((0, d.size), dtype=np.float64)  # rows carried into P2
     for s in range(0, a.size, step):
         chunk = a[s : s + step]
-        starts = chunk[:, None] + n2[None, :]
-        p = sorted_distinct(starts)
+        if window:
+            p = int(chunk[0]) + int(n2[0]) + np.arange(chunk.size + n2.size - 1)
+        else:
+            starts = chunk[:, None] + n2[None, :]
+            p = sorted_distinct(starts)
         if p.size * d.size < chunk.size * n2.size**2:
             # S[r, c] over sub-chunks of P2, f looked up once per distinct d + n1
+            # and spread to the (d, n1) grid by index, or by a sliding view
+            # when qidx[c, i] == c + i
             offsets = d[:, None] + n1[None, :]
             q = sorted_distinct(offsets)
             qidx = sorted_lookup(q, offsets)[0]
+            slide = np.array_equal(qidx, np.arange(d.size)[:, None] + np.arange(n1.size))
             table = np.empty((p.size, d.size), dtype=np.float64)
+            table[: carry.shape[0]] = carry
             sub = chunk_rows(d.size * n1.size)
-            for r in range(0, p.size, sub):
+            for r in range(carry.shape[0], p.size, sub):
                 ps = p[r : r + sub]
                 x = f.gather(ps[:, None] + n1[None, :])
-                y = f.gather(ps[:, None] + q[None, :]).conj()[:, qidx]
+                g = f.gather(ps[:, None] + q[None, :]).conj()
+                y = sliding_window_view(g, n1.size, axis=1) if slide else g[:, qidx]
                 m = np.einsum("ri,rci->rc", x, y, optimize=False) / n1.size
                 table[r : r + sub] = m.real**2 + m.imag**2
-            pidx = sorted_lookup(p, starts)[0]
-            sq = table.take(pidx[:, :, None] * d.size + didx)
+            if window:
+                carry = table[p.size - (n2.size - 1) :]
+                w = table.itemsize
+                sheared = as_strided(
+                    table.reshape(-1)[n2.size - 1 :],
+                    shape=(chunk.size, n2.size, n2.size),
+                    strides=(d.size * w, (d.size - 1) * w, w),
+                    writeable=False,
+                )
+                sq = np.ascontiguousarray(sheared)
+            else:
+                pidx = sorted_lookup(p, starts)[0]
+                sq = table.take(pidx[:, :, None] * d.size + didx)
         else:
+            carry = carry[:0]
             t = _gather_cube(f, chunk, n1, n2)
             m = np.einsum("aik,ail->akl", t, t.conj(), optimize=False) / n1.size
             sq = m.real**2 + m.imag**2
@@ -205,7 +268,13 @@ def u2_fourth_correlation(
       * the cube contraction ``einsum("aik,ajk->aij")`` otherwise.
 
     Both sum over ``k`` in the same order and square the same way, so the
-    result equals the cube contraction's bit for bit whichever runs. The
+    result equals the cube contraction's bit for bit whichever runs. On a
+    run base and a window ``N1``, ``P`` comes by arithmetic, the table is
+    read through a sheared view and carries its last ``L1 - 1`` rows into
+    the next chunk's table; with ``N2`` a window too, the table's ``(d, n2)``
+    grid is a sliding view (see the module docstring). Those reads hand the
+    same values in the same order to the same ``einsum`` and mean, so the
+    bits do not move. The
     budget counts the cube, ``|A| L1^2 L2``, an upper bound on the products
     either computes; it is checked, as is that no sum ``a + n1 + d + n2``
     leaves int64, before anything is allocated.
@@ -230,14 +299,36 @@ def u2_fourth_correlation(
     didx = sorted_lookup(d, diffs)[0]
     vals = np.empty(a.size, dtype=np.float64)
     step = chunk_rows(max(n1.size * n2.size, n1.size**2))
+    # a run base and a window N1 make P and D runs: P follows by arithmetic,
+    # its last L1 - 1 rows start the next chunk's table, and the square at
+    # (a, i, j) is S[a - a0 + i, j - i + L1 - 1], one sheared view of S
+    window = _is_run(a) and _is_run(n1)
+    carried = np.empty((0, d.size), dtype=np.float64)  # rows of P already filled
     for s in range(0, a.size, step):
         chunk = a[s : s + step]
-        starts = chunk[:, None] + n1[None, :]
-        p = sorted_distinct(starts)
-        if p.size * d.size < chunk.size * n1.size**2:
-            pidx = sorted_lookup(p, starts)[0]
-            sq = _pair_table(f, p, d, n2).take(pidx[:, :, None] * d.size + didx)
+        if window:
+            p = int(chunk[0]) + int(n1[0]) + np.arange(chunk.size + n1.size - 1)
         else:
+            starts = chunk[:, None] + n1[None, :]
+            p = sorted_distinct(starts)
+        if p.size * d.size < chunk.size * n1.size**2:
+            if window:
+                fresh = _pair_table(f, p[carried.shape[0] :], d, n2)
+                table = np.concatenate((carried, fresh))
+                carried = table[table.shape[0] - n1.size + 1 :]
+                item = table.itemsize
+                view = as_strided(
+                    table.reshape(-1)[n1.size - 1 :],
+                    shape=(chunk.size, n1.size, n1.size),
+                    strides=(d.size * item, (d.size - 1) * item, item),
+                    writeable=False,
+                )
+                sq = np.ascontiguousarray(view)
+            else:
+                pidx = sorted_lookup(p, starts)[0]
+                sq = _pair_table(f, p, d, n2).take(pidx[:, :, None] * d.size + didx)
+        else:
+            carried = carried[:0]
             t = _gather_cube(f, chunk, n1, n2)
             m = np.einsum("aik,ajk->aij", t, t.conj(), optimize=False) / n2.size
             sq = m.real**2 + m.imag**2

@@ -145,8 +145,8 @@ MUTANTS = [
     {
         "file": "gowers.py",
         "drops": "the conjugate in the direct route's pair table",
-        "old": "                y = f.gather(ps[:, None] + q[None, :]).conj()[:, qidx]\n",
-        "new": "                y = f.gather(ps[:, None] + q[None, :])[:, qidx]\n",
+        "old": "                g = f.gather(ps[:, None] + q[None, :]).conj()\n",
+        "new": "                g = f.gather(ps[:, None] + q[None, :])\n",
         "kills": ["tests/test_gowers.py::test_direct_route_equals_cube_bit_for_bit"],
     },
     {
@@ -162,6 +162,63 @@ MUTANTS = [
         "old": "    require_int64(\"direct route\", _extent(a), (lo2, hi2), d_ext, _extent(n1))\n",
         "new": "",
         "kills": ["tests/test_gowers.py::test_direct_table_sums_past_int64_are_refused"],
+    },
+    {
+        "file": "gowers.py",
+        "drops": "the shear of the correlation route's table read",
+        "old": "strides=(d.size * item, (d.size - 1) * item, item),",
+        "new": "strides=(d.size * item, d.size * item, item),",
+        "kills": [
+            "tests/test_gowers.py::test_correlation_route_bits_are_pinned",
+            "tests/test_gowers.py::test_correlation_route_equals_cube_bit_for_bit",
+        ],
+    },
+    {
+        "file": "gowers.py",
+        "drops": "the shear of the direct route's table read",
+        "old": "strides=(d.size * w, (d.size - 1) * w, w),",
+        "new": "strides=(d.size * w, d.size * w, w),",
+        "kills": [
+            "tests/test_gowers.py::test_direct_route_bits_are_pinned",
+            "tests/test_gowers.py::test_direct_route_equals_cube_bit_for_bit",
+        ],
+    },
+    {
+        "file": "gowers.py",
+        "drops": "the run test behind the sliding view of the correlation table",
+        "old": "sliding = np.array_equal(qidx, np.arange(d.size)[:, None] + np.arange(n2.size))",
+        "new": "sliding = True",
+        "kills": ["tests/test_gowers.py::test_correlation_route_equals_cube_bit_for_bit"],
+    },
+    {
+        "file": "gowers.py",
+        "drops": "the first point of the correlation route's run P",
+        "old": "p = int(chunk[0]) + int(n1[0]) + np.arange(",
+        "new": "p = int(chunk[0]) + int(n1[0]) + 1 + np.arange(",
+        "kills": [
+            "tests/test_gowers.py::test_correlation_route_bits_are_pinned",
+            "tests/test_gowers.py::test_correlation_route_equals_cube_bit_for_bit",
+        ],
+    },
+    {
+        "file": "gowers.py",
+        "drops": "the count of table rows the correlation route carries to the next chunk",
+        "old": "carried = table[table.shape[0] - n1.size + 1 :]",
+        "new": "carried = table[table.shape[0] - n1.size :]",
+        "kills": [
+            "tests/test_gowers.py::test_window_tables_fill_each_row_once",
+            "tests/test_gowers.py::test_dichotomy_norm_bits_are_pinned",
+        ],
+    },
+    {
+        "file": "gowers.py",
+        "drops": "the count of table rows the direct route carries to the next chunk",
+        "old": "carry = table[p.size - (n2.size - 1) :]",
+        "new": "carry = table[p.size - n2.size :]",
+        "kills": [
+            "tests/test_gowers.py::test_window_tables_fill_each_row_once",
+            "tests/test_gowers.py::test_direct_route_equals_cube_bit_for_bit",
+        ],
     },
     {
         "file": "bohr.py",

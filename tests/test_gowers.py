@@ -386,7 +386,8 @@ def _unstructured(seed: int = 41, size: int = 4000):
 @st.composite
 def correlation_cases(draw):
     """Inputs from both sides of the pair-table choice, as ``(f, base, n1, n2)``."""
-    kind = draw(st.sampled_from(["window", "bohr", "sparse", "repeated", "long"]))
+    kinds = ["window", "bohr", "sparse", "repeated", "long", "ap", "gapped", "mixed", "edge"]
+    kind = draw(st.sampled_from(kinds))
     window = st.integers(0, 7).map(lambda r: list(range(-r, r + 1)))
     if kind == "window":
         lo = draw(st.integers(-50, 50))
@@ -409,11 +410,43 @@ def correlation_cases(draw):
         base = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=120))
         n1 = draw(st.permutations(draw(window)))
         n2 = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=7))
-    else:
+    elif kind == "long":
         # a base past one chunk; with L2 >= L1 the pair table takes two sub-chunks
         n1, n2 = draw(window), draw(window)
         rows = 2**18 // max(len(n1) * len(n2), len(n1) ** 2)
         base = list(range(-5, rows + draw(st.integers(1, 40))))
+    elif kind == "ap":
+        # a run base; N1 a progression of step 2, one step past a window
+        lo = draw(st.integers(-50, 50))
+        base = list(range(lo, lo + draw(st.integers(1, 300))))
+        r = draw(st.integers(1, 6))
+        n1, n2 = list(range(-2 * r, 2 * r + 1, 2)), draw(window)
+    elif kind == "gapped":
+        # window offsets; the base one point short of a run: a gap, a repeat
+        # or two neighbours swapped
+        lo = draw(st.integers(-50, 50))
+        base = list(range(lo, lo + draw(st.integers(3, 300))))
+        i = draw(st.integers(1, len(base) - 2))
+        base = draw(st.sampled_from([
+            base[:i] + base[i + 1 :],
+            base[:i] + [base[i]] + base[i:],
+            base[: i - 1] + [base[i], base[i - 1]] + base[i + 1 :],
+        ]))
+        n1, n2 = draw(window), draw(window)
+    elif kind == "mixed":
+        # a run base and a window N1; N2 no run: reversed, of step 2 or gapped
+        lo = draw(st.integers(-50, 50))
+        base = list(range(lo, lo + draw(st.integers(1, 300))))
+        n1, r = draw(window), draw(st.integers(1, 5))
+        n2 = draw(st.sampled_from([
+            list(range(r, -r - 1, -1)),
+            list(range(-2 * r, 2 * r + 1, 2)),
+            [x for x in range(-r, r + 2) if x != 0],
+        ]))
+    else:
+        r1, r2 = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        return _edge_case(draw(st.integers(0, 2**32 - 1)), draw(st.booleans()),
+                          draw(st.booleans()), draw(st.integers(1, 300)), r1, r2)
     seed = draw(st.integers(0, 2**32 - 1))
     return _corr_case(seed, draw(st.booleans()), base, n1, n2)
 
@@ -428,6 +461,29 @@ def _corr_case(seed: int, real: bool, base, n1, n2):
     return _random_values(np.random.default_rng(seed), support, real), base, n1, n2
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _edge_case(seed: int, real: bool, top: bool, size: int, r1: int, r2: int):
+    """A run base of ``size`` points and the windows ``[-r1, r1]``,
+    ``[-r2, r2]``, placed so that the farthest sum a pair table forms,
+    ``a + n + (n' - n) + m`` with ``n`` on the table side, reaches the top
+    (or bottom) int64 end in one of the two routes."""
+    reach = max(3 * r1 + r2, 3 * r2 + r1)
+    lo = _INT64_MAX - reach - size + 1 if top else _INT64_MIN + reach
+    base = np.array([lo + k for k in range(size)], dtype=np.int64)
+    n1, n2 = np.arange(-r1, r1 + 1), np.arange(-r2, r2 + 1)
+    first, last = max(lo - reach, _INT64_MIN), min(lo + size - 1 + reach, _INT64_MAX)
+    support = first + np.arange(last - first + 1)
+    return _random_values(np.random.default_rng(seed), support, real), base, n1, n2
+
+
+_AP_CASE = (range(-40, 160), range(-6, 7, 2), range(-3, 4))  # a run base, N1 of step 2
+_GAP_CASE = ([*range(-30, 40), *range(41, 90)], range(-5, 6), range(-2, 3))
+_REPEAT_CASE = ([*range(0, 50), 49, *range(50, 80)], range(-4, 5), range(-3, 4))
+_MIXED_CASE = (range(-60, 140), range(-7, 8), [2, 1, 0, -1, -2])  # N2 reversed
+
+
 @settings(max_examples=60, deadline=None)
 @given(correlation_cases())
 @example(_pinned_small())
@@ -435,6 +491,12 @@ def _corr_case(seed: int, real: bool, base, n1, n2):
 @example(_corr_case(5, False, range(-3, 9715), range(-1, 2), range(-4, 5)))  # 2 sub-chunks
 @example(_corr_case(6, True, range(-100, 101), range(-7, 8), [0, 3, -2, 5, 1]))  # L2 = 5
 @example(_unstructured(7, 300))
+@example(_corr_case(12, False, *_AP_CASE))
+@example(_corr_case(13, True, *_GAP_CASE))
+@example(_corr_case(14, False, *_REPEAT_CASE))
+@example(_corr_case(15, True, *_MIXED_CASE))
+@example(_edge_case(16, False, True, 200, 7, 2))
+@example(_edge_case(17, True, False, 150, 3, 6))
 def test_correlation_route_equals_cube_bit_for_bit(case):
     f, base, n1, n2 = case
     assert u2_fourth_correlation(f, base, n1, n2, budget=10**12) == u2_cube_oracle(f, base, n1, n2)
@@ -462,6 +524,70 @@ def test_correlation_route_picks_the_smaller_side(monkeypatch):
     assert calls and set(calls) == {"aik,ajk->aij"}
 
 
+def _far_lookups(monkeypatch) -> list[tuple[int, ...]]:
+    """Shapes of the points ``gowers`` looks up past 10^5. The routes look
+    up the small offsets of ``D`` and ``D + N``; on a base placed past 10^5,
+    a far lookup is one of the starts ``chunk + N`` in ``P``."""
+    shapes: list[tuple[int, ...]] = []
+    real = gowers.sorted_lookup
+
+    def record(values, points):
+        pts = np.asarray(points)
+        if pts.size and int(pts.max()) > 10**5:
+            shapes.append(pts.shape)
+        return real(values, points)
+
+    monkeypatch.setattr(gowers, "sorted_lookup", record)
+    return shapes
+
+
+@pytest.mark.parametrize("route", [u2_fourth_correlation, u2_fourth_direct],
+                         ids=["correlation", "direct"])
+def test_window_inputs_look_no_starts_up(monkeypatch, route):
+    # the table side (N1 for the correlation route, N2 for the direct one) is
+    # a window of 31; the 3000-point base spans twelve chunks
+    window, other = np.arange(-15, 16), np.arange(-4, 5)
+    inner = (window, other) if route is u2_fourth_correlation else (other, window)
+    far = 10**6
+    f = _random_values(np.random.default_rng(5), np.arange(far - 9100, far + 9100), False)
+    looked = _far_lookups(monkeypatch)
+    run = np.arange(far, far + 3000)
+    route(f, run, *inner)
+    assert looked == []
+    spec = BohrSpec((Fraction(3, 97),), Fraction(1, 4), Fraction(9000))
+    bases = {
+        "gapped": np.delete(run, 1000),
+        "bohr": far + BohrSet.from_spec(spec).elements,
+        "sparse": np.arange(far, far + 9000, 3),
+    }
+    for name, base in bases.items():
+        looked.clear()
+        route(f, base, *inner)
+        assert looked and all(shape[1:] == (31,) for shape in looked), name
+
+
+def test_window_tables_fill_each_row_once(monkeypatch):
+    # `patterns dichotomy`'s inner = base case: [-79, 79] at L1 = L2 = 159
+    # takes ten base points a chunk, and consecutive chunks' P share 158
+    # rows; carried over, the tables fill |A| + 158 = 317 rows, not 2687
+    base = np.arange(-79, 80)
+    f, _ = BoundedFunction.balanced_indicator(base[base % 15 != 0], base)
+    rows: list[int] = []
+    real = BoundedFunction.gather
+
+    def record(self, points):
+        pts = np.asarray(points)
+        if pts.ndim == 2 and pts.shape[1] == base.size:  # f at p + N, a row each
+            rows.append(pts.shape[0])
+        return real(self, points)
+
+    monkeypatch.setattr(BoundedFunction, "gather", record)
+    for route in (u2_fourth_correlation, u2_fourth_direct):
+        rows.clear()
+        route(f, base, base, base, budget=10**9)
+        assert sum(rows) == 317, route.__name__
+
+
 def test_direct_route_bits_are_pinned():
     # values computed while the direct route was the literal N1-first cube
     # contraction; its pair table must not move them by one bit
@@ -476,6 +602,12 @@ def test_direct_route_bits_are_pinned():
 @example(_corr_case(8, False, range(-3, 9715), range(-1, 2), range(-4, 5)), True)
 @example(_corr_case(9, False, range(-100, 101), [0, 3, -2, 5, 1], range(-7, 8)), False)
 @example(_unstructured(10, 300), True)
+@example(_corr_case(18, True, *_AP_CASE), True)
+@example(_corr_case(19, False, *_GAP_CASE), True)
+@example(_corr_case(20, True, *_REPEAT_CASE), False)
+@example(_corr_case(21, False, *_MIXED_CASE), True)
+@example(_edge_case(22, True, True, 200, 7, 2), True)
+@example(_edge_case(23, False, False, 150, 3, 6), False)
 def test_direct_route_equals_cube_bit_for_bit(case, swap):
     # swapped, the structured offsets of a case become N2, the side the
     # direct route builds its pair table over
@@ -678,13 +810,15 @@ _THREAD_PROBE = """
 import hashlib
 import numpy as np
 from bohrkit.functions import BoundedFunction
-from bohrkit.gowers import local_fourier_scan, u2_fourth_correlation
+from bohrkit.gowers import local_fourier_scan, u2_fourth_correlation, u2_fourth_direct
 rng = np.random.default_rng(31)
 support = np.arange(-1200, 1201)
 f, _ = BoundedFunction.balanced_indicator(rng.choice(support, 900, replace=False), support)
 scan = local_fourier_scan(f, np.arange(-1000, 1001), np.arange(-50, 51), 512)
 fourth = u2_fourth_correlation(f, np.arange(-1000, 1001), np.arange(-15, 16), np.arange(-4, 5))
-print(hashlib.sha256(scan.values.tobytes() + scan.argmax.tobytes()).hexdigest(), fourth.hex())
+direct = u2_fourth_direct(f, np.arange(-1000, 1001), np.arange(-4, 5), np.arange(-15, 16))
+print(hashlib.sha256(scan.values.tobytes() + scan.argmax.tobytes()).hexdigest(), fourth.hex(),
+      direct.hex())
 """
 
 

@@ -10,7 +10,10 @@ element by element through a ufunc's ``at`` (``np.bitwise_or.at`` and the
 like): a kernel builds its array in one vectorized pass. No module tests
 order by subtraction, comparing an ``np.diff(...)`` call: a difference of
 int64 values wraps at the ends, so sortedness compares neighbours
-(``x[1:] > x[:-1]``). No module calls
+(``x[1:] > x[:-1]``). Every ``as_strided`` call passes
+``writeable=False``: the U2 routes read their pair tables through sheared
+views in which one entry stands for many, so a write through such a view
+would change what other base points read. No module calls
 ``json.dumps`` with an ``indent``: indented report text has one writer,
 ``reports.canonical_json``. Only ``exact.wire`` calls ``rational_pair``:
 a result's report form goes through ``wire``, and the engine keeps its
@@ -136,6 +139,24 @@ def diff_comparisons(tree: ast.Module) -> list[str]:
     return [f"line {line}: diff" for line in lines]
 
 
+def writable_strided_views(tree: ast.Module) -> list[str]:
+    """Calls of ``as_strided`` (by any alias) that do not pass
+    ``writeable=False``, in line order."""
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _call_name(node) == "as_strided"
+        and not any(
+            kw.arg == "writeable"
+            and isinstance(kw.value, ast.Constant)
+            and kw.value.value is False
+            for kw in node.keywords
+        )
+    )
+    return [f"line {line}: as_strided" for line in lines]
+
+
 def indented_dumps(tree: ast.Module) -> list[str]:
     """Calls of ``dumps`` (``json.dumps`` by any alias) given an ``indent``."""
     return [
@@ -180,6 +201,11 @@ def test_no_ufunc_scatter(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_order_test_by_subtraction(path):
     assert diff_comparisons(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_strided_views_are_read_only(path):
+    assert writable_strided_views(_tree(path)) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -374,6 +400,9 @@ def test_checks_catch_what_they_look_for():
         "bad = np.any(np.diff(support) <= 0)\n"
         "gap = np.diff(neg).max() if x[1:] > x[:-1] else 0\n"
         "odd = 1 < diff(y) == 2\n"
+        "s = as_strided(x, shape=(2,), strides=(8,))\n"
+        "r = np.lib.stride_tricks.as_strided(x, (2,), (8,), writeable=True)\n"
+        "k = as_strided(x, (2,), (8,), writeable=False)\n"
     )
     assert private_imports(tree) == ["line 3: _elements", "line 4: _count_leq"]
     assert unused_imports(tree) == [
@@ -385,6 +414,7 @@ def test_checks_catch_what_they_look_for():
     assert set_op_calls(tree) == ["line 6: isin", "line 7: intersect1d"]
     assert ufunc_at_calls(tree) == ["line 17: bitwise_or.at", "line 18: add.at"]
     assert diff_comparisons(tree) == ["line 20: diff", "line 22: diff"]
+    assert writable_strided_views(tree) == ["line 23: as_strided", "line 24: as_strided"]
     assert indented_dumps(tree) == ["line 8: dumps", "line 9: dumps"]
     assert pair_calls(tree) == [
         "line 13: rational_pair",
