@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -222,36 +222,26 @@ def membership_mask(spec: BohrSpec, ns: np.ndarray) -> np.ndarray:
     return keys <= B
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BohrSet:
-    """A spec, its enumerated elements (ascending int64) and, once known,
-    its regularity certificate, carried so that no step certifies it again.
-    Equal when all three agree; hashed by spec."""
+    """A spec and, once known, its regularity certificate, carried so that
+    no step certifies it again. The elements (ascending int64) are the
+    spec's, enumerated when the set is built, so equality and hash read the
+    spec and the certificate only."""
 
     spec: BohrSpec
-    elements: np.ndarray
     certificate: Optional[RegularityCertificate] = None
+    elements: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "elements", enumerate_bohr(self.spec))
         cert = self.certificate
         if cert is not None and (cert.spec != self.spec or cert.base_size != self.size):
             raise ValueError("the certificate belongs to another Bohr set")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BohrSet):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and np.array_equal(self.elements, other.elements)
-            and self.certificate == other.certificate
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.spec)
-
     @classmethod
     def from_spec(cls, spec: BohrSpec) -> "BohrSet":
-        return cls(spec, enumerate_bohr(spec))
+        return cls(spec)
 
     @property
     def size(self) -> int:

@@ -39,7 +39,6 @@ from .bohr import (
     BohrSpec,
     BudgetExceeded,
     certificates,
-    enumerate_bohr,
     exact_density,
     find_regular_dilation,
     infer_dilation,
@@ -517,25 +516,42 @@ class StepRecord:
 
 _EXIT_CODES = {"found": 0, "exhausted": 1, "limit": 3, "violation": 3}
 
+# the status a run ends in when its last record is of a terminal case
+_TERMINAL_STATUS = {
+    "config": "found",
+    "small-bohr": "exhausted",
+    "violation": "violation",
+    "no-case": "limit",
+}
+
 
 @dataclass(frozen=True)
 class RunResult(Wired):
-    """How a run ended (``status`` found, exhausted, limit or violation, and
-    why), its records numbered from 0, and its ``final`` state (``mult``,
-    ``offset``, ``d``, ``set_size``). The report's ``exit_code`` and
-    ``config`` are derived: the status's code, and for ``found`` the last
-    record's configuration in input coordinates."""
+    """Why a run ended, its records numbered from 0 (none after one of a
+    terminal case), and its ``final`` state (``mult``, ``offset``, ``d``,
+    ``set_size``). The report's ``status``, ``exit_code`` and ``config`` are
+    derived: the status from the records and the final set, its code, and
+    for ``found`` the last record's configuration in input coordinates."""
 
-    status: str
     reason: str
     steps: tuple[StepRecord, ...]
     final: dict
 
     def __post_init__(self) -> None:
-        if self.status not in _EXIT_CODES:
-            raise ValueError(f"unknown status {self.status!r}")
         if [rec.step for rec in self.steps] != list(range(len(self.steps))):
             raise ValueError("records are not numbered 0, 1, ...")
+        for rec in self.steps[:-1]:
+            if rec.case in _TERMINAL_STATUS:
+                raise ValueError(f"step {rec.step}: records follow the terminal {rec.case} record")
+
+    @property
+    def status(self) -> str:
+        """The last record's terminal status; after a move or no record,
+        ``exhausted`` when the final set is empty and ``limit`` otherwise."""
+        last = self.steps[-1].case if self.steps else None
+        if last in _TERMINAL_STATUS:
+            return _TERMINAL_STATUS[last]
+        return "exhausted" if self.final.get("set_size") == 0 else "limit"
 
     @property
     def exit_code(self) -> int:
@@ -543,10 +559,11 @@ class RunResult(Wired):
 
     @property
     def config(self) -> Optional[Configuration]:
-        return self.steps[-1].config_original if self.status == "found" and self.steps else None
+        return self.steps[-1].config_original if self.status == "found" else None
 
     def as_dict(self) -> dict:
-        return {**super().as_dict(), "exit_code": self.exit_code, "config": wire(self.config)}
+        derived = {"status": self.status, "exit_code": self.exit_code, "config": wire(self.config)}
+        return {**super().as_dict(), **derived}
 
 
 @dataclass(frozen=True)
@@ -642,8 +659,7 @@ def plan_inner_dilations(
         if not search.found or search.c > 1:  # a dilate past 1 is not nested
             return None
         current = current.dilate(search.c)
-        elements = enumerate_bohr(current)
-        sets.append(BohrSet(current, elements, search.certificate))
+        sets.append(BohrSet(current, search.certificate))
         links.append(ChainLink(i, search.c, target, sets[-1].size, len(search.tried)))
     return sets, tuple(links)
 
@@ -660,13 +676,15 @@ def run(
     """Iterate until a configuration is found or the set is certified thin.
 
     The ambient chain starts at the width-``N`` integer window (frequency 1
-    makes the torus constraint vacuous). Each step either exits with a
-    verified configuration mapped back to input coordinates, renormalizes
-    into a denser sub-Bohr-set, or stops with ``exhausted`` (the certified
-    small-set branch fired: freeness holds on the restricted domain of the
-    planned chain only, an empty claim when some ``|N_i| < s - i + 1`` leaves
-    no distinct offset tuple) or ``limit`` (budgets, caps, or a witness the
-    scan could not certify).
+    makes the torus constraint vacuous); a set that misses the window ends
+    ``exhausted`` before the window is enumerated. Each step either exits
+    with a verified configuration mapped back to input coordinates,
+    renormalizes into a denser sub-Bohr-set, or stops with ``exhausted``
+    (the certified small-set branch fired: freeness holds on the restricted
+    domain of the planned chain only, an empty claim when some ``|N_i| < s -
+    i + 1`` leaves no distinct offset tuple) or ``limit`` (budgets, caps, or
+    a witness the scan could not certify). The result stores the reason and
+    the records; its status is read off them (see :attr:`RunResult.status`).
     """
     table = ConstantTable.for_mode(mode, overrides)
     if s < 2:
@@ -676,28 +694,28 @@ def run(
     state = _State.start(subset, N)
     records: list[StepRecord] = []
 
-    def finish(status: str, reason: str) -> RunResult:
-        return RunResult(status, reason, tuple(records), state.final())
+    def finish(reason: str) -> RunResult:
+        return RunResult(reason, tuple(records), state.final())
 
+    if state.work.size == 0:  # a move keeps a nonempty set: its density rises
+        return finish("set is empty on the ambient Bohr set")
     try:
         ambient = BohrSet.from_spec(state.spec)  # a transition carries its set over
     except BudgetExceeded as exc:
-        return finish("limit", f"enumeration budget: {exc}")
+        return finish(f"enumeration budget: {exc}")
     for step in range(_MAX_STEPS):
         spec, work = state.spec, state.work
-        delta = exact_density(work, ambient.elements)
-        if delta == 0:
-            return finish("exhausted", "set is empty on the ambient Bohr set")
+        delta = Fraction(work.size, ambient.size)  # the state keeps work in ambient
 
         if mode == "faithful":
             if Fraction(step) > table.k_max(s, delta):
-                return finish("limit", "printed iteration cap exceeded")
+                return finish("printed iteration cap exceeded")
             if Fraction(spec.dim) > table.d_max(s, delta):
-                return finish("limit", "printed dimension cap exceeded")
+                return finish("printed dimension cap exceeded")
 
         chain = plan_inner_dilations(spec, s, table, delta)
         if chain is None:
-            return finish("limit", "no regular dilation found for the chain")
+            return finish("no regular dilation found for the chain")
         inner_sets, links = chain
         record = partial(StepRecord, step, delta, spec, state.mult, state.offset, links)
 
@@ -706,11 +724,11 @@ def run(
         if freeness.status == "found":
             rec = record(finder=freeness)
             if not verify_configuration(subset, rec.config_original, s):
-                return finish("limit", "transported configuration failed verification")
+                return finish("transported configuration failed verification")
             records.append(rec)
-            return finish("found", "configuration found")
+            return finish("configuration found")
         if freeness.status == "inconclusive":
-            return finish("limit", "freeness search inconclusive within budget")
+            return finish("freeness search inconclusive within budget")
 
         try:
             out = dichotomy(
@@ -722,13 +740,13 @@ def run(
                 freeness=freeness,
             )
         except PreconditionError as exc:
-            return finish("limit", f"dichotomy precondition failed: {exc}")
+            return finish(f"dichotomy precondition failed: {exc}")
         except BudgetExceeded as exc:
-            return finish("limit", f"dichotomy budget: {exc}")
+            return finish(f"dichotomy budget: {exc}")
 
         if out.kind == "small-bohr":
             records.append(record(dichotomy=out))
-            return finish("exhausted", "innermost Bohr set certified small")
+            return finish("innermost Bohr set certified small")
 
         if out.kind == "large-u2":
             _, j = out.scanned_pairs[-1]
@@ -744,29 +762,27 @@ def run(
                     budget=limits.count_budget,
                 )
             except BudgetExceeded as exc:
-                return finish("limit", f"fourier scan budget: {exc}")
+                return finish(f"fourier scan budget: {exc}")
             if inc.status in ("no-witness", "hypothesis-not-met"):
-                return finish("limit", f"fourier increment: {inc.status}")
+                return finish(f"fourier increment: {inc.status}")
             if inc.increment < table.min_increment():
-                return finish("limit", "fourier witness gain below acceptance")
+                return finish("fourier witness gain below acceptance")
             rec, target = record(dichotomy=out, increment=inc), inc.new_set
         elif out.kind == "local-increment":
             rec, target = record(dichotomy=out), inner_sets[out.inner_index - 1]
         else:  # violation / no-case
             records.append(record(dichotomy=out))
             if out.kind == "violation":
-                return finish(
-                    "violation", "all dichotomy branches clean under certified preconditions"
-                )
-            return finish("limit", "no dichotomy branch fired (preconditions unmet)")
+                return finish("all dichotomy branches clean under certified preconditions")
+            return finish("no dichotomy branch fired (preconditions unmet)")
 
         moved, problems = _checked_move(state, rec, target)
         if problems:
-            return finish("limit", "transition rejected: " + "; ".join(problems))
+            return finish("transition rejected: " + "; ".join(problems))
         records.append(rec)
         state, ambient = moved, target
 
-    return finish("limit", f"step cap {_MAX_STEPS} reached")
+    return finish(f"step cap {_MAX_STEPS} reached")
 
 
 # ---------------------------------------------------------------------------
@@ -784,18 +800,15 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     run again and must equal the record's (see :func:`_rederived`). A
     ``config`` record's configuration is checked in the input; a
     ``local-increment`` or ``fourier-*`` move by the rule ``run`` accepted it
-    by (see :func:`_checked_move`). The ``final`` state must be the replay's,
-    and the status must follow from the record the replay ends on (see
-    :func:`_status_problems`); ``exit_code`` and ``config`` are derived from
-    these. Returns the list of discrepancies (empty means the whole trace
-    rechecks).
+    by (see :func:`_checked_move`). The ``final`` state must be the replay's.
+    The status, ``exit_code`` and ``config`` are read off the records and the
+    final state, so rechecking these rechecks them. Returns the list of
+    discrepancies (empty means the whole trace rechecks).
     """
     problems: list[str] = []
     state = _State.start(subset, N)
     ambient = BohrSet.from_spec(state.spec) if result.steps else None
-    last: Optional[StepRecord] = None
     for rec in result.steps:
-        last = rec
         spec = state.spec
         if rec.spec != spec:
             problems.append(f"step {rec.step}: ambient spec drifted")
@@ -803,7 +816,7 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
         if (rec.mult, rec.offset) != (state.mult, state.offset):
             problems.append(f"step {rec.step}: affine map drifted")
             break
-        delta = exact_density(state.work, ambient.elements)
+        delta = Fraction(state.work.size, ambient.size)  # the state keeps work in ambient
         if delta != rec.delta:
             problems.append(f"step {rec.step}: recorded density {rec.delta} remeasures {delta}")
             break
@@ -830,7 +843,7 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     if not problems and result.final != final:
         keys = sorted(k for k in {**final, **result.final} if result.final.get(k) != final.get(k))
         problems.append(f"final state differs from the replay in {', '.join(keys)}")
-    return problems + _status_problems(result, last, state)
+    return problems
 
 
 def _rederived(
@@ -848,7 +861,7 @@ def _rederived(
         for link in rec.chain:  # certified only where a dichotomy reruns on them
             spec = spec.dilate(link.c)
             cert = regularity_certificate(spec) if dich else None
-            inner_sets.append(BohrSet(spec, enumerate_bohr(spec), cert))
+            inner_sets.append(BohrSet(spec, cert))
         sizes = [bs.size for bs in inner_sets]
         if sizes != [link.size for link in rec.chain]:
             return inner_sets, [f"step {step}: inner sizes recount as {sizes}"]
@@ -867,24 +880,3 @@ def _rederived(
         for i, bs in enumerate(inner_sets, start=1)
         if dich.kind in ("small-bohr", "violation") and not bs.certificate.verdict
     ]
-
-
-def _status_problems(result: RunResult, last: Optional[StepRecord], state: _State) -> list[str]:
-    """The claimed status against the replay that ended on ``last`` (``state``
-    is the replay after the last record that moves it): no record follows a
-    terminal ``last``; ``exhausted`` needs a final ``small-bohr`` record or an
-    empty replayed set, ``found`` a final ``config`` record and ``violation``
-    a final ``violation`` record; ``limit`` claims nothing."""
-    case = last.case if last is not None else None
-    moved = case is None or case == "local-increment" or case.startswith("fourier-")
-    if not moved and last.step + 1 < len(result.steps):
-        return [f"step {last.step}: records follow the terminal {case} record"]
-    status = result.status
-    if status == "exhausted" and case != "small-bohr":
-        if state.work.size:  # the replayed set lies in its ambient set
-            return ["status exhausted without a final small-bohr record or an empty replayed set"]
-    elif status == "found" and case != "config":
-        return ["status found without a final config record naming the result"]
-    elif status == "violation" and case != "violation":
-        return ["status violation without a final violation record"]
-    return []

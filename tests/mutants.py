@@ -137,10 +137,49 @@ MUTANTS = [
     },
     {
         "file": "increment.py",
-        "drops": "the emptiness test of the replayed set behind an exhausted status",
-        "old": "        if state.work.size:",
-        "new": "        if not state.work.size:",
-        "kills": ["tests/test_increment.py::test_recheck_derives_exhaustion_of_an_empty_trace"],
+        "drops": "the exhausted status of a run whose last record is small-bohr",
+        "old": '    "small-bohr": "exhausted",\n',
+        "new": '    "small-bohr": "limit",\n',
+        "kills": [
+            "tests/test_increment.py::test_status_is_read_off_the_last_record[small-bohr]",
+            "tests/test_increment.py::test_run_practical_behrend_exhausts",
+        ],
+    },
+    {
+        "file": "increment.py",
+        "drops": "the exhausted status of a run whose final set is empty",
+        "old": '        return "exhausted" if self.final.get("set_size") == 0 else "limit"\n',
+        "new": '        return "limit"\n',
+        "kills": [
+            "tests/test_increment.py::test_recheck_derives_exhaustion_of_an_empty_trace",
+            "tests/test_increment.py::test_an_empty_set_ends_exhausted_at_every_N",
+            "tests/test_increment.py::test_status_is_read_off_the_last_record[None]",
+        ],
+    },
+    {
+        "file": "increment.py",
+        "drops": "the refusal of a record that follows a terminal one",
+        "old": "        for rec in self.steps[:-1]:\n",
+        "new": "        for rec in self.steps[:-2]:\n",
+        "kills": [
+            "tests/test_increment.py::test_no_record_follows_a_terminal_one[config]",
+            "tests/test_increment.py::test_no_record_follows_a_terminal_one[small-bohr]",
+            "tests/test_increment.py::test_recheck_derives_status_of_found_run[trailing-record]",
+        ],
+    },
+    {
+        "file": "increment.py",
+        "drops": "the emptiness test of the input before the window is enumerated",
+        "old": "    if state.work.size == 0:",
+        "new": "    if False:",
+        "kills": ["tests/test_increment.py::test_an_empty_set_ends_exhausted_at_every_N"],
+    },
+    {
+        "file": "bohr.py",
+        "drops": "the base size check of a Bohr set's certificate",
+        "old": "cert.spec != self.spec or cert.base_size != self.size",
+        "new": "cert.spec != self.spec",
+        "kills": ["tests/test_bohr.py::test_bohr_set_rejects_a_foreign_certificate"],
     },
     {
         "file": "gowers.py",

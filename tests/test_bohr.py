@@ -6,6 +6,7 @@ exact rational arithmetic; every vectorized path is checked against it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -626,31 +627,36 @@ def test_bohr_set_wrapper():
 
 
 def test_bohr_set_equality_and_hash():
-    spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(5))
-    a, b = BohrSet.from_spec(spec), BohrSet.from_spec(spec)
+    # a set is built from its spec alone: two sets of one spec are equal and
+    # hold equal elements, and a carried certificate alone tells them apart
+    spec = BohrSpec((Fraction(1, 3),), Fraction(1, 4), Fraction(40))
+    a, b = BohrSet.from_spec(spec), BohrSet(spec)
     assert a == b and hash(a) == hash(b)
-    assert a != BohrSet(spec, a.elements[1:])
-    assert a != BohrSet(spec, a.elements, regularity_certificate(spec))
+    assert np.array_equal(a.elements, b.elements)
+    assert np.array_equal(a.elements, enumerate_bohr(spec))
+    certified = BohrSet(spec, regularity_certificate(spec))
+    assert a != certified and np.array_equal(certified.elements, a.elements)
     assert a != spec
-    assert b in {a} and len({a, b, BohrSet(spec, a.elements[1:])}) == 2
+    assert b in {a} and len({a, b, certified}) == 2
+    with pytest.raises(TypeError):
+        BohrSet(spec, elements=a.elements)
 
 
 def test_bohr_set_rejects_a_foreign_certificate():
     spec = BohrSpec((Fraction(1, 3),), Fraction(1, 4), Fraction(40))
     cert = regularity_certificate(spec)
-    elements = enumerate_bohr(spec)
-    carried = BohrSet(spec, elements, cert)
+    carried = BohrSet(spec, cert)
     assert carried.certificate is cert and "certificate" not in carried.as_dict()
-    other = spec.dilate(Fraction(1, 2))
     with pytest.raises(ValueError, match="another Bohr set"):
-        BohrSet(other, enumerate_bohr(other), cert)
+        BohrSet(spec.dilate(Fraction(1, 2)), cert)
     # another description of the same integers: the sizes agree, the specs not
     alias = BohrSpec(spec.theta, spec.eps, Fraction(81, 2))
-    assert np.array_equal(enumerate_bohr(alias), elements)
+    assert np.array_equal(enumerate_bohr(alias), carried.elements)
     with pytest.raises(ValueError, match="another Bohr set"):
-        BohrSet(alias, elements, cert)
+        BohrSet(alias, cert)
+    # the spec's own certificate with a forged count of its base
     with pytest.raises(ValueError, match="another Bohr set"):
-        BohrSet(spec, elements[1:], cert)
+        BohrSet(spec, dataclasses.replace(cert, base_size=cert.base_size - 1))
 
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1

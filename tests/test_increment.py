@@ -484,10 +484,11 @@ def test_small_bohr_record_derives_its_threshold():
 )
 def test_recheck_rederives_relabelled_small_bohr(kind, status, code):
     # the real chain certifies and the freeness search reruns clean, but its
-    # innermost set is small: branch 1 fires before any other case is reached
+    # innermost set is small: branch 1 fires before any other case is reached.
+    # The relabelled kind alone sets the status the result reports
     subset, result = _behrend_small_bohr_run()
-    forged = dataclasses.replace(_forge_last(result, dichotomy={"kind": kind}), status=status)
-    assert forged.steps[-1].case == kind and forged.exit_code == code
+    forged = _forge_last(result, dichotomy={"kind": kind})
+    assert forged.steps[-1].case == kind and (forged.status, forged.exit_code) == (status, code)
     assert recheck_run(subset, 3000, forged) == [
         f"step {result.steps[-1].step}: dichotomy reruns with a different kind"
     ]
@@ -539,7 +540,7 @@ def _parity_fourier_run():
     )
     rec = StepRecord(0, out.delta_before, base.spec, 1, 0, increment=out)
     final = {"mult": 1, "offset": -1764, "d": 2, "set_size": 37}
-    return evens, RunResult("limit", "hand-built", (rec,), final)
+    return evens, RunResult("hand-built", (rec,), final)
 
 
 def test_recheck_accepts_hand_built_fourier_record():
@@ -561,7 +562,7 @@ def _evens_local_increment_run():
     )
     rec = StepRecord(0, out.delta, base.spec, 1, 0, links, dichotomy=out)
     final = {"mult": 2, "offset": -1250, "d": 1, "set_size": 1251}
-    return evens, RunResult("limit", "hand-built", (rec,), final)
+    return evens, RunResult("hand-built", (rec,), final)
 
 
 def test_recheck_accepts_hand_built_local_increment_record():
@@ -963,9 +964,8 @@ def test_step_record_report_forms_are_pinned(case):
 def test_recheck_reports_records_missing_their_witness():
     # a relabelled outcome holds none of the evidence its new case moves on
     subset, result = _behrend_small_bohr_run()
-    forged = dataclasses.replace(
-        _forge_last(result, dichotomy={"kind": "local-increment"}), status="limit"
-    )
+    forged = _forge_last(result, dichotomy={"kind": "local-increment"})
+    assert forged.status == "limit"
     assert recheck_run(subset, 3000, forged) == [
         f"step {result.steps[-1].step}: dichotomy reruns with a different kind"
     ]
@@ -979,20 +979,33 @@ def test_recheck_reports_records_missing_their_witness():
     ]
 
 
-_NO_EXHAUSTION = "status exhausted without a final small-bohr record or an empty replayed set"
-_NO_FOUND = "status found without a final config record naming the result"
+_EMPTIED = "final state differs from the replay in set_size"
+
+
+def _emptied(result: RunResult) -> dict:
+    return {**result.final, "set_size": 0}
 
 
 def test_recheck_derives_exhaustion_of_an_empty_trace():
-    # a trace with no records proves exhaustion only when the set misses [-N, N]
-    def forged(size):
-        final = {"mult": 1, "offset": 0, "d": 1, "set_size": size}
-        return RunResult("exhausted", "forged", (), final)
-
-    assert recheck_run(random_set(2000, 0.3, 7), 2000, forged(648)) == [_NO_EXHAUSTION]
-    assert recheck_run(np.array([-2500, 2001]), 2000, forged(0)) == []
+    # a trace with no records is exhausted exactly when its final set is
+    # empty, and the replay recounts that set from the input
+    final = {"mult": 1, "offset": 0, "d": 1, "set_size": 0}
+    forged = RunResult("forged", (), final)
+    assert forged.status == "exhausted"
+    assert recheck_run(random_set(2000, 0.3, 7), 2000, forged) == [_EMPTIED]
+    assert recheck_run(np.array([-2500, 2001]), 2000, forged) == []
     real = run(np.array([-2500, 2001]), 2000, 2, mode="practical")
     assert (real.status, real.steps) == ("exhausted", ())
+
+
+def test_an_empty_set_ends_exhausted_at_every_N():
+    # the empty set is found before the window is enumerated, so a window past
+    # the enumeration budget does not turn it into a limit
+    empty = np.array([], dtype=np.int64)
+    for subset, N in [(empty, 100), (empty, 10**7), (np.array([-(10**8)]), 10**7)]:
+        result = run(subset, N, 2)
+        assert (result.status, result.steps, result.final["set_size"]) == ("exhausted", (), 0)
+        assert recheck_run(subset, N, result) == []
 
 
 def _forge_found(result):
@@ -1002,28 +1015,29 @@ def _forge_found(result):
     other = Configuration(rec.finder.config.a + 1, rec.finder.config.ns)
     trailing = dataclasses.replace(rec, step=rec.step + 1)
     return {
-        "relabelled-exhausted": (
-            lambda: dataclasses.replace(result, status="exhausted"), [_NO_EXHAUSTION]
-        ),
+        # the status, the config and the exit code are derived, so none can be set
+        "status": (lambda: dataclasses.replace(result, status="exhausted"), TypeError),
+        "no-config": (lambda: dataclasses.replace(result, config=None), TypeError),
+        "exit-code": (lambda: dataclasses.replace(result, exit_code=1), TypeError),
         # the result names the configuration of its last record: forging it
         # means forging the record
         "other-config": (
             lambda: _forge_last(result, finder=dataclasses.replace(rec.finder, config=other)),
             [f"step {rec.step}: configuration not in the input set"],
         ),
-        # the config and the exit code are derived, so neither can be set
-        "no-config": (lambda: dataclasses.replace(result, config=None), TypeError),
-        "exit-code": (lambda: dataclasses.replace(result, exit_code=1), TypeError),
         "trailing-record": (
             lambda: dataclasses.replace(result, steps=result.steps + (trailing,)),
-            [f"step {rec.step}: records follow the terminal config record"],
+            [f"refused at construction: step {rec.step}: records follow the terminal config"
+             " record"],
         ),
+        # an emptied final set does not outrank the config record
+        "emptied-final": (lambda: dataclasses.replace(result, final=_emptied(result)), [_EMPTIED]),
     }
 
 
 @pytest.mark.parametrize(
     "forgery",
-    ["relabelled-exhausted", "other-config", "no-config", "exit-code", "trailing-record"],
+    ["status", "other-config", "no-config", "exit-code", "trailing-record", "emptied-final"],
 )
 def test_recheck_derives_status_of_found_run(forgery):
     subset = random_set(2000, 0.3, 7)
@@ -1035,19 +1049,84 @@ def test_recheck_derives_status_of_found_run(forgery):
         with pytest.raises(TypeError):
             forge()
     else:
-        assert recheck_run(subset, 2000, forge()) == expected
+        assert _objections(subset, 2000, forge) == expected
+        if forgery != "trailing-record":
+            assert forge().status == "found"
 
 
-@pytest.mark.parametrize(
-    "status, code, problems",
-    [("violation", 3, ["status violation without a final violation record"]),
-     ("found", 0, [_NO_FOUND])],
-)
-def test_recheck_derives_status_of_small_bohr_run(status, code, problems):
+def _forge_small_bohr(result, subset):
+    """Each forgery of a small-bohr run: a builder, the status and exit code
+    its result reports, and the problems it rechecks with."""
+    rec = result.steps[-1]
+    members = set(subset.tolist())
+    a = next(x for x in range(3000) if x not in members)
+    finder = patterns.FinderResult("found", Configuration(a, (1, 2)), 1, 100, "restricted")
+    config = dataclasses.replace(rec, dichotomy=None, finder=finder)
+    trailing = dataclasses.replace(rec, step=rec.step + 1)
+    return {
+        "config-record": (
+            lambda: dataclasses.replace(result, steps=(config,)), "found", 0,
+            [f"step {rec.step}: configuration not in the input set"],
+        ),
+        "trailing-record": (
+            lambda: dataclasses.replace(result, steps=result.steps + (trailing,)), None, None,
+            [f"refused at construction: step {rec.step}: records follow the terminal"
+             " small-bohr record"],
+        ),
+        "emptied-trace": (
+            lambda: dataclasses.replace(result, steps=(), final=_emptied(result)), "exhausted", 1,
+            [_EMPTIED],
+        ),
+    }
+
+
+@pytest.mark.parametrize("forgery", ["config-record", "trailing-record", "emptied-trace"])
+def test_recheck_derives_status_of_small_bohr_run(forgery):
     subset, result = _behrend_small_bohr_run()
-    forged = dataclasses.replace(result, status=status)
-    assert (forged.exit_code, forged.config) == (code, None)
-    assert recheck_run(subset, 3000, forged) == problems
+    forge, status, code, problems = _forge_small_bohr(result, subset)[forgery]
+    assert _objections(subset, 3000, forge) == problems
+    if status is not None:
+        assert (forge().status, forge().exit_code) == (status, code)
+
+
+def _record_of_case(case: str) -> StepRecord:
+    """A record of each case: the real ones of :func:`_step_of_case`, and a
+    ``violation`` or ``no-case`` one relabelled from the small-bohr record."""
+    if case in ("violation", "no-case"):
+        rec = _step_of_case("small-bohr")
+        return dataclasses.replace(rec, dichotomy=dataclasses.replace(rec.dichotomy, kind=case))
+    return _step_of_case(case)
+
+
+# the status after a last record of each case (None: no record), with a
+# final set that is unknown, nonempty or empty
+_STATUS_TABLE = {
+    None: ("limit", "limit", "exhausted"),
+    "config": ("found", "found", "found"),
+    "small-bohr": ("exhausted", "exhausted", "exhausted"),
+    "violation": ("violation", "violation", "violation"),
+    "no-case": ("limit", "limit", "limit"),
+    "local-increment": ("limit", "limit", "exhausted"),
+    "fourier-refined": ("limit", "limit", "exhausted"),
+}
+
+
+@pytest.mark.parametrize("case", list(_STATUS_TABLE))
+def test_status_is_read_off_the_last_record(case):
+    steps = () if case is None else (dataclasses.replace(_record_of_case(case), step=0),)
+    for final, status in zip([{}, {"set_size": 5}, {"set_size": 0}], _STATUS_TABLE[case]):
+        result = RunResult("", steps, final)
+        assert result.as_dict()["status"] == result.status == status
+        assert (result.config is None) == (status != "found")
+
+
+@pytest.mark.parametrize("case", ["config", "small-bohr", "violation", "no-case"])
+def test_no_record_follows_a_terminal_one(case):
+    terminal, moving = _record_of_case(case), _step_of_case("fourier-refined")
+    ends = RunResult("", (moving, dataclasses.replace(terminal, step=1)), {})
+    assert ends.status == _STATUS_TABLE[case][0]
+    with pytest.raises(ValueError, match=f"step 0: records follow the terminal {case} record"):
+        RunResult("", (terminal, dataclasses.replace(moving, step=1)), {})
 
 
 def test_run_rejects_bad_mode():
@@ -1095,8 +1174,6 @@ def test_increment_and_run_vocabularies_are_closed():
         IncrementOutcome("no-witness", (), Fraction(1, 3), 512, translate=4)
     with pytest.raises(ValueError, match="come with a translate or refined"):
         IncrementOutcome("translate", (), Fraction(1, 3), 512, translate=4)
-    with pytest.raises(ValueError, match="unknown status"):
-        RunResult("stalled", "", (), {})
     _, result = _behrend_small_bohr_run()
     with pytest.raises(ValueError, match="not numbered 0, 1"):
         dataclasses.replace(result, steps=result.steps * 2)
@@ -1247,3 +1324,33 @@ def test_real_runs_recheck_clean(kind, N, s, mode, seed):
     subset = random_set(N, 0.3, seed) if kind == "random" else behrend_set(N)
     result = run(subset, N, s, mode=mode)
     assert recheck_run(subset, N, result) == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["random", "behrend"]),
+    st.integers(200, 3000),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["practical", "faithful"]),
+    st.integers(0, 10**6),
+)
+@example("behrend", 3000, 3, "practical", 0)
+def test_step_density_is_the_exact_density(kind, N, s, mode, seed):
+    # run and recheck read a step's density as |work| / |ambient|, which is
+    # exact while the state keeps its set inside the ambient set: every
+    # freeness search both make sees a set and an ambient set where it is
+    subset = random_set(N, 0.3, seed) if kind == "random" else behrend_set(N)
+    seen, real = [], increment.find_configuration_restricted
+
+    def spy(work, ambient, inner_sets, **kwargs):
+        seen.append(Fraction(work.size, ambient.size))
+        assert seen[-1] == bohr.exact_density(work, ambient.elements)
+        return real(work, ambient, inner_sets, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(increment, "find_configuration_restricted", spy)
+        result = run(subset, N, s, mode=mode)
+        ran = len(seen)
+        assert recheck_run(subset, N, result) == []
+    deltas = [rec.delta for rec in result.steps]
+    assert seen[: len(deltas)] == deltas and set(seen[ran:]) <= set(deltas)

@@ -399,7 +399,7 @@ REPORT_FORMS = [
       "delta_after": None, "scan_value": None, "inverse_avg": None,
       "guaranteed_bound": None, "bound_asserted": False}),
     (IncrementOutcome("refined", ("eps",), F(1, 3), 1024, 4, -2, F(3, 17),
-                      BohrSet(SPEC, np.array([-3, 0, 3])), F(2, 3), 0.4, 0.2, 0.1, True),
+                      BohrSet(SPEC), F(2, 3), 0.4, 0.2, 0.1, True),
      {"status": "refined", "unmet": ["eps"], "delta_before": [1, 3], "grid_used": 1024,
       "a_star": 4, "translate": -2, "y": [3, 17], "new_spec": SPEC_D,
       "delta_after": [2, 3], "scan_value": 0.4, "inverse_avg": 0.2,
@@ -415,10 +415,10 @@ REPORT_FORMS = [
     (DICH, DICH_D),
     (LINK, LINK_D),
     (CONFIG_STEP, CONFIG_STEP_D),
-    (RunResult("found", "configuration found", (CONFIG_STEP,), {"d": 1, "set_size": 4}),
+    (RunResult("configuration found", (CONFIG_STEP,), {"d": 1, "set_size": 4}),
      {"status": "found", "exit_code": 0, "reason": "configuration found",
       "config": CONFIG_ORIGINAL_D, "steps": [CONFIG_STEP_D], "final": {"d": 1, "set_size": 4}}),
-    (RunResult("limit", "step cap 0 reached", (), {}),
+    (RunResult("step cap 0 reached", (), {}),
      {"status": "limit", "exit_code": 3, "reason": "step cap 0 reached", "config": None,
       "steps": [], "final": {}}),
     (EMBED, EMBED_D),
