@@ -803,11 +803,15 @@ def recheck_run(subset: np.ndarray, N: int, result: RunResult) -> list[str]:
     by (see :func:`_checked_move`). The ``final`` state must be the replay's.
     The status, ``exit_code`` and ``config`` are read off the records and the
     final state, so rechecking these rechecks them. Returns the list of
-    discrepancies (empty means the whole trace rechecks).
+    discrepancies (empty means the whole trace rechecks); a start window
+    past the enumeration budget is one, not an error.
     """
     problems: list[str] = []
     state = _State.start(subset, N)
-    ambient = BohrSet.from_spec(state.spec) if result.steps else None
+    try:
+        ambient = BohrSet.from_spec(state.spec) if result.steps else None
+    except BudgetExceeded as exc:
+        return [f"start window does not rebuild: {exc}"]
     for rec in result.steps:
         spec = state.spec
         if rec.spec != spec:

@@ -848,48 +848,67 @@ def behrend_set(N: int) -> np.ndarray:
     fixed shell ``sum x_i^2 = r`` the parallelogram law then forces
     ``u = v = w``. The sweep picks the (dimension, base, shell) with the most
     elements fitting in ``[1, N]``; ties go to the smallest dimension, then
-    base, then radius.
+    base, then radius, over every dimension ``n >= 2`` whose full block
+    ``[0, k)^n`` has at most 10^6 vectors.
+
+    Each base's block grows one digit at a time, and a vector whose value
+    ``1 + sum_i x_i b^i`` passes ``N`` is dropped as soon as it does: a
+    further digit only adds to it. So every dimension is scored on exactly
+    the vectors that fit, and the set is the one the sweep over full blocks
+    picks, element for element.
     """
     if N < 3:
         return np.arange(1, N + 1, dtype=np.int64)
-    best: Optional[tuple[tuple[int, int, int, int], int, int]] = None
+    best: Optional[tuple[tuple[int, int, int, int], np.ndarray]] = None
     for b in range(3, 13):
         k = (b + 1) // 2
-        n_max = 1
-        while b**n_max <= N:
-            n_max += 1
-        for n in range(2, n_max + 1):
-            if k**n > 10**6:
+        digits = np.arange(k, dtype=np.int64)
+        vals, radii = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        n = 0
+        while b**n <= N and k ** (n + 1) <= 10**6:
+            vals = np.add.outer(vals, digits * b**n).ravel()
+            radii = np.add.outer(radii, digits * digits).ravel()
+            fits = vals <= N
+            vals, radii, n = vals[fits], radii[fits], n + 1
+            if n < 2:
                 continue
-            vals, radii = _digit_block(b, k, n)
-            shells = np.bincount(radii[vals <= N])
+            shells = np.bincount(radii)
             r = int(np.argmax(shells))  # the least radius of a largest shell
             key = (int(shells[r]), -n, -b, -r)
             if best is None or key > best[0]:
-                best = (key, b, n)
+                best = (key, vals[radii == r])
     assert best is not None
-    (_, _, _, neg_r), b, n = best
-    vals, radii = _digit_block(b, (b + 1) // 2, n)
-    return np.sort(vals[(vals <= N) & (radii == -neg_r)])
-
-
-def _digit_block(b: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``1 + sum_i x_i b^i`` and ``sum_i x_i^2`` for every ``x`` in ``[0, k)^n``."""
-    digits = np.arange(k, dtype=np.int64)
-    vals, radii = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    for i in range(n):
-        vals = np.add.outer(vals, digits * b**i).ravel()
-        radii = np.add.outer(radii, digits * digits).ravel()
-    return vals, radii
+    return np.sort(best[1])
 
 
 def random_set(N: int, density: float, seed: int) -> np.ndarray:
-    """Each of ``1..N`` kept independently with the given probability."""
+    """Each of ``1..N`` kept independently with the given probability.
+
+    ``n`` is kept when the ``n``-th ``random()`` of ``random.Random(seed)``
+    is below ``density``. That generator's Mersenne Twister state is handed
+    to numpy's ``MT19937``, whose ``random()`` forms each double from two
+    32-bit outputs exactly as CPython's does, and the stream is drawn in
+    chunks of :func:`bohrkit.bohr.chunk_rows`. So the set is the per-integer
+    loop's, element for element, for every seed ``random.Random`` accepts.
+    """
     if not (0 < density <= 1):
         raise ValueError("density must be in (0, 1]")
-    rng = random.Random(seed)
-    kept = [n for n in range(1, N + 1) if rng.random() < density]
-    return np.asarray(kept, dtype=np.int64)
+    # the least double not below density: a double is below one iff below the other
+    cut = float(density)
+    if cut < density:
+        cut = math.nextafter(cut, math.inf)
+    state = random.Random(seed).getstate()[1]
+    bitgen = np.random.MT19937(0)  # a fixed seed reads no OS entropy; replaced below
+    bitgen.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
+    }
+    rng, step = np.random.Generator(bitgen), chunk_rows(1)
+    kept = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, max(N, 0), step):
+        draws = rng.random(min(step, N - lo))
+        kept.append(np.flatnonzero(draws < cut) + (lo + 1))
+    return np.concatenate(kept)
 
 
 def count_three_aps_direct(subset: ElementsLike) -> int:

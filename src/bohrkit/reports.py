@@ -30,6 +30,7 @@ import csv
 import io
 import json
 import math
+import operator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Iterable, Optional
@@ -70,7 +71,7 @@ def normalize(obj: Any) -> Any:
         return {str(k): normalize(v) for k, v in items}
     if isinstance(obj, (list, tuple, set, frozenset)):
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        if all(type(x) is int for x in seq):  # not bool, not an int subclass
+        if operator.countOf(map(type, seq), int) == len(seq):  # not bool, not an int subclass
             return list(seq)
         return [normalize(x) for x in seq]
     if hasattr(obj, "as_dict"):
@@ -108,7 +109,7 @@ def _write(v: Any, out: list[str], pad: str) -> None:
             return
         inner = pad + "  "
         sep = ",\n" + inner
-        if all(type(x) is int for x in v):
+        if operator.countOf(map(type, v), int) == len(v):
             out.append("[\n" + inner + sep.join(map(int.__repr__, v)) + "\n" + pad + "]")
             return
         out.append("[\n" + inner)

@@ -302,6 +302,42 @@ MUTANTS = [
         "kills": ["tests/test_exact.py::test_as_rational_rejects_floats_and_bools"],
     },
     {
+        "file": "patterns.py",
+        "drops": "the offset of a random set's chunk: draw i of a chunk at lo decides lo + i + 1",
+        "old": "        kept.append(np.flatnonzero(draws < cut) + (lo + 1))\n",
+        "new": "        kept.append(np.flatnonzero(draws < cut) + lo)\n",
+        "kills": [
+            "tests/test_patterns.py::test_random_set_is_the_literal_stream",
+            "tests/test_patterns.py::test_random_set_is_the_literal_stream_across_chunks[262145]",
+        ],
+    },
+    {
+        "file": "patterns.py",
+        "drops": "the stream position handed from random.Random to numpy's MT19937",
+        "old": '"pos": state[-1]}',
+        "new": '"pos": 0}',
+        "kills": [
+            "tests/test_patterns.py::test_random_set_is_the_literal_stream",
+            "tests/test_cli_pinned.py::test_cli_bytes_pinned[gen-random]",
+        ],
+    },
+    {
+        "file": "patterns.py",
+        "drops": "the value N itself in a Behrend digit block pruned past N",
+        "old": "            fits = vals <= N\n",
+        "new": "            fits = vals < N\n",
+        "kills": ["tests/test_patterns.py::test_behrend_matches_literal_sweep[below-400]"],
+    },
+    {
+        "file": "increment.py",
+        "drops": "the complaint, not an error, of a recheck whose start window passes the budget",
+        "old": "    except BudgetExceeded as exc:\n        return [f\"start window",
+        "new": "    except ZeroDivisionError as exc:\n        return [f\"start window",
+        "kills": [
+            "tests/test_increment.py::test_recheck_of_a_window_past_the_budget_is_a_complaint"
+        ],
+    },
+    {
         "file": "reports.py",
         "drops": "the 12-digit rounding of a float in a report",
         "old": '        return float(f"{obj:.12g}")\n',

@@ -1008,6 +1008,17 @@ def test_an_empty_set_ends_exhausted_at_every_N():
         assert recheck_run(subset, N, result) == []
 
 
+def test_recheck_of_a_window_past_the_budget_is_a_complaint():
+    # replayed at an N whose start window cannot be enumerated, a run's
+    # records are not rechecked; that is reported, not raised
+    subset = random_set(2000, 0.3, 7)
+    result = run(subset, 2000, 2, mode="practical")
+    assert recheck_run(subset, 10**7, result) == [
+        "start window does not rebuild: candidate window has 20000001 integers,"
+        " budget is 10000000"
+    ]
+
+
 def _forge_found(result):
     """Each forgery of a found run: a builder and the problems its result
     rechecks with, or the error that refuses to build it."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -173,6 +174,12 @@ def aps_oracle(xs: list[int]) -> int:
             if (x + z) % 2 == 0 and (x + z) // 2 in mset and (x + z) // 2 != x:
                 count += 1
     return count
+
+
+def random_set_oracle(N: int, density, seed) -> list[int]:
+    """One ``random()`` of ``random.Random(seed)`` per integer of ``[1, N]``."""
+    rng = random.Random(seed)
+    return [n for n in range(1, N + 1) if rng.random() < density]
 
 
 def behrend_oracle(N: int) -> list[int]:
@@ -728,6 +735,45 @@ def test_random_set_deterministic():
     c = random_set(500, 0.3, 43)
     assert not np.array_equal(a, c)
     assert np.all((1 <= a) & (a <= 500))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-3, 3000),
+    st.floats(0, 1, exclude_min=True) | st.just(1.0),
+    st.integers(-(2**70), 2**70) | st.sampled_from([0, -1, 2**64, 2**80 + 1]),
+)
+@example(3000, 1.0, 0)
+@example(2000, 0.3, -7)
+@example(0, 0.5, 2**65)
+def test_random_set_is_the_literal_stream(N, density, seed):
+    got = random_set(N, density, seed)
+    assert got.dtype == np.int64 and got.tolist() == random_set_oracle(N, density, seed)
+
+
+@pytest.mark.parametrize("N", [2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 7])
+def test_random_set_is_the_literal_stream_across_chunks(N):
+    # the stream is drawn in chunks of 2^18; a density that is no double
+    # compares exactly, as the loop's float < Fraction does
+    cases = [(0.3, 7), (0.25, -3), (0.6, 2**80 + 1)]
+    if N == 2**18 + 1:
+        cases += [(Fraction(1, 3), 7), (Fraction(2**53 + 1, 2**54), -3)]
+    for density, seed in cases:
+        got = random_set(N, density, seed)
+        assert got.dtype == np.int64 and got.tolist() == random_set_oracle(N, density, seed)
+
+
+def test_random_set_of_ten_million_is_fast_and_small():
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = random_set(10**7, 0.001, 1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 9000 < got.size < 11000 and got[-1] <= 10**7
+    assert elapsed < 0.5 and peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
