@@ -394,9 +394,10 @@ def fourier_grid_maxima(
     :class:`BudgetExceeded` before it is computed.
     """
     offsets, mult = np.unique(inner, return_counts=True)
-    slots = offsets % grid
     step = chunk_rows(grid)
     buf = np.zeros((min(step, points.size), grid), dtype=np.complex128)
+    # position of (row, offset) in the flattened buffer, row-major as gather returns it
+    flat = (np.arange(buf.shape[0])[:, None] * grid + offsets % grid).reshape(-1)
     spent = 0
     for lo in range(0, points.size, step):
         a = points[lo : lo + step]
@@ -404,7 +405,10 @@ def fourier_grid_maxima(
         if spent > budget:
             raise BudgetExceeded(f"fourier scan spent {spent} units, budget {budget}")
         rows = buf[: a.size]
-        rows[:, slots] = f.gather(a[:, None] + offsets[None, :]) * mult
+        # one unnamed temporary, so that no chunk-sized array stays alive across the yield
+        rows.reshape(-1)[flat[: a.size * offsets.size]] = (
+            f.gather(a[:, None] + offsets[None, :]) * mult
+        ).ravel()
         mags = np.abs(np.fft.ifft(rows, axis=1, norm="forward"))
         k = mags.argmax(axis=1)
         yield a, np.take_along_axis(mags, k[:, None], axis=1)[:, 0] / inner.size, k

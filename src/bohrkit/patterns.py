@@ -31,11 +31,12 @@ The counting operator for a family of bounded functions ``f_ij`` is
     T_s = E_{a in base} E_{n_1 in N_1} ... E_{n_s in N_s}
               prod_{i <= j} f_ij(n_i + n_j + a)
 
-evaluated by a dense ``einsum(..., optimize=False)`` contraction with
-explicit work budgets, in chunks of :func:`bohrkit.bohr.chunk_rows`, after
-checking that every sum it forms fits int64. For the indicator of a set the
-same bitset walk gives the tuple count as an exact integer, a sum of mask
-popcounts.
+evaluated one offset at a time: sum out ``n_s`` with the factors that hold
+it, then ``n_{s-1}``, ..., then ``n_1``, each step one ``einsum(...,
+optimize=False)`` over the base axis, under an explicit work budget, in
+chunks of :func:`bohrkit.bohr.chunk_rows`, after checking that every sum it
+forms fits int64. For the indicator of a set the same bitset walk gives the
+tuple count as an exact integer, a sum of mask popcounts.
 
 Finders never report a false "none": exceeding a work budget yields
 status "inconclusive" with the work spent.
@@ -51,6 +52,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bohr import (
     COUNT_BUDGET,
@@ -71,7 +73,7 @@ from .exact import Wired, wire
 from .functions import BoundedFunction
 from .gowers import u2_fourth_correlation
 
-_EINSUM_LETTERS = "ijklmn"
+_AXES = "aijklmn"  # einsum axes of count_T_s: the base point, then n_1, ..., n_6
 _INT64 = np.iinfo(np.int64)
 WORD_BUDGET = 10**8  # default 64-bit words a configuration search may read
 _FINDER_STATUSES = ("found", "none", "inconclusive")  # vocabularies checked on construction
@@ -497,48 +499,48 @@ def count_T_s(
 ) -> complex:
     """Average of ``prod_{i<=j} f_ij(n_i + n_j + a)`` over the tuple space.
 
-    Dense contraction, chunked over the base axis by
-    :func:`bohrkit.bohr.chunk_rows` of the widest per-row operand, an
-    ``N_i x N_j`` grid with ``i < j``; chunking cannot change any per-base
-    value, and the final mean runs over the full base-indexed array. Before
-    anything is allocated, every sum ``a + 2 n_i`` and ``a + n_i + n_j`` is
-    checked to fit int64: a wrapped sum could land on the support.
+    Sums out ``n_s``, then ``n_{s-1}``, ..., then ``n_1``: each step is one
+    ``einsum`` of the running sum and the factors that hold that offset, each
+    ``f_ik`` looked up once per distinct ``n_i + n_k`` and spread to its grid.
+    Chunked over the base axis by :func:`bohrkit.bohr.chunk_rows` of the widest
+    array a row builds (a grid or the running sum). Every sum ``a + 2 n_i`` and
+    ``a + n_i + n_j`` is checked to fit int64 before anything is allocated.
     """
     a, ns, cost = _tuple_space(base, inners, budget)
     s = len(ns)
-    if s > len(_EINSUM_LETTERS):
+    if s >= len(_AXES):
         raise ValueError(f"s = {s} too large for dense counting")
     if isinstance(family, BoundedFunction):
         family = FunctionFamily.uniform(family, s)
     if family.s != s:
         raise ValueError("family arity does not match the inner sets")
-    a_ext = (int(a.min()), int(a.max()))
-    ext = [(int(x.min()), int(x.max())) for x in ns]
-    for i in range(s):
-        for j in range(i, s):
-            require_int64("counting", a_ext, ext[i], ext[j])
-    step = chunk_rows(max(x.size * y.size for i, x in enumerate(ns) for y in ns[i + 1 :]))
-    subs = []
-    for i in range(s):
-        subs.append("a" + _EINSUM_LETTERS[i])
-        for j in range(i + 1, s):
-            subs.append("a" + _EINSUM_LETTERS[i] + _EINSUM_LETTERS[j])
-    # operand order: for each i, first the diagonal f_ii then f_ij for j > i
-    signature = ",".join(subs) + "->a"
-
+    ext = [(int(x.min()), int(x.max())) for x in (a, *ns)]
+    for i, j in itertools.combinations_with_replacement(range(1, s + 1), 2):
+        require_int64("counting", ext[0], ext[i], ext[j])
+    sizes = [x.size for x in ns]
+    spread = {}  # (i, k): the distinct n_i + n_k, their grid index, whether a sliding view
+    for i, k in itertools.combinations(range(s), 2):
+        offsets = ns[i][:, None] + ns[k][None, :]
+        q = sorted_distinct(offsets)
+        qidx = sorted_lookup(q, offsets)[0]
+        run = np.array_equal(qidx, np.arange(sizes[i])[:, None] + np.arange(sizes[k]))
+        spread[i, k] = q, qidx, run
+    step = chunk_rows(max(math.prod(sizes[:-1]), *(sizes[i] * sizes[k] for i, k in spread)))
     vals = np.empty(a.size, dtype=np.complex128)
     for lo in range(0, a.size, step):
         chunk = a[lo : lo + step]
-        ops = []
-        for i in range(s):
-            diag = family.get(i + 1, i + 1).gather(chunk[:, None] + 2 * ns[i][None, :])
-            ops.append(diag)
-            for j in range(i + 1, s):
-                grid = (
-                    chunk[:, None, None] + ns[i][None, :, None] + ns[j][None, None, :]
-                )
-                ops.append(family.get(i + 1, j + 1).gather(grid))
-        vals[lo : lo + step] = np.einsum(signature, *ops, optimize=False)
+        ops, subs = [], []  # after the step that sums out n_k: the running sum alone
+        for k in reversed(range(s)):
+            ops.append(family.get(k + 1, k + 1).gather(chunk[:, None] + 2 * ns[k][None, :]))
+            subs.append("a" + _AXES[k + 1])
+            for i in range(k):
+                q, qidx, run = spread[i, k]
+                g = family.get(i + 1, k + 1).gather(chunk[:, None] + q[None, :])
+                ops.append(sliding_window_view(g, sizes[k], axis=1) if run else g[:, qidx])
+                subs.append("a" + _AXES[i + 1] + _AXES[k + 1])
+            out = _AXES[: k + 1]
+            ops, subs = [np.einsum(",".join(subs) + "->" + out, *ops, optimize=False)], [out]
+        vals[lo : lo + step] = ops[0]
     return complex(np.mean(vals / (cost // a.size)))
 
 

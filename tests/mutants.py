@@ -260,6 +260,13 @@ MUTANTS = [
         ],
     },
     {
+        "file": "gowers.py",
+        "drops": "the residue of a negative offset's slot in the scan's flat write",
+        "old": "np.arange(buf.shape[0])[:, None] * grid + offsets % grid",
+        "new": "np.arange(buf.shape[0])[:, None] * grid + offsets",
+        "kills": ["tests/test_gowers.py::test_fft_scan_matches_dense_oracle"],
+    },
+    {
         "file": "bohr.py",
         "drops": "the keys of a spec that mixes frequency 1 with another",
         "old": "    if all(t == 1 for t in spec.theta):\n",
@@ -327,6 +334,41 @@ MUTANTS = [
         "old": "            fits = vals <= N\n",
         "new": "            fits = vals < N\n",
         "kills": ["tests/test_patterns.py::test_behrend_matches_literal_sweep[below-400]"],
+    },
+    {
+        "file": "patterns.py",
+        "drops": "the run test before a counting factor is spread by a sliding view",
+        "old": "run = np.array_equal(qidx, np.arange(sizes[i])[:, None] + np.arange(sizes[k]))",
+        "new": "run = q.size == sizes[i] + sizes[k] - 1",
+        "kills": ["tests/test_patterns.py::test_count_T_s_matches_dense_oracle"],
+    },
+    {
+        "file": "patterns.py",
+        "drops": "the diagonal factor f_kk of each counting step",
+        "old": (
+            "            ops.append(family.get(k + 1, k + 1)"
+            ".gather(chunk[:, None] + 2 * ns[k][None, :]))\n"
+            '            subs.append("a" + _AXES[k + 1])\n'
+        ),
+        "new": "",
+        "kills": ["tests/test_patterns.py::test_count_T_s_matches_dense_oracle"],
+    },
+    {
+        "file": "patterns.py",
+        "drops": "the end of a counting chunk, one base point too far",
+        "old": "        chunk = a[lo : lo + step]\n",
+        "new": "        chunk = a[lo : lo + step + 1]\n",
+        "kills": [
+            "tests/test_patterns.py::test_count_T_s_matches_dense_oracle",
+            "tests/test_patterns.py::test_count_T_s_memory_stays_chunked",
+        ],
+    },
+    {
+        "file": "patterns.py",
+        "drops": "the running sum's width in the counting chunk rule",
+        "old": "max(math.prod(sizes[:-1]), *(sizes[i] * sizes[k] for i, k in spread))",
+        "new": "max(sizes[i] * sizes[k] for i, k in spread)",
+        "kills": ["tests/test_patterns.py::test_count_T_s_memory_stays_chunked"],
     },
     {
         "file": "increment.py",

@@ -811,14 +811,17 @@ import hashlib
 import numpy as np
 from bohrkit.functions import BoundedFunction
 from bohrkit.gowers import local_fourier_scan, u2_fourth_correlation, u2_fourth_direct
+from bohrkit.patterns import count_T_s
 rng = np.random.default_rng(31)
 support = np.arange(-1200, 1201)
 f, _ = BoundedFunction.balanced_indicator(rng.choice(support, 900, replace=False), support)
 scan = local_fourier_scan(f, np.arange(-1000, 1001), np.arange(-50, 51), 512)
 fourth = u2_fourth_correlation(f, np.arange(-1000, 1001), np.arange(-15, 16), np.arange(-4, 5))
 direct = u2_fourth_direct(f, np.arange(-1000, 1001), np.arange(-4, 5), np.arange(-15, 16))
+g = BoundedFunction(support, np.exp(2j * np.pi * rng.random(support.size)))
+t = count_T_s(g, np.arange(-1000, 1001), [np.arange(-5, 6), np.arange(-3, 4), np.arange(-2, 3)])
 print(hashlib.sha256(scan.values.tobytes() + scan.argmax.tobytes()).hexdigest(), fourth.hex(),
-      direct.hex())
+      direct.hex(), t.real.hex(), t.imag.hex())
 """
 
 

@@ -1,6 +1,7 @@
 """Configuration search, tuple counting, and the structure dichotomy.
 
-Counting oracles are literal nested loops over the tuple space; progression
+Counting oracles are literal nested loops over the tuple space, and for
+``count_T_s`` also the dense contraction it replaced; progression
 counters are cross-checked against each other and against hand counts. The
 bit-parallel restricted finder is checked against the recursive
 membership-test finder it replaced, kept here unchanged as the oracle; the
@@ -11,11 +12,13 @@ against a replay of its walk on sorted lists.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 import tracemalloc
 from fractions import Fraction
 from typing import Optional, Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,6 +71,43 @@ def t2_oracle(f11, f12, f22, base, n1, n2) -> complex:
                     val(f11, 2 * i + a) * val(f12, i + j + a) * val(f22, 2 * j + a)
                 )
     return total / (len(base) * len(n1) * len(n2))
+
+
+def dense_count_oracle(family: FunctionFamily, base, inners) -> complex:
+    """``T_s`` by one dense ``einsum(..., optimize=False)`` over every factor,
+    walking each tuple ``(a, n_1, ..., n_s)`` with all ``s(s+1)/2`` of them:
+    the contraction ``count_T_s`` ran before it summed out one offset at a
+    time."""
+    a = np.asarray(base, dtype=np.int64)
+    ns = [np.asarray(x, dtype=np.int64) for x in inners]
+    subs, ops = [], []
+    for i, x in enumerate(ns):
+        subs.append("a" + "ijklmn"[i])
+        ops.append(family.get(i + 1, i + 1).gather(a[:, None] + 2 * x[None, :]))
+        for j in range(i + 1, len(ns)):
+            subs.append("a" + "ijklmn"[i] + "ijklmn"[j])
+            grid = a[:, None, None] + x[None, :, None] + ns[j][None, None, :]
+            ops.append(family.get(i + 1, j + 1).gather(grid))
+    vals = np.einsum(",".join(subs) + "->a", *ops, optimize=False)
+    return complex(np.mean(vals / math.prod(x.size for x in ns)))
+
+
+def literal_count_oracle(family: FunctionFamily, base, inners) -> complex:
+    """``T_s`` by a literal loop over the tuple space, repeats included."""
+    s = len(inners)
+    pairs = list(itertools.combinations_with_replacement(range(s), 2))
+    lookup = {}
+    for i, j in pairs:
+        f = family.get(i + 1, j + 1)
+        lookup[i, j] = {int(n): complex(v) for n, v in zip(f.support, f.values)}
+    total = 0j
+    for a in base:
+        for ns in itertools.product(*inners):
+            term = 1 + 0j
+            for i, j in pairs:
+                term *= lookup[i, j].get(a + ns[i] + ns[j], 0j)
+            total += term
+    return total / (len(base) * math.prod(len(x) for x in inners))
 
 
 def config_pairs_oracle(xs: list[int]) -> int:
@@ -629,19 +669,63 @@ def test_count_t3_matches_loop():
     assert abs(got - expect) < 1e-12
 
 
+def _count_family(seed: int, s: int) -> FunctionFamily:
+    """A different bounded ``f_ij`` for each pair, each on a support with gaps."""
+    rng = np.random.default_rng(seed)
+    table = {}
+    for i, j in itertools.combinations_with_replacement(range(1, s + 1), 2):
+        support = np.flatnonzero(rng.random(71) < 0.8) - 35
+        values = rng.random(support.size) * np.exp(2j * np.pi * rng.random(support.size))
+        table[(i, j)] = BoundedFunction(support, values)
+    return FunctionFamily(s, table)
+
+
+@st.composite
+def count_cases(draw):
+    """``(base, inners, seed, rows)``: a base with gaps, ``s`` in {2, 3, 4}
+    inner sets (runs, or unsorted lists with repeats, singletons and negative
+    offsets), a seed for the family and the rows per chunk."""
+    s = draw(st.sampled_from([2, 3, 4]))
+    run = st.builds(lambda lo, n: list(range(lo, lo + n)), st.integers(-6, 4), st.integers(1, 4))
+    loose = st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+    inners = draw(st.lists(st.one_of(run, loose), min_size=s, max_size=s))
+    base = draw(st.lists(st.integers(-15, 15), min_size=1, max_size=7, unique=True))
+    return base, inners, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([1, 2, 3, 2**18]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=count_cases())
+# unsorted inner sets whose three distinct sums look like a run's count
+@example(case=([0, 5], [[1, 0], [0, 1]], 7, 2**18))
+# five base points in chunks of two: the last chunk is short
+@example(case=([-9, -4, 0, 3, 11], [[-2, -1, 0], [2], [0, 1]], 8, 2))
+def test_count_T_s_matches_dense_oracle(case):
+    base, inners, seed, rows = case
+    family = _count_family(seed, len(inners))
+    with mock.patch.object(patterns, "chunk_rows", lambda width: rows):
+        got = count_T_s(family, np.array(base), [np.array(x) for x in inners])
+    assert abs(got - dense_count_oracle(family, base, inners)) <= 1e-12
+    if len(base) * math.prod(len(x) for x in inners) <= 400:
+        assert abs(got - literal_count_oracle(family, base, inners)) <= 1e-12
+
+
 def test_count_T_s_memory_stays_chunked():
-    # at 2^21 entries per chunk the whole base went in one chunk: 44.5 MB
+    # at 2^21 entries per chunk the whole base went in one chunk: 44.5 MB;
+    # at s >= 3 the running sum over (a, n_1..n_{s-1}) is a per-row array too,
+    # and at s = 4 it is wider than any N_i x N_j grid
     rng = np.random.default_rng(35)
     support = np.arange(-2100, 2101)
     f = BoundedFunction(support, np.exp(2j * np.pi * rng.random(support.size)))
-    base, n1, n2 = np.arange(-2000, 2001), np.arange(-10, 11), np.arange(-5, 6)
-    tracemalloc.start()
-    try:
-        count_T_s(f, base, [n1, n2])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    base = np.arange(-2000, 2001)
+    for sizes in [(21, 11), (21, 11, 7), (11, 7, 5, 3)]:
+        inners = [np.arange(-(n // 2), n // 2 + 1) for n in sizes]
+        tracemalloc.start()
+        try:
+            count_T_s(f, base, inners)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, sizes
 
 
 def test_count_T_s_refuses_sums_past_int64():
