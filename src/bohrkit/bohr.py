@@ -338,23 +338,23 @@ def require_int64(what: str, *parts: tuple[int, int]) -> None:
 
 
 def translate_counts(
-    subset: np.ndarray,
-    ambient: np.ndarray,
+    sets: Sequence[np.ndarray],
     shifts: np.ndarray,
     offsets: np.ndarray,
     *,
     budget: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """How much of ``subset`` each translate ``t + offsets`` holds, chunk by chunk.
+) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """How much of each of ``sets`` every translate ``t + offsets`` holds, chunk by chunk.
 
-    ``subset`` and ``ambient`` are sorted distinct arrays. For consecutive
-    chunks of ``shifts`` yields ``(chunk, inside, counts)``: ``inside[r]``
-    says whether ``chunk[r] + offsets`` lies in ``ambient``, and
-    ``counts[r]`` is ``|(chunk[r] + offsets) ∩ subset|``, an exact integer.
+    ``sets`` are sorted distinct arrays and ``offsets`` is distinct. For
+    consecutive chunks of ``shifts`` yields ``(chunk, counts)``:
+    ``counts[k][r]`` is ``|(chunk[r] + offsets) ∩ sets[k]|``, an exact
+    integer. A translate lies in ``sets[k]`` exactly when that count is
+    ``offsets.size``.
 
-    One work unit is one point looked up, ``rows * |offsets|`` per chunk;
-    the chunk that would take the total past ``budget`` raises
-    :class:`BudgetExceeded` before it is computed.
+    One work unit is one translate point, ``rows * |offsets|`` per chunk
+    whatever the number of sets; the chunk that would take the total past
+    ``budget`` raises :class:`BudgetExceeded` before it is computed.
     """
     step = chunk_rows(offsets.size)
     spent = 0
@@ -364,9 +364,9 @@ def translate_counts(
         if spent > budget:
             raise BudgetExceeded(f"translate count spent {spent} points, budget {budget}")
         pts = chunk[:, None] + offsets[None, :]
-        inside = np.all(sorted_lookup(ambient, pts)[1], axis=1)
-        counts = np.count_nonzero(sorted_lookup(subset, pts)[1], axis=1)
-        yield chunk, inside, counts
+        counts = [np.count_nonzero(sorted_lookup(s, pts)[1], axis=1) for s in sets]
+        del pts  # no chunk-sized array stays alive across the yield
+        yield chunk, counts
 
 
 # ---------------------------------------------------------------------------

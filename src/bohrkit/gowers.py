@@ -411,7 +411,9 @@ def fourier_grid_maxima(
         ).ravel()
         mags = np.abs(np.fft.ifft(rows, axis=1, norm="forward"))
         k = mags.argmax(axis=1)
-        yield a, np.take_along_axis(mags, k[:, None], axis=1)[:, 0] / inner.size, k
+        values = np.take_along_axis(mags, k[:, None], axis=1)[:, 0] / inner.size
+        del mags  # nor are the magnitudes kept across it
+        yield a, values, k
 
 
 @dataclass(frozen=True)

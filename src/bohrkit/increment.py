@@ -39,7 +39,6 @@ from .bohr import (
     BohrSpec,
     BudgetExceeded,
     certificates,
-    exact_density,
     find_regular_dilation,
     infer_dilation,
     membership_mask,
@@ -244,12 +243,10 @@ def fourier_increment(
         raise ValueError("inner set must be a proper dilate of the base")
 
     subset_sorted = sorted_distinct(subset)
-    delta = exact_density(subset_sorted, base.elements)
-    f, delta_check = BoundedFunction.balanced_indicator(subset_sorted, base.elements)
-    assert delta_check == delta
+    f, delta = BoundedFunction.balanced_indicator(subset_sorted, base.elements)
 
     unmet: list[str] = []
-    mean_f = float(np.abs(np.mean(f.gather(base.elements))))
+    mean_f = float(np.abs(np.mean(f.values)))
     if mean_f > 1e-9:
         unmet.append(f"balanced mean {mean_f} not zero")
     if c1 > eta**3 / (2**15 * d):
@@ -276,15 +273,15 @@ def fourier_increment(
         )
 
     # plain translate: for a in the (1 - c1)-dilate, a + N1 lies in the base
-    # (Bohr triangle inequality), so E_n f(a+n) = count/L - delta exactly
+    # (Bohr triangle inequality), so E_n f(a+n) = count/L - delta exactly and
+    # only the subset is counted
     shrunk = BohrSet.from_spec(base.spec.dilate(1 - c1))
     L = int(n1.size)
     take = math.ceil(L * (delta + eta**3 / 128))
     keep = math.floor(L * (delta - eta / 32))
     kept: list[np.ndarray] = []  # base points with E f > -eta/32
-    scan = translate_counts(subset_sorted, base.elements, shrunk.elements, n1, budget=budget)
-    for chunk, inside, counts in scan:
-        assert inside.all()
+    scan = translate_counts((subset_sorted,), shrunk.elements, n1, budget=budget)
+    for chunk, (counts,) in scan:
         hit = np.nonzero(counts >= take)[0]
         if hit.size:
             k = int(hit[0])
@@ -341,10 +338,11 @@ def fourier_increment(
             )
             refined = BohrSet.from_spec(new_spec)
             rows = a_star + n1  # the translates a* + n1 + refined
+            full = refined.size  # a translate in the base is counted in full there
             scan = translate_counts(
-                subset_sorted, base.elements, rows, refined.elements, budget=budget
+                (base.elements, subset_sorted), rows, refined.elements, budget=budget
             )
-            counts = np.concatenate([np.where(inside, c, -1) for _, inside, c in scan])
+            counts = np.concatenate([np.where(held == full, c, -1) for _, (held, c) in scan])
             if counts.max() < 0:  # no translate inside the base
                 return None
             best = int(np.argmax(counts))

@@ -811,11 +811,10 @@ def dichotomy(
     required = delta * increment_factor(s)
     for i, bs in enumerate(inner_sets, start=1):
         need = math.ceil(bs.size * required)
-        scan = translate_counts(
-            subset_arr, base.elements, base.elements, 2 * bs.elements, budget=budget
-        )
-        for chunk, inside, counts in scan:
-            hit = np.nonzero(inside & (counts >= need))[0]
+        offsets = 2 * bs.elements
+        scan = translate_counts((base.elements, subset_arr), base.elements, offsets, budget=budget)
+        for chunk, (held, counts) in scan:
+            hit = np.nonzero((held == offsets.size) & (counts >= need))[0]
             if hit.size:
                 k = int(hit[0])
                 density = Fraction(int(counts[k]), bs.size)

@@ -291,7 +291,6 @@ MUTANTS = [
         "kills": [
             "tests/test_bohr.py::test_exact_density_matches_set_oracle",
             "tests/test_bohr.py::test_exact_density_looks_the_smaller_side_up",
-            "tests/test_increment.py::test_fourier_increment_translate_pick_is_the_literal_rule",
         ],
     },
     {
@@ -378,6 +377,44 @@ MUTANTS = [
         "kills": [
             "tests/test_increment.py::test_recheck_of_a_window_past_the_budget_is_a_complaint"
         ],
+    },
+    {
+        "file": "patterns.py",
+        "drops": "the dichotomy's containment of a doubled translate as a full count",
+        "old": "(held == offsets.size) & (counts >= need)",
+        "new": "(held >= offsets.size - 1) & (counts >= need)",
+        "kills": [
+            "tests/test_patterns.py::test_dichotomy_local_increment_branch",
+            "tests/test_increment.py::test_recheck_accepts_hand_built_local_increment_record",
+            "tests/test_increment.py::test_step_record_report_forms_are_pinned[local-increment]",
+        ],
+    },
+    {
+        "file": "increment.py",
+        "drops": "the refined pass's containment of a translate as a full count",
+        "old": "np.where(held == full, c, -1)",
+        "new": "np.where(held > 0, c, -1)",
+        "kills": [
+            "tests/test_increment.py::test_fourier_increment_refined_translate_stays_in_the_base",
+        ],
+    },
+    {
+        "file": "increment.py",
+        "drops": "the plain scan's count of the subset, not the base",
+        "old": "translate_counts((subset_sorted,), shrunk.elements, n1, budget=budget)",
+        "new": "translate_counts((base.elements,), shrunk.elements, n1, budget=budget)",
+        "kills": [
+            "tests/test_increment.py::test_fourier_increment_translate_pick_is_the_literal_rule",
+            "tests/test_increment.py::test_fourier_increment_refined_parity_example",
+            "tests/test_increment.py::test_run_takes_both_transitions[fourier]",
+        ],
+    },
+    {
+        "file": "increment.py",
+        "drops": "the check of a refined increment against its guaranteed bound",
+        "old": "            if guar > 0:\n",
+        "new": "            if False:\n",
+        "kills": ["tests/test_increment.py::test_fourier_increment_asserts_its_guaranteed_bound"],
     },
     {
         "file": "reports.py",

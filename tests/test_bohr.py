@@ -854,11 +854,12 @@ def translate_inputs(draw):
 @given(translate_inputs())
 def test_translate_counts_match_literal_loops(inputs):
     subset, ambient, shifts, offsets = inputs
-    chunks = list(translate_counts(subset, ambient, shifts, offsets, budget=10**9))
+    chunks = list(translate_counts((ambient, subset), shifts, offsets, budget=10**9))
     assert len(chunks) >= 2
-    assert np.concatenate([c for c, _, _ in chunks]).tolist() == shifts.tolist()
-    inside = np.concatenate([i for _, i, _ in chunks]).tolist()
-    counts = np.concatenate([k for _, _, k in chunks]).tolist()
+    assert np.concatenate([c for c, _ in chunks]).tolist() == shifts.tolist()
+    held = np.concatenate([h for _, (h, _) in chunks])
+    counts = np.concatenate([k for _, (_, k) in chunks]).tolist()
+    inside = (held == offsets.size).tolist()  # containment is a full count
     assert (inside, counts) == translate_counts_oracle(subset, ambient, shifts, offsets)
 
 
@@ -868,9 +869,44 @@ def test_translate_counts_budget_boundary():
     offsets = np.arange(-512, 512)
     shifts = np.arange(-400, 400)
     total = shifts.size * offsets.size
-    chunks = list(translate_counts(subset, ambient, shifts, offsets, budget=total))
-    assert len(chunks) == 4 and sum(c.size for c, _, _ in chunks) == shifts.size
-    scan = translate_counts(subset, ambient, shifts, offsets, budget=total - 1)
+    chunks = list(translate_counts((ambient, subset), shifts, offsets, budget=total))
+    assert len(chunks) == 4 and sum(c.size for c, _ in chunks) == shifts.size
+    scan = translate_counts((ambient, subset), shifts, offsets, budget=total - 1)
     assert len([next(scan) for _ in range(3)]) == 3  # the last chunk alone is refused
     with pytest.raises(BudgetExceeded, match=f"spent {total} points, budget {total - 1}"):
         next(scan)
+
+
+@st.composite
+def dilate_sum_inputs(draw):
+    """A spec with d in {1, 2} and a factor ``c = a / b`` in (0, 1). Half the
+    widths are ``b j / q`` for the denominator ``q`` of a frequency, and
+    ``M`` is a multiple of ``b`` or of ``b / 2``, so ``c eps`` and
+    ``(1 - c) eps`` are distances ``||n theta||`` that occur, and ``c M`` and
+    ``(1 - c) M`` are often integers: the dilates have members on their
+    boundaries (ties)."""
+    qs = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
+    theta = tuple(Fraction(draw(st.integers(1, q)), q) for q in qs)
+    b = draw(st.integers(2, 9))
+    c = Fraction(draw(st.integers(1, b - 1)), b)
+    q = draw(st.sampled_from([t.denominator for t in theta]))
+    eps = draw(st.one_of(
+        st.integers(1, 3).map(lambda j: Fraction(b * j, q)),
+        st.fractions(Fraction(1, 50), Fraction(3, 4), max_denominator=60),
+    ))
+    M = Fraction(b * draw(st.integers(1, 60 // b)), draw(st.sampled_from([1, 1, 2])))
+    return BohrSpec(theta, eps, M), c
+
+
+@settings(max_examples=200, deadline=None)
+@given(dilate_sum_inputs())
+@example((BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(40)), Fraction(1, 8)))
+@example((BohrSpec((Fraction(1), Fraction(2, 7)), Fraction(2, 7), Fraction(42)), Fraction(1, 2)))
+def test_dilate_sums_stay_in_the_bohr_set(inputs):
+    # the Bohr triangle inequality, exactly: (1 - c) B + c B lies in B. The
+    # Fourier step's plain scan counts a + N_1 against the subset alone on it
+    spec, c = inputs
+    outer, inner = enumerate_bohr(spec.dilate(1 - c)), enumerate_bohr(spec.dilate(c))
+    sums = (outer[:, None] + inner[None, :]).ravel()
+    assert membership_mask(spec, sums).all()
+    assert all(member_oracle(spec, n) for n in set(sums.tolist()))

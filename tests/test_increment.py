@@ -26,6 +26,7 @@ from bohrkit.exact import torus_distance
 from bohrkit.increment import (
     ChainLink,
     ConstantTable,
+    EngineLimits,
     IncrementOutcome,
     RunResult,
     StepRecord,
@@ -173,6 +174,55 @@ def test_fourier_increment_refined_translate_stays_in_the_base():
     assert (out.status, out.a_star, out.translate) == ("refined", -1500, -1764)
     assert out.delta_after == 1
     assert np.all(np.abs(out.translate + out.new_set.elements) <= 1800)
+
+
+def test_fourier_increment_asserts_its_guaranteed_bound():
+    # the evens of [-2000, 2000] with c_prime tiny enough that the printed
+    # bound is positive: the refined pass checks the measured increment
+    # against it (the branch that raises "the derivation is falsified")
+    base = _interval(2000)
+    evens = base.elements[base.elements % 2 == 0]
+    inner = BohrSet.from_spec(base.spec.dilate(Fraction(1, 2)))
+    out = fourier_increment(
+        evens, base, inner, Fraction(1, 10**5), Fraction(48, 100), enforce=False
+    )
+    assert (out.status, out.a_star, out.translate) == ("refined", -1000, -2000)
+    assert out.new_spec.theta == (Fraction(1), Fraction(1, 2))
+    assert (out.new_spec.eps, out.new_spec.M) == (Fraction(1, 400000), Fraction(1, 100))
+    assert (out.delta_before, out.delta_after) == (Fraction(2001, 4001), 1)
+    assert out.bound_asserted is True
+    assert out.guaranteed_bound == pytest.approx(0.14049, abs=1e-5)
+    assert out.increment >= out.guaranteed_bound
+
+
+@pytest.mark.parametrize(
+    "spec, c1",
+    [(BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(200)), Fraction(1, 8)),
+     (BohrSpec((Fraction(1), Fraction(2, 7)), Fraction(1, 5), Fraction(150)), Fraction(1, 6))],
+    ids=["interval", "two-frequency"],
+)
+def test_plain_scan_translates_lie_in_the_base(monkeypatch, spec, c1):
+    # the plain scan counts each a + N_1 against the subset alone: for a in
+    # the (1 - c1)-dilate the translate lies in the base, so it counts |N_1|
+    # there, by the kernel and by a literal loop
+    base, inner = BohrSet.from_spec(spec), BohrSet.from_spec(spec.dilate(c1))
+    scanned, real = [], increment.translate_counts
+
+    def logged(sets, shifts, offsets, **kwargs):
+        if len(sets) == 1:
+            scanned.append((shifts, offsets))
+        return real(sets, shifts, offsets, **kwargs)
+
+    monkeypatch.setattr(increment, "translate_counts", logged)
+    evens = base.elements[base.elements % 2 == 0]
+    fourier_increment(evens, base, inner, Fraction(1, 8), Fraction(48, 100), enforce=False)
+    ((shifts, offsets),) = scanned
+    assert shifts.tolist() == enumerate_bohr(spec.dilate(1 - c1)).tolist()
+    assert offsets.tolist() == inner.elements.tolist()
+    scan = real((base.elements,), shifts, offsets, budget=shifts.size * offsets.size)
+    assert all((held == offsets.size).all() for _, (held,) in scan)
+    members = set(base.elements.tolist())
+    assert all(a + n in members for a in shifts.tolist() for n in offsets.tolist())
 
 
 def test_fourier_increment_translate_case():
@@ -717,6 +767,26 @@ def test_run_takes_both_transitions(monkeypatch, N, factor, cases, report):
     assert recheck_run(subset, N, result) == []
     canonical = json.loads(emit_report(result.as_dict()))
     assert json.dumps(canonical, sort_keys=True, separators=(",", ":")) == report
+
+
+@pytest.mark.parametrize(
+    "N, forced, kwargs, reason",
+    [(2 * 10**4, None, {"limits": EngineLimits(finder_budget=2000)},
+      "freeness search inconclusive within budget"),
+     (1000, _forced_thresholds, {"limits": EngineLimits(count_budget=1000)},
+      "dichotomy budget: translate count spent 14007 points, budget 1000"),
+     (300, partial(_forced_thresholds, factor=100), {"overrides": {"min_increment": 1}},
+      "fourier witness gain below acceptance")],
+    ids=["finder-budget", "count-budget", "min-increment"],
+)
+def test_run_limit_exits(monkeypatch, N, forced, kwargs, reason):
+    # each exit stops before a record is written, so the recheck has nothing to replay
+    if forced is not None:
+        forced(monkeypatch)
+    subset = behrend_set(N)
+    result = run(subset, N, 2, mode="practical", **kwargs)
+    assert (result.status, result.reason, result.steps) == ("limit", reason, ())
+    assert recheck_run(subset, N, result) == []
 
 
 def _logged(monkeypatch, name):
