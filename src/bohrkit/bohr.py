@@ -8,13 +8,23 @@ is an integer comparison. Floats never decide anything in this module.
 
 Design principles:
 
-  * one integer key per candidate element: the *entry dilation* of ``n`` is
-    ``alpha(n) = max(|n|/M, max_j ||n theta_j|| / eps)`` and is represented
-    exactly as ``K(n) / B`` for a shared denominator ``B``; then
-    ``n in (1+c) * Lambda  <=>  K(n) <= B * (1+c)``, and membership is the
-    case ``c = 0``; the term of ``theta_j = p_j/q_j`` is periodic in ``n``
-    with period ``q_j``, so on a window of consecutive candidates it is
-    computed for one period and tiled,
+  * membership is the definition read as a conjunction of integer bounds:
+    ``|n| <= floor(M)`` and, for each frequency ``theta_j = p_j/q_j``,
+    ``min(r, q_j - r) <= floor(eps q_j)`` with ``r = n p_j mod q_j``; a
+    frequency whose bound cannot fail (``theta_j = 1``, or ``eps >= 1/2``)
+    costs nothing. Residues are exact int64 for every ``q_j < 2^62``,
+    however large the denominators' least common multiple: on a window of
+    consecutive candidates they repeat with period ``q_j``, so one period is
+    computed (by doubling when ``(n mod q_j) p_j`` could pass int64) and its
+    decisions tiled; any other candidates take Horner's rule over the digits
+    of ``p_j``. Only ``q_j >= 2^62`` makes an object array,
+  * keys are formed only where dilates must be ordered (certificates and
+    the dilation search): the *entry dilation* of ``n`` is
+    ``alpha(n) = max(|n|/M, max_j ||n theta_j|| / eps)``, represented exactly
+    as ``K(n) / B`` for a shared denominator ``B``; then
+    ``n in (1+c) * Lambda  <=>  K(n) <= B * (1+c)``. Keys are an object
+    array of exact Python integers only when a product ``|n| mult_M`` or
+    ``min(r, q_j - r) mult_j`` reaches 2^62, never because of ``q_j`` alone,
   * one key index serves every dilate: ``alpha_{c Lambda}(n) =
     alpha_Lambda(n) / c``, so one sorted key array over the widest window
     answers the size of every dilate, every certificate and every candidate
@@ -26,10 +36,7 @@ Design principles:
     statement (sizes are step functions jumping exactly at breakpoints, and
     both bounds are tightest at the left end of each constant piece); on the
     negative side the certificate records the largest gap between consecutive
-    checked points so downstream estimates can add an explicit slack term,
-  * keys are int64 when an overflow preflight passes and exact Python
-    integers otherwise; constraints with ``theta_j = 1`` always hold and
-    cost nothing.
+    checked points so downstream estimates can add an explicit slack term.
 """
 
 from __future__ import annotations
@@ -111,23 +118,86 @@ class BohrSpec(Wired):
 
 
 # ---------------------------------------------------------------------------
-# entry keys: alpha(n) = K(n) / B
+# residues and entry keys: alpha(n) = K(n) / B
 # ---------------------------------------------------------------------------
 
 
-def _entry_keys(spec: BohrSpec, ns: np.ndarray, *, run: bool) -> tuple[np.ndarray, int]:
-    """Exact entry keys ``K(n)`` of ``ns`` and their shared denominator ``B``.
+def _torus_bounds(spec: BohrSpec) -> list[tuple[int, int, int]]:
+    """``(p, q, b)`` for each frequency ``p/q`` whose constraint can fail.
+
+    ``||n p/q|| <= eps`` holds exactly when ``min(r, q - r) <= b`` with
+    ``r = n p mod q`` and ``b = floor(eps q)``. No distance exceeds ``q // 2``,
+    so a frequency with ``b >= q // 2`` (``theta = 1``, or ``eps >= 1/2``)
+    constrains nothing and is left out.
+    """
+    en, ed = spec.eps.numerator, spec.eps.denominator
+    out = []
+    for t in spec.theta:
+        p, q = t.numerator, t.denominator
+        b = en * q // ed
+        if b < q // 2:
+            out.append((p, q, b))
+    return out
+
+
+def _residues(ns: np.ndarray, p: int, q: int, *, run: bool) -> np.ndarray:
+    """``n p mod q`` for the int64 candidates ``ns``, exact: int64 when
+    ``q < 2^62``, an object array of Python integers otherwise.
+
+    ``run`` says that ``ns`` is a run of consecutive integers; the residues
+    then repeat with period ``q``, and only the first ``min(q, |ns|)`` are
+    returned. With ``s = 63 - bitlength(q)`` any ``x < q`` times any
+    ``d < 2^s`` fits int64, so when ``p < 2^s`` each residue is
+    ``(n mod q) p mod q``. On a run with a larger ``p`` the residues are
+    filled by doubling from the first: with ``m`` known,
+    ``r[m:2m] = (r[:m] + m p mod q) mod q``, every sum below ``2q``. Any
+    other ``ns`` takes Horner's rule over the base-``2^s`` digits of ``p``.
+    """
+    if run:
+        ns = ns[:q]
+    if q >= _INT64_SAFE:
+        return ns.astype(object) % q * p % q
+    s = 63 - q.bit_length()
+    if run and p >> s:
+        r = np.empty(ns.size, dtype=np.int64)
+        r[0] = int(ns[0]) * p % q
+        m = 1
+        while m < r.size:
+            x = r[m : 2 * m]
+            np.add(r[: x.size], m * p % q, out=x)
+            np.subtract(x, q * (x >= q), out=x)
+            m *= 2
+        return r
+    x = ns % q
+    top = s * ((p.bit_length() - 1) // s)
+    r = x * (p >> top) % q
+    for i in range(top - s, -1, -s):
+        r = (r << s) % q + x * ((p >> i) & ((1 << s) - 1)) % q
+        np.subtract(r, q * (r >= q), out=r)
+    return r
+
+
+def _fold(acc: np.ndarray, period: np.ndarray, ufunc: np.ufunc) -> None:
+    """``acc = ufunc(acc, term)`` in place, where ``term`` repeats ``period``
+    from the first entry of ``acc`` on (``period`` may be as long as ``acc``)."""
+    q = period.size
+    whole = acc.size - acc.size % q
+    rows = acc[:whole].reshape(-1, q)
+    ufunc(rows, period, out=rows)
+    ufunc(acc[whole:], period[: acc.size - whole], out=acc[whole:])
+
+
+def _entry_keys(spec: BohrSpec, ns: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact entry keys ``K(n)`` of the window ``ns`` and their shared denominator ``B``.
 
     ``alpha(n) = K(n)/B`` is the smallest dilation of the description that
     contains ``n``, with ``K(n) = max(|n| mult_M, max_j min(r, q_j - r) mult_j)``
-    and ``r = n p_j mod q_j``. Constraints with ``theta_j = 1`` always hold and
-    are skipped. Keys are int64 when no intermediate can overflow, otherwise
-    an object array of exact Python integers.
-
-    ``run`` says that ``ns`` is a run of consecutive integers, which only its
-    construction can tell (its ends cannot). The residue term then repeats
-    with period ``q_j``: it is computed for the first ``q_j`` candidates and
-    taken into the keys one period-long row at a time.
+    and ``r = n p_j mod q_j``. ``ns`` is a run of consecutive integers, so
+    each residue term is computed for one period and taken into the keys one
+    period-long row at a time. Constraints with ``theta_j = 1`` always hold
+    and are skipped. Keys are int64 when every product ``|n| mult_M`` and
+    ``min(r, q_j - r) mult_j`` stays below 2^62, otherwise an object array
+    of exact Python integers.
     """
     en, ed = spec.eps.numerator, spec.eps.denominator
     mn, md = spec.M.numerator, spec.M.denominator
@@ -135,30 +205,17 @@ def _entry_keys(spec: BohrSpec, ns: np.ndarray, *, run: bool) -> tuple[np.ndarra
     B = math.lcm(mn, *(en * q for _, q in pq))
     mult_M = md * (B // mn)
     comps = [(p, q, ed * (B // (en * q))) for p, q in pq]
-    ns = np.asarray(ns, dtype=np.int64)
-    keys = np.abs(ns)
-    nmax = int(keys.max()) if ns.size else 0
-    if max(nmax, 1) * mult_M >= _INT64_SAFE or any(
-        q * q >= _INT64_SAFE or (q // 2 + 1) * mult >= _INT64_SAFE for _, q, mult in comps
-    ):
-        ns, keys = ns.astype(object), keys.astype(object)
+    nmax = max(-int(ns[0]), int(ns[-1]), 1)
+    exact = nmax * mult_M >= _INT64_SAFE or any(
+        q >= _INT64_SAFE or q // 2 * mult >= _INT64_SAFE for _, q, mult in comps
+    )
+    keys = np.abs(ns.astype(object) if exact else ns)
     keys *= mult_M
     for p, q, mult in comps:
-        if run and q < ns.size:
-            term = _residue_term(ns[:q], p, q, mult)
-            whole = ns.size - ns.size % q
-            rows = keys[:whole].reshape(-1, q)
-            np.maximum(rows, term, out=rows)
-            np.maximum(keys[whole:], term[: ns.size - whole], out=keys[whole:])
-        else:
-            np.maximum(keys, _residue_term(ns, p, q, mult), out=keys)
+        r = _residues(ns, p, q, run=True)
+        term = np.minimum(r, q - r)
+        _fold(keys, (term.astype(object) if exact else term) * mult, np.maximum)
     return keys, B
-
-
-def _residue_term(ns: np.ndarray, p: int, q: int, mult: int) -> np.ndarray:
-    """``min(r, q - r) * mult`` with ``r = n p mod q``, for each ``n`` of ``ns``."""
-    r = ns % q * p % q
-    return np.minimum(r, q - r) * mult
 
 
 def _window(nmax: int, enum_limit: int) -> np.ndarray:
@@ -173,7 +230,7 @@ def _window(nmax: int, enum_limit: int) -> np.ndarray:
 
 def _key_index(spec: BohrSpec, nmax: int, enum_limit: int) -> tuple[np.ndarray, int]:
     """Ascending entry keys of every candidate ``|n| <= nmax``, and ``B``."""
-    keys, B = _entry_keys(spec, _window(nmax, enum_limit), run=True)
+    keys, B = _entry_keys(spec, _window(nmax, enum_limit))
     keys.sort()
     return keys, B
 
@@ -205,21 +262,33 @@ def enumerate_bohr(spec: BohrSpec, *, enum_limit: int = ENUM_LIMIT) -> np.ndarra
 
     Candidates are ``|n| <= floor(M)``; ``0`` is always a member. Raises
     :class:`BudgetExceeded` when the candidate window exceeds ``enum_limit``.
-    When every frequency is 1 no torus constraint applies, so the set is the
-    candidate window itself, returned without computing a key; ``enum_limit``
-    refuses an oversized window all the same.
+    A candidate is kept when it passes every frequency's bound (see
+    :func:`_torus_bounds`), each decided for one period of residues and
+    tiled over the window. When no bound can fail (every frequency is 1, or
+    ``eps >= 1/2``) the set is the candidate window itself, returned as it
+    is; ``enum_limit`` refuses an oversized window all the same.
     """
     ns = _window(floor_frac(spec.M), enum_limit)
-    if all(t == 1 for t in spec.theta):
+    bounds = _torus_bounds(spec)
+    if not bounds:
         return ns
-    keys, B = _entry_keys(spec, ns, run=True)
-    return ns[keys <= B]
+    keep = np.ones(ns.size, dtype=bool)
+    for p, q, b in bounds:
+        r = _residues(ns, p, q, run=True)
+        _fold(keep, np.minimum(r, q - r) <= b, np.logical_and)
+    return ns[keep]
 
 
 def membership_mask(spec: BohrSpec, ns: np.ndarray) -> np.ndarray:
-    """Boolean membership mask for an int64 array of candidates: ``K(n) <= B``."""
-    keys, B = _entry_keys(spec, ns, run=False)
-    return keys <= B
+    """Boolean membership mask for an int64 array of candidates:
+    ``|n| <= floor(M)`` and every frequency's bound, compared in int64."""
+    ns = np.asarray(ns, dtype=np.int64)
+    m = floor_frac(spec.M)
+    keep = (ns >= max(-m, _INT64_MIN)) & (ns <= min(m, _INT64_MAX))
+    for p, q, b in _torus_bounds(spec):
+        r = _residues(ns, p, q, run=False)
+        keep &= np.minimum(r, q - r) <= b
+    return keep
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,9 @@ def _write(v: Any, out: list[str], pad: str) -> None:
         inner = pad + "  "
         sep = ",\n" + inner
         if operator.countOf(map(type, v), int) == len(v):
-            out.append("[\n" + inner + sep.join(map(int.__repr__, v)) + "\n" + pad + "]")
+            # one format for the whole list: no list of per-item strings
+            text = (("%d" + sep) * len(v))[: -len(sep)] % tuple(v)
+            out.append("[\n" + inner + text + "\n" + pad + "]")
             return
         out.append("[\n" + inner)
         for i, x in enumerate(v):

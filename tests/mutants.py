@@ -268,10 +268,47 @@ MUTANTS = [
     },
     {
         "file": "bohr.py",
-        "drops": "the keys of a spec that mixes frequency 1 with another",
-        "old": "    if all(t == 1 for t in spec.theta):\n",
-        "new": "    if any(t == 1 for t in spec.theta):\n",
+        "drops": "the bounds of a spec that mixes frequency 1 with another",
+        "old": "        if b < q // 2:\n",
+        "new": "        if b < q // 2 and 1 not in spec.theta:\n",
         "kills": ["tests/test_bohr.py::test_enumeration_matches_oracle_random"],
+    },
+    {
+        "file": "bohr.py",
+        "drops": "the carry of a doubled residue that reaches q exactly",
+        "old": "np.subtract(x, q * (x >= q), out=x)",
+        "new": "np.subtract(x, q * (x > q), out=x)",
+        "kills": ["tests/test_bohr.py::test_residues_match_python_ints"],
+    },
+    {
+        "file": "bohr.py",
+        "drops": "the tie of a frequency's bound floor(eps q)",
+        "old": "        b = en * q // ed\n",
+        "new": "        b = en * q // ed - 1\n",
+        "kills": [
+            "tests/test_bohr.py::test_enumeration_matches_oracle_random",
+            "tests/test_bohr.py::test_membership_matches_oracle_at_edge_denominators",
+        ],
+    },
+    {
+        "file": "bohr.py",
+        "drops": "the first residue of a run at its first candidate",
+        "old": "r[0] = int(ns[0]) * p % q",
+        "new": "r[0] = (int(ns[0]) + 1) * p % q",
+        "kills": [
+            "tests/test_bohr.py::test_residues_match_python_ints",
+            "tests/test_bohr.py::test_membership_matches_oracle_at_edge_denominators",
+        ],
+    },
+    {
+        "file": "bohr.py",
+        "drops": "the radius test of a candidate at the int64 minimum",
+        "old": "keep = (ns >= max(-m, _INT64_MIN)) & (ns <= min(m, _INT64_MAX))",
+        "new": "keep = np.abs(ns) <= min(m, _INT64_MAX)",
+        "kills": [
+            "tests/test_bohr.py::test_membership_mask_at_the_int64_ends[one-integral]",
+            "tests/test_bohr.py::test_membership_mask_at_the_int64_ends[big-half]",
+        ],
     },
     {
         "file": "patterns.py",

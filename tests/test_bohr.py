@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -137,7 +138,7 @@ def enumerate_oracle(spec: BohrSpec) -> list[int]:
     return [n for n in range(-limit, limit + 1) if member_oracle(spec, n)]
 
 
-_BIG = 2**61 - 1  # past the int64 overflow preflight: exact Python-int keys
+_BIG = 2**61 - 1  # int64 residues by doubling; keys past 2^62, so Python ints
 
 
 def random_spec(rng: random.Random, max_m: int = 500, max_d: int = 3) -> BohrSpec:
@@ -227,15 +228,16 @@ def test_membership_mask_matches_oracle():
 
 def test_membership_mask_huge_denominators():
     # widths with astronomically large denominators must fall back cleanly;
-    # theta = 1 constraints always hold, and denominators on both sides of
-    # the int64 overflow preflight must agree with the oracle
+    # theta = 1 constraints always hold, and denominators whose products
+    # (n mod q) p fit int64 and those that need Horner's rule must agree
+    # with the oracle
     q31 = 2**31 - 1
     specs = [
         BohrSpec((Fraction(1),), Fraction(1, 2**150), Fraction(3)),
         BohrSpec((Fraction(1), Fraction(2, 7)), Fraction(1, 5), Fraction(81, 2)),
-        # int64 keys
+        # one product per residue
         BohrSpec((Fraction(2**30 + 3, q31), Fraction(1)), Fraction(1, 5), Fraction(40)),
-        # q * q past the preflight
+        # q * q past int64, though each (n mod q) p fits
         BohrSpec((Fraction(2**30 + 7, 2**31 + 11),), Fraction(1, 5), Fraction(40)),
         # each q fits, their shared denominator does not
         BohrSpec(
@@ -251,6 +253,118 @@ def test_membership_mask_huge_denominators():
         mask = membership_mask(spec, ns)
         expect = np.array([member_oracle(spec, int(n)) for n in ns])
         assert np.array_equal(mask, expect), spec
+
+
+# Denominators at the residue helper's edges: the smallest, either side of
+# 2^31 (where (n mod q) p stops fitting int64 for large p), the largest
+# below 2^62, and past it, where residues are exact Python integers.
+_EDGE_QS = (2, 3, 2**31 - 1, 2**31 + 1, _BIG, 2**62 - 1, 2**62 + 1)
+
+
+@st.composite
+def residue_inputs(draw):
+    """``(q, p, start, length, others)``: a run ``start, ..., start + length
+    - 1`` shorter or longer than ``q``, anywhere in int64, and arbitrary
+    int64 candidates."""
+    q = draw(st.one_of(st.sampled_from(_EDGE_QS), st.integers(2, 60), st.integers(2, 2**62 + 9)))
+    p = draw(st.one_of(st.integers(1, q - 1), st.sampled_from([1, q - 1, max(q // 2, 1)])))
+    length = draw(st.integers(1, 300))
+    start = draw(st.one_of(st.integers(-400, 50), st.integers(-(2**63), 2**63 - 1 - length)))
+    others = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=30))
+    return q, p, start, length, others
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_inputs())
+# 0 lies in the second half of a doubled block: a sum of exactly q
+@example((_BIG, _BIG - 2, -5, 11, [0, -1]))
+@example((2**62 + 1, 2**61 + 5, -3, 7, [-(2**63), 2**63 - 1]))
+@example((2, 1, -(2**63), 9, [-(2**63)]))
+def test_residues_match_python_ints(inputs):
+    q, p, start, length, others = inputs
+    run = np.arange(start, start + length, dtype=np.int64)
+    got = bohr._residues(run, p, q, run=True)
+    assert got.tolist() == [n * p % q for n in range(start, start + min(q, length))]
+    got = bohr._residues(np.array(others, dtype=np.int64), p, q, run=False)
+    assert got.tolist() == [n * p % q for n in others]
+    assert got.dtype == (object if q >= 2**62 else np.int64)
+
+
+@st.composite
+def edge_specs(draw):
+    """d in {1, 2} over the edge denominators and small ones; ``eps`` a tie
+    (the distance of some candidate), any width up to 3/4, or past 1/2;
+    ``M`` integral or not."""
+    qs = draw(st.lists(st.one_of(st.sampled_from(_EDGE_QS), st.integers(1, 12)),
+                       min_size=1, max_size=2))
+    theta = tuple(Fraction(draw(st.integers(1, q)), q) for q in qs)
+    M = Fraction(draw(st.integers(1, 300)), draw(st.sampled_from([1, 2, 3])))
+    tie = torus_distance(draw(st.integers(1, 300)) * draw(st.sampled_from(theta)))
+    eps = draw(st.one_of(
+        st.just(tie or Fraction(1, 3)),
+        st.fractions(Fraction(1, 50), Fraction(3, 4), max_denominator=60),
+        st.sampled_from([Fraction(1, 2), Fraction(7, 5)]),
+    ))
+    return BohrSpec(theta, eps, M)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    edge_specs(),
+    st.integers(-400, 0),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=20),
+)
+@example(BohrSpec((Fraction(_BIG // 3, _BIG),), Fraction(1, 5), Fraction(61, 2)), -40, [0])
+def test_membership_matches_oracle_at_edge_denominators(spec, start, others):
+    assert enumerate_bohr(spec).tolist() == enumerate_oracle(spec)
+    ns = np.concatenate([np.arange(start, start + 401), np.array(others, dtype=np.int64)])
+    assert membership_mask(spec, ns).tolist() == [member_oracle(spec, int(n)) for n in ns]
+
+
+@pytest.mark.parametrize("M", [Fraction(5), Fraction(11, 2)], ids=["integral", "half"])
+@pytest.mark.parametrize("theta", [Fraction(1), Fraction(1, _BIG)], ids=["one", "big"])
+def test_membership_mask_at_the_int64_ends(theta, M):
+    # |-2^63| does not fit int64: the radius test must not wrap it inside
+    spec = BohrSpec((theta,), Fraction(1, 2), M)
+    m = int(M)
+    ns = [-(2**63), 2**63 - 1, -m - 1, -m, -m + 1, m - 1, m, m + 1]
+    got = membership_mask(spec, np.array(ns, dtype=np.int64)).tolist()
+    assert got == [member_oracle(spec, n) for n in ns]
+    assert got == [False, False, False, True, True, True, True, False]
+
+
+# int64 residues by doubling (the first three) and by one product each (the
+# fourth), and Python-integer residues past 2^62; only the fourth spec's
+# keys are int64
+_BIG_Q_SPECS = [
+    BohrSpec((Fraction(_BIG // 3, _BIG),), Fraction(1, 5), Fraction(3000)),
+    BohrSpec((Fraction(12345, _BIG), Fraction(_BIG // 7, _BIG)), Fraction(1, 5), Fraction(3000)),
+    BohrSpec((Fraction(2**61 + 3, 2**62 - 1),), Fraction(2, 5), Fraction(2000)),
+    BohrSpec((Fraction(2**30 + 7, 2**31 + 11),), Fraction(1, 5), Fraction(2000)),
+    BohrSpec((Fraction(2**61 + 5, 2**62 + 1),), Fraction(1, 3), Fraction(2000)),
+]
+
+
+@pytest.mark.parametrize("spec", _BIG_Q_SPECS, ids=range(len(_BIG_Q_SPECS)))
+def test_certificate_base_size_is_the_enumerated_size(spec):
+    # the certificate counts keys K(n) <= B; enumeration tests each bound
+    assert regularity_certificate(spec).base_size == enumerate_bohr(spec).size
+
+
+def test_enumeration_at_a_big_denominator_builds_no_object_array():
+    # measured peak 6.3 MB: the window of 200001 candidates, its residues,
+    # q - r and their minimum, 1.6 MB each. An object array of the window
+    # alone holds 1.6 MB of pointers and 6.4 MB of Python integers.
+    spec = BohrSpec((Fraction(_BIG // 3, _BIG),), Fraction(1, 5), Fraction(10**5))
+    expect = enumerate_bohr(spec)
+    tracemalloc.start()
+    try:
+        got = enumerate_bohr(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expect) and got.dtype == np.int64
+    assert peak < 8 * 2**20
 
 
 # Periods q_j below and above the candidate window 2 floor(M) + 1, windows

@@ -224,6 +224,13 @@ def test_canonical_json_round_trip_stable():
 @example(obj=[1, True, False, 2])
 @example(obj=np.array([1 / 3, float("nan"), -0.0]))
 @example(obj=["\"q\"", "\\", "\n\x01", "é€\U0001F600"])
+# all-int lists, written with one format: the int64 ends, past them, one
+# element, and nested in lists and dicts
+@example(obj=[2**63 - 1, -(2**63 - 1), -(2**63), 0])
+@example(obj=np.array([2**63 - 1, -(2**63)], dtype=np.int64))
+@example(obj=[3**90, -(2**64), 7])
+@example(obj=[[-(2**63)], [0], [5, -5]])
+@example(obj={"a": [1], "b": [[2**63], [1, [2, 3]]], "c": [-1]})
 def test_canonical_json_matches_oracle(obj):
     assert canonical_json(obj) == oracle_json(obj)
     assert canonical_json(obj) == json.dumps(normalize(obj), sort_keys=True, indent=2) + "\n"
