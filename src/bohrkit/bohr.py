@@ -51,13 +51,27 @@ import numpy as np
 
 from .exact import RationalLike, Wired, as_rational, floor_frac
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1  # the int64 range, in Python ints
 _INT64_SAFE = 2**62
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _CHUNK_ENTRIES = 2**18  # entries in the largest array one chunk builds
 
 
 class BudgetExceeded(RuntimeError):
-    """A computation would exceed its configured enumeration or work budget."""
+    """Raised by :func:`charge`: ``what`` needs ``spent`` ``unit`` of work, past ``budget``."""
+
+    def __init__(self, what: str, unit: str, spent: int, budget: int) -> None:
+        super().__init__(what, unit, spent, budget)
+        self.what, self.unit, self.spent, self.budget = what, unit, spent, budget
+
+    def __str__(self) -> str:
+        return f"{self.what} needs {self.spent} {self.unit}, budget {self.budget}"
+
+
+def charge(what: str, unit: str, spent: int, budget: int) -> None:
+    """The one budget rule: refuse ``what`` when ``spent``, its total with the work
+    it is about to do already charged, passes ``budget``."""
+    if spent > budget:
+        raise BudgetExceeded(what, unit, spent, budget)
 
 
 # default budgets, read by every signature, ``EngineLimits`` and the CLI
@@ -220,11 +234,7 @@ def _entry_keys(spec: BohrSpec, ns: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _window(nmax: int, enum_limit: int) -> np.ndarray:
     """The candidates ``|n| <= nmax``, refused before allocation past ``enum_limit``."""
-    count = 2 * nmax + 1
-    if count > enum_limit:
-        raise BudgetExceeded(
-            f"candidate window has {count} integers, budget is {enum_limit}"
-        )
+    charge("candidate window", "integers", 2 * nmax + 1, enum_limit)
     return np.arange(-nmax, nmax + 1, dtype=np.int64)
 
 
@@ -284,7 +294,7 @@ def membership_mask(spec: BohrSpec, ns: np.ndarray) -> np.ndarray:
     ``|n| <= floor(M)`` and every frequency's bound, compared in int64."""
     ns = np.asarray(ns, dtype=np.int64)
     m = floor_frac(spec.M)
-    keep = (ns >= max(-m, _INT64_MIN)) & (ns <= min(m, _INT64_MAX))
+    keep = (ns >= max(-m, INT64_MIN)) & (ns <= min(m, INT64_MAX))
     for p, q, b in _torus_bounds(spec):
         r = _residues(ns, p, q, run=False)
         keep &= np.minimum(r, q - r) <= b
@@ -402,7 +412,7 @@ def require_int64(what: str, *parts: tuple[int, int]) -> None:
     lo = hi = 0
     for part_lo, part_hi in parts:
         lo, hi = lo + part_lo, hi + part_hi
-        if lo < _INT64_MIN or hi > _INT64_MAX:
+        if lo < INT64_MIN or hi > INT64_MAX:
             raise ValueError(f"{what} sums reach [{lo}, {hi}], outside int64")
 
 
@@ -430,8 +440,7 @@ def translate_counts(
     for lo in range(0, shifts.size, step):
         chunk = shifts[lo : lo + step]
         spent += chunk.size * offsets.size
-        if spent > budget:
-            raise BudgetExceeded(f"translate count spent {spent} points, budget {budget}")
+        charge("translate count", "points", spent, budget)
         pts = chunk[:, None] + offsets[None, :]
         counts = [np.count_nonzero(sorted_lookup(s, pts)[1], axis=1) for s in sets]
         del pts  # no chunk-sized array stays alive across the yield

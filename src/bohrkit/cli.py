@@ -37,6 +37,8 @@ import numpy as np
 from .bohr import (
     COUNT_BUDGET,
     ENUM_LIMIT,
+    INT64_MAX,
+    INT64_MIN,
     BohrSet,
     BohrSpec,
     BudgetExceeded,
@@ -108,7 +110,7 @@ def read_set_file(path: str) -> np.ndarray:
             value = int(text)
         except ValueError as exc:
             raise CLIError(f"{path}:{lineno}: not an integer: {text!r}") from exc
-        if not -(2**63) <= value < 2**63:
+        if not INT64_MIN <= value <= INT64_MAX:
             raise CLIError(f"{path}:{lineno}: {value} does not fit a signed 64-bit integer")
         if value in seen:
             raise CLIError(

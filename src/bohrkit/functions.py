@@ -23,11 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bohr import sorted_distinct, sorted_lookup
+from .bohr import INT64_MAX, INT64_MIN, sorted_distinct, sorted_lookup
 from .exact import RationalLike, as_rational
 
 _BOUND_TOL = 1e-12
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,8 @@ class BoundedFunction:
         # (else None), its first entry standing for ``_padded_lo``
         n = support.size
         run = n > 0 and int(support[-1]) - int(support[0]) + 1 == n
-        left = int(run and support[0] > _INT64_MIN)
-        right = int(run and support[-1] < _INT64_MAX)
+        left = int(run and support[0] > INT64_MIN)
+        right = int(run and support[-1] < INT64_MAX)
         held = np.zeros(left + n + right, dtype=np.complex128)
         held[left : left + n] = values
         object.__setattr__(self, "support", support)

@@ -85,10 +85,10 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .bohr import (
     COUNT_BUDGET,
     BohrSet,
-    BudgetExceeded,
     ElementsLike,
     as_elements,
     certificates,
+    charge,
     chunk_rows,
     infer_dilation,
     require_int64,
@@ -180,9 +180,7 @@ def u2_fourth_direct(
     n2 = as_elements(inner2)
     if min(a.size, n1.size, n2.size) == 0:
         raise ValueError("base and inner sets must be nonempty")
-    cost = a.size * n1.size * n2.size**2
-    if cost > budget:
-        raise BudgetExceeded(f"direct route needs {cost} operations, budget {budget}")
+    charge("direct route", "operations", a.size * n1.size * n2.size**2, budget)
     lo2, hi2 = _extent(n2)
     d_ext = (lo2 - hi2, hi2 - lo2)  # the extremes of N2 - N2
     # the cube forms a + n1 + n2; the table a + n2 (+ d) + n1, and d + n1
@@ -284,11 +282,7 @@ def u2_fourth_correlation(
     n2 = as_elements(inner2)
     if min(a.size, n1.size, n2.size) == 0:
         raise ValueError("base and inner sets must be nonempty")
-    cost = a.size * n1.size**2 * n2.size
-    if cost > budget:
-        raise BudgetExceeded(
-            f"correlation route needs {cost} operations, budget {budget}"
-        )
+    charge("correlation route", "operations", a.size * n1.size**2 * n2.size, budget)
     lo1, hi1 = _extent(n1)
     d_ext = (lo1 - hi1, hi1 - lo1)  # the extremes of N1 - N1
     # every sum either side forms: a + n1 (+ d) + n2, and d + n2
@@ -402,8 +396,7 @@ def fourier_grid_maxima(
     for lo in range(0, points.size, step):
         a = points[lo : lo + step]
         spent += _scan_units(a.size, grid)
-        if spent > budget:
-            raise BudgetExceeded(f"fourier scan spent {spent} units, budget {budget}")
+        charge("fourier scan", "units", spent, budget)
         rows = buf[: a.size]
         # one unnamed temporary, so that no chunk-sized array stays alive across the yield
         rows.reshape(-1)[flat[: a.size * offsets.size]] = (
@@ -467,9 +460,7 @@ def local_fourier_scan(
     maxn = max(-lo, hi)  # in Python ints: np.abs wraps at -2^63
     if grid < 4 * (maxn + 1):
         raise ValueError(f"grid {grid} too coarse; need at least {4 * (maxn + 1)}")
-    cost = _scan_units(a.size, grid)
-    if cost > budget:
-        raise BudgetExceeded(f"fourier scan needs {cost} units, budget {budget}")
+    charge("fourier scan", "units", _scan_units(a.size, grid), budget)
     require_int64("fourier scan", _extent(a), (lo, hi))
 
     _, vals, arg = zip(*fourier_grid_maxima(f, a, n, grid, budget=budget))

@@ -56,11 +56,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bohr import (
     COUNT_BUDGET,
+    INT64_MAX,
+    INT64_MIN,
     BohrSet,
     BudgetExceeded,
     ElementsLike,
     as_elements,
     certificates,
+    charge,
     chunk_rows,
     exact_density,
     infer_dilation,
@@ -74,7 +77,6 @@ from .functions import BoundedFunction
 from .gowers import u2_fourth_correlation
 
 _AXES = "aijklmn"  # einsum axes of count_T_s: the base point, then n_1, ..., n_6
-_INT64 = np.iinfo(np.int64)
 WORD_BUDGET = 10**8  # default 64-bit words a configuration search may read
 _FINDER_STATUSES = ("found", "none", "inconclusive")  # vocabularies checked on construction
 _FINDER_MODES = ("extent", "restricted")
@@ -118,7 +120,7 @@ def verify_configuration(subset: np.ndarray, config: Configuration, s: int) -> b
     if config.s != s:
         return False
     sums = config.elements()  # ascending
-    if sums and not (_INT64.min <= sums[0] and sums[-1] <= _INT64.max):
+    if sums and not (INT64_MIN <= sums[0] and sums[-1] <= INT64_MAX):
         return False  # a sum outside int64 is in no int64 set
     return bool(np.all(sorted_lookup(sorted_distinct(subset), sums)[1]))
 
@@ -245,10 +247,7 @@ class ShiftedAndKernel:
 
     def _charge(self, words: int) -> None:
         self.work += words
-        if self.work > self.budget:
-            raise BudgetExceeded(
-                f"bitset kernel spent {self.work} words, budget {self.budget}"
-            )
+        charge("bitset kernel", "words", self.work, self.budget)
 
     def pack(self, xs: np.ndarray, bs: np.ndarray, inners: list[list[int]]) -> None:
         """Load ``A`` and the base (sorted, distinct) and the inner sets."""
@@ -482,11 +481,8 @@ def _tuple_space(
     ns = [as_elements(x) for x in inners]
     if a.size == 0 or min(x.size for x in ns) == 0:
         raise ValueError("base and inner sets must be nonempty")
-    cost = a.size
-    for x in ns:
-        cost *= x.size
-    if cost > budget:
-        raise BudgetExceeded(f"counting needs {cost} operations, budget {budget}")
+    cost = a.size * math.prod(x.size for x in ns)
+    charge("counting", "operations", cost, budget)
     return a, ns, cost
 
 

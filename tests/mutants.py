@@ -87,7 +87,7 @@ MUTANTS = [
     {
         "file": "functions.py",
         "drops": "the zero pad right of a run support",
-        "old": "right = int(run and support[-1] < _INT64_MAX)",
+        "old": "right = int(run and support[-1] < INT64_MAX)",
         "new": "right = 0",
         "kills": ["tests/test_functions.py::test_gather_matches_dict_lookup"],
     },
@@ -303,12 +303,35 @@ MUTANTS = [
     {
         "file": "bohr.py",
         "drops": "the radius test of a candidate at the int64 minimum",
-        "old": "keep = (ns >= max(-m, _INT64_MIN)) & (ns <= min(m, _INT64_MAX))",
-        "new": "keep = np.abs(ns) <= min(m, _INT64_MAX)",
+        "old": "keep = (ns >= max(-m, INT64_MIN)) & (ns <= min(m, INT64_MAX))",
+        "new": "keep = np.abs(ns) <= min(m, INT64_MAX)",
         "kills": [
             "tests/test_bohr.py::test_membership_mask_at_the_int64_ends[one-integral]",
             "tests/test_bohr.py::test_membership_mask_at_the_int64_ends[big-half]",
         ],
+    },
+    {
+        "file": "bohr.py",
+        "drops": "the budget rule's allowance of a total exactly at the budget",
+        "old": "    if spent > budget:\n        raise BudgetExceeded(",
+        "new": "    if spent >= budget:\n        raise BudgetExceeded(",
+        "kills": [
+            "tests/test_bohr.py::test_enumeration_budget",
+            "tests/test_bohr.py::test_translate_counts_budget_boundary",
+            "tests/test_gowers.py::test_u2_budget_edge[direct]",
+            "tests/test_gowers.py::test_u2_budget_edge[correlation]",
+            "tests/test_gowers.py::test_scan_budget_edge[64]",
+            "tests/test_gowers.py::test_grid_maxima_meter_each_chunk",
+            "tests/test_patterns.py::test_extent_search_budget_edges",
+            "tests/test_patterns.py::test_counts_charge_the_tuple_space",
+        ],
+    },
+    {
+        "file": "patterns.py",
+        "drops": "the charge of a count's whole tuple space before it runs",
+        "old": '    charge("counting", "operations", cost, budget)\n',
+        "new": "",
+        "kills": ["tests/test_patterns.py::test_counts_charge_the_tuple_space"],
     },
     {
         "file": "patterns.py",

@@ -447,9 +447,17 @@ def test_pigeonhole_size_bound():
 
 
 def test_enumeration_budget():
-    spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(10**9))
-    with pytest.raises(BudgetExceeded):
+    # the candidate window |n| <= floor(M) is charged one unit per integer
+    spec = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(1001, 2))
+    assert enumerate_bohr(spec, enum_limit=1001).size == 1001
+    with pytest.raises(BudgetExceeded) as refused:
         enumerate_bohr(spec, enum_limit=1000)
+    e = refused.value
+    assert (e.what, e.unit, e.spent, e.budget) == ("candidate window", "integers", 1001, 1000)
+    # refused before allocation
+    huge = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(10**9))
+    with pytest.raises(BudgetExceeded):
+        enumerate_bohr(huge, enum_limit=1000)
 
 
 def test_dilate_nesting():
@@ -987,8 +995,11 @@ def test_translate_counts_budget_boundary():
     assert len(chunks) == 4 and sum(c.size for c, _ in chunks) == shifts.size
     scan = translate_counts((ambient, subset), shifts, offsets, budget=total - 1)
     assert len([next(scan) for _ in range(3)]) == 3  # the last chunk alone is refused
-    with pytest.raises(BudgetExceeded, match=f"spent {total} points, budget {total - 1}"):
+    with pytest.raises(BudgetExceeded) as refused:
         next(scan)
+    e = refused.value
+    assert (e.what, e.unit, e.spent, e.budget) == ("translate count", "points", total, total - 1)
+    assert str(e) == f"translate count needs {total} points, budget {total - 1}"
 
 
 @st.composite

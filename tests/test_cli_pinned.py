@@ -174,7 +174,7 @@ EXPECTED = {
     "increment-run-trace": (0, "ff5a033d72be9e3d", "069864f0c921102f"),
     "increment-run-faithful": (1, "ce39e90743f0b664", None),
     "increment-run-constants": (1, "4e8c6c6a7bc8f111", "f8dd85f5db53dcd5"),
-    "increment-run-budget": (3, "fb06a005d1e5b9e8", None),
+    "increment-run-budget": (3, "f0494e61a833ee05", None),
     "sumfree-check": (0, "f3e0a96018bdde43", None),
     "sumfree-check-no": (1, "b427cfe2b0281ff2", None),
     "sumfree-check-csv": (1, "da97d5a32cfb36f9", None),

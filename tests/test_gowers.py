@@ -25,11 +25,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohrkit import gowers
-from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded
+from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded, chunk_rows
 from bohrkit.cli import main as cli_main
 from bohrkit.functions import BoundedFunction
 from bohrkit.gowers import (
     check_inverse_theorem,
+    fourier_grid_maxima,
     inverse_average,
     local_fourier_scan,
     u2_fourth_correlation,
@@ -293,21 +294,23 @@ def test_u2_routes_match_literal_oracle(case):
 
 
 @pytest.mark.parametrize(
-    "route, units, message",
-    [(u2_fourth_direct, lambda a, l1, l2: a * l1 * l2**2, "direct route needs"),
-     (u2_fourth_correlation, lambda a, l1, l2: a * l1**2 * l2, "correlation route needs")],
+    "route, units, what",
+    [(u2_fourth_direct, lambda a, l1, l2: a * l1 * l2**2, "direct route"),
+     (u2_fourth_correlation, lambda a, l1, l2: a * l1**2 * l2, "correlation route")],
     ids=["direct", "correlation"],
 )
-def test_u2_budget_edge(route, units, message):
+def test_u2_budget_edge(route, units, what):
     f = random_function(random.Random(30), -30, 30)
     base, n1, n2 = np.arange(-4, 5), np.arange(-3, 4), np.arange(-1, 2)
     cost = units(base.size, n1.size, n2.size)
     assert route(f, base, n1, n2, budget=cost) >= 0.0
-    with pytest.raises(BudgetExceeded, match=message):
+    with pytest.raises(BudgetExceeded) as refused:
         route(f, base, n1, n2, budget=cost - 1)
+    e = refused.value
+    assert (e.what, e.unit, e.spent, e.budget) == (what, "operations", cost, cost - 1)
     # the whole cost is checked before anything is allocated
     huge = np.arange(10**6)
-    with pytest.raises(BudgetExceeded, match=message):
+    with pytest.raises(BudgetExceeded, match=f"{what} needs"):
         route(f, huge, huge[:10**4], huge[:10**4])
 
 
@@ -802,8 +805,26 @@ def test_scan_budget_edge(grid):
     cost = base.size * grid * (grid - 1).bit_length()
     scan = local_fourier_scan(f, base, inner, grid, budget=cost)
     assert scan.values.shape == (base.size,)
-    with pytest.raises(BudgetExceeded, match="fourier scan needs"):
+    with pytest.raises(BudgetExceeded, match="fourier scan needs") as refused:
         local_fourier_scan(f, base, inner, grid, budget=cost - 1)
+    e = refused.value
+    assert (e.what, e.unit, e.spent, e.budget) == ("fourier scan", "units", cost, cost - 1)
+
+
+def test_grid_maxima_meter_each_chunk():
+    # charged chunk by chunk: a budget that covers the first chunk but not the
+    # second yields the first and refuses the second at the running total
+    f = random_function(random.Random(28), -30, 30)
+    points, inner, grid = np.arange(-50, 50), np.arange(-5, 6), 4096
+    step = chunk_rows(grid)
+    total = points.size * grid * (grid - 1).bit_length()
+    assert len(list(fourier_grid_maxima(f, points, inner, grid, budget=total))) == 2
+    scan = fourier_grid_maxima(f, points, inner, grid, budget=total - 1)
+    assert next(scan)[0].tolist() == points[:step].tolist()
+    with pytest.raises(BudgetExceeded) as refused:
+        next(scan)
+    e = refused.value
+    assert (e.what, e.unit, e.spent, e.budget) == ("fourier scan", "units", total, total - 1)
 
 
 _THREAD_PROBE = """

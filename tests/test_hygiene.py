@@ -17,7 +17,9 @@ would change what other base points read. No module calls
 ``json.dumps`` with an ``indent``: indented report text has one writer,
 ``reports.canonical_json``. Only ``exact.wire`` calls ``rational_pair``:
 a result's report form goes through ``wire``, and the engine keeps its
-evidence as values until then. Every library function
+evidence as values until then. Only ``bohr.charge`` raises
+``BudgetExceeded``: every budget is charged and refused by one rule. Every
+library function
 the bench harness traces (``bench/spans.py``, ``TARGETS``) must still exist
 under the name the harness patches, so a rename cannot silently drop a span.
 Every public function and public method of a public class in ``src/bohrkit``
@@ -178,6 +180,26 @@ def pair_calls(tree: ast.Module) -> list[str]:
     return [f"line {line}: rational_pair" for line in lines]
 
 
+def budget_raises(tree: ast.Module) -> list[str]:
+    """Raises of ``BudgetExceeded`` (by any module alias), each named by the
+    dotted path of the functions and classes around it, in line order."""
+    found: list[tuple[int, str]] = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if (getattr(exc, "attr", None) or getattr(exc, "id", None)) == "BudgetExceeded":
+                    found.append((child.lineno, scope or "<module>"))
+            visit(child, scope)
+
+    visit(tree, "")
+    return [f"line {line}: {scope}" for line, scope in sorted(found)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_cross_module_imports(path):
     assert private_imports(_tree(path)) == []
@@ -216,6 +238,12 @@ def test_one_indented_json_writer(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_report_forms_go_through_wire(path):
     assert pair_calls(_tree(path)) == [] or path.name == "exact.py"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_budget_rule(path):
+    scopes = [line.partition(": ")[2] for line in budget_raises(_tree(path))]
+    assert scopes == (["charge"] if path.name == "bohr.py" else [])
 
 
 def package_exports(tree: ast.Module) -> dict[str, str]:
@@ -403,6 +431,15 @@ def test_checks_catch_what_they_look_for():
         "s = as_strided(x, shape=(2,), strides=(8,))\n"
         "r = np.lib.stride_tricks.as_strided(x, (2,), (8,), writeable=True)\n"
         "k = as_strided(x, (2,), (8,), writeable=False)\n"
+        "def charge(spent, budget):\n"
+        "    if spent > budget:\n"
+        "        raise BudgetExceeded('x', 'units', spent, budget)\n"
+        "class Kernel:\n"
+        "    def _charge(self):\n"
+        "        raise bohr.BudgetExceeded('x', 'words', 1, 0)\n"
+        "if over:\n"
+        "    raise BudgetExceeded\n"
+        "raise ValueError('BudgetExceeded')\n"
     )
     assert private_imports(tree) == ["line 3: _elements", "line 4: _count_leq"]
     assert unused_imports(tree) == [
@@ -416,6 +453,11 @@ def test_checks_catch_what_they_look_for():
     assert diff_comparisons(tree) == ["line 20: diff", "line 22: diff"]
     assert writable_strided_views(tree) == ["line 23: as_strided", "line 24: as_strided"]
     assert indented_dumps(tree) == ["line 8: dumps", "line 9: dumps"]
+    assert budget_raises(tree) == [
+        "line 28: charge",
+        "line 31: Kernel._charge",
+        "line 33: <module>",
+    ]
     assert pair_calls(tree) == [
         "line 13: rational_pair",
         "line 13: rational_pair",

@@ -774,7 +774,7 @@ def test_run_takes_both_transitions(monkeypatch, N, factor, cases, report):
     [(2 * 10**4, None, {"limits": EngineLimits(finder_budget=2000)},
       "freeness search inconclusive within budget"),
      (1000, _forced_thresholds, {"limits": EngineLimits(count_budget=1000)},
-      "dichotomy budget: translate count spent 14007 points, budget 1000"),
+      "dichotomy budget: translate count needs 14007 points, budget 1000"),
      (300, partial(_forced_thresholds, factor=100), {"overrides": {"min_increment": 1}},
       "fourier witness gain below acceptance")],
     ids=["finder-budget", "count-budget", "min-increment"],
@@ -1084,8 +1084,8 @@ def test_recheck_of_a_window_past_the_budget_is_a_complaint():
     subset = random_set(2000, 0.3, 7)
     result = run(subset, 2000, 2, mode="practical")
     assert recheck_run(subset, 10**7, result) == [
-        "start window does not rebuild: candidate window has 20000001 integers,"
-        " budget is 10000000"
+        "start window does not rebuild: candidate window needs 20000001 integers,"
+        " budget 10000000"
     ]
 
 

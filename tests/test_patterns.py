@@ -286,7 +286,7 @@ def restricted_finder_oracle(
             for m in prefix + [n]:
                 work += 1
                 if work > budget:
-                    raise BudgetExceeded("finder budget exhausted")
+                    raise BudgetExceeded("finder oracle", "membership tests", work, budget)
                 if m + n + a not in members:
                     ok = False
                     break
@@ -468,8 +468,10 @@ def test_extent_search_budget_edges(xs, s):
         short = find_configuration(xs, s, budget=full.work - 1)
         assert (short.status, short.config, short.work) == ("inconclusive", None, full.work)
     if work:
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as refused:
             count_configurations(xs, s, budget=work - 1)
+        e = refused.value
+        assert (e.what, e.unit, e.spent, e.budget) == ("bitset kernel", "words", work, work - 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -605,6 +607,7 @@ def test_restricted_finder_budget_inconclusive_not_none():
     base = np.arange(-2000, 2001)
     inners = [np.arange(-12, 13), np.arange(-3, 4)]
     assert restricted_finder_oracle(subset, base, inners).status == "none"
+    assert restricted_finder_oracle(subset, base, inners, budget=10).status == "inconclusive"
     full = find_configuration_restricted(subset, base, inners)
     assert full.status == "none"
     assert find_configuration_restricted(subset, base, inners, budget=10).status == "inconclusive"
@@ -746,6 +749,21 @@ def test_count_patterns_exact_integrality():
     count, t = count_patterns_exact(subset, base, inners)
     assert isinstance(count, int)
     assert t == Fraction(count, base.size * inners[0].size * inners[1].size)
+
+
+def test_counts_charge_the_tuple_space():
+    # |base| * prod |N_i| operations, charged before anything is counted
+    subset = np.arange(0, 30, 3)
+    base = np.arange(-5, 6)
+    inners = [np.arange(-2, 3), np.arange(-2, 3)]
+    cost = base.size * inners[0].size * inners[1].size
+    f = BoundedFunction.indicator(subset)
+    for count, data in [(count_T_s, f), (count_patterns_exact, subset)]:
+        assert count(data, base, inners, budget=cost) == count(data, base, inners)
+        with pytest.raises(BudgetExceeded) as refused:
+            count(data, base, inners, budget=cost - 1)
+        e = refused.value
+        assert (e.what, e.unit, e.spent, e.budget) == ("counting", "operations", cost, cost - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -891,6 +909,15 @@ def test_dichotomy_enforce_raises_on_unmet():
     evens = base.elements[base.elements % 2 == 0]
     with pytest.raises(PreconditionError):
         dichotomy(evens, base, _chain(base, [Fraction(1, 4), Fraction(1)]), enforce=True)
+    # every other precondition met: an inconclusive freeness search alone is unmet
+    subset, base = behrend_set(100), _interval_base(100)
+    delta = Fraction(subset.size, base.size)
+    chain = _chain(base, [delta**2 / 12800, Fraction(1, 2)])
+    freeness = FinderResult("inconclusive", None, 0, 0, "restricted")
+    out = dichotomy(subset, base, chain, enforce=False, freeness=freeness)
+    assert out.unmet == ("freeness search inconclusive within budget",)
+    with pytest.raises(PreconditionError, match="^freeness search inconclusive within budget$"):
+        dichotomy(subset, base, chain, enforce=True, freeness=freeness)
 
 
 def test_dichotomy_local_increment_branch():
