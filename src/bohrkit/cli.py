@@ -269,7 +269,7 @@ def _parser() -> argparse.ArgumentParser:
     sumfree.add_parser("embed", parents=[*report, one_set, seed, retries],
                        help="verified compression into a prime cyclic group")
     sumfree.add_parser("find-config", parents=[*report, one_set, s_needed, word_budget, seed],
-                       help="configuration search through the embedding")
+                       help="configuration search on the input, its embedding reported")
     return top
 
 

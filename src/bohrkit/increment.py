@@ -226,8 +226,11 @@ def fourier_increment(
     scaled by ``c_prime * c1``, and the best translate ``a + n1`` with the
     refined set inside the base is taken. Every translate decision compares
     an exact integer count (:func:`bohrkit.bohr.translate_counts`, metered
-    against ``budget`` one point at a time); grid misses retry with an 8x
-    finer grid, twice.
+    one point at a time); grid misses retry with an 8x finer grid, twice.
+
+    ``budget`` bounds each scan, not the call. A call runs at most eight:
+    the inverse average when it is enforced, the plain translate scan, and
+    for each of the three grid passes one Fourier scan and one refined count.
 
     With ``enforce`` the printed hypotheses (mean zero, real values,
     ``c1 <= eta^3 / (2^15 d)``, ``c_prime <= eta / (2^13 d)``, grid Fourier
@@ -401,6 +404,12 @@ _MAX_STEPS = 32  # a run that takes this many steps stops at ``limit``
 
 @dataclass(frozen=True)
 class EngineLimits:
+    """An engine run's budgets. ``count_budget`` bounds each scan of a step,
+    not the step: one step may run its :func:`bohrkit.patterns.dichotomy` (up
+    to ``s`` translate scans and ``s(s-1)/2`` U2 evaluations) and then its
+    :func:`fourier_increment` (up to eight scans), each scan under the whole
+    budget. ``finder_budget`` bounds the step's freeness search in words."""
+
     count_budget: int = COUNT_BUDGET
     finder_budget: int = WORD_BUDGET
     grid: int = FOURIER_GRID

@@ -471,19 +471,17 @@ class FunctionFamily:
 
 
 def _tuple_space(
-    base: ElementsLike, inners: Sequence[ElementsLike], budget: int
+    base: ElementsLike, inners: Sequence[ElementsLike]
 ) -> tuple[np.ndarray, list[np.ndarray], int]:
     """The base and inner arrays and the tuple-space size ``|base| * prod |N_i|``,
-    checked: at least two inner sets, none empty, the size within ``budget``."""
+    checked: at least two inner sets, none empty."""
     if len(inners) < 2:
         raise ValueError("need at least two inner sets")
     a = as_elements(base)
     ns = [as_elements(x) for x in inners]
     if a.size == 0 or min(x.size for x in ns) == 0:
         raise ValueError("base and inner sets must be nonempty")
-    cost = a.size * math.prod(x.size for x in ns)
-    charge("counting", "operations", cost, budget)
-    return a, ns, cost
+    return a, ns, a.size * math.prod(x.size for x in ns)
 
 
 def count_T_s(
@@ -499,10 +497,13 @@ def count_T_s(
     ``einsum`` of the running sum and the factors that hold that offset, each
     ``f_ik`` looked up once per distinct ``n_i + n_k`` and spread to its grid.
     Chunked over the base axis by :func:`bohrkit.bohr.chunk_rows` of the widest
-    array a row builds (a grid or the running sum). Every sum ``a + 2 n_i`` and
-    ``a + n_i + n_j`` is checked to fit int64 before anything is allocated.
+    array a row builds (a grid or the running sum). The whole tuple space is
+    charged against ``budget`` in operations before anything is counted, and
+    every sum ``a + 2 n_i`` and ``a + n_i + n_j`` is checked to fit int64
+    before anything is allocated.
     """
-    a, ns, cost = _tuple_space(base, inners, budget)
+    a, ns, cost = _tuple_space(base, inners)
+    charge("counting", "operations", cost, budget)
     s = len(ns)
     if s >= len(_AXES):
         raise ValueError(f"s = {s} too large for dense counting")
@@ -553,10 +554,10 @@ def count_patterns_exact(
     integer by construction: the sum over every offset tuple, repeated
     offsets included as in the dense contraction, of the popcount of
     ``base ∩ ⋂_{i<=j} (A - n_i - n_j)``, walked as in
-    :func:`find_configuration_restricted`. The tuple space is checked against
-    the budget up front; the walk's 64-bit words are metered against it too.
+    :func:`find_configuration_restricted`, and like it metered in 64-bit words
+    read against ``budget``; the tuple space itself is not charged.
     """
-    a, ns, cost = _tuple_space(base, inners, budget)
+    a, ns, cost = _tuple_space(base, inners)
     bs = sorted_distinct(a)
     if bs.size != a.size:
         raise ValueError("base points must be distinct")
@@ -761,9 +762,10 @@ def dichotomy(
     at its default budget. Branches are scanned in a fixed order: small
     innermost set, local density increment on a doubled translate, large
     balanced U2 norm. If no branch fires the outcome is ``violation`` only
-    when every precondition was certified. ``budget`` meters each branch-2
+    when every precondition was certified. ``budget`` bounds each branch-2
     translate scan (:func:`bohrkit.bohr.translate_counts`) and each U2
-    evaluation.
+    evaluation, not the call: a call runs at most ``s`` translate scans and
+    ``s(s-1)/2`` U2 evaluations.
     """
     s = len(inner_sets)
     if s < 2:

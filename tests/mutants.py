@@ -335,6 +335,17 @@ MUTANTS = [
     },
     {
         "file": "patterns.py",
+        "drops": "the one unit of an exact count: words read, its tuple space not charged",
+        "old": "    a, ns, cost = _tuple_space(base, inners)\n    bs = sorted_distinct(a)\n",
+        "new": (
+            "    a, ns, cost = _tuple_space(base, inners)\n"
+            '    charge("counting", "operations", cost, budget)\n'
+            "    bs = sorted_distinct(a)\n"
+        ),
+        "kills": ["tests/test_patterns.py::test_counts_charge_the_tuple_space"],
+    },
+    {
+        "file": "patterns.py",
         "drops": "the bit order of a packed bitset",
         "old": 'np.packbits(bits, bitorder="little")',
         "new": 'np.packbits(bits, bitorder="big")',
@@ -491,6 +502,19 @@ MUTANTS = [
         "kills": [
             "tests/test_sumfree.py::test_freiman_frozen_examples",
             "tests/test_sumfree.py::test_freiman_matches_quadruple_oracle",
+        ],
+    },
+    {
+        "file": "sumfree.py",
+        "drops": "the configuration search on the input rather than on its embedded image",
+        "old": "    direct = find_configuration(arr, h, budget=budget)\n",
+        "new": (
+            '    image = np.sort(emb.map.images) if emb.status == "ok" else arr\n'
+            "    direct = find_configuration(image, h, budget=budget)\n"
+        ),
+        "kills": [
+            "tests/test_sumfree.py::test_embedding_search_answers_as_the_direct_search[interval.N30]",
+            "tests/test_sumfree.py::test_embedding_search_answers_as_the_direct_search[interval.N60]",
         ],
     },
 ]

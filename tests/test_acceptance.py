@@ -461,7 +461,7 @@ def test_criterion_12_embedding_pipeline():
     members = set(range(1, 51))
     assert all(v in members for v in search.config.elements())
     assert verify_configuration(np.arange(1, 51), search.config, 2)
-    _stamp(12, t0, 120.0, "embedding, rejection, and pullbacks all verified")
+    _stamp(12, t0, 120.0, "embedding, rejection, and the configuration search all verified")
 
 
 # ---------------------------------------------------------------------------

@@ -181,9 +181,9 @@ EXPECTED = {
     "sumfree-embed": (0, "3cd32cbf50c2a31f", None),
     "sumfree-embed-csv": (0, "e491fda86fa2813e", None),
     "sumfree-embed-budget": (3, "7e5e3f683cc258d1", None),
-    "sumfree-find-config": (0, "2d27a545c53a5647", None),
-    "sumfree-find-config-csv": (1, "1a83e2c6cbe124c3", None),
-    "sumfree-find-config-budget": (3, "5250248f6edc2d3b", None),
+    "sumfree-find-config": (0, "5f35eace944086ff", None),
+    "sumfree-find-config-csv": (1, "1630872978d41303", None),
+    "sumfree-find-config-budget": (3, "d88ed91d4693121e", None),
     "usage-no-group": (2, "e3b0c44298fc1c14", None),
     "usage-missing-flag": (2, "e3b0c44298fc1c14", None),
     "usage-bad-choice": (2, "e3b0c44298fc1c14", None),

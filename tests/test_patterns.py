@@ -752,18 +752,29 @@ def test_count_patterns_exact_integrality():
 
 
 def test_counts_charge_the_tuple_space():
-    # |base| * prod |N_i| operations, charged before anything is counted
+    # count_T_s charges |base| * prod |N_i| operations before anything is
+    # counted; count_patterns_exact meters only the 64-bit words its walk reads
     subset = np.arange(0, 30, 3)
     base = np.arange(-5, 6)
     inners = [np.arange(-2, 3), np.arange(-2, 3)]
     cost = base.size * inners[0].size * inners[1].size
     f = BoundedFunction.indicator(subset)
-    for count, data in [(count_T_s, f), (count_patterns_exact, subset)]:
-        assert count(data, base, inners, budget=cost) == count(data, base, inners)
-        with pytest.raises(BudgetExceeded) as refused:
-            count(data, base, inners, budget=cost - 1)
-        e = refused.value
-        assert (e.what, e.unit, e.spent, e.budget) == ("counting", "operations", cost, cost - 1)
+    assert count_T_s(f, base, inners, budget=cost) == count_T_s(f, base, inners)
+    with pytest.raises(BudgetExceeded) as refused:
+        count_T_s(f, base, inners, budget=cost - 1)
+    e = refused.value
+    assert (e.what, e.unit, e.spent, e.budget) == ("counting", "operations", cost, cost - 1)
+
+    kernel = ShiftedAndKernel(cost)
+    kernel.pack(subset, base, [x.tolist() for x in inners])
+    count, total = kernel.count(), kernel.work
+    assert total < cost  # a charge of the tuple space would refuse first
+    got = count_patterns_exact(subset, base, inners, budget=total)
+    assert got == (count, Fraction(count, cost))
+    with pytest.raises(BudgetExceeded) as refused:
+        count_patterns_exact(subset, base, inners, budget=total - 1)
+    e = refused.value
+    assert (e.what, e.unit, e.spent, e.budget) == ("bitset kernel", "words", total, total - 1)
 
 
 # ---------------------------------------------------------------------------

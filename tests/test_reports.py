@@ -431,12 +431,16 @@ REPORT_FORMS = [
     (EMBED, EMBED_D),
     (EmbedResult("failed", None, F(5, 2), 5, 3, 3, 9, 4, 7, "no prime"),
      {**EMBED_D, "status": "failed", "map": None, "attempts": 9, "reason": "no prime"}),
-    (EmbeddingSearch("found", CONFIG, "embedded", F(5, 2), EMBED, FOUND),
-     {"status": "found", "config": CONFIG_D, "route": "embedded", "measured_k": [5, 2],
-      "embed": EMBED_D, "finder": FOUND_D}),
-    (EmbeddingSearch("none", None, "none", F(5, 2), None, None),
-     {"status": "none", "config": None, "route": "none", "measured_k": [5, 2],
-      "embed": None, "finder": None}),
+    (EmbeddingSearch("found", CONFIG, "direct", EMBED,
+                     FinderResult("found", CONFIG, 12, 100, "extent")),
+     {"status": "found", "config": CONFIG_D, "route": "direct", "embed": EMBED_D,
+      "finder": {**FOUND_D, "mode": "extent"}}),
+    (EmbeddingSearch("none", None, "direct",
+                     EmbedResult("failed", None, F(5, 2), 5, 3, 0, 9, 4, 7, "no prime"), NONE),
+     {"status": "none", "config": None, "route": "direct",
+      "embed": {**EMBED_D, "status": "failed", "map": None, "kept_size": 0, "attempts": 9,
+                "reason": "no prime"},
+      "finder": NONE_D}),
 ]
 
 
