@@ -14,9 +14,11 @@ candidate bitset with a shifted copy of ``2A``; the sumfree search in
 :mod:`bohrkit.sumfree` keeps those outside ``A - y``. On a sparse set, where
 that shift would read more words than the set has elements, the bitsets are
 over ranks and the candidates that pair with ``y`` are looked up once per
-``y``, so the cost follows the size of the set, not its range. The
-*restricted* mode takes ``a`` from a base set and ``n_i`` from per-index
-inner sets, which is what the counting operator's domain looks like.
+``y`` (for consecutive ``y`` in one block), so the cost follows the size of
+the set, not its range. A choice that leaves fewer candidates than points
+still to choose is not made. The *restricted* mode takes ``a`` from a base
+set and ``n_i`` from per-index inner sets, which is what the counting
+operator's domain looks like.
 
 The restricted mode walks offset tuples. For a fixed tuple the valid base
 points are ``base ∩ ⋂_{i<=j} (A - n_i - n_j)``: an AND of shifted copies of
@@ -233,10 +235,23 @@ class ShiftedAndKernel:
     shift reads more words than the set has elements) a bitset over ranks
     built once per ``y`` by lookups.
 
+    The element walk chooses ``k`` points by cardinality: at depth ``d`` a
+    choice still needs ``k - d`` points, itself and ``k - d - 1`` of the
+    larger candidates that pair with it. So the loop at a depth stops once
+    fewer than ``k - d`` candidates are left (each mask's popcount is taken
+    once, then counted down), and it does not descend into fewer than
+    ``k - d - 1``. For ``k = 2`` that is the whole walk; for larger ``k`` it
+    skips only subtrees that hold no subset, so answers are unchanged.
+
     Work is in 64-bit words: packing costs the words it writes, a shifted
     AND the words of the shifted copy it reads (for the offset walk, cut
     below the best witness once one is known), a rank row one word per
-    element it looks up once, then its own words per AND.
+    element it looks up, charged when the walk first reads it, then its own
+    words per AND. Rank rows are built ahead in blocks of consecutive rows
+    where the walk reads them in order (:meth:`_build_rows`), never more
+    than the rest of the budget pays for, and building a row charges
+    nothing: the words spent and the point of refusal are those of a walk
+    that builds each row alone.
     :class:`BudgetExceeded` is raised as soon as the budget is passed.
     """
 
@@ -274,7 +289,8 @@ class ShiftedAndKernel:
         or ``x + y`` is in ``A``; with ``avoid``, when it is not.
         """
         self.xs, self.midpoints, self.avoid = xs, midpoints, avoid
-        self.rows: dict[int, int] = {}
+        self.rows: dict[int, int] = {}  # rank rows read so far, each charged
+        self.built: dict[int, int] = {}  # rank rows built in a block, not yet read
         if xs.size == 0:
             return
         span = int(xs[-1]) - int(xs[0])
@@ -302,21 +318,56 @@ class ShiftedAndKernel:
         return mask & (self.abits >> sh)
 
     def _rank_row(self, i: int) -> int:
-        """Ranks above ``i`` whose elements pair with the ``i``-th; built once."""
+        """Ranks above ``i`` whose elements pair with the ``i``-th.
+
+        Charged one word per element above ``i`` when first read, whether or
+        not :meth:`_build_rows` built it earlier in a block; then its own
+        words per AND.
+        """
         row = self.rows.get(i)
         if row is None:
-            y, above = self.xs[i], self.xs[i + 1:]
-            self._charge(above.size)
-            if self.midpoints:  # (x + y) / 2 without forming x + y
-                hit = ((above ^ y) & 1) == 0
-                target = (above >> 1) + (y >> 1) + (above & y & 1)
-            else:  # x + y wraps only past the int64 range, where A has nothing
-                target = above + y
-                hit = ((above ^ target) & (y ^ target)) >= 0
-            hit &= sorted_lookup(self.xs, target)[1]
-            row = self.rows[i] = _pack(np.flatnonzero(hit != self.avoid) + (i + 1))
+            self._charge(self.xs.size - i - 1)
+            if i not in self.built:
+                self._build_rows(i)
+            row = self.rows[i] = self.built.pop(i)
         self._charge(_words(row.bit_length()))
         return row
+
+    def _build_rows(self, i: int) -> None:
+        """Rows ``i, i + 1, ...`` in one block over the ranks above ``i``.
+
+        The block holds row ``i`` and at most as many rows after it as the
+        walk has read in a run right below ``i``: a walk that reads rows in
+        order builds blocks that double, and one that reads them apart, or
+        stops early, builds them one at a time. It stops before the first row
+        already built, holds at most 2^18 entries
+        (:func:`bohrkit.bohr.chunk_rows`), and its rows after ``i`` hold no
+        more lookups than the rest of the budget pays for. One lookup of its
+        pair targets, one mask of the ranks above each row and one
+        ``packbits`` build every row.
+        """
+        xs = self.xs
+        width = xs.size - i - 1
+        run = 0
+        while i - run - 1 in self.rows:
+            run += 1
+        end = i + min(chunk_rows(width), width, 1 + run, 1 + (self.budget - self.work) // width)
+        stop = i + 1
+        while stop < end and stop not in self.rows and stop not in self.built:
+            stop += 1
+        ys, above = xs[i:stop, None], xs[i + 1:]
+        upper = np.arange(i + 1, xs.size) > np.arange(i, stop)[:, None]  # the ranks above a row's
+        if self.midpoints:  # a pair of one parity has midpoint ceil(x / 2) + floor(y / 2)
+            target = (above - (above >> 1)) + (ys >> 1)
+            looked = upper & ((above & 1) == (ys & 1))
+        else:  # x + y wraps only past the int64 range, where A has nothing
+            target = above + ys
+            looked = upper & (((above ^ target) & (ys ^ target)) >= 0)
+        hit = np.zeros_like(upper)
+        hit[looked] = sorted_lookup(xs, target[looked])[1]
+        hit = upper & (hit != self.avoid)
+        for r, packed in enumerate(np.packbits(hit, axis=1, bitorder="little"), start=i):
+            self.built[r] = int.from_bytes(packed.tobytes(), "little") << (i + 1)
 
     def _extend(self, prefix: list[int], n: int, mask: int) -> int:
         """AND in every offset sum the new offset ``n`` adds to the prefix."""
@@ -370,32 +421,42 @@ class ShiftedAndKernel:
 
         return walk([], self.base_mask) if self.base_mask else 0
 
-    def _choices(self, cand: int) -> Iterator[tuple[int, int]]:
-        """Each candidate point ascending, with the larger ones that pair with it."""
-        while cand:
+    def _choices(self, cand: int, left: int, need: int) -> Iterator[tuple[int, int, int]]:
+        """Each candidate point ascending that can still start ``need`` points,
+        with the larger ones that pair with it when they can finish them.
+
+        ``left`` is the popcount of ``cand``, and each ``rest`` comes with
+        its own, so every mask is counted once. A point starts ``need`` points
+        only with ``need - 1`` candidates above it, so the walk stops once
+        fewer than ``need`` are left, and it yields no ``rest`` smaller than
+        ``need - 1``. With ``need >= 2`` the largest candidate is never
+        chosen: nothing above it pairs with it.
+        """
+        while left >= need:
             low = cand & -cand
             cand ^= low
-            if not cand:
-                return  # the largest candidate: nothing above it to pair with
+            left -= 1
             p = low.bit_length() - 1
             rest = cand & self._rank_row(p) if self.ranked else self.and_shifted(cand, p)
-            if rest:
-                yield p, rest
+            size = rest.bit_count()
+            if size >= need - 1:
+                yield p, rest, size
 
     def first_subset(self, k: int) -> Optional[list[int]]:
         """First ``k``-subset of ``A``, ascending, whose pairs all qualify;
         lexicographic order."""
 
-        def walk(prefix: list[int], cand: int) -> Optional[list[int]]:
+        def walk(prefix: list[int], cand: int, left: int) -> Optional[list[int]]:
             if len(prefix) + 1 == k:
                 return prefix + [(cand & -cand).bit_length() - 1]
-            for p, rest in self._choices(cand):
-                found = walk(prefix + [p], rest)
+            for p, rest, size in self._choices(cand, left, k - len(prefix)):
+                found = walk(prefix + [p], rest, size)
                 if found:
                     return found
             return None
 
-        found = walk([], self.base_mask) if self.base_mask else None
+        mask = self.base_mask
+        found = walk([], mask, mask.bit_count()) if mask else None
         if found is None:
             return None
         return self.xs[found].tolist() if self.ranked else [int(self.xs[0]) + p for p in found]
@@ -403,12 +464,14 @@ class ShiftedAndKernel:
     def count_subsets(self, k: int) -> int:
         """Number of such subsets: candidate popcounts over ``(k - 1)``-prefixes."""
 
-        def walk(depth: int, cand: int) -> int:
+        def walk(depth: int, cand: int, left: int) -> int:
             if depth + 1 == k:
-                return cand.bit_count()
-            return sum(walk(depth + 1, rest) for _, rest in self._choices(cand))
+                return left
+            choices = self._choices(cand, left, k - depth)
+            return sum(walk(depth + 1, rest, size) for _, rest, size in choices)
 
-        return walk(0, self.base_mask) if self.base_mask else 0
+        mask = self.base_mask
+        return walk(0, mask, mask.bit_count()) if mask else 0
 
 
 def find_configuration_restricted(
@@ -546,7 +609,7 @@ def count_patterns_exact(
     base: ElementsLike,
     inners: Sequence[ElementsLike],
     *,
-    budget: int = COUNT_BUDGET,
+    budget: int = WORD_BUDGET,
 ) -> tuple[int, Fraction]:
     """Exact tuple count and density for the indicator of ``subset``.
 
@@ -555,7 +618,8 @@ def count_patterns_exact(
     offsets included as in the dense contraction, of the popcount of
     ``base ∩ ⋂_{i<=j} (A - n_i - n_j)``, walked as in
     :func:`find_configuration_restricted`, and like it metered in 64-bit words
-    read against ``budget``; the tuple space itself is not charged.
+    read against ``budget`` (``WORD_BUDGET`` by default, as every word meter);
+    the tuple space itself is not charged.
     """
     a, ns, cost = _tuple_space(base, inners)
     bs = sorted_distinct(a)
@@ -637,13 +701,15 @@ def check_counting_bound(
     base: ElementsLike,
     inners: Sequence[ElementsLike],
     *,
-    budget: int = COUNT_BUDGET,
+    budget: int = WORD_BUDGET,
 ) -> CountingBoundReport:
     """If no configuration lives on the restricted domain, ``T_s(1_A) <= s^2/|N_s|``.
 
     Only tuples with a repeated offset can contribute, and with nested inner
     sets each collision event has probability at most ``1/|N_s|``. The
-    comparison is exact: both sides are rationals.
+    comparison is exact: both sides are rationals. ``budget`` is the exact
+    count's, in 64-bit words read (``WORD_BUDGET`` by default); the freeness
+    search runs at its own default.
     """
     s = len(inners)
     sizes = [as_elements(x).size for x in inners]

@@ -1,20 +1,25 @@
 """Sumfree subsets, Freiman 2-isomorphisms, and verified embeddings.
 
 A set ``Z`` is *sumfree with respect to* ``W`` when ``z1 + z2`` avoids ``W``
-for every pair of distinct ``z1 != z2`` in ``Z`` (``z + z`` is allowed). The
-sumfree search is the element walk of the shifted-AND kernel in
-:mod:`bohrkit.patterns` that also runs the extent configuration search:
-there a pair ``x, y`` must have ``x + y`` in ``2A``, here ``z1 + z2`` must
-miss ``A``. Both meter their work in 64-bit words read.
+for every pair of distinct ``z1 != z2`` in ``Z`` (``z + z`` is allowed); the
+predicate looks the pair sums up in ``W`` in blocks. The sumfree search is
+the element walk of the shifted-AND kernel in :mod:`bohrkit.patterns` that
+also runs the extent configuration search: there a pair ``x, y`` must have
+``x + y`` in ``2A``, here ``z1 + z2`` must miss ``A``. Both meter their work
+in 64-bit words read.
 
 The embedding compresses a set of integers with small difference set into a
 prime cyclic group through ``a -> (lam * a) mod p`` restricted to the most
 popular half-interval of residues, which preserves additive quadruples in
 both directions. Every returned map passes an exact check that covers all
-quadruples: the map is a 2-isomorphism iff the partition of the pairs
-``i <= j`` by domain sum equals their partition by image sum, which one sort
-of the ``n(n+1)/2`` pair sums decides in ``O(n^2 log n)`` time. So the
-randomness in ``lam`` affects only the success rate, never soundness.
+quadruples. A map ``a -> lam * a mod p`` with ``lam`` invertible is one
+exactly when the distinct sums of ``dom + dom`` have distinct residues mod
+``p``: formed as an OR of shifted bitsets and counted by one ``bincount`` on
+a dense span, or by one sort of the ``n(n+1)/2`` pair sums on a sparse one.
+Any other map is checked by the partition test: it is a 2-isomorphism iff the
+partition of the pairs ``i <= j`` by domain sum equals their partition by
+image sum, which one sort of the pair sums decides in ``O(n^2 log n)`` time.
+So the randomness in ``lam`` affects only the success rate, never soundness.
 
 :func:`find_configuration_via_embedding` reports that embedding for its input
 and answers by the direct configuration search on the input itself.
@@ -22,6 +27,7 @@ and answers by the direct configuration search on the input itself.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +35,14 @@ from typing import Optional
 
 import numpy as np
 
-from .bohr import ElementsLike, as_elements, require_int64, sorted_distinct
+from .bohr import (
+    INT64_MAX,
+    ElementsLike,
+    chunk_rows,
+    require_int64,
+    sorted_distinct,
+    sorted_lookup,
+)
 from .exact import RationalLike, Wired, as_rational
 from .patterns import (
     Configuration,
@@ -42,14 +55,24 @@ from .patterns import (
 
 
 def is_sumfree_with_respect_to(z: ElementsLike, w: ElementsLike) -> bool:
-    """True iff ``z1 + z2`` misses ``w`` for all distinct ``z1 != z2`` in ``z``."""
-    zs = sorted_distinct(z)
-    ws = set(as_elements(w).tolist())
-    lst = zs.tolist()
-    for i in range(len(lst)):
-        for j in range(i + 1, len(lst)):
-            if lst[i] + lst[j] in ws:
-                return False
+    """True iff ``z1 + z2`` misses ``w`` for all distinct ``z1 != z2`` in ``z``.
+
+    The pair sums are looked up in ``w`` a block of rows at a time, each block
+    at most 2^18 sums (:func:`bohrkit.bohr.chunk_rows`). A sum past the int64
+    range is in no int64 set: the element walk's sign test drops it rather
+    than let it wrap onto another value.
+    """
+    zs, ws = sorted_distinct(z), sorted_distinct(w)
+    lo = 0
+    while lo < zs.size - 1:
+        hi = min(zs.size - 1, lo + chunk_rows(zs.size - lo - 1))
+        ys, above = zs[lo:hi, None], zs[lo + 1:]
+        sums = above + ys
+        looked = np.arange(lo + 1, zs.size) > np.arange(lo, hi)[:, None]
+        looked &= ((above ^ sums) & (ys ^ sums)) >= 0
+        if np.any(sorted_lookup(ws, sums[looked])[1]):
+            return False
+        lo = hi
     return True
 
 
@@ -89,26 +112,74 @@ class FreimanMap:
         }
 
 
+def _sums_collide(dom: np.ndarray, p: int) -> bool:
+    """Whether two distinct sums of ``dom + dom`` (sorted distinct, its pair
+    sums in int64) are congruent mod ``p``.
+
+    Two distinct sums differ by at most twice the span, so below ``p`` none
+    are. A span whose sums fit in no more 64-bit words than ``dom`` has points
+    is dense: the sums are an OR of shifted copies of its bitset, and one
+    ``bincount`` of their residues finds a repeat. Otherwise the pair sums
+    are sorted once; more distinct sums than ``p`` must collide.
+    """
+    if dom.size == 0:
+        return False
+    lo, span = int(dom[0]), int(dom[-1]) - int(dom[0])
+    if 2 * span < p:
+        return False
+    if (2 * span) // 64 + 1 <= dom.size:
+        bits = np.zeros(span + 1, dtype=bool)
+        bits[dom - lo] = True
+        row = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        sums = 0
+        for d in (dom - lo).tolist():
+            sums |= row << d
+        packed = np.frombuffer(sums.to_bytes(span // 4 + 1, "little"), dtype=np.uint8)
+        offsets = np.flatnonzero(np.unpackbits(packed, bitorder="little"))
+        return int(np.bincount((offsets + 2 * lo) % p).max()) > 1
+    iu, ju = np.triu_indices(dom.size)
+    sums = sorted_distinct(dom[iu] + dom[ju])
+    return sums.size > p or sorted_distinct(sums % p).size < sums.size
+
+
 def check_freiman_isomorphic(fm: FreimanMap) -> bool:
-    """Exact two-direction 2-isomorphism check, as a partition test on pair sums.
+    """Exact two-direction 2-isomorphism check.
 
     The map is a Freiman 2-isomorphism when, for every quadruple
     ``(a1, a2, a3, a4)`` from the domain, ``a1 + a2 == a3 + a4`` holds exactly
-    when ``phi(a1) + phi(a2) == phi(a3) + phi(a4) (mod modulus)``. That says
-    two partitions of the unordered pairs ``i <= j`` are equal: the one by
-    domain sum ``D`` and the one by image sum ``I`` mod the modulus (ordered
-    pairs give the same partitions, since both sums are symmetric). Two
-    partitions of one set are equal iff ``#D == #(D, I) == #I`` distinct
-    values. One ``lexsort`` by ``(D, I)`` puts each ``D`` class in a run: the
-    first count holds iff ``I`` is constant on every run, and then the second
-    iff the runs' ``I`` values are distinct. ``O(n^2 log n)`` time and
-    ``O(n^2)`` memory for ``n`` domain points, in integers only. A pair sum
-    outside int64 raises ``ValueError`` rather than wrap.
+    when ``phi(a1) + phi(a2) == phi(a3) + phi(a4) (mod modulus)``.
+
+    A map ``a -> lam * a mod p`` (``multiplier`` ``lam`` prime to the modulus
+    ``p``, its images checked equal to ``lam * a mod p`` in ``O(n)``) sends a
+    sum ``D`` to ``lam * D mod p``, so it is one exactly when the distinct
+    sums of ``dom + dom`` have distinct residues mod ``p``; see
+    :func:`_sums_collide`.
+
+    Any other map goes through the partition test. The condition says two
+    partitions of the unordered pairs ``i <= j`` are equal: the one by domain
+    sum ``D`` and the one by image sum ``I`` mod the modulus (ordered pairs
+    give the same partitions, since both sums are symmetric). Two partitions
+    of one set are equal iff ``#D == #(D, I) == #I`` distinct values. One
+    ``lexsort`` by ``(D, I)`` puts each ``D`` class in a run: the first count
+    holds iff ``I`` is constant on every run, and then the second iff the
+    runs' ``I`` values are distinct. ``O(n^2 log n)`` time and ``O(n^2)``
+    memory for ``n`` domain points, in integers only.
+
+    A pair sum outside int64 raises ``ValueError`` rather than wrap, on
+    either route.
     """
     for what, values in (("domain pair", fm.domain), ("image pair", fm.images)):
         if values.size:
             ends = (int(values.min()), int(values.max()))
             require_int64(what, ends, ends)
+    p, lam = fm.modulus, fm.multiplier
+    if (
+        0 < p
+        and (p - 1) ** 2 <= INT64_MAX  # (a mod p) * (lam mod p) stays in int64
+        and math.gcd(lam, p) == 1
+        and np.array_equal(fm.domain % p * (lam % p) % p, fm.images)
+    ):
+        return not _sums_collide(fm.domain, p)
     iu, ju = np.triu_indices(fm.domain.size)
     dom_sums = fm.domain[iu] + fm.domain[ju]
     img_sums = (fm.images[iu] + fm.images[ju]) % fm.modulus
@@ -208,6 +279,13 @@ def ruzsa_embed(
         raise PreconditionError(
             f"difference set has {diff_size} elements, exceeding K|A| = {k * n}"
         )
+    return _embed(arr, k, diff_size, retries, seed)
+
+
+def _embed(arr: np.ndarray, k: Fraction, diff_size: int, retries: int, seed: int) -> EmbedResult:
+    """:func:`ruzsa_embed`'s search once its precondition holds: ``arr`` is
+    nonempty, sorted and distinct, and ``|arr - arr| = diff_size <= k |arr|``."""
+    n = arr.size
     cap_frac = _C_EMBED * k * n
     cap = int(cap_frac) if cap_frac == int(cap_frac) else int(cap_frac) + 1
     rng = random.Random(seed)
@@ -311,14 +389,16 @@ def find_configuration_via_embedding(
 ) -> EmbeddingSearch:
     """Search the input for an h-configuration, and report its embedding.
 
-    The doubling ``K = |Y3 - Y3| / |Y3|`` is measured exactly and declared to
-    :func:`ruzsa_embed`, whose result is reported as it is. The answer is one
+    The doubling ``K = |Y3 - Y3| / |Y3|`` is measured exactly, once, and
+    declared to the search of :func:`ruzsa_embed` (which it meets by
+    construction), whose result is reported as it is. The answer is one
     :func:`find_configuration` on the input itself, under ``budget`` words;
     the embedding never decides it.
     """
     arr = sorted_distinct(y3)
     if arr.size == 0:
         raise ValueError("empty input set")
-    emb = ruzsa_embed(arr, Fraction(difference_size(arr), int(arr.size)), seed=seed)
+    diff_size = difference_size(arr)  # |Y3 - Y3|, once: it is both K and the embedding's
+    emb = _embed(arr, Fraction(diff_size, int(arr.size)), diff_size, EMBED_RETRIES, seed)
     direct = find_configuration(arr, h, budget=budget)
     return EmbeddingSearch(direct.status, direct.config, "direct", emb, direct)

@@ -517,6 +517,87 @@ MUTANTS = [
             "tests/test_sumfree.py::test_embedding_search_answers_as_the_direct_search[interval.N60]",
         ],
     },
+    {
+        "file": "patterns.py",
+        "drops": "the element walk's cut off by one: a choice needs need - 1 partners, not need",
+        "old": "            if size >= need - 1:\n",
+        "new": "            if size >= need:\n",
+        "kills": [
+            "tests/test_sumfree.py::test_find_sumfree_cuts_by_cardinality",
+            "tests/test_patterns.py::test_element_walk_matches_replay",
+        ],
+    },
+    {
+        "file": "patterns.py",
+        "drops": "the element walk's last choice with exactly as many candidates left as needed",
+        "old": "        while left >= need:\n",
+        "new": "        while left > need:\n",
+        "kills": [
+            "tests/test_sumfree.py::test_find_sumfree_cuts_by_cardinality",
+            "tests/test_patterns.py::test_extent_search_matches_combinations_oracle",
+        ],
+    },
+    {
+        "file": "patterns.py",
+        "drops": "the ranks strictly above each row of a block of rank rows",
+        "old": "        upper = np.arange(i + 1, xs.size) > np.arange(i, stop)[:, None]",
+        "new": "        upper = np.arange(i + 1, xs.size) >= np.arange(i, stop)[:, None]",
+        "kills": [
+            "tests/test_patterns.py::test_block_rows_match_rows_built_alone",
+            "tests/test_patterns.py::test_extent_search_none_on_behrend_million",
+        ],
+    },
+    {
+        "file": "patterns.py",
+        "drops": "the budget's cap on the lookups of a block of rank rows",
+        "old": "min(chunk_rows(width), width, 1 + run, 1 + (self.budget - self.work) // width)",
+        "new": "min(chunk_rows(width), width, 1 + run)",
+        "kills": ["tests/test_patterns.py::test_rank_row_blocks_are_bounded"],
+    },
+    {
+        "file": "patterns.py",
+        "drops": "the cap of a block of rank rows at the run of rows read right below it",
+        "old": "min(chunk_rows(width), width, 1 + run, 1 + (self.budget - self.work) // width)",
+        "new": "min(chunk_rows(width), width, 1 + (self.budget - self.work) // width)",
+        "kills": ["tests/test_patterns.py::test_rank_row_blocks_are_bounded"],
+    },
+    {
+        "file": "sumfree.py",
+        "drops": "the sumset, not the difference set, of a sparse domain in the sumset criterion",
+        "old": "    sums = sorted_distinct(dom[iu] + dom[ju])\n",
+        "new": "    sums = sorted_distinct(dom[iu] - dom[ju])\n",
+        "kills": [
+            "tests/test_sumfree.py::test_sumset_criterion_matches_partition_check",
+            "tests/test_sumfree.py::test_sumset_criterion_draws_both_verdicts_on_both_spans",
+        ],
+    },
+    {
+        "file": "sumfree.py",
+        "drops": "the sumset of a dense domain as copies shifted up, in the sumset criterion",
+        "old": "            sums |= row << d\n",
+        "new": "            sums |= row >> d\n",
+        "kills": [
+            "tests/test_sumfree.py::test_sumset_criterion_matches_partition_check",
+            "tests/test_sumfree.py::test_sumset_criterion_draws_both_verdicts_on_both_spans",
+        ],
+    },
+    {
+        "file": "sumfree.py",
+        "drops": "the reduction mod p of the sums before their residues are counted",
+        "old": "        return int(np.bincount((offsets + 2 * lo) % p).max()) > 1\n",
+        "new": "        return int(np.bincount(offsets + 2 * lo).max()) > 1\n",
+        "kills": [
+            "tests/test_sumfree.py::test_sumset_criterion_matches_partition_check",
+            "tests/test_sumfree.py::test_sumset_criterion_draws_both_verdicts_on_both_spans",
+        ],
+    },
+    {
+        "file": "sumfree.py",
+        "drops": "the sign test that makes a pair sum past int64 miss in the sumfree predicate",
+        "old": "        looked &= ((above ^ sums) & (ys ^ sums)) >= 0\n",
+        "new": "",
+        "kills": ["tests/test_sumfree.py::test_sumfree_matches_literal_loop_near_int64_ends"],
+    },
 ]
 
 

@@ -11,6 +11,8 @@ against a replay of its walk on sorted lists.
 
 from __future__ import annotations
 
+import contextlib
+import inspect
 import itertools
 import math
 import random
@@ -29,6 +31,7 @@ from bohrkit import patterns
 from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded, ElementsLike, as_elements
 from bohrkit.functions import BoundedFunction
 from bohrkit.patterns import (
+    WORD_BUDGET,
     Configuration,
     DichotomyOutcome,
     FinderResult,
@@ -142,7 +145,10 @@ def element_walk_oracle(
     Chooses ``y`` ascending among the candidates and keeps the larger ones
     ``x`` whose pair qualifies: ``(x + y) / 2`` (with ``midpoints``) or
     ``x + y`` is in the set, or with ``avoid`` is not; at the last depth
-    every candidate completes a subset. Words follow the kernel's meter,
+    every candidate completes a subset. A ``y`` is chosen only while at least
+    as many candidates are left, itself included, as points are still to be
+    chosen, and a ``y`` whose larger candidates are too few to finish is not
+    descended into. Words follow the kernel's meter,
     worked out from the values. When the pair sums ``[2 lo, 2 hi]`` fit in
     no more words than the set has elements, packing costs the words of
     ``[lo, hi]`` and of the sums, and each ``y`` with a larger candidate
@@ -195,10 +201,13 @@ def element_walk_oracle(
             if first is None:
                 first, first_work = prefix + [cand[0]], work
             return
-        for i, y in enumerate(cand[:-1]):
+        need = k - len(prefix)  # points still to choose, y among them
+        for i, y in enumerate(cand):
+            if len(cand) - i < need:
+                break
             charge(y)
             rest = [x for x in cand[i + 1 :] if qualifies(x + y)]
-            if rest:
+            if len(rest) >= need - 1:
                 walk(prefix + [y], rest)
 
     walk([], xs)
@@ -509,12 +518,12 @@ def test_extent_search_work_pinned():
     # (in 64-bit words read)
     assert find_configuration(behrend_set(500), 2).work == 180
     res = find_configuration(random_set(200, 0.3, seed=3), 4)
-    assert (res.status, res.work) == ("found", 156)
+    assert (res.status, res.work) == ("found", 140)
     assert (res.config.a, res.config.ns) == (0, (5, 57, 60, 71))
     subset = random_set(60, 0.5, seed=1)
-    assert count_configurations(subset, 3, budget=326) == 285
+    assert count_configurations(subset, 3, budget=325) == 285
     with pytest.raises(BudgetExceeded):
-        count_configurations(subset, 3, budget=325)
+        count_configurations(subset, 3, budget=324)
     assert find_configuration(behrend_set(500), 2, budget=179).work == 180
 
 
@@ -523,6 +532,123 @@ def test_extent_search_none_on_behrend_million():
     # proved inside the default budget of 10^8 words
     res = find_configuration(behrend_set(10**6), 2)
     assert (res.status, res.work) == ("none", 1473185)
+
+
+class RowAloneKernel(ShiftedAndKernel):
+    """The element walk with each rank row built alone when first read, by a
+    loop over Python integers: one word per element above it, then the row's
+    words per AND. The kernel builds the same rows in numpy blocks."""
+
+    def _rank_row(self, i: int) -> int:
+        row = self.rows.get(i)
+        if row is None:
+            xs = self.xs.tolist()
+            self._charge(len(xs) - i - 1)
+            members = set(xs)
+
+            def qualifies(total: int) -> bool:
+                if self.midpoints:
+                    return (total % 2 == 0 and total // 2 in members) != self.avoid
+                return (total in members) != self.avoid
+
+            row = sum(1 << j for j in range(i + 1, len(xs)) if qualifies(xs[i] + xs[j]))
+            self.rows[i] = row
+        self._charge(patterns._words(row.bit_length()))
+        return row
+
+
+@st.composite
+def sparse_sets(draw):
+    """A small dense pattern dilated far apart, so the walk is over ranks, with
+    a few stray points, some at or near the ends of the int64 range."""
+    pattern = draw(st.lists(st.integers(-12, 24), min_size=2, max_size=30, unique=True))
+    c = draw(st.integers(10**4, 10**6))
+    d = draw(st.sampled_from([0, 0, 1, 7]))
+    ends = st.sampled_from([_INT64_MIN, _INT64_MAX, 2**62, -(2**62), 2**62 + 3])
+    stray = draw(st.lists(st.one_of(ends, st.integers(-10**9, 10**9)), max_size=4))
+    return sorted({c * x + d for x in pattern} | set(stray))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    xs=sparse_sets(),
+    k=st.integers(2, 4),
+    midpoints=st.booleans(),
+    avoid=st.booleans(),
+    share=st.fractions(0, 1),
+)
+@example(xs=[0, 10**5, 2 * 10**5, 4 * 10**5], k=3, midpoints=True, avoid=False, share=Fraction(1, 2))
+@example(xs=[-(2**62), 0, 2**62, 2**62 + 3, _INT64_MAX], k=2, midpoints=False, avoid=True,
+         share=Fraction(1, 3))
+def test_block_rows_match_rows_built_alone(xs, k, midpoints, avoid, share):
+    # the rows, the words and the point of refusal, at the full budget, one
+    # word short of it and at a share of it (a small budget makes short blocks)
+    arr = np.array(xs, dtype=np.int64)
+
+    def walk(cls, budget, how):
+        kernel = cls(budget)
+        kernel.pack_elements(arr, midpoints=midpoints, avoid=avoid)
+        assert kernel.ranked
+        try:
+            got = kernel.first_subset(k) if how == "first" else kernel.count_subsets(k)
+        except BudgetExceeded as e:
+            got = ("refused", e.spent)
+        return got, kernel.work, kernel.rows
+
+    for how in ("first", "count"):
+        alone = walk(RowAloneKernel, 10**8, how)
+        assert walk(ShiftedAndKernel, 10**8, how) == alone
+        work = alone[1]
+        for budget in (work - 1, int(share * work)):
+            assert walk(ShiftedAndKernel, budget, how) == walk(RowAloneKernel, budget, how)
+
+
+def test_rank_row_blocks_are_bounded():
+    # a block is a run of rows not built before, of at most 2^18 entries, at
+    # most one row longer than the run of rows read right below it, and its
+    # rows past the first hold no more lookups than the budget left
+    blocks: list[tuple[int, list[int], int, int, bool]] = []
+
+    class Recorded(ShiftedAndKernel):
+        def _build_rows(self, i: int) -> None:
+            before, left, run = set(self.built) | set(self.rows), self.budget - self.work, 0
+            while i - run - 1 in self.rows:
+                run += 1
+            super()._build_rows(i)
+            rows = sorted(set(self.built) - before)
+            blocks.append((i, rows, run, left, i + len(rows) in before))
+
+    behrend, spread = behrend_set(10**5), random_set(1500, 0.4, seed=5) * 10**4
+    doubling = [(0, 1), (1, 2), (3, 4), (7, 8), (15, 16), (31, 32), (63, 64), (127, 128)]
+    cases = [  # set, s, budget, blocks as (first row, rows) when pinned, rows read
+        (behrend, 2, 10**8, doubling + [(255, 206)], 461),  # rows read in order
+        (behrend, 2, 5000, doubling[:3] + [(7, 3)], 10),  # as far as the budget reaches
+        (spread, 3, 10**8, None, 621),  # rows read apart, in 511 blocks
+    ]
+    for xs, k, budget, shape, read in cases:
+        blocks.clear()
+        kernel = Recorded(budget)
+        kernel.pack_elements(xs, midpoints=True, avoid=False)
+        with contextlib.suppress(BudgetExceeded):
+            kernel.count_subsets(k)
+        assert shape is None or [(i, len(rows)) for i, rows, *_ in blocks] == shape
+        assert len(kernel.rows) == read
+        for i, rows, run, left, _ in blocks:
+            width = xs.size - i - 1
+            assert rows == list(range(i, i + len(rows)))
+            assert len(rows) * width <= 2**18 and len(rows) <= 1 + run
+            assert (len(rows) - 1) * width <= left
+    assert len(blocks) == 511
+    assert any(stopped and len(rows) <= run for _, rows, run, _, stopped in blocks)
+    alone = RowAloneKernel(10**8)
+    alone.pack_elements(spread, midpoints=True, avoid=False)
+    assert (alone.count_subsets(3), alone.work, alone.rows) == (740827, kernel.work, kernel.rows)
+
+
+def test_word_meters_default_to_the_word_budget():
+    # the exact count meters 64-bit words, as every search does
+    for fn in (count_patterns_exact, check_counting_bound):
+        assert inspect.signature(fn).parameters["budget"].default == WORD_BUDGET
 
 
 def test_extent_search_on_wide_sparse_sets():

@@ -15,6 +15,7 @@ import itertools
 import random
 from fractions import Fraction
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -126,6 +127,43 @@ def test_sumfree_matches_oracle():
         assert is_sumfree_with_respect_to(z, sorted(w)) == sumfree_oracle(z, w)
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_NEAR_ENDS = st.one_of(
+    st.integers(-30, 30),
+    st.integers(_INT64_MAX - 30, _INT64_MAX),
+    st.integers(_INT64_MIN, _INT64_MIN + 30),
+    st.sampled_from([2**62, -(2**62), 2**62 - 1, -(2**62) - 1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    z=st.lists(_NEAR_ENDS, max_size=12, unique=True),
+    w=st.lists(_NEAR_ENDS, max_size=8),
+    planted=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=2),
+)
+# 2^62 + 2^62 wraps onto -2^63, and (2^63 - 1) + 1 onto -2^63 too: both miss
+@example(z=[1, 2**62, _INT64_MAX], w=[_INT64_MIN], planted=[])
+@example(z=[_INT64_MIN, -1], w=[_INT64_MAX], planted=[])
+def test_sumfree_matches_literal_loop_near_int64_ends(z, w, planted):
+    # w holds planted pair sums of z that fit int64, so both verdicts are drawn
+    for i, j in planted:
+        if i < j < len(z) and _INT64_MIN <= z[i] + z[j] <= _INT64_MAX:
+            w = w + [z[i] + z[j]]
+    assert is_sumfree_with_respect_to(z, w) == sumfree_oracle(sorted(z), set(w))
+
+
+def test_sumfree_blocks_reach_every_pair():
+    # 1200 points take several blocks of pair sums; the one sum that hits is
+    # the largest, in the last block
+    z = random_set(4000, 0.3, seed=6)
+    top = int(z[-2] + z[-1])
+    assert is_sumfree_with_respect_to(z, [top + 1, -5]) is True
+    assert is_sumfree_with_respect_to(z, [top + 1, top]) is False
+    w = {top - 1, 2 * int(z[0])}
+    assert is_sumfree_with_respect_to(z, sorted(w)) == sumfree_oracle(z.tolist(), w)
+
+
 # ---------------------------------------------------------------------------
 # Freiman maps
 # ---------------------------------------------------------------------------
@@ -226,6 +264,89 @@ def test_freiman_check_matches_partition_oracle_at_eighty_points():
         shuffled = FreimanMap(fm.domain, fm.modulus, rng.sample(images.tolist(), images.size))
         assert check_freiman_isomorphic(shuffled) == freiman_partition_oracle(shuffled)
     assert False in verdicts
+
+
+def linear_map(dom: list[int], p: int, lam: int, *, honest: bool = True) -> FreimanMap:
+    """``a -> lam * a mod p`` on the first point of each residue class of
+    ``dom``; with ``honest`` false the images are rolled one place along the
+    domain while the map still names ``lam``."""
+    first = {a % p: a for a in sorted(dom, reverse=True)}
+    kept = np.array(sorted(first.values()), dtype=np.int64)
+    images = kept % p * lam % p
+    return FreimanMap(kept, p, images if honest else np.roll(images, 1), multiplier=lam)
+
+
+def dense_span(fm: FreimanMap) -> bool:
+    """The sums of the domain fit in no more words than it has points."""
+    span = int(fm.domain[-1]) - int(fm.domain[0])
+    return (2 * span) // 64 + 1 <= fm.domain.size
+
+
+@st.composite
+def linear_maps(draw):
+    """A linear map on 1 to 40 points from ``[lo, lo + width]``: a width of a
+    few points each (a dense span) or up to 10^5 (a sparse one), ``lo`` as low
+    as -10^6, and a prime modulus up to 1009."""
+    n = draw(st.integers(1, 40))
+    lo = draw(st.integers(-(10**6), 10**6))
+    width = draw(st.one_of(st.integers(0, 4 * n), st.integers(32 * n, 10**5)))
+    dom = draw(st.lists(st.integers(lo, lo + width), min_size=1, max_size=n, unique=True))
+    p = draw(st.sampled_from([2, 3, 5, 31, 97, 211, 503, 1009]))
+    return linear_map(dom, p, draw(st.integers(1, p - 1)), honest=draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fm=linear_maps())
+@example(fm=linear_map([-7, -3, 2, 9], 37, 5))  # 2 span = 32 < 37: no two sums meet
+@example(fm=linear_map(list(range(-40, -10)), 31, 3))  # dense, 59 sums in 31 classes
+@example(fm=linear_map([-10**5, -3, 0, 777, 4 * 10**4], 97, 11))  # sparse
+@example(fm=linear_map([-10**5, -3, 0, 777, 4 * 10**4], 97, 11, honest=False))
+def test_sumset_criterion_matches_partition_check(fm):
+    # the same images checked without the multiplier take the partition route
+    plain = FreimanMap(fm.domain, fm.modulus, fm.images)
+    verdict = check_freiman_isomorphic(fm)
+    assert verdict == check_freiman_isomorphic(plain) == freiman_partition_oracle(plain)
+
+
+def test_sumset_criterion_draws_both_verdicts_on_both_spans():
+    # the seeded sweep reaches the sums' residues through the criterion on
+    # dense and sparse spans, with both verdicts on each
+    rng = random.Random(57)
+    seen = set()
+    with mock.patch.object(sumfree, "_sums_collide", wraps=sumfree._sums_collide) as route:
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            lo = rng.randint(-(10**6), 10**6)
+            width = rng.choice([rng.randint(n, 4 * n), rng.randint(32 * n, 10**5)])
+            dom = rng.sample(range(lo, lo + width + 1), min(n, width + 1))
+            p = rng.choice([31, 97, 211, 503, 1009])
+            fm = linear_map(dom, p, rng.randrange(1, p))
+            span = int(fm.domain[-1]) - int(fm.domain[0])
+            calls = route.call_count
+            verdict = check_freiman_isomorphic(fm)
+            assert route.call_count == calls + 1
+            assert verdict == freiman_partition_oracle(fm)
+            if 2 * span >= p:  # below that no two sums can meet mod p
+                seen.add((dense_span(fm), verdict))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_sumset_criterion_only_for_linear_maps():
+    # a multiplier sharing a factor with the modulus, images that are not
+    # lam * a mod p, and a modulus whose products pass int64 all take the
+    # partition route
+    route = mock.patch.object(sumfree, "_sums_collide", side_effect=AssertionError)
+    dom = np.array([0, 1, 2, 5])
+    with route:
+        # a -> 2a mod 12 joins 0 + 0 and 2 + 4, whose sums differ by 6, not 12
+        halved = np.array([0, 1, 2, 4])
+        assert check_freiman_isomorphic(FreimanMap(halved, 12, halved * 2, multiplier=2)) is False
+        assert check_freiman_isomorphic(FreimanMap(dom, 13, np.array([0, 1, 3, 9]),
+                                                   multiplier=1)) is False
+        big = 2**61 - 1
+        assert check_freiman_isomorphic(FreimanMap(dom, big, dom * 3, multiplier=3)) is True
+    assert check_freiman_isomorphic(FreimanMap(dom, 13, dom * 4 % 13, multiplier=4)) is True
+    assert check_freiman_isomorphic(FreimanMap(dom, 13, dom * 4 % 13, multiplier=-9)) is True
 
 
 @st.composite
@@ -398,7 +519,13 @@ def test_find_sumfree_budget():
         find_sumfree_subset(list(range(1, 40)), 5, budget=3)
 
 
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+def test_find_sumfree_cuts_by_cardinality():
+    # a 21-subset of [1, 80] whose pair sums avoid it has 20 points above
+    # 80 - y over its least y, so y = 20 and the rest is 61..80. The walk stops
+    # at every smaller y, whose larger partners are too few to finish, and
+    # reads 103 words; entering those subtrees would read over 10^6
+    got = find_sumfree_subset(np.arange(1, 81), 21, budget=1000)
+    assert got.tolist() == [20, *range(61, 81)]
 
 
 @st.composite
