@@ -18,17 +18,13 @@ Design principles:
     computed (by doubling when ``(n mod q_j) p_j`` could pass int64) and its
     decisions tiled; any other candidates take Horner's rule over the digits
     of ``p_j``. Only ``q_j >= 2^62`` makes an object array,
-  * keys are formed only where dilates must be ordered (certificates and
-    the dilation search): the *entry dilation* of ``n`` is
-    ``alpha(n) = max(|n|/M, max_j ||n theta_j|| / eps)``, represented exactly
-    as ``K(n) / B`` for a shared denominator ``B``; then
-    ``n in (1+c) * Lambda  <=>  K(n) <= B * (1+c)``. Keys are an object
-    array of exact Python integers only when a product ``|n| mult_M`` or
-    ``min(r, q_j - r) mult_j`` reaches 2^62, never because of ``q_j`` alone,
-  * one key index serves every dilate: ``alpha_{c Lambda}(n) =
-    alpha_Lambda(n) / c``, so one sorted key array over the widest window
-    answers the size of every dilate, every certificate and every candidate
-    of a dilation search with ``searchsorted``,
+  * certificates and the dilation search order dilates by the *entry
+    dilation* ``alpha(n) = max(|n|/M, max_j ||n theta_j|| / eps) = K(n) / B``
+    (``B`` shared, and ``alpha_{c Lambda} = alpha_Lambda / c``) read from a
+    *key band*, the keys in ``[B lo (1-w), B hi (1+w)]`` for dilations in
+    ``[lo, hi]``: each size is a count below the band plus a rank in it, the
+    count by int64 bound tests for every ``q_j < 2^62``, and exact keys (int64
+    when they fit, Python integers otherwise) exist only inside the band,
   * regularity certificates evaluate the two-sided size bound, in integers,
     at every membership breakpoint inside the window plus the window
     endpoints and 0;
@@ -41,6 +37,7 @@ Design principles:
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -201,35 +198,52 @@ def _fold(acc: np.ndarray, period: np.ndarray, ufunc: np.ufunc) -> None:
     ufunc(acc[whole:], period[: acc.size - whole], out=acc[whole:])
 
 
-def _entry_keys(spec: BohrSpec, ns: np.ndarray) -> tuple[np.ndarray, int]:
-    """Exact entry keys ``K(n)`` of the window ``ns`` and their shared denominator ``B``.
+def _key_band(spec: BohrSpec, lo: Fraction, hi: Fraction, enum_limit: int) -> tuple:
+    """``(B, below, keys)`` for the band ``[B lo (1-w), B hi (1+w)]``, ``w = 1/(100 d)``:
+    the sorted entry keys ``K(n)`` in it for ``n >= 1``, each standing for ``n``
+    and ``-n``, and the number of keys below it. The window is charged first.
 
-    ``alpha(n) = K(n)/B`` is the smallest dilation of the description that
-    contains ``n``, with ``K(n) = max(|n| mult_M, max_j min(r, q_j - r) mult_j)``
-    and ``r = n p_j mod q_j``. ``ns`` is a run of consecutive integers, so
-    each residue term is computed for one period and taken into the keys one
-    period-long row at a time. Constraints with ``theta_j = 1`` always hold
-    and are skipped. Keys are int64 when every product ``|n| mult_M`` and
-    ``min(r, q_j - r) mult_j`` stays below 2^62, otherwise an object array
-    of exact Python integers.
+    ``K(n) = max(|n| mult_M, max_j min(r, q_j - r) mult_j)`` with ``r = n p_j mod q_j``
+    (frequencies 1 are skipped) is at most ``T`` when ``|n| <= T // mult_M`` and
+    every ``min(r, q_j - r) <= T // mult_j``: each candidate's level (2 below the
+    band, 1 in it, 0 above) is folded one frequency at a time from one period of
+    those tests, on ``n >= 0`` only (keys are even in ``n``, and ``K(0) = 0`` lies
+    below). Exact keys are formed in the band alone: int64 when ``hi_key`` and
+    every multiplier, so every product, stays below 2^62.
     """
+    m = 100 * spec.dim
     en, ed = spec.eps.numerator, spec.eps.denominator
     mn, md = spec.M.numerator, spec.M.denominator
     pq = [(t.numerator, t.denominator) for t in spec.theta if t != 1]
     B = math.lcm(mn, *(en * q for _, q in pq))
     mult_M = md * (B // mn)
-    comps = [(p, q, ed * (B // (en * q))) for p, q in pq]
-    nmax = max(-int(ns[0]), int(ns[-1]), 1)
-    exact = nmax * mult_M >= _INT64_SAFE or any(
-        q >= _INT64_SAFE or q // 2 * mult >= _INT64_SAFE for _, q, mult in comps
-    )
-    keys = np.abs(ns.astype(object) if exact else ns)
-    keys *= mult_M
-    for p, q, mult in comps:
+    below_key = -floor_frac(-B * lo * (m - 1) / m) - 1  # at least 0 = K(0)
+    hi_key = floor_frac(B * hi * (m + 1) / m)
+    nmax = hi_key // mult_M
+    ns = _window(nmax, enum_limit)[nmax:]
+
+    level = np.ones(ns.size, dtype=np.uint8)
+    level[: below_key // mult_M + 1] = 2
+    terms = []
+    for p, q in pq:
+        mult = ed * (B // (en * q))
+        t_lo = below_key // mult
+        if t_lo >= q // 2:
+            continue  # below the band whatever n is: no band key reads it
         r = _residues(ns, p, q, run=True)
-        term = np.minimum(r, q - r)
-        _fold(keys, (term.astype(object) if exact else term) * mult, np.maximum)
-    return keys, B
+        dist = np.minimum(r, q - r)
+        step = (dist <= t_lo).astype(np.uint8) + (dist <= min(hi_key // mult, q // 2))
+        _fold(level, step, np.minimum)
+        terms.append((dist, mult))
+
+    below = 2 * int(np.count_nonzero(level == 2)) - 1  # n and -n, and 0 once
+    at = np.flatnonzero(level == 1)
+    exact = max(hi_key, mult_M, *(mult for _, mult in terms)) >= _INT64_SAFE
+    keys = at.astype(object if exact else np.int64) * mult_M
+    for dist, mult in terms:
+        keys = np.maximum(keys, dist[at % dist.size].astype(keys.dtype) * mult)
+    keys.sort()
+    return B, below, keys
 
 
 def _window(nmax: int, enum_limit: int) -> np.ndarray:
@@ -238,23 +252,11 @@ def _window(nmax: int, enum_limit: int) -> np.ndarray:
     return np.arange(-nmax, nmax + 1, dtype=np.int64)
 
 
-def _key_index(spec: BohrSpec, nmax: int, enum_limit: int) -> tuple[np.ndarray, int]:
-    """Ascending entry keys of every candidate ``|n| <= nmax``, and ``B``."""
-    keys, B = _entry_keys(spec, _window(nmax, enum_limit))
-    keys.sort()
-    return keys, B
-
-
 def _count_leq(keys: np.ndarray, threshold: int) -> int:
     """How many sorted keys are <= threshold (threshold a Python int)."""
     if keys.dtype != object:
         threshold = min(threshold, _INT64_SAFE)  # int64 keys are all below it
     return int(np.searchsorted(keys, threshold, side="right"))
-
-
-def _distinct_keys(keys: np.ndarray, lo: int, hi: int) -> list[int]:
-    """Ascending distinct sorted keys ``k`` with ``lo < k <= hi``, as Python ints."""
-    return _drop_repeats(keys[_count_leq(keys, lo) : _count_leq(keys, hi)]).tolist()
 
 
 def _drop_repeats(arr: np.ndarray) -> np.ndarray:
@@ -492,49 +494,50 @@ class RegularityCertificate(Wired):
         return out
 
 
-def _certify(
-    spec: BohrSpec, keys: np.ndarray, B: int, c: Fraction
-) -> RegularityCertificate:
-    """Certificate of ``spec``, the ``c``-dilate of the spec indexed by ``keys``.
+def _certify(spec: BohrSpec, band: tuple, c: Fraction) -> RegularityCertificate:
+    """Certificate of ``spec``, the ``c``-dilate of the spec whose key band,
+    covering ``c``, is ``band`` (see :func:`_key_band`).
 
     Entry dilations scale as ``alpha_{c Lambda}(n) = alpha_Lambda(n) / c``, so
-    ``n in (1+x) * spec  <=>  K(n) <= B c (1+x)``: every size is one count
-    against the same sorted keys, which must cover ``|n| <= (1+w) c M``.
+    ``n in (1+x) * spec  <=>  K(n) <= B c (1+x)``, in the band for ``|x| <= w``.
 
     The check runs in integers. With ``B c = P/Q`` and ``m = 100 d``, a point
     ``x`` is held as ``TN`` with ``x = (TN - SN)/SN`` and ``SN = P m``: the
     breakpoint of key ``k`` is ``TN = k Q m``, and ``-w``, ``0`` and ``w`` are
     ``P (m-1)``, ``P m`` and ``P (m+1)``, merged in by value. The size at a
-    breakpoint is the rank of its key's last occurrence in the sorted keys,
-    and a point fails the lower or the upper bound when
+    breakpoint is the count below the band plus twice the rank of its key's
+    last occurrence in it, and a point fails the lower or the upper bound when
 
-        size SN < base (SN - m |TN - SN|)   or   size SN > base (SN + m |TN - SN|).
+        size SN < base (SN - m |TN - SN|)   or   size SN > base (SN + m |TN - SN|),
 
-    These are int64 when the largest product fits, else exact Python
-    integers; only the witness ``c`` and the largest negative gap are
-    rationals.
+    that is, when ``base m |TN - SN| < |size - base| SN``. These are int64
+    when the largest product fits, else exact Python integers; only the
+    witness ``c`` and the largest negative gap are rationals.
     """
+    B, below, keys = band
     m = 100 * spec.dim
     scale = B * c
     P, Q = scale.numerator, scale.denominator
     SN = P * m
 
-    base_size = _count_leq(keys, P // Q)
+    base_size = below + 2 * _count_leq(keys, P // Q)
     if base_size == 0:
         raise ValueError("Bohr set is empty; 0 should always be a member")
 
     lo_key = -(-P * (m - 1) // (Q * m))  # ceil: keys from here on have x >= -w
     hi_key = P * (m + 1) // (Q * m)  # floor: keys up to here have x <= w
-    first, size_plus = _count_leq(keys, lo_key - 1), _count_leq(keys, hi_key)
-    size_minus = _count_leq(keys, P * (m - 1) // (Q * m))
-    run = keys[first:size_plus]
+    first, last = _count_leq(keys, lo_key - 1), _count_leq(keys, hi_key)
+    size_minus = below + 2 * _count_leq(keys, P * (m - 1) // (Q * m))
+    size_plus = below + 2 * last
+    run = keys[first:last]
     # the last occurrence of each distinct key: its rank is the size there
     ends = np.flatnonzero(np.append(run[1:] != run[:-1], run.size > 0))
 
-    # every product and factor below is at most max(|keys| * 2 P (m+1), Q m)
-    dtype = object if max(keys.size * 2 * P * (m + 1), Q * m) >= _INT64_SAFE else np.int64
+    # every product and factor below is at most max(size * 2 P (m+1), Q m)
+    top = max((below + 2 * keys.size) * 2 * P * (m + 1), Q * m)
+    dtype = object if top >= _INT64_SAFE else np.int64
     tn = run[ends].astype(dtype) * (Q * m)
-    sizes = (ends + (first + 1)).astype(dtype)
+    sizes = 2 * (ends + first + 1) + below
     # -w before every breakpoint, 0 among them, w after; a point that is
     # also a breakpoint sits next to it and is kept once
     at = int(np.searchsorted(tn, SN))
@@ -543,16 +546,14 @@ def _certify(
     keep = np.append(True, tn[1:] != tn[:-1])
     tn, sizes = tn[keep], sizes[keep]
 
-    dev = m * np.abs(tn - SN)
-    lower = sizes * SN < base_size * (SN - dev)
-    upper = sizes * SN > base_size * (SN + dev)
-    failed = np.flatnonzero(lower | upper)
+    diff = sizes - base_size
+    failed = np.flatnonzero(base_size * m * np.abs(tn - SN) < np.abs(diff).astype(dtype) * SN)
     witness_c = witness_size = witness_side = None
     if failed.size:
         i = failed[0]
         witness_c = Fraction(int(tn[i]) - SN, SN)
         witness_size = int(sizes[i])
-        witness_side = "lower" if lower[i] else "upper"
+        witness_side = "lower" if diff[i] < 0 else "upper"
 
     neg = tn[tn <= SN]  # -w and 0 at least
     return RegularityCertificate(
@@ -579,9 +580,7 @@ def regularity_certificate(
     ``[-w, w]`` with ``w = 1/(100 d)``, plus ``-w``, ``0`` and ``w``. A
     failure reports the first failing ``c`` (ascending) and the failing side.
     """
-    w = Fraction(1, 100 * spec.dim)
-    keys, B = _key_index(spec, floor_frac((1 + w) * spec.M), enum_limit)
-    return _certify(spec, keys, B, Fraction(1))
+    return _certify(spec, _key_band(spec, Fraction(1), Fraction(1), enum_limit), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -633,33 +632,32 @@ def find_regular_dilation(
     Midpoints keep the dilated boundary as far as possible from any element's
     entry threshold, which is where certificates fail.
 
-    One sorted key index over ``|n| <= (1+w) hi M`` with ``w = 1/(100 d)``
-    serves the candidate scan and every candidate's certificate; ``enum_limit``
-    bounds that window, checked before anything is allocated.
+    One key band over ``[lo, hi]`` (see :func:`_key_band`) serves the scan and
+    every certificate; ``enum_limit`` bounds its window ``|n| <= (1+w) hi M``,
+    checked before allocation. A candidate is formed once the one before fails.
     """
     lo, hi = as_rational(lo), as_rational(hi)
     if not (0 < lo <= hi):
         raise ValueError("need 0 < lo <= hi")
-    w = Fraction(1, 100 * spec.dim)
-    keys, B = _key_index(spec, floor_frac((1 + w) * hi * spec.M), enum_limit)
-
+    B, _, keys = band = _key_band(spec, lo, hi, enum_limit)
     # keys with lo < alpha < hi; [lo] + midpoints + [hi] is strictly ascending
     # when lo < hi, so the capped candidates need no more of them than the cap
-    inside = _distinct_keys(keys, floor_frac(lo * B), -floor_frac(-hi * B) - 1)
-    vals = [lo] + [Fraction(k, B) for k in inside[:_MAX_CANDIDATES]] + [hi]
-    mids = [(a + b) / 2 for a, b in zip(vals, vals[1:])]
-    candidates = ([lo] + mids + [hi] if lo < hi else [lo])[:_MAX_CANDIDATES]
-
-    for i, c in enumerate(candidates):
-        cert = _certify(spec.dilate(c), keys, B, c)
+    first, last = _count_leq(keys, floor_frac(lo * B)), _count_leq(keys, -floor_frac(-hi * B) - 1)
+    ends = [lo * B, *_drop_repeats(keys[first:last])[:_MAX_CANDIDATES].tolist(), hi * B]
+    mids = (Fraction(a + b, 2 * B) for a, b in zip(ends, ends[1:]))
+    candidates = itertools.chain([lo], mids, [hi]) if lo < hi else iter([lo])
+    tried = []
+    for c in itertools.islice(candidates, _MAX_CANDIDATES):
+        tried.append(c)
+        cert = _certify(spec.dilate(c), band, c)
         if cert.verdict:
-            return DilationSearch(True, c, cert, tuple(candidates[: i + 1]))
+            return DilationSearch(True, c, cert, tuple(tried))
     return DilationSearch(
         False,
         None,
         None,
-        tuple(candidates),
-        reason=f"no regular dilation among {len(candidates)} candidates in [{lo}, {hi}]",
+        tuple(tried),
+        reason=f"no regular dilation among {len(tried)} candidates in [{lo}, {hi}]",
     )
 
 

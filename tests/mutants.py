@@ -365,6 +365,50 @@ MUTANTS = [
         ],
     },
     {
+        "file": "bohr.py",
+        "drops": "the key band's lower edge: a key at B c (1 - w) counted below the band",
+        "old": "/ m) - 1  # at least 0 = K(0)",
+        "new": "/ m)  # at least 0 = K(0)",
+        "kills": [
+            "tests/test_bohr.py::test_certificate_matches_literal_oracle",
+            "tests/test_bohr.py::test_certificate_of_a_dilate_matches_oracle",
+        ],
+    },
+    {
+        "file": "bohr.py",
+        "drops": "the key band's upper edge: a key at B c (1 + w) left out of the band",
+        "old": "    hi_key = floor_frac(B * hi * (m + 1) / m)\n",
+        "new": "    hi_key = floor_frac(B * hi * (m + 1) / m) - 1\n",
+        "kills": [
+            "tests/test_bohr.py::test_certificate_of_a_dilate_matches_oracle",
+            "tests/test_bohr.py::test_find_regular_dilation_budget_edge",
+        ],
+    },
+    {
+        "file": "bohr.py",
+        "drops": "the count of the keys below the key band",
+        "old": "    below = 2 * int(np.count_nonzero(level == 2)) - 1",
+        "new": "    below = 0",
+        "kills": [
+            "tests/test_bohr.py::test_certificate_base_size_is_the_enumerated_size[0]",
+            "tests/test_bohr.py::test_rank_products_count_the_keys_below_the_band",
+        ],
+    },
+    {
+        "file": "bohr.py",
+        "drops": "the keys below the key band in the certificate's int64 guard",
+        "old": "(below + 2 * keys.size) * 2 * P * (m + 1)",
+        "new": "2 * keys.size * 2 * P * (m + 1)",
+        "kills": ["tests/test_bohr.py::test_rank_products_count_the_keys_below_the_band"],
+    },
+    {
+        "file": "bohr.py",
+        "drops": "the neighbour keys of a lazily formed dilation candidate",
+        "old": "for a, b in zip(ends, ends[1:])",
+        "new": "for a, b in zip(ends[1:], ends[2:])",
+        "kills": ["tests/test_bohr.py::test_find_regular_dilation_matches_oracle"],
+    },
+    {
         "file": "cli.py",
         "drops": "the negative exit code of a search that finds nothing",
         "old": '"none": EXIT_NEGATIVE',

@@ -11,6 +11,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -628,7 +629,7 @@ def test_find_regular_dilation_matches_oracle(inputs):
 
 
 def test_find_regular_dilation_budget_edge():
-    # the budget covers the key index over |n| <= (1+w) hi M, w = 1/(100 d)
+    # the budget covers the key band's window |n| <= (1+w) hi M, w = 1/(100 d)
     spec = BohrSpec((Fraction(2, 7), Fraction(1, 3)), Fraction(1, 5), Fraction(301, 2))
     lo, hi = Fraction(1, 3), Fraction(5, 6)
     window = 2 * int(Fraction(201, 200) * hi * spec.M) + 1
@@ -666,17 +667,18 @@ def dilate_inputs(draw):
         st.integers(_BIG // 100, _BIG // 2).map(lambda e: Fraction(e, _BIG)),
     ))
     spec = BohrSpec(tuple(theta), eps, M)
-    keys, B = bohr._key_index(spec, int(M), 10**7)
-    alphas = sorted({int(k) for k in keys if 0 < k <= 2 * B})
+    window = range(-int(M), int(M) + 1)
+    alphas = sorted({a for a in map(partial(alpha_oracle, spec), window) if 0 < a <= 2})
     w = Fraction(1, 100 * spec.dim)
     if len(alphas) > 1 and draw(st.booleans()):
         i = draw(st.integers(0, len(alphas) - 2))
-        c = Fraction(alphas[i] + alphas[i + 1], 2 * B)
+        c = (alphas[i] + alphas[i + 1]) / 2
     else:
-        past = [k for k in alphas if k > B]
-        k = past[0] if past and draw(st.booleans()) else draw(st.sampled_from(alphas or [B]))
+        past = [a for a in alphas if a > 1]
+        one = [Fraction(1)]
+        a = past[0] if past and draw(st.booleans()) else draw(st.sampled_from(alphas or one))
         x = draw(st.sampled_from([-w, Fraction(0), w]))
-        c = Fraction(k, B) / (1 + x)
+        c = a / (1 + x)
     return spec, c, draw(st.sampled_from([0, 0, 3]))
 
 
@@ -693,13 +695,12 @@ _INTERVAL = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(50))
 @example((_INTERVAL, Fraction(3), 0))  # |n| = 149 is the least key past B c (1 - w)
 @example((BohrSpec((Fraction(_BIG // 2, _BIG),), Fraction(1, 3), Fraction(40)), Fraction(1, 2), 0))
 def test_certificate_of_a_dilate_matches_oracle(inputs):
-    # certified from the undilated spec's keys, over the window the dilate
-    # needs or a few candidates more, as find_regular_dilation does
+    # certified from the undilated spec's key band, the dilate's own or one
+    # that covers more dilations, as find_regular_dilation does
     spec, c, extra = inputs
-    w = Fraction(1, 100 * spec.dim)
-    keys, B = bohr._key_index(spec, int((1 + w) * c * spec.M) + extra, 10**7)
+    band = bohr._key_band(spec, c / (1 + extra), c * (1 + extra), 10**7)
     dilate = spec.dilate(c)
-    assert bohr._certify(dilate, keys, B, c) == certificate_oracle(dilate)
+    assert bohr._certify(dilate, band, c) == certificate_oracle(dilate)
 
 
 def test_tiny_dilate_certifies_in_exact_integers():
@@ -709,6 +710,78 @@ def test_tiny_dilate_certifies_in_exact_integers():
     search = find_regular_dilation(spec, Fraction(1, 2**80), Fraction(1, 2**79))
     assert (search.found, search.c) == (True, Fraction(1, 2**80))
     assert search.certificate == certificate_oracle(spec.dilate(search.c))
+
+
+@st.composite
+def big_prime_inputs(draw):
+    """Two or three frequencies over ``q = 2^61 - 1`` and ``eps = e/q`` with
+    ``e >= 2^58``: ``B`` passes 2^118 and every key is a Python integer."""
+    d = draw(st.sampled_from([2, 3]))
+    theta = tuple(Fraction(draw(st.integers(1, _BIG - 1)), _BIG) for _ in range(d))
+    eps = Fraction(draw(st.integers(2**58, _BIG // 2)), _BIG)
+    M = Fraction(draw(st.integers(16, 60)), draw(st.sampled_from([1, 2, 3])))
+    lo = Fraction(draw(st.integers(1, 40)), 41)
+    hi = draw(st.sampled_from([lo + Fraction(draw(st.integers(1, 40)), 41), lo]))
+    return BohrSpec(theta, eps, M), lo, hi, draw(st.sampled_from([1, 2, 64]))
+
+
+_BIG_PAIR = BohrSpec(
+    (Fraction(_BIG // 3, _BIG), Fraction(_BIG // 7, _BIG)), Fraction(2**59, _BIG), Fraction(40)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_prime_inputs())
+# B c (1 - w) < 1: the band starts at key 1, and only n = 0 lies below it
+@example((_BIG_PAIR, Fraction(1, 2**130), Fraction(1, 2**129), 64))
+@example((_BIG_PAIR, Fraction(1, 2), Fraction(1), 64))
+def test_band_matches_oracles_at_a_61_bit_prime(inputs):
+    spec, lo, hi, k = inputs
+    B, below, keys = bohr._key_band(spec, lo, hi, 10**7)
+    assert B > 2**118 and keys.dtype == object and below >= 1
+    for c in (Fraction(1), lo):
+        assert regularity_certificate(spec.dilate(c)) == certificate_oracle(spec.dilate(c))
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body, so no fixture
+        mp.setattr(bohr, "_MAX_CANDIDATES", k)
+        found = find_regular_dilation(spec, lo, hi)
+    assert found == dilation_search_oracle(spec, lo, hi, max_candidates=k)
+
+
+def test_rank_products_count_the_keys_below_the_band():
+    # int64 keys, and the 10 keys of the band times 2 P (m+1) fit int64; with
+    # the 173 keys below the band counted in they do not, and base m P passes
+    # 2^63, so the check must take exact integers
+    q = 2**42 - 11
+    spec = BohrSpec((Fraction(1086061703425, q),), Fraction(1, 5), Fraction(220))
+    B, below, keys = bohr._key_band(spec, Fraction(1), Fraction(1), 10**7)
+    assert keys.dtype == np.int64 and (below, 2 * keys.size) == (173, 10)
+    assert 10 * 2 * B * 101 < 2**62 <= (173 + 10) * 2 * B * 101
+    assert regularity_certificate(spec) == certificate_oracle(spec)
+
+
+def test_certificate_forms_keys_in_its_band_alone(monkeypatch):
+    # a widths spec of the benchmark: its window |n| <= 10100 holds 20201
+    # integers and keys pass 2^62; only the keys in the band [0.99 B, 1.01 B],
+    # about 150 for n >= 1, are formed, and those below it are only counted
+    p, q, M = 1975333310636401851, _BIG, 10**4
+    spec = BohrSpec((Fraction(p, q),), Fraction(1, 5), Fraction(M))
+    bands, real = [], bohr._key_band
+
+    def recorded(*args):
+        bands.append(real(*args))
+        return bands[-1]
+
+    monkeypatch.setattr(bohr, "_key_band", recorded)
+    cert = regularity_certificate(spec)
+    [(B, below, keys)] = bands
+    mult_M, mult = B // M, 5 * B // q  # B = M q
+    # keys are even in n, and the band holds each key of n >= 1 once
+    literal = [max(n * mult_M, min(n * p % q, -n * p % q) * mult) for n in range(1, 10101)]
+    lo_key, hi_key = -(-99 * B // 100), 101 * B // 100
+    assert 100 < keys.size < 1000
+    assert keys.tolist() == sorted(k for k in literal if lo_key <= k <= hi_key)
+    assert below == 1 + 2 * sum(k < lo_key for k in literal)
+    assert cert.base_size == enumerate_bohr(spec).size
 
 
 def test_certificate_builds_no_fraction_per_breakpoint(monkeypatch):
