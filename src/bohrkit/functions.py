@@ -74,14 +74,18 @@ class BoundedFunction:
     ) -> "BoundedFunction":
         """``n -> e(n * freq)`` on the dense window ``[lo, hi]``.
 
-        Phases are computed from the exact residue ``(n * p) mod q`` so that
-        equal angles get bitwise equal values.
+        Phases are computed from the exact residue ``(n * p) mod q`` of the
+        window's first ``min(q, hi - lo + 1)`` points, one period, and repeat
+        with period ``q``, so that equal angles get bitwise equal values and
+        nothing longer than the window is built. The residues are taken in
+        int64 while ``(q - 1)^2`` fits it and in Python integers past that.
         """
         freq = as_rational(freq)
         p, q = freq.numerator % freq.denominator, freq.denominator
         ns = np.arange(lo, hi + 1, dtype=np.int64)
-        table = np.exp(2j * np.pi * np.arange(q, dtype=np.float64) / q)
-        return cls(ns, table[(ns % q) * (p % q) % q])
+        head = ns[:q].astype(object) if (q - 1) ** 2 > INT64_MAX else ns[:q]
+        phases = np.exp(2j * np.pi * (head % q * p % q).astype(np.float64) / q)
+        return cls(ns, phases[np.arange(ns.size) % phases.size])
 
     @classmethod
     def balanced_indicator(

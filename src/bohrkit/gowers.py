@@ -26,8 +26,10 @@ cube otherwise; each route's budget stays an upper bound on the products
 either branch computes. The choice is made from the input sizes alone, and
 the table's entries are computed by the same contraction, division and
 square as the cube's, so each route equals its own cube contraction bit for
-bit whichever runs. The two tables are written apart, so a fault in one
-shows as a disagreement between the routes.
+bit whichever runs. Both routes fill their tables through one kernel,
+:func:`_pair_table`, with the other inner set as the summed side, so what
+keeps them apart is the order in which they contract, not their code: the
+tests pin each route's table to that route's own cube, bit for bit.
 
 A run is a strictly ascending array of consecutive integers (an interval, a
 window). When the base is a run and the route's table side ``N`` is one,
@@ -39,12 +41,13 @@ instead of rebuilding it:
   * the square at ``(a, i, j)`` is ``S[a - chunk_0 + i, j - i + L - 1]``, so
     a chunk's ``(rows, L, L)`` block is one read-only ``as_strided`` view of
     the table (strides ``|D|``, ``|D| - 1`` and ``1`` entries), copied to a
-    contiguous block before its mean;
+    contiguous block before its mean (:func:`_sheared`, for both routes);
   * consecutive chunks' ``P`` share ``L - 1`` rows, which are carried into
     the next chunk's table instead of computed again;
-  * when ``D`` and the other inner set are both runs, the looked-up values
-    of ``f`` at ``p + (D + N')`` are spread to the ``(d, n')`` grid by a
-    sliding-window view instead of an index array.
+  * when ``D`` and the other inner set are progressions of one step (both
+    runs, say), the looked-up values of ``f`` at ``p + (D + N')`` are spread
+    to the ``(d, n')`` grid by a sliding-window view instead of an index
+    array.
 
 None of this moves a bit: a table row depends only on its ``p``, and each
 ``einsum`` and mean receives the same values in the same order as through
@@ -110,32 +113,49 @@ def _gather_cube(
 
 
 def _pair_table(
-    f: BoundedFunction, p: np.ndarray, d: np.ndarray, n2: np.ndarray
+    f: BoundedFunction, p: np.ndarray, d: np.ndarray, n: np.ndarray
 ) -> np.ndarray:
-    """``S[r, c] = |E_k f(p_r + n2_k) conj f(p_r + d_c + n2_k)|^2``.
+    """``S[r, c] = |E_k f(p_r + n_k) conj f(p_r + d_c + n_k)|^2``, ``n`` the
+    summed side (``N2`` for the correlation route, ``N1`` for the direct one).
 
     Built over consecutive sub-chunks of ``p`` whose largest array holds at
     most 2^18 entries (:func:`bohrkit.bohr.chunk_rows`), with the cube's
     contraction, division and square, so each entry has the bits of the
     cube entry it stands for. ``f`` is looked up once per distinct offset
-    ``d + n2`` and spread to the ``(d, n2)`` grid: by index, or, when ``d``
-    and ``n2`` are both runs (``qidx[c, k] == c + k``), as a sliding-window
-    view of the looked-up row, which holds the same values in the same order.
+    ``d + n`` and spread to the ``(d, n)`` grid: by index, or, when
+    ``qidx[c, k] == c + k`` (``d`` and ``n`` both progressions of one step,
+    runs among them), as a sliding-window view of the looked-up row, which
+    holds the same values in the same order.
     """
-    offsets = d[:, None] + n2[None, :]
+    offsets = d[:, None] + n[None, :]
     q = sorted_distinct(offsets)
     qidx = sorted_lookup(q, offsets)[0]
-    sliding = np.array_equal(qidx, np.arange(d.size)[:, None] + np.arange(n2.size))
+    sliding = np.array_equal(qidx, np.arange(d.size)[:, None] + np.arange(n.size))
     table = np.empty((p.size, d.size), dtype=np.float64)
-    step = chunk_rows(d.size * n2.size)
+    step = chunk_rows(d.size * n.size)
     for s in range(0, p.size, step):
         ps = p[s : s + step]
-        x = f.gather(ps[:, None] + n2[None, :])
+        x = f.gather(ps[:, None] + n[None, :])
         g = f.gather(ps[:, None] + q[None, :]).conj()
-        y = sliding_window_view(g, n2.size, axis=1) if sliding else g[:, qidx]
-        m = np.einsum("rk,rck->rc", x, y, optimize=False) / n2.size
+        y = sliding_window_view(g, n.size, axis=1) if sliding else g[:, qidx]
+        m = np.einsum("rk,rck->rc", x, y, optimize=False) / n.size
         table[s : s + step] = m.real**2 + m.imag**2
     return table
+
+
+def _sheared(table: np.ndarray, rows: int, size: int) -> np.ndarray:
+    """The block ``B[r, i, j] = S[r + i, j - i + L - 1]`` (``L = size``) of a
+    window's pair table ``S``, copied contiguous: one read-only
+    ``as_strided`` view with strides ``|D|``, ``|D| - 1`` and ``1`` entries,
+    in which one table entry stands for many squares."""
+    width, item = table.shape[1], table.itemsize
+    view = as_strided(
+        table.reshape(-1)[size - 1 :],
+        shape=(rows, size, size),
+        strides=(width * item, (width - 1) * item, item),
+        writeable=False,
+    )
+    return np.ascontiguousarray(view)
 
 
 def _extent(x: np.ndarray) -> tuple[int, int]:
@@ -161,7 +181,8 @@ def u2_fourth_direct(
     ``T[a,i,k] = f(a + n1_i + n2_k)``. The square at ``(a, k, l)`` depends
     only on ``(p, d) = (a + n2_k, n2_l - n2_k)``, so per chunk of base points
     the route fills the pair table
-    ``S[p, d] = |E_i f(p + n1_i) conj f(p + d + n1_i)|^2`` over the distinct
+    ``S[p, d] = |E_i f(p + n1_i) conj f(p + d + n1_i)|^2``
+    (:func:`_pair_table`, summed over ``N1``) over the distinct
     ``P2 = chunk + N2`` and ``D2 = N2 - N2`` when ``|P2| |D2| < rows L2^2``,
     and contracts the cube ``einsum("aik,ail->akl")`` otherwise; either way
     the sum over ``i`` runs in the same order, so the bits are the cube's.
@@ -192,11 +213,11 @@ def u2_fourth_direct(
     didx = sorted_lookup(d, diffs)[0]
     vals = np.empty(a.size, dtype=np.float64)
     step = chunk_rows(max(n1.size * n2.size, n2.size**2))
-    # on a run base and a window N2, P2 and D2 are runs: the chunk's rows of
-    # P2 follow by arithmetic, the last L2 - 1 of them open the next chunk's
-    # table, and the square at (a, k, l) is S[a - a0 + k, l - k + L2 - 1]
+    # a run base and a window N2 make P2 and D2 runs: P2 follows by arithmetic,
+    # its last L2 - 1 rows start the next chunk's table, and the square at
+    # (a, k, l) is S[a - a0 + k, l - k + L2 - 1], one sheared view of S
     window = _is_run(a) and _is_run(n2)
-    carry = np.empty((0, d.size), dtype=np.float64)  # rows carried into P2
+    carried = np.empty((0, d.size), dtype=np.float64)  # rows of P2 already filled
     for s in range(0, a.size, step):
         chunk = a[s : s + step]
         if window:
@@ -205,38 +226,15 @@ def u2_fourth_direct(
             starts = chunk[:, None] + n2[None, :]
             p = sorted_distinct(starts)
         if p.size * d.size < chunk.size * n2.size**2:
-            # S[r, c] over sub-chunks of P2, f looked up once per distinct d + n1
-            # and spread to the (d, n1) grid by index, or by a sliding view
-            # when qidx[c, i] == c + i
-            offsets = d[:, None] + n1[None, :]
-            q = sorted_distinct(offsets)
-            qidx = sorted_lookup(q, offsets)[0]
-            slide = np.array_equal(qidx, np.arange(d.size)[:, None] + np.arange(n1.size))
-            table = np.empty((p.size, d.size), dtype=np.float64)
-            table[: carry.shape[0]] = carry
-            sub = chunk_rows(d.size * n1.size)
-            for r in range(carry.shape[0], p.size, sub):
-                ps = p[r : r + sub]
-                x = f.gather(ps[:, None] + n1[None, :])
-                g = f.gather(ps[:, None] + q[None, :]).conj()
-                y = sliding_window_view(g, n1.size, axis=1) if slide else g[:, qidx]
-                m = np.einsum("ri,rci->rc", x, y, optimize=False) / n1.size
-                table[r : r + sub] = m.real**2 + m.imag**2
+            table = np.concatenate((carried, _pair_table(f, p[len(carried) :], d, n1)))
             if window:
-                carry = table[p.size - (n2.size - 1) :]
-                w = table.itemsize
-                sheared = as_strided(
-                    table.reshape(-1)[n2.size - 1 :],
-                    shape=(chunk.size, n2.size, n2.size),
-                    strides=(d.size * w, (d.size - 1) * w, w),
-                    writeable=False,
-                )
-                sq = np.ascontiguousarray(sheared)
+                carried = table[p.size - n2.size + 1 :]
+                sq = _sheared(table, chunk.size, n2.size)
             else:
-                pidx = sorted_lookup(p, starts)[0]
-                sq = table.take(pidx[:, :, None] * d.size + didx)
+                sq = table.take(sorted_lookup(p, starts)[0][:, :, None] * d.size + didx)
+            del table  # unless rows are carried, freed before the next chunk's table
         else:
-            carry = carry[:0]
+            carried = carried[:0]
             t = _gather_cube(f, chunk, n1, n2)
             m = np.einsum("aik,ail->akl", t, t.conj(), optimize=False) / n1.size
             sq = m.real**2 + m.imag**2
@@ -259,10 +257,10 @@ def u2_fourth_correlation(
     each chunk of base points, with ``P`` the distinct ``chunk + N1`` and
     ``D`` the distinct ``N1 - N1``, the route computes one of:
 
-      * the pair table ``S[p, d]`` (:func:`_pair_table`), read back at every
-        ``(a, i, j)``, when ``|P| |D| < rows L1^2``: few distinct pairs, as on
-        windows, intervals and Bohr sets, where ``A + N1`` is barely bigger
-        than ``A``;
+      * the pair table ``S[p, d]`` (:func:`_pair_table`, summed over ``N2``),
+        read back at every ``(a, i, j)``, when ``|P| |D| < rows L1^2``: few
+        distinct pairs, as on windows, intervals and Bohr sets, where
+        ``A + N1`` is barely bigger than ``A``;
       * the cube contraction ``einsum("aik,ajk->aij")`` otherwise.
 
     Both sum over ``k`` in the same order and square the same way, so the
@@ -306,21 +304,13 @@ def u2_fourth_correlation(
             starts = chunk[:, None] + n1[None, :]
             p = sorted_distinct(starts)
         if p.size * d.size < chunk.size * n1.size**2:
+            table = np.concatenate((carried, _pair_table(f, p[len(carried) :], d, n2)))
             if window:
-                fresh = _pair_table(f, p[carried.shape[0] :], d, n2)
-                table = np.concatenate((carried, fresh))
-                carried = table[table.shape[0] - n1.size + 1 :]
-                item = table.itemsize
-                view = as_strided(
-                    table.reshape(-1)[n1.size - 1 :],
-                    shape=(chunk.size, n1.size, n1.size),
-                    strides=(d.size * item, (d.size - 1) * item, item),
-                    writeable=False,
-                )
-                sq = np.ascontiguousarray(view)
+                carried = table[p.size - n1.size + 1 :]
+                sq = _sheared(table, chunk.size, n1.size)
             else:
-                pidx = sorted_lookup(p, starts)[0]
-                sq = _pair_table(f, p, d, n2).take(pidx[:, :, None] * d.size + didx)
+                sq = table.take(sorted_lookup(p, starts)[0][:, :, None] * d.size + didx)
+            del table  # unless rows are carried, freed before the next chunk's table
         else:
             carried = carried[:0]
             t = _gather_cube(f, chunk, n1, n2)

@@ -76,6 +76,16 @@ MUTANTS = [
     },
     {
         "file": "functions.py",
+        "drops": "the exact residue of a character's phase once (q - 1)^2 leaves int64",
+        "old": "if (q - 1) ** 2 > INT64_MAX else ns[:q]",
+        "new": "if q > INT64_MAX else ns[:q]",
+        "kills": [
+            "tests/test_functions.py::test_character_residues_are_exact_at_big_denominators[3037000501]",
+            "tests/test_functions.py::test_character_residues_are_exact_at_big_denominators[2305843009213693951]",
+        ],
+    },
+    {
+        "file": "functions.py",
         "drops": "the exact offset of a run support's padded array",
         "old": "int(support[0]) - left if run else 0)",
         "new": "int(support[0]) - left + 1 if run else 0)",
@@ -183,10 +193,23 @@ MUTANTS = [
     },
     {
         "file": "gowers.py",
-        "drops": "the conjugate in the direct route's pair table",
-        "old": "                g = f.gather(ps[:, None] + q[None, :]).conj()\n",
-        "new": "                g = f.gather(ps[:, None] + q[None, :])\n",
-        "kills": ["tests/test_gowers.py::test_direct_route_equals_cube_bit_for_bit"],
+        "drops": "the conjugate in the pair table both routes fill",
+        "old": "        g = f.gather(ps[:, None] + q[None, :]).conj()\n",
+        "new": "        g = f.gather(ps[:, None] + q[None, :])\n",
+        "kills": [
+            "tests/test_gowers.py::test_correlation_route_equals_cube_bit_for_bit",
+            "tests/test_gowers.py::test_direct_route_equals_cube_bit_for_bit",
+        ],
+    },
+    {
+        "file": "gowers.py",
+        "drops": "N1 as the summed side of the direct route's pair table",
+        "old": "_pair_table(f, p[len(carried) :], d, n1)",
+        "new": "_pair_table(f, p[len(carried) :], d, n2)",
+        "kills": [
+            "tests/test_gowers.py::test_direct_route_bits_are_pinned",
+            "tests/test_gowers.py::test_direct_route_equals_cube_bit_for_bit",
+        ],
     },
     {
         "file": "gowers.py",
@@ -204,30 +227,23 @@ MUTANTS = [
     },
     {
         "file": "gowers.py",
-        "drops": "the shear of the correlation route's table read",
-        "old": "strides=(d.size * item, (d.size - 1) * item, item),",
-        "new": "strides=(d.size * item, d.size * item, item),",
+        "drops": "the shear of the window table read both routes share",
+        "old": "strides=(width * item, (width - 1) * item, item),",
+        "new": "strides=(width * item, width * item, item),",
         "kills": [
             "tests/test_gowers.py::test_correlation_route_bits_are_pinned",
-            "tests/test_gowers.py::test_correlation_route_equals_cube_bit_for_bit",
+            "tests/test_gowers.py::test_direct_route_bits_are_pinned",
         ],
     },
     {
         "file": "gowers.py",
-        "drops": "the shear of the direct route's table read",
-        "old": "strides=(d.size * w, (d.size - 1) * w, w),",
-        "new": "strides=(d.size * w, d.size * w, w),",
+        "drops": "the run test behind the sliding view of the pair table",
+        "old": "sliding = np.array_equal(qidx, np.arange(d.size)[:, None] + np.arange(n.size))",
+        "new": "sliding = True",
         "kills": [
-            "tests/test_gowers.py::test_direct_route_bits_are_pinned",
+            "tests/test_gowers.py::test_correlation_route_equals_cube_bit_for_bit",
             "tests/test_gowers.py::test_direct_route_equals_cube_bit_for_bit",
         ],
-    },
-    {
-        "file": "gowers.py",
-        "drops": "the run test behind the sliding view of the correlation table",
-        "old": "sliding = np.array_equal(qidx, np.arange(d.size)[:, None] + np.arange(n2.size))",
-        "new": "sliding = True",
-        "kills": ["tests/test_gowers.py::test_correlation_route_equals_cube_bit_for_bit"],
     },
     {
         "file": "gowers.py",
@@ -242,8 +258,8 @@ MUTANTS = [
     {
         "file": "gowers.py",
         "drops": "the count of table rows the correlation route carries to the next chunk",
-        "old": "carried = table[table.shape[0] - n1.size + 1 :]",
-        "new": "carried = table[table.shape[0] - n1.size :]",
+        "old": "carried = table[p.size - n1.size + 1 :]",
+        "new": "carried = table[p.size - n1.size :]",
         "kills": [
             "tests/test_gowers.py::test_window_tables_fill_each_row_once",
             "tests/test_gowers.py::test_dichotomy_norm_bits_are_pinned",
@@ -252,11 +268,20 @@ MUTANTS = [
     {
         "file": "gowers.py",
         "drops": "the count of table rows the direct route carries to the next chunk",
-        "old": "carry = table[p.size - (n2.size - 1) :]",
-        "new": "carry = table[p.size - n2.size :]",
+        "old": "carried = table[p.size - n2.size + 1 :]",
+        "new": "carried = table[p.size - n2.size :]",
         "kills": [
             "tests/test_gowers.py::test_window_tables_fill_each_row_once",
             "tests/test_gowers.py::test_direct_route_equals_cube_bit_for_bit",
+        ],
+    },
+    {
+        "file": "gowers.py",
+        "drops": "the inconclusive verdict of a grid average whose slack just reaches the threshold",
+        "old": "        elif ia + slack < thr:\n",
+        "new": "        elif ia + slack <= thr:\n",
+        "kills": [
+            "tests/test_gowers.py::test_inverse_check_statuses_at_the_slack_edges[fail-edge]",
         ],
     },
     {

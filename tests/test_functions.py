@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,46 @@ def test_character_exact_period():
     vals = f.values
     assert np.allclose(vals[0:3], vals[3:6])
     assert np.allclose(vals[0:3], vals[6:9])
+
+
+def _phase_table_character(freq: Fraction, lo: int, hi: int) -> np.ndarray:
+    """The values of ``e(n freq)`` read from a table of all ``q`` phases, the
+    form ``character`` replaced: the bit reference on small ``q``."""
+    p, q = freq.numerator % freq.denominator, freq.denominator
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    table = np.exp(2j * np.pi * np.arange(q, dtype=np.float64) / q)
+    return table[(ns % q) * p % q]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 12, 97, 1009, 65537, 2**20 + 7])
+def test_character_bits_equal_the_phase_table(q):
+    for p in sorted({0, 1, 2 % q, q // 2, q - 1, 2 * q // 3}):
+        f = BoundedFunction.character(Fraction(p, q), -5000, 5000)
+        want = _phase_table_character(Fraction(p, q), -5000, 5000)
+        assert f.values.tobytes() == want.tobytes(), (p, q)
+
+
+def test_character_builds_nothing_of_size_q():
+    # a table of all 2^22 phases alone holds 64 MB
+    tracemalloc.start()
+    try:
+        BoundedFunction.character(Fraction(1, 2**22), 0, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("q", [3_037_000_501, 2**61 - 1, 10**30 + 57])
+def test_character_residues_are_exact_at_big_denominators(q):
+    # (n mod q) p leaves int64 once (q - 1)^2 does, first at n = -1 mod q
+    # and p = q - 1 (the window ends at q - 1 while q fits int64); each
+    # phase must come from Python's exact n p mod q
+    p, lo = q - 1, min(q, 2**62) - 11
+    f = BoundedFunction.character(Fraction(p, q), lo, lo + 10)
+    residues = [n * p % q for n in range(lo, lo + 11)]
+    want = np.exp(2j * np.pi * np.array(residues, dtype=np.float64) / q)
+    assert f.values.tobytes() == want.tobytes()
 
 
 def test_balanced_indicator_exact_density():

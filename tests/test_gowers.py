@@ -29,6 +29,7 @@ from bohrkit.bohr import BohrSet, BohrSpec, BudgetExceeded, chunk_rows
 from bohrkit.cli import main as cli_main
 from bohrkit.functions import BoundedFunction
 from bohrkit.gowers import (
+    FourierScan,
     check_inverse_theorem,
     fourier_grid_maxima,
     inverse_average,
@@ -625,7 +626,7 @@ def test_direct_route_picks_the_smaller_side(monkeypatch):
     calls = _einsum_calls(monkeypatch)
     f, base, n1, n2 = _pinned_chunked()  # a 4001-point interval at 31 x 9
     u2_fourth_direct(f, base, n1, n2)
-    assert calls and set(calls) == {"ri,rci->rc"}
+    assert calls and set(calls) == {"rk,rck->rc"}
     calls.clear()
     f, base, n1, n2 = _unstructured()  # N2 a window, but A + N2 barely repeats
     u2_fourth_direct(f, base, n1, n2)
@@ -902,3 +903,78 @@ def test_inverse_check_hypothesis_not_met():
     check = check_inverse_theorem(f, base, base, base, Fraction(1, 2), grid=256)
     assert check.status == "hypothesis-not-met"
     assert any("c1" in r for r in check.reasons)
+
+
+def _singleton_chain(base_spec: BohrSpec, c2=Fraction(1, 10**4)):
+    """``base`` and the dilates ``10^-7 base`` and ``c2`` times that, both {0}."""
+    base = BohrSet.from_spec(base_spec)
+    inner1 = BohrSet.from_spec(base_spec.dilate(Fraction(1, 10**7)))
+    inner2 = BohrSet.from_spec(inner1.spec.dilate(c2))
+    assert inner1.size == inner2.size == 1
+    return base, inner1, inner2
+
+
+_INTERVAL40 = BohrSpec((Fraction(1),), Fraction(1, 2), Fraction(40))
+_PARITY = BohrSpec((Fraction(1, 2),), Fraction(499, 1000), Fraction(50))  # not regular
+
+
+@pytest.mark.parametrize(
+    "sets, reason",
+    [
+        (lambda: (BohrSet.from_spec(_INTERVAL40), BohrSet.from_spec(_PARITY),
+                  BohrSet.from_spec(_PARITY.dilate(Fraction(1, 10**6)))),
+         "inner1 is not a dilate of base"),
+        (lambda: (*_singleton_chain(_INTERVAL40)[:2], BohrSet.from_spec(_PARITY)),
+         "inner2 is not a dilate of inner1"),
+        (lambda: _singleton_chain(_PARITY), "base is not regular"),
+    ],
+    ids=["inner1", "inner2", "regular"],
+)
+def test_inverse_check_names_each_unmet_hypothesis(sets, reason):
+    base, inner1, inner2 = sets()
+    f = BoundedFunction.indicator(base.elements)
+    check = check_inverse_theorem(f, base, inner1, inner2, Fraction(1, 2))
+    assert check.status == "hypothesis-not-met"
+    assert any(r.startswith(reason) for r in check.reasons), check.reasons
+    assert check.inverse_avg is None and check.slack is None
+
+
+def test_inverse_check_names_a_norm_below_eta():
+    # inners {0}: norm^4 = E|f|^4 = 1/16, so the norm is 1/2, below eta = 1
+    base, inner1, inner2 = _singleton_chain(_INTERVAL40)
+    f = BoundedFunction(base.elements, np.full(base.size, 0.5))
+    check = check_inverse_theorem(f, base, inner1, inner2, Fraction(1))
+    assert (check.status, check.reasons) == ("hypothesis-not-met", ("norm 0.5 below eta = 1.0",))
+
+
+# eta = 5/8 makes the threshold eta^8/40 = 78125 / 2^27, a float; grid values
+# x / 4096 and errors 2^-12, 2^-13 keep every mean square and slack exact
+@pytest.mark.parametrize(
+    "xs, err, edges, status",
+    [
+        ([125] * 5 + [0] * 3, 2.0**-12, (True, False), "pass"),
+        ([212, 19, 7, 1] + [0] * 4, 2.0**-13, (False, True), "inconclusive"),
+        ([211, 19, 7, 1] + [0] * 4, 2.0**-13, (False, False), "fail"),
+        ([211, 19, 7, 1] + [0] * 4, 2.0**-12, (False, False), "inconclusive"),
+    ],
+    ids=["pass-edge", "fail-edge", "fail", "inside"],
+)
+def test_inverse_check_statuses_at_the_slack_edges(monkeypatch, xs, err, edges, status):
+    # the hypotheses hold on inners {0} and the scan is replaced, so the
+    # verdict reads the comparison of mean square, slack and threshold alone;
+    # ``edges`` says whether the mean square, or it plus the slack, is the
+    # threshold exactly
+    base, inner1, inner2 = _singleton_chain(_INTERVAL40)
+    values = np.array(xs) / 4096
+
+    def scan(f, base, inner, grid, *, budget):
+        return FourierScan(grid, err, values, np.zeros(values.size, dtype=np.int64))
+
+    monkeypatch.setattr(gowers, "local_fourier_scan", scan)
+    f = BoundedFunction.indicator(base.elements)
+    check = check_inverse_theorem(f, base, inner1, inner2, Fraction(5, 8))
+    thr = 78125 / 2**27
+    assert float(check.threshold) == thr and check.reasons == ()
+    assert check.slack == 2 * err + err * err
+    assert (check.inverse_avg == thr, check.inverse_avg + check.slack == thr) == edges
+    assert check.status == status

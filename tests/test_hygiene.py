@@ -13,7 +13,10 @@ int64 values wraps at the ends, so sortedness compares neighbours
 (``x[1:] > x[:-1]``). Every ``as_strided`` call passes
 ``writeable=False``: the U2 routes read their pair tables through sheared
 views in which one entry stands for many, so a write through such a view
-would change what other base points read. No module calls
+would change what other base points read. The pair-table contraction
+(an ``einsum`` whose output is ``->rc``) and ``as_strided`` each appear in
+one function of the package: both U2 routes fill their pair tables through
+one kernel and read a window's table through one sheared view. No module calls
 ``json.dumps`` with an ``indent``: indented report text has one writer,
 ``reports.canonical_json``. Only ``exact.wire`` calls ``rational_pair``:
 a result's report form goes through ``wire``, and the engine keeps its
@@ -180,9 +183,9 @@ def pair_calls(tree: ast.Module) -> list[str]:
     return [f"line {line}: rational_pair" for line in lines]
 
 
-def budget_raises(tree: ast.Module) -> list[str]:
-    """Raises of ``BudgetExceeded`` (by any module alias), each named by the
-    dotted path of the functions and classes around it, in line order."""
+def _scoped(tree: ast.Module, pick) -> list[str]:
+    """The nodes ``pick`` accepts, each named by the dotted path of the
+    functions and classes around it, in line order."""
     found: list[tuple[int, str]] = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -190,14 +193,41 @@ def budget_raises(tree: ast.Module) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if (getattr(exc, "attr", None) or getattr(exc, "id", None)) == "BudgetExceeded":
-                    found.append((child.lineno, scope or "<module>"))
+            if pick(child):
+                found.append((child.lineno, scope or "<module>"))
             visit(child, scope)
 
     visit(tree, "")
     return [f"line {line}: {scope}" for line, scope in sorted(found)]
+
+
+def _raises_budget(node: ast.AST) -> bool:
+    if not (isinstance(node, ast.Raise) and node.exc is not None):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return (getattr(exc, "attr", None) or getattr(exc, "id", None)) == "BudgetExceeded"
+
+
+def budget_raises(tree: ast.Module) -> list[str]:
+    """Raises of ``BudgetExceeded`` (by any module alias), by scope."""
+    return _scoped(tree, _raises_budget)
+
+
+def pair_contractions(tree: ast.Module) -> list[str]:
+    """Calls of ``einsum`` (by any module alias) whose subscripts end in
+    ``->rc``, the contraction that fills a U2 pair table, by scope."""
+    return _scoped(tree, lambda node: (
+        isinstance(node, ast.Call)
+        and _call_name(node) == "einsum"
+        and bool(node.args)
+        and isinstance(node.args[0], ast.Constant)
+        and str(node.args[0].value).endswith("->rc")
+    ))
+
+
+def strided_calls(tree: ast.Module) -> list[str]:
+    """Calls of ``as_strided`` (by any alias), by scope."""
+    return _scoped(tree, lambda node: isinstance(node, ast.Call) and _call_name(node) == "as_strided")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -244,6 +274,17 @@ def test_report_forms_go_through_wire(path):
 def test_one_budget_rule(path):
     scopes = [line.partition(": ")[2] for line in budget_raises(_tree(path))]
     assert scopes == (["charge"] if path.name == "bohr.py" else [])
+
+
+@pytest.mark.parametrize("find", [pair_contractions, strided_calls],
+                         ids=["pair-table-filler", "sheared-read"])
+def test_one_pair_table_filler_and_one_sheared_read(find):
+    scopes = {
+        f"{path.name}: {line.partition(': ')[2]}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in find(_tree(path))
+    }
+    assert len(scopes) == 1, scopes
 
 
 def package_exports(tree: ast.Module) -> dict[str, str]:
@@ -440,6 +481,13 @@ def test_checks_catch_what_they_look_for():
         "if over:\n"
         "    raise BudgetExceeded\n"
         "raise ValueError('BudgetExceeded')\n"
+        "def fill(x, y):\n"
+        "    return np.einsum('rk,rck->rc', x, y, optimize=False)\n"
+        "def cube(t):\n"
+        "    return einsum('aik,ajk->aij', t, t)\n"
+        "class Route:\n"
+        "    def read(self, s):\n"
+        "        return as_strided(s, (2,), (8,), writeable=False), np.einsum('ri,rci->rc', s, s)\n"
     )
     assert private_imports(tree) == ["line 3: _elements", "line 4: _count_leq"]
     assert unused_imports(tree) == [
@@ -457,6 +505,13 @@ def test_checks_catch_what_they_look_for():
         "line 28: charge",
         "line 31: Kernel._charge",
         "line 33: <module>",
+    ]
+    assert pair_contractions(tree) == ["line 36: fill", "line 41: Route.read"]
+    assert strided_calls(tree) == [
+        "line 23: <module>",
+        "line 24: <module>",
+        "line 25: <module>",
+        "line 41: Route.read",
     ]
     assert pair_calls(tree) == [
         "line 13: rational_pair",

@@ -304,6 +304,76 @@ def test_fourier_increment_translate_pick_is_the_literal_rule(inputs):
         assert out.increment == pick[1] and out.scan_value == float(pick[1])
 
 
+def _refined_scans(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per refined count of ``fourier_increment``, each translate's points in
+    the base and in the subset (its ``translate_counts`` over two sets)."""
+    scans: list[tuple[np.ndarray, np.ndarray]] = []
+    real = increment.translate_counts
+
+    def logged(sets, shifts, offsets, **kwargs):
+        chunks = list(real(sets, shifts, offsets, **kwargs))
+        if len(sets) == 2:
+            scans.append(tuple(np.concatenate(c) for c in zip(*(cs for _, cs in chunks))))
+        return iter(chunks)
+
+    monkeypatch.setattr(increment, "translate_counts", logged)
+    return scans
+
+
+def test_fourier_increment_without_candidates_finds_no_witness(monkeypatch):
+    # the subset is the base's edge |x| > 900 and N_1 its 9/10-dilate, so
+    # each a + N_1 (a in [-100, 100]) holds at most 100 of 1801 points, a
+    # density below delta - eta/32 = 200/2001 - 1/32: no base point is
+    # left for the Fourier scan, and no pass scans
+    def no_scan(*args, **kwargs):
+        raise AssertionError("no candidate should reach the Fourier scan")
+
+    monkeypatch.setattr(increment, "fourier_grid_maxima", no_scan)
+    base = _interval(1000)
+    inner = BohrSet.from_spec(base.spec.dilate(Fraction(9, 10)))
+    edges = base.elements[np.abs(base.elements) > 900]
+    out = fourier_increment(edges, base, inner, Fraction(1, 8), Fraction(1), enforce=False)
+    assert (out.status, out.delta_before) == ("no-witness", Fraction(200, 2001))
+
+
+def test_fourier_increment_without_a_refined_translate_in_the_base(monkeypatch):
+    # the parity example at c_prime = 4: the refined set is the evens of
+    # [-1200, 1200], so no translate of it by a* + N_1 = [-1800, -1200]
+    # lies in [-1800, 1800], on any of the three grids
+    scans = _refined_scans(monkeypatch)
+    base = _interval(1800)
+    evens = base.elements[base.elements % 2 == 0]
+    inner = BohrSet.from_spec(base.spec.dilate(Fraction(1, 6)))
+    out = fourier_increment(
+        evens, base, inner, Fraction(4), Fraction(48, 100), grid=1204, enforce=False
+    )
+    assert (out.status, out.grid_used) == ("no-witness", 1204 * 64)
+    assert len(scans) == 3 and all(int(held.max()) < 1201 for held, _ in scans)
+
+
+def test_fourier_increment_with_a_gain_below_eta_over_32(monkeypatch):
+    # evens up to -1200 and odds past it: a* + N_1 = [-1800, -1200] is all
+    # even, so the scan finds y = 1/2 there, but the refined set (the evens
+    # of [-598, 598], c_prime = 599/300) fits in the base only at -1202,
+    # -1201 and -1200, where it holds 301, 299 and 300 of 599 points: a gain
+    # of at most 301/599 - 1801/3601, below eta/32
+    scans = _refined_scans(monkeypatch)
+    base = _interval(1800)
+    x = base.elements
+    subset = x[(x <= -1200) == (x % 2 == 0)]
+    inner = BohrSet.from_spec(base.spec.dilate(Fraction(1, 6)))
+    eta = Fraction(48, 100)
+    out = fourier_increment(
+        subset, base, inner, Fraction(599, 300), eta, grid=1204, enforce=False
+    )
+    assert (out.status, out.delta_before) == ("no-witness", Fraction(1801, 3601))
+    assert len(scans) == 3
+    for held, counts in scans:
+        inside = counts[held == 599]
+        assert inside.tolist() == [301, 299, 300]
+        assert Fraction(301, 599) - out.delta_before < eta / 32
+
+
 def test_fourier_increment_enforce_reports_unmet():
     base = _interval(200)
     evens = base.elements[base.elements % 2 == 0]
@@ -635,6 +705,21 @@ def test_recheck_rederives_forged_local_increment_record(forged, complaint):
     evens, result = _evens_local_increment_run()
     problems = recheck_run(evens, 2500, _forge_last(result, dichotomy=forged))
     assert len(problems) == 1 and complaint in problems[0]
+
+
+def test_checked_move_refuses_a_local_increment_below_the_factor():
+    # the move lands on all evens, density 1, and the record claims 1; from
+    # a recorded density of 1 that is below the factor 1 + 1/32
+    evens, result = _evens_local_increment_run()
+    rec = result.steps[0]
+    state = increment._State.start(evens, 2500)
+    target = BohrSet.from_spec(rec.spec.dilate(Fraction(1, 4)))
+    moved, problems = increment._checked_move(state, rec, target)
+    assert problems == [] and moved.final() == result.final
+    forged = _forge_last(result, dichotomy={"delta": Fraction(1)}, delta=Fraction(1)).steps[0]
+    moved, problems = increment._checked_move(state, forged, target)
+    assert problems == ["step 0: increment below the required factor"]
+    assert moved.final() == result.final
 
 
 @pytest.mark.parametrize("index", [0, 3, 7])

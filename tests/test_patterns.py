@@ -929,6 +929,18 @@ def test_counting_bound_on_progression_free_set():
     assert rep.bound == Fraction(4, 7)
 
 
+def test_counting_bound_claims_nothing_on_a_set_with_a_configuration():
+    # the whole window holds configurations, so the lemma's hypothesis fails
+    # and neither the count nor the comparison is made
+    base = np.arange(-50, 51)
+    inners = [np.arange(-3, 4), np.arange(-3, 4)]
+    rep = check_counting_bound(base, base, inners)
+    assert rep.freeness.status == "found"
+    assert verify_configuration(base, rep.freeness.config, 2)
+    assert (rep.count, rep.t_value, rep.holds) == (None, None, None)
+    assert rep.bound == Fraction(4, 7)
+
+
 # ---------------------------------------------------------------------------
 # progression counters and generators
 # ---------------------------------------------------------------------------

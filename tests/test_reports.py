@@ -169,6 +169,9 @@ def test_normalize_complex_and_numpy():
     assert normalize(np.int64(5)) == 5
     assert normalize(np.bool_(True)) is True
     assert normalize(np.float64(0.5)) == 0.5
+    # float32 and complex64 are not Python floats or complexes
+    assert normalize(np.float32(0.1)) == 0.100000001490
+    assert normalize(np.complex64(0.1 - 2j)) == {"im": -2.0, "re": 0.100000001490}
     assert normalize(np.array([1, 2])) == [1, 2]
 
 
