@@ -67,12 +67,18 @@ that every sum of points it forms fits int64; a wrapped sum could land on
 the support.
 
 The Fourier scan evaluates windowed exponential sums on a rational grid
-with an explicit derivative-based error certificate. Each base point's grid
-values come from one inverse FFT of its window placed at the residues
-``n mod grid`` (pocketfft, single-threaded, so the values are bitwise
-reproducible as well); the reported maximizing index is one that attains the
-computed maximum, and for real ``f`` it may be either of ``k`` and
-``grid - k``, whose magnitudes agree in exact arithmetic.
+with an explicit derivative-based error certificate. Each base point's
+window is placed at the residues ``n mod grid`` and transformed once
+(pocketfft, single-threaded, so the values are bitwise reproducible as
+well). A complex ``f`` takes one unnormalised inverse FFT over the whole
+grid. A real ``f`` (every imaginary part zero, decided once per scan) takes
+one real FFT over the half spectrum ``0 <= k <= grid // 2``: bin
+``grid - k`` is the conjugate of bin ``k``, so it adds no magnitude, and
+the forward transform's conjugate sign changes none. The reported
+maximizing index is one that attains the computed maximum; for real ``f``
+it is the one of ``k`` and ``grid - k`` in ``[0, grid / 2]``. The work
+unit, ``grid * ceil(log2 grid)`` per base point, is the same for both
+transforms and stays an upper bound.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -113,34 +119,41 @@ def _gather_cube(
 
 
 def _pair_table(
-    f: BoundedFunction, p: np.ndarray, d: np.ndarray, n: np.ndarray
-) -> np.ndarray:
-    """``S[r, c] = |E_k f(p_r + n_k) conj f(p_r + d_c + n_k)|^2``, ``n`` the
+    f: BoundedFunction, d: np.ndarray, n: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The filler ``fill(p)`` of the pair table
+    ``S[r, c] = |E_k f(p_r + n_k) conj f(p_r + d_c + n_k)|^2``, ``n`` the
     summed side (``N2`` for the correlation route, ``N1`` for the direct one).
 
-    Built over consecutive sub-chunks of ``p`` whose largest array holds at
-    most 2^18 entries (:func:`bohrkit.bohr.chunk_rows`), with the cube's
-    contraction, division and square, so each entry has the bits of the
-    cube entry it stands for. ``f`` is looked up once per distinct offset
-    ``d + n`` and spread to the ``(d, n)`` grid: by index, or, when
+    ``fill`` builds its table over consecutive sub-chunks of ``p`` whose
+    largest array holds at most 2^18 entries (:func:`bohrkit.bohr.chunk_rows`),
+    with the cube's contraction, division and square, so each entry has the
+    bits of the cube entry it stands for. ``f`` is looked up once per distinct
+    offset ``d + n`` and spread to the ``(d, n)`` grid: by index, or, when
     ``qidx[c, k] == c + k`` (``d`` and ``n`` both progressions of one step,
     runs among them), as a sliding-window view of the looked-up row, which
-    holds the same values in the same order.
+    holds the same values in the same order. The distinct offsets, their
+    lookup and that test depend on ``d`` and ``n`` alone, so a route makes
+    them once per call, here, and fills every chunk's table with them.
     """
     offsets = d[:, None] + n[None, :]
     q = sorted_distinct(offsets)
     qidx = sorted_lookup(q, offsets)[0]
     sliding = np.array_equal(qidx, np.arange(d.size)[:, None] + np.arange(n.size))
-    table = np.empty((p.size, d.size), dtype=np.float64)
     step = chunk_rows(d.size * n.size)
-    for s in range(0, p.size, step):
-        ps = p[s : s + step]
-        x = f.gather(ps[:, None] + n[None, :])
-        g = f.gather(ps[:, None] + q[None, :]).conj()
-        y = sliding_window_view(g, n.size, axis=1) if sliding else g[:, qidx]
-        m = np.einsum("rk,rck->rc", x, y, optimize=False) / n.size
-        table[s : s + step] = m.real**2 + m.imag**2
-    return table
+
+    def fill(p: np.ndarray) -> np.ndarray:
+        table = np.empty((p.size, d.size), dtype=np.float64)
+        for s in range(0, p.size, step):
+            ps = p[s : s + step]
+            x = f.gather(ps[:, None] + n[None, :])
+            g = f.gather(ps[:, None] + q[None, :]).conj()
+            y = sliding_window_view(g, n.size, axis=1) if sliding else g[:, qidx]
+            m = np.einsum("rk,rck->rc", x, y, optimize=False) / n.size
+            table[s : s + step] = m.real**2 + m.imag**2
+        return table
+
+    return fill
 
 
 def _sheared(table: np.ndarray, rows: int, size: int) -> np.ndarray:
@@ -218,6 +231,7 @@ def u2_fourth_direct(
     # (a, k, l) is S[a - a0 + k, l - k + L2 - 1], one sheared view of S
     window = _is_run(a) and _is_run(n2)
     carried = np.empty((0, d.size), dtype=np.float64)  # rows of P2 already filled
+    fill = None
     for s in range(0, a.size, step):
         chunk = a[s : s + step]
         if window:
@@ -226,7 +240,8 @@ def u2_fourth_direct(
             starts = chunk[:, None] + n2[None, :]
             p = sorted_distinct(starts)
         if p.size * d.size < chunk.size * n2.size**2:
-            table = np.concatenate((carried, _pair_table(f, p[len(carried) :], d, n1)))
+            fill = fill or _pair_table(f, d, n1)  # made at the first table, kept for the call
+            table = np.concatenate((carried, fill(p[len(carried) :])))
             if window:
                 carried = table[p.size - n2.size + 1 :]
                 sq = _sheared(table, chunk.size, n2.size)
@@ -296,6 +311,7 @@ def u2_fourth_correlation(
     # (a, i, j) is S[a - a0 + i, j - i + L1 - 1], one sheared view of S
     window = _is_run(a) and _is_run(n1)
     carried = np.empty((0, d.size), dtype=np.float64)  # rows of P already filled
+    fill = None
     for s in range(0, a.size, step):
         chunk = a[s : s + step]
         if window:
@@ -304,7 +320,8 @@ def u2_fourth_correlation(
             starts = chunk[:, None] + n1[None, :]
             p = sorted_distinct(starts)
         if p.size * d.size < chunk.size * n1.size**2:
-            table = np.concatenate((carried, _pair_table(f, p[len(carried) :], d, n2)))
+            fill = fill or _pair_table(f, d, n2)  # made at the first table, kept for the call
+            table = np.concatenate((carried, fill(p[len(carried) :])))
             if window:
                 carried = table[p.size - n1.size + 1 :]
                 sq = _sheared(table, chunk.size, n1.size)
@@ -369,17 +386,26 @@ def fourier_grid_maxima(
     multiplicity of ``n``) goes to slot ``n mod grid`` of a zero row. The
     caller guarantees ``grid > 2 max|n| + 1``, so no two offsets share a slot
     and the unnormalised inverse FFT of the row at ``k`` is exactly the
-    exponential sum at ``k / grid``. Yields ``(chunk, values, argmax)`` for
-    consecutive chunks of about ``2^18 / grid`` points; ``argmax`` is an
-    index attaining the computed maximum.
+    exponential sum at ``k / grid``. Whether ``f`` is real (every imaginary
+    part zero) is decided once per call. A complex ``f`` takes that inverse
+    FFT over the whole grid. A real ``f`` fills a float row and takes its
+    unnormalised real FFT, bins ``0 <= k <= grid // 2``: each is the
+    conjugate of the inverse FFT's bin ``k``, with the same magnitude, and
+    bin ``grid - k`` is the conjugate of bin ``k``. Yields
+    ``(chunk, values, argmax)`` for consecutive chunks of about
+    ``2^18 / grid`` points; ``argmax`` is an index attaining the computed
+    maximum, in ``[0, grid / 2]`` for real ``f``.
 
     One work unit is one FFT operation, ``rows * grid * ceil(log2 grid)``
-    per chunk; the chunk that would take the total past ``budget`` raises
+    per chunk, for either transform (an upper bound on the real one); the
+    chunk that would take the total past ``budget`` raises
     :class:`BudgetExceeded` before it is computed.
     """
     offsets, mult = np.unique(inner, return_counts=True)
+    real = not np.any(f.values.imag)
+    take = np.real if real else np.asarray  # a real f's rows hold its real parts
     step = chunk_rows(grid)
-    buf = np.zeros((min(step, points.size), grid), dtype=np.complex128)
+    buf = np.zeros((min(step, points.size), grid), dtype=np.float64 if real else np.complex128)
     # position of (row, offset) in the flattened buffer, row-major as gather returns it
     flat = (np.arange(buf.shape[0])[:, None] * grid + offsets % grid).reshape(-1)
     spent = 0
@@ -390,9 +416,12 @@ def fourier_grid_maxima(
         rows = buf[: a.size]
         # one unnamed temporary, so that no chunk-sized array stays alive across the yield
         rows.reshape(-1)[flat[: a.size * offsets.size]] = (
-            f.gather(a[:, None] + offsets[None, :]) * mult
+            take(f.gather(a[:, None] + offsets[None, :])) * mult
         ).ravel()
-        mags = np.abs(np.fft.ifft(rows, axis=1, norm="forward"))
+        if real:  # bins 0..grid // 2; bin grid - k is the conjugate of bin k
+            mags = np.abs(np.fft.rfft(rows, axis=1))
+        else:
+            mags = np.abs(np.fft.ifft(rows, axis=1, norm="forward"))
         k = mags.argmax(axis=1)
         values = np.take_along_axis(mags, k[:, None], axis=1)[:, 0] / inner.size
         del mags  # nor are the magnitudes kept across it
@@ -405,9 +434,9 @@ class FourierScan:
 
     ``values[a]`` is the maximum over grid frequencies ``k/grid``;
     ``argmax[a]`` is a ``k`` that attains it as computed. For real ``f`` the
-    magnitudes at ``k`` and ``grid - k`` agree in exact arithmetic, so which
-    of the two is reported depends on rounding. The true supremum over all
-    real frequencies exceeds ``values[a]`` by at most
+    magnitudes at ``k`` and ``grid - k`` are equal, and the scan reads only
+    the half spectrum, so ``argmax[a]`` lies in ``[0, grid / 2]``. The true
+    supremum over all real frequencies exceeds ``values[a]`` by at most
     ``certified_error = pi * max|n| / grid`` (a derivative bound over half a
     grid spacing).
     """
@@ -436,11 +465,13 @@ def local_fourier_scan(
     """Grid scan of the windowed exponential sum for every base point.
 
     Requires ``grid >= 4 * (max|n| + 1)`` so the grid resolves the fastest
-    oscillation. Each base point's ``grid`` values come from one inverse FFT
-    of its window (:func:`fourier_grid_maxima`), in ``O(grid log grid)``
-    rather than ``O(|N| grid)``. One work unit is one FFT operation; the
-    whole cost ``|A| * grid * ceil(log2 grid)`` is checked against
-    ``budget`` before anything is allocated.
+    oscillation. Each base point's ``grid`` values come from one FFT of its
+    window (:func:`fourier_grid_maxima`), in ``O(grid log grid)`` rather
+    than ``O(|N| grid)``: an inverse FFT over the whole grid for complex
+    ``f``, a real FFT over the half spectrum for real ``f``, whose index
+    then lies in ``[0, grid / 2]``. One work unit is one FFT operation; the
+    whole cost ``|A| * grid * ceil(log2 grid)``, an upper bound for either
+    transform, is checked against ``budget`` before anything is allocated.
     """
     a = as_elements(base)
     n = as_elements(inner)

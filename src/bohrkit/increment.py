@@ -330,9 +330,9 @@ def fourier_increment(
             r = int(good[0])
             a_star = int(chunk[r])
             k_star = int(ks[r])
-            # for real f the scan may report k or grid - k (equal magnitudes);
-            # ||n k/grid|| = ||n (grid - k)/grid||, so either y gives the same
-            # refined Bohr set
+            # for real f the scan reports the one of k and grid - k in
+            # [0, grid/2] (equal magnitudes); ||n k/grid|| = ||n (grid - k)/grid||,
+            # so either y would give the same refined Bohr set
             y = Fraction(k_star, grid) if k_star else Fraction(1)
             new_spec = BohrSpec(
                 base.spec.theta + (y,),

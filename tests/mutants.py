@@ -204,8 +204,8 @@ MUTANTS = [
     {
         "file": "gowers.py",
         "drops": "N1 as the summed side of the direct route's pair table",
-        "old": "_pair_table(f, p[len(carried) :], d, n1)",
-        "new": "_pair_table(f, p[len(carried) :], d, n2)",
+        "old": "_pair_table(f, d, n1)",
+        "new": "_pair_table(f, d, n2)",
         "kills": [
             "tests/test_gowers.py::test_direct_route_bits_are_pinned",
             "tests/test_gowers.py::test_direct_route_equals_cube_bit_for_bit",
@@ -290,6 +290,24 @@ MUTANTS = [
         "old": "np.arange(buf.shape[0])[:, None] * grid + offsets % grid",
         "new": "np.arange(buf.shape[0])[:, None] * grid + offsets",
         "kills": ["tests/test_gowers.py::test_fft_scan_matches_dense_oracle"],
+    },
+    {
+        "file": "gowers.py",
+        "drops": "the Nyquist bin of a real function's half-spectrum scan",
+        "old": "mags = np.abs(np.fft.rfft(rows, axis=1))",
+        "new": "mags = np.abs(np.fft.rfft(rows, axis=1)[:, :-1])",
+        "kills": [
+            "tests/test_gowers.py::test_real_scan_reports_the_nyquist_bin[28]",
+            "tests/test_gowers.py::test_real_scan_reports_the_nyquist_bin[32]",
+            "tests/test_gowers.py::test_real_scan_reports_the_nyquist_bin[40]",
+        ],
+    },
+    {
+        "file": "gowers.py",
+        "drops": "the imaginary parts of a complex function in the Fourier scan",
+        "old": "real = not np.any(f.values.imag)",
+        "new": "real = True",
+        "kills": ["tests/test_gowers.py::test_scan_peak_at_character_frequency"],
     },
     {
         "file": "bohr.py",
@@ -658,6 +676,15 @@ MUTANTS = [
         "kills": [
             "tests/test_sumfree.py::test_sumset_criterion_matches_partition_check",
             "tests/test_sumfree.py::test_sumset_criterion_draws_both_verdicts_on_both_spans",
+        ],
+    },
+    {
+        "file": "sumfree.py",
+        "drops": "the sums of every point but the first of a dense domain in the sumset criterion",
+        "old": "        for d in (dom - lo).tolist():\n",
+        "new": "        for d in (dom - lo)[:1].tolist():\n",
+        "kills": [
+            "tests/test_sumfree.py::test_sumset_criterion_matches_partition_check",
         ],
     },
     {

@@ -570,6 +570,28 @@ def test_window_inputs_look_no_starts_up(monkeypatch, route):
         assert looked and all(shape[1:] == (31,) for shape in looked), name
 
 
+@pytest.mark.parametrize("route", [u2_fourth_correlation, u2_fourth_direct],
+                         ids=["correlation", "direct"])
+def test_pair_offsets_are_made_once_per_call(monkeypatch, route):
+    # the gapped 2999-point base fills a table in each of its twelve chunks;
+    # the distinct offsets D + N' (61 x 9) are sorted once for all of them
+    window, other = np.arange(-15, 16), np.arange(-4, 5)
+    inner = (window, other) if route is u2_fourth_correlation else (other, window)
+    f = _random_values(np.random.default_rng(6), np.arange(-60, 3060), False)
+    shapes: list[tuple[int, ...]] = []
+    real = gowers.sorted_distinct
+
+    def record(values):
+        shapes.append(np.shape(values))
+        return real(values)
+
+    monkeypatch.setattr(gowers, "sorted_distinct", record)
+    calls = _einsum_calls(monkeypatch)
+    route(f, np.delete(np.arange(3000), 1000), *inner)
+    assert calls.count("rk,rck->rc") >= 12
+    assert shapes.count((61, 9)) == 1
+
+
 def test_window_tables_fill_each_row_once(monkeypatch):
     # `patterns dichotomy`'s inner = base case: [-79, 79] at L1 = L2 = 159
     # takes ten base points a chunk, and consecutive chunks' P share 158
@@ -758,7 +780,7 @@ def _next_prime(n: int) -> int:
 
 
 @st.composite
-def scan_cases(draw):
+def scan_cases(draw, real=None):
     if draw(st.booleans()):
         lo = draw(st.integers(-12, 0))
         inner = list(range(lo, draw(st.integers(lo, 12)) + 1))
@@ -775,7 +797,7 @@ def scan_cases(draw):
     }[kind]
     base = sorted(draw(st.sets(st.integers(-15, 15), min_size=1, max_size=6)))
     seed = draw(st.integers(0, 2**32 - 1))
-    real = draw(st.booleans())
+    real = draw(st.booleans()) if real is None else real
     vals_rng = np.random.default_rng(seed)
     support = np.arange(-30, 31)
     values = vals_rng.uniform(-1, 1, support.size).astype(np.complex128)
@@ -791,11 +813,37 @@ def test_fft_scan_matches_dense_oracle(case):
     scan = local_fourier_scan(f, np.array(base), np.array(inner), grid)
     expect, _ = dense_scan_oracle(f, base, inner, grid)
     assert np.max(np.abs(scan.values - expect)) <= 1e-12
-    # the reported index attains the maximum; for real f it may be either
-    # of k and grid - k, so the index itself is not compared
+    # the reported index attains the maximum; it is not compared with the
+    # oracle's, since ties and near-ties may round either way
     for i, a in enumerate(base):
         top = abs(literal_fourier(f, a, inner, int(scan.argmax[i]), grid))
         assert abs(top - scan.values[i]) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_cases(real=True))
+def test_real_scan_reads_the_half_spectrum(case):
+    # a real f is scanned by one real FFT: its index is the canonical one of
+    # k and grid - k, in [0, grid // 2], and attains the dense oracle's maximum
+    f, base, inner, grid = case
+    scan = local_fourier_scan(f, np.array(base), np.array(inner), grid)
+    expect, _ = dense_scan_oracle(f, base, inner, grid)
+    assert np.max(np.abs(scan.values - expect)) <= 1e-12
+    assert all(0 <= k <= grid // 2 for k in scan.argmax.tolist())
+    for i, a in enumerate(base):
+        top = abs(literal_fourier(f, a, inner, int(scan.argmax[i]), grid))
+        assert abs(top - scan.values[i]) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [28, 32, 40])
+def test_real_scan_reports_the_nyquist_bin(grid):
+    # (-1)^(a+n) e(n k / grid) is constant when k = grid / 2, the last bin of
+    # an even grid's half spectrum
+    support = np.arange(-40, 41)
+    f = BoundedFunction(support, (-1.0) ** support)
+    scan = local_fourier_scan(f, np.arange(-3, 4), np.arange(-6, 7), grid)
+    assert scan.argmax.tolist() == [grid // 2] * 7
+    assert np.max(np.abs(scan.values - 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("grid", [48, 64, 65])

@@ -1082,7 +1082,7 @@ STEP_FORMS = {
                     "eps": [1, 96],
                     "theta": [[1, 1], [1, 2]],
                 },
-                "scan_value": 0.4999997689678546,
+                "scan_value": 0.4999997689678547,
                 "status": "refined",
                 "translate": -1764,
                 "unmet": [
